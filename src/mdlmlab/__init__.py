@@ -27,6 +27,7 @@ from .oracle import (
     TabularJoint,
     ZeroSupportError,
     EnumerationLimitError,
+    JointFormatError,
     conditional_marginal,
     exact_policy_distribution,
     joint_prob,
@@ -41,8 +42,8 @@ from .decoding import (
     DecodeTrace,
     PolicyConfig,
     commit_token,
-    decode,
     decode_blockwise,
+    enumerate_decodes,
     select_eb,
     select_klass,
     select_threshold,

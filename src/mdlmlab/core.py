@@ -117,16 +117,6 @@ class DenoiserOutput:
     attentions: list[np.ndarray] | None = None
 
 
-def check_categorical(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Validate a 1-d probability vector (entries >= 0, sum 1 within atol)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("categorical must be a 1-d probability vector")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > atol:
-        raise ValueError("categorical entries must be >= 0 and sum to 1")
-    return p
-
-
 def make_masked_state(
     vocab: Vocabulary,
     prompt: Sequence[int],

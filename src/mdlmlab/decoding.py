@@ -6,14 +6,21 @@ with a ``vocab`` attribute; the exact backend additionally exposes
 made per step and both the scores and the committed predictions come from
 that same call, so the trace's NFE equals the number of forward evaluations
 exactly.
+
+The step rule (block order and budgets, candidates, KLASS history, scoring
+and selection) lives in one private function, ``_step``. The sampler
+``decode_blockwise`` draws one branch from each planned step; the
+enumerator ``enumerate_decodes`` follows every branch with its probability,
+which is how the harness computes exact induced distributions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +37,12 @@ class PolicyConfig:
     ``steps`` is the top-k budget T (0 means one token per step). The
     threshold, klass, and eb parameters default to the standard settings
     (eps=0.95, n=2, gamma=0.01).
+
+    Under blocks, T is split across blocks in proportion to their length:
+    a block of n positions gets max(1, round(T * n / gen_len)) steps. The
+    rounded budgets can sum above T, so top-k NFE is their sum, not T:
+    steps=4, gen_len=8, block_size=3 gives budgets [2, 2, 1] and 5 forward
+    calls. Without stochastic remasking NFE never exceeds gen_len.
     """
 
     scorer: str = "confidence"
@@ -69,15 +82,27 @@ class PolicyConfig:
             raise ValueError("stochastic_remask requires the step-scheduled topk selector")
 
     def policy_id(self) -> str:
+        """A distinct name per policy; all-default tuning parameters add nothing."""
         parts = [self.scorer, self.selector]
-        if self.selector == "topk":
-            parts.append(f"T{self.steps}" if self.steps else "T0")
+        if self.selector == "topk" or self.steps:
+            parts.append(f"T{self.steps}")
         if self.block_size:
             parts.append(f"b{self.block_size}")
-        if self.scorer == "dos":
+        if self.scorer == "dos" or self.layer:
             parts.append(f"l{self.layer}")
         parts.append(self.temperature)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _TUNING and value != f.default:
+                parts.append(f.name if value is True else f"{f.name}{value!r}")
         return "-".join(parts)
+
+
+# Parameters that ``policy_id`` names only when they differ from the default.
+_TUNING = (
+    "eps", "tau", "eps_kl", "n_history", "gamma", "stochastic_remask",
+    "dep_eb_prefilter",
+)
 
 
 @dataclass
@@ -89,13 +114,7 @@ class TraceStep:
     nfe: int
 
     def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "positions": self.positions,
-            "tokens": self.tokens,
-            "scores": self.scores,
-            "nfe": self.nfe,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -132,8 +151,9 @@ class History:
         if len(lst) > self.n + 1:
             del lst[0]
 
-    def clear(self, position: int) -> None:
-        self._dists.pop(position, None)
+    def clear(self, positions: Iterable[int]) -> None:
+        for i in positions:
+            self._dists.pop(i, None)
 
     def stable(self, position: int, eps_kl: float) -> bool:
         """True iff n+1 records exist and all n consecutive KLs are < eps_kl."""
@@ -156,8 +176,7 @@ class History:
 # ---------------------------------------------------------------------------
 
 def _ranked(scores: np.ndarray, candidates: Sequence[int]) -> list[int]:
-    cand = sorted(candidates)
-    return sorted(cand, key=lambda i: (-scores[i], i))
+    return sorted(candidates, key=lambda i: (-scores[i], i))
 
 
 def select_topk(scores: np.ndarray, candidates: Sequence[int], k: int) -> tuple[int, ...]:
@@ -235,7 +254,7 @@ def commit_token(p: np.ndarray, temperature: str, rng: np.random.Generator) -> i
 
 
 # ---------------------------------------------------------------------------
-# one planning step, shared by the sampler and the exact enumerator
+# scoring and selection for one step
 # ---------------------------------------------------------------------------
 
 def compute_ranking(
@@ -296,91 +315,63 @@ def plan_step(
     return ranking, selected
 
 
-def _blocks(prompt_len: int, gen_len: int, block_size: int) -> list[list[int]]:
+# ---------------------------------------------------------------------------
+# the step rule, shared by the sampler and the exact enumerator
+# ---------------------------------------------------------------------------
+
+def _block_plan(
+    policy: PolicyConfig, prompt_len: int, gen_len: int
+) -> list[tuple[list[int], int]]:
+    """Left-to-right blocks with their step budgets (see ``PolicyConfig``)."""
     positions = list(range(prompt_len, prompt_len + gen_len))
-    if block_size <= 0 or block_size >= gen_len:
-        return [positions]
-    return [positions[i : i + block_size] for i in range(0, gen_len, block_size)]
-
-
-def _block_step_budget(total_steps: int, block_len: int, gen_len: int) -> int:
-    # Step budget splits across blocks proportionally to their length.
-    return max(1, round(total_steps * block_len / gen_len))
-
-
-def _run(
-    denoiser,
-    policy: PolicyConfig,
-    prompt: Sequence[int],
-    gen_len: int,
-    rng: np.random.Generator,
-    blocks: list[list[int]],
-    unconditional: bool,
-) -> tuple[SequenceState, DecodeTrace]:
-    state = make_masked_state(denoiser.vocab, prompt, gen_len, unconditional)
+    size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
     total_steps = policy.steps if policy.steps else gen_len
-    history = History(policy.n_history)
-    trace = DecodeTrace()
-    nfe = 0
-    step_no = 0
-    for block in blocks:
-        block_budget = _block_step_budget(total_steps, len(block), gen_len)
-        steps_in_block = 0
-        while any(state.is_masked(i) for i in block):
-            out = denoiser(state)
-            nfe += 1
-            if policy.selector == "klass":
-                for i in state.masked_positions():
-                    history.record(i, out.probs[i])
-            candidates = tuple(i for i in block if state.is_masked(i))
-            steps_left = max(1, block_budget - steps_in_block)
-            ranking, selected = plan_step(
-                policy, out, state, denoiser, candidates, steps_left, history
-            )
-            committed = selected
-            if policy.stochastic_remask:
-                t = max(1.0 - steps_in_block / block_budget, 1.0 / block_budget)
-                s = max(1.0 - (steps_in_block + 1) / block_budget, 0.0)
-                p_reveal = reverse_unmask_prob(LINEAR, t, s) if s < t else 1.0
-                committed = tuple(i for i in selected if rng.random() < p_reveal)
-            updates = {
-                i: commit_token(out.probs[i], policy.temperature, rng)
-                for i in committed
-            }
-            if updates:
-                state = state.with_tokens(updates)
-                for i in committed:
-                    history.clear(i)
-            trace.steps.append(
-                TraceStep(
-                    step=step_no,
-                    positions=list(committed),
-                    tokens=[updates[i] for i in committed],
-                    scores=[float(ranking[i]) for i in committed],
-                    nfe=nfe,
-                )
-            )
-            step_no += 1
-            steps_in_block += 1
-    return state, trace
+    return [
+        (block, max(1, round(total_steps * len(block) / gen_len)))
+        for block in (positions[i : i + size] for i in range(0, gen_len, size))
+    ]
 
 
-def decode(
+def _step(
     denoiser,
     policy: PolicyConfig,
-    prompt: Sequence[int],
-    gen_len: int,
-    rng: np.random.Generator,
-    unconditional: bool = False,
-) -> tuple[SequenceState, DecodeTrace]:
-    """Single-block generation: forward, score, select, commit until done.
+    blocks: list[tuple[list[int], int]],
+    state: SequenceState,
+    history: History,
+    block: int,
+    steps_in_block: int,
+):
+    """Plan the next step; None once every block is unmasked.
 
-    Every selector commits at least one token per forward call (unless the
-    optional stochastic remasking mode is on), so NFE <= gen_len and the
-    loop always terminates.
+    This is the whole step rule, shared by the sampler and the enumerator:
+    finished blocks are skipped, one forward call is made, KLASS records the
+    predictive distribution of every masked position, and the policy selects
+    among the active block's masked positions under its remaining budget.
+    Returns ``(block, steps_in_block, out, ranking, selected)`` with the
+    block index and step count of the block the step was planned in.
     """
-    blocks = _blocks(len(prompt), gen_len, 0)
-    return _run(denoiser, policy, prompt, gen_len, rng, blocks, unconditional)
+    while block < len(blocks) and not any(map(state.is_masked, blocks[block][0])):
+        block += 1
+        steps_in_block = 0
+    if block == len(blocks):
+        return None
+    positions, budget = blocks[block]
+    out = denoiser(state)
+    if policy.selector == "klass":
+        for i in state.masked_positions():
+            history.record(i, out.probs[i])
+    candidates = tuple(i for i in positions if state.is_masked(i))
+    steps_left = max(1, budget - steps_in_block)
+    ranking, selected = plan_step(
+        policy, out, state, denoiser, candidates, steps_left, history
+    )
+    return block, steps_in_block, out, ranking, selected
+
+
+def _commit(state: SequenceState, history: History, updates: dict[int, int]):
+    """The state after ``updates``; KLASS forgets the committed positions."""
+    history.clear(updates)
+    return state.with_tokens(updates) if updates else state
 
 
 def decode_blockwise(
@@ -391,14 +382,93 @@ def decode_blockwise(
     rng: np.random.Generator,
     unconditional: bool = False,
 ) -> tuple[SequenceState, DecodeTrace]:
-    """Semi-autoregressive generation over left-to-right blocks.
+    """Generate: forward, score, select, commit until every position is unmasked.
 
-    Positions are partitioned into blocks of ``policy.block_size`` (the last
-    may be short); the inner policy runs restricted to the active block until
-    it is fully unmasked. Scoring sees the whole sequence; only selection is
-    confined to the block. ``block_size >= gen_len`` reduces to ``decode``.
+    Positions are partitioned into left-to-right blocks of
+    ``policy.block_size`` (the last may be short; 0 or ``>= gen_len`` is one
+    block), and selection is confined to the active block until it is
+    unmasked; scoring sees the whole sequence. Every selector commits at
+    least one token per forward call (unless stochastic remasking is on),
+    so NFE <= gen_len.
     """
-    if policy.block_size < 0:
-        raise ValueError("block_size must be >= 0")
-    blocks = _blocks(len(prompt), gen_len, policy.block_size)
-    return _run(denoiser, policy, prompt, gen_len, rng, blocks, unconditional)
+    state = make_masked_state(denoiser.vocab, prompt, gen_len, unconditional)
+    blocks = _block_plan(policy, len(prompt), gen_len)
+    history = History(policy.n_history)
+    block = steps_in_block = 0
+    trace = DecodeTrace()
+    while (
+        step := _step(denoiser, policy, blocks, state, history, block, steps_in_block)
+    ) is not None:
+        block, steps_in_block, out, ranking, committed = step
+        if policy.stochastic_remask:
+            budget = blocks[block][1]
+            t = max(1.0 - steps_in_block / budget, 1.0 / budget)
+            s = max(1.0 - (steps_in_block + 1) / budget, 0.0)
+            p_reveal = reverse_unmask_prob(LINEAR, t, s) if s < t else 1.0
+            committed = tuple(i for i in committed if rng.random() < p_reveal)
+        updates = {
+            i: commit_token(out.probs[i], policy.temperature, rng) for i in committed
+        }
+        trace.steps.append(
+            TraceStep(
+                step=len(trace.steps),
+                positions=list(committed),
+                tokens=[updates[i] for i in committed],
+                scores=[float(ranking[i]) for i in committed],
+                nfe=len(trace.steps) + 1,  # one forward call per step
+            )
+        )
+        state = _commit(state, history, updates)
+        steps_in_block += 1
+    return state, trace
+
+
+def enumerate_decodes(
+    denoiser,
+    policy: PolicyConfig,
+    prompt: Sequence[int],
+    gen_len: int,
+    mass: float = 1.0,
+    unconditional: bool = False,
+) -> Iterator[tuple[tuple[int, ...], float, int]]:
+    """Every outcome of ``decode_blockwise``, as ``(tokens, mass, forwards)``.
+
+    Runs the sampler's step rule but, instead of drawing the committed
+    tokens, follows every value combination of the selected set with its
+    product probability times ``mass`` (greedy temperature follows the single
+    argmax branch). Outcomes come depth-first, in token order within a step;
+    a sequence reached along several paths is yielded once per path.
+    """
+    if policy.stochastic_remask:
+        raise ValueError("stochastic remasking has no exact mode")
+    blocks = _block_plan(policy, len(prompt), gen_len)
+    state = make_masked_state(denoiser.vocab, prompt, gen_len, unconditional)
+    stack = [(state, History(policy.n_history), 0, 0, 0, mass)]
+    while stack:
+        state, history, block, steps_in_block, forwards, mass = stack.pop()
+        step = _step(denoiser, policy, blocks, state, history, block, steps_in_block)
+        if step is None:
+            yield state.tokens, mass, forwards
+            continue
+        block, steps_in_block, out, _, selected = step
+        if policy.temperature == "greedy":
+            supports = [[(int(np.argmax(out.probs[i])) + 1, 1.0)] for i in selected]
+        else:
+            supports = [
+                [(v + 1, float(p)) for v, p in enumerate(out.probs[i]) if p > 0]
+                for i in selected
+            ]
+        combos = list(itertools.product(*supports))
+        children = []
+        for k, combo in enumerate(combos):
+            # each KLASS branch needs its own history; the last takes the parent's
+            h = history
+            if policy.selector == "klass" and k < len(combos) - 1:
+                h = history.copy()
+            p = 1.0  # in selection order, then times mass: masses stay bit-stable
+            for _, pv in combo:
+                p *= pv
+            child = _commit(state, h, dict(zip(selected, [tok for tok, _ in combo])))
+            node = (child, h, block, steps_in_block + 1, forwards + 1, mass * p)
+            children.append(node)
+        stack.extend(reversed(children))  # depth-first, first branch first

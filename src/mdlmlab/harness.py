@@ -3,28 +3,27 @@
 The quality metric throughout is total variation distance between the
 distribution a decoding policy induces over full sequences and the known
 target joint. When the exact denoiser is configured and the space is
-enumerable, the induced distribution is computed exactly by following every
-outcome path of the decode loop; otherwise it is estimated by Monte Carlo.
+enumerable, the induced distribution is computed exactly: this module
+enumerates the prompts and sums the outcomes ``decoding.enumerate_decodes``
+yields, so the decode step rule itself lives only in ``decoding``.
+Otherwise the distribution is estimated by Monte Carlo with
+``decode_blockwise``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import SequenceState, Vocabulary, forward_mask
+from .core import SequenceState, Vocabulary, forward_mask, make_masked_state
 from .decoding import (
     DecodeTrace,
-    History,
     PolicyConfig,
-    _block_step_budget,
-    _blocks,
     decode_blockwise,
-    plan_step,
+    enumerate_decodes,
     select_topk,
 )
 from .nn import TransformerDenoiser, load_checkpoint
@@ -39,7 +38,6 @@ from .oracle import (
     joint_table,
     load_joint_model,
     model_distribution,
-    oracle_dependency,
     sample_joint,
 )
 from . import scoring
@@ -90,94 +88,32 @@ def exact_induced_distribution(
 ) -> tuple[Distribution, float]:
     """Exact sequence distribution produced by a decoding policy.
 
-    Replays the decode loop symbolically against the exact denoiser: each
-    step's selection uses the same planning code as ``decode``, and instead
-    of drawing the committed tokens, every value combination of the selected
-    set is followed with its product probability (greedy temperature follows
-    the single argmax branch). Prompt values are enumerated from their joint
-    marginal. Returns the distribution and the probability-weighted mean
-    number of forward calls.
+    Prompt values are enumerated from their joint marginal, and for each
+    prompt ``decoding.enumerate_decodes`` follows every outcome of the decode
+    loop against the exact denoiser. Returns the distribution and the
+    probability-weighted mean number of forward calls.
     """
-    if policy.scorer == "dos":
-        raise ValueError("the dos scorer has no exact mode (needs attentions)")
-    if policy.stochastic_remask:
-        raise ValueError("stochastic remasking has no exact mode")
     denoiser = OracleDenoiser(model, enum_limit)
-    L = model.L
-    gen_len = L - prompt_len
-    blocks = _blocks(prompt_len, gen_len, policy.block_size)
-    total_steps = policy.steps if policy.steps else gen_len
-    budgets = [_block_step_budget(total_steps, len(b), gen_len) for b in blocks]
-    dist: Distribution = {}
-    nfe_acc = [0.0]
-
-    def walk(
-        state: SequenceState,
-        bi: int,
-        steps_in_block: int,
-        history: History,
-        mass: float,
-        forwards: int,
-    ) -> None:
-        while bi < len(blocks) and not any(state.is_masked(i) for i in blocks[bi]):
-            bi += 1
-            steps_in_block = 0
-        if bi == len(blocks):
-            dist[state.tokens] = dist.get(state.tokens, 0.0) + mass
-            nfe_acc[0] += mass * forwards
-            return
-        out = denoiser(state)
-        forwards += 1
-        if policy.selector == "klass":
-            history = history.copy()
-            for i in state.masked_positions():
-                history.record(i, out.probs[i])
-        candidates = tuple(i for i in blocks[bi] if state.is_masked(i))
-        steps_left = max(1, budgets[bi] - steps_in_block)
-        _, selected = plan_step(
-            policy, out, state, denoiser, candidates, steps_left, history
-        )
-        if policy.temperature == "greedy":
-            combos = [tuple((i, int(np.argmax(out.probs[i])) + 1) for i in selected)]
-            probs = [1.0]
-        else:
-            supports = [
-                [(v + 1, float(p)) for v, p in enumerate(out.probs[i]) if p > 0]
-                for i in selected
-            ]
-            combos, probs = [], []
-            for combo in itertools.product(*supports):
-                p = 1.0
-                for _, pv in combo:
-                    p *= pv
-                combos.append(tuple((i, tok) for i, (tok, _) in zip(selected, combo)))
-                probs.append(p)
-        for combo, p in zip(combos, probs):
-            child = state.with_tokens(dict(combo))
-            if policy.selector == "klass":
-                h = history.copy()
-                for i, _ in combo:
-                    h.clear(i)
-            else:
-                h = history
-            walk(child, bi, steps_in_block + 1, h, mass * p, forwards)
-
-    vocab = model.vocab
+    gen_len = model.L - prompt_len
     if prompt_len:
         table = joint_table(model, enum_limit)
-        pm = table.sum(axis=tuple(range(prompt_len, L)))
-        for idx, p in np.ndenumerate(pm):
-            if p <= 0:
-                continue
-            prompt = tuple(int(v) + 1 for v in idx)
-            state = SequenceState(
-                vocab, prompt + (vocab.mask_id,) * gen_len, prompt_len
-            )
-            walk(state, 0, 0, History(policy.n_history), float(p), 0)
+        pm = table.sum(axis=tuple(range(prompt_len, model.L)))
+        prompts = [
+            (tuple(int(v) + 1 for v in idx), float(p))
+            for idx, p in np.ndenumerate(pm)
+            if p > 0
+        ]
     else:
-        state = SequenceState(vocab, (vocab.mask_id,) * L, 0)
-        walk(state, 0, 0, History(policy.n_history), 1.0, 0)
-    return dist, nfe_acc[0]
+        prompts = [((), 1.0)]
+    dist: Distribution = {}
+    nfe = 0.0
+    for prompt, p in prompts:
+        for tokens, mass, forwards in enumerate_decodes(
+            denoiser, policy, prompt, gen_len, p, unconditional=not prompt_len
+        ):
+            dist[tokens] = dist.get(tokens, 0.0) + mass
+            nfe += mass * forwards
+    return dist, nfe
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +146,8 @@ class ExperimentConfig:
 
 @dataclass
 class MetricRow:
+    """One metrics-CSV row; the field order is the column order."""
+
     policy_id: str
     scorer: str
     selector: str
@@ -222,18 +160,7 @@ class MetricRow:
     seed: int
 
 
-METRIC_FIELDS = (
-    "policy_id",
-    "scorer",
-    "selector",
-    "block_size",
-    "layer",
-    "tv_distance",
-    "kl_divergence",
-    "mean_nfe",
-    "samples",
-    "seed",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRow))
 
 CSV_SCHEMA_TAG = "mdlmlab-metrics-v1"
 
@@ -351,16 +278,11 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> Experime
     return result
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def metrics_csv_text(rows: Sequence[MetricRow]) -> str:
     lines = [f"# schema={CSV_SCHEMA_TAG}", ",".join(METRIC_FIELDS)]
     for r in rows:
-        lines.append(",".join(_format_cell(getattr(r, f)) for f in METRIC_FIELDS))
+        # str of a Python float is its shortest round-trip repr
+        lines.append(",".join(str(getattr(r, f)) for f in METRIC_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -514,37 +436,26 @@ def reference_schedule_report(seed: int) -> list[dict]:
     return report
 
 
-def _pattern_mi_vector(model: JointModel, masked: set[int]) -> np.ndarray:
-    """Dependency scores for a mask pattern without building a state."""
-    vocab = model.vocab
-    tokens = tuple(
-        vocab.mask_id if i in masked else 1 for i in range(model.L)
-    )
-    # Observed values do not enter the score, so any placeholder tokens work.
-    state = SequenceState(vocab, tokens, prompt_len=0)
-    scores = np.full(model.L, np.nan)
-    for m in sorted(masked):
-        scores[m] = oracle_dependency(model, state, m)
-    return scores
-
-
 def dependency_greedy_schedule(
     model: JointModel, prompt_len: int, steps: int
 ) -> GroupSchedule:
     """The fixed group schedule a dependency-ranked top-k decode follows.
 
     Pattern mutual information does not depend on observed values, so the
-    selection sequence is one deterministic schedule.
+    selection sequence is one deterministic schedule; token 1 stands in for
+    every revealed value.
     """
-    masked = set(range(prompt_len, model.L))
+    denoiser = OracleDenoiser(model)
+    state = make_masked_state(
+        model.vocab, (1,) * prompt_len, model.L - prompt_len, unconditional=True
+    )
     groups = []
     steps_left = steps
-    while masked:
+    while masked := state.masked_positions():
         k = math.ceil(len(masked) / max(1, steps_left))
-        scores = _pattern_mi_vector(model, masked)
-        group = select_topk(scores, sorted(masked), k)
+        group = select_topk(denoiser.dependency_scores(state), masked, k)
         groups.append(group)
-        masked -= set(group)
+        state = state.with_tokens({i: 1 for i in group})
         steps_left = max(1, steps_left - 1)
     return GroupSchedule(tuple(groups))
 
@@ -607,16 +518,15 @@ def layered_suite_model(
         model = FactorizedDAG(Vocabulary(2), tuple(parents), tuple(cpts))
 
         # margin 1: mutual information separates the layers up front
-        mi = _pattern_mi_vector(model, set(range(1, L)))
+        start = make_masked_state(model.vocab, (1,), gen_len)
+        mi = OracleDenoiser(model).dependency_scores(start)
         if min(mi[r] for r in roots) < max(mi[c] for c in children) + 0.02:
             continue
         # margin 2: confidence ordering crosses the layers for every prompt value
         table = joint_table(model)
         crossed = True
         for c in (1, 2):
-            state = SequenceState(
-                model.vocab, (c,) + (model.vocab.mask_id,) * gen_len, 1
-            )
+            state = make_masked_state(model.vocab, (c,), gen_len)
             cm = conditional_marginal(model, state)
             root_conf = sorted(float(cm[r].max()) for r in roots)
             child_conf = max(float(cm[ch].max()) for ch in children)

@@ -27,6 +27,10 @@ class EnumerationLimitError(RuntimeError):
     """The joint state space exceeds the configured enumeration limit."""
 
 
+class JointFormatError(ValueError):
+    """A joint model file is malformed; the message quotes the offending line."""
+
+
 def _check_enum_limit(V: int, L: int, limit: int) -> None:
     if V**L > limit:
         raise EnumerationLimitError(
@@ -41,6 +45,9 @@ class TabularJoint:
     vocab: Vocabulary
     table: np.ndarray
     _cached_table: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _flat_cumsum: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -72,6 +79,9 @@ class FactorizedDAG:
         default=None, init=False, repr=False, compare=False
     )
     _topo: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _cpt_cumsum: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -149,18 +159,13 @@ def joint_table(model: JointModel, enum_limit: int = DEFAULT_ENUM_LIMIT) -> np.n
     return table
 
 
-def _check_assignment(model: JointModel, assignment: Sequence[int]) -> tuple[int, ...]:
+def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
+    """Probability of a fully unmasked assignment (token ids 1..V)."""
     a = tuple(int(v) for v in assignment)
     if len(a) != model.L:
         raise ValueError(f"assignment length {len(a)} != L={model.L}")
     if any(not model.vocab.is_content(v) for v in a):
         raise ValueError("assignment must be fully unmasked content tokens")
-    return a
-
-
-def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
-    """Probability of a fully unmasked assignment (token ids 1..V)."""
-    a = _check_assignment(model, assignment)
     if isinstance(model, TabularJoint):
         return float(model.table[tuple(v - 1 for v in a)])
     p = 1.0
@@ -168,11 +173,6 @@ def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
         idx = tuple(a[q] - 1 for q in ps) + (a[i] - 1,)
         p *= float(cpt[idx])
     return p
-
-
-def all_assignments(model: JointModel):
-    """Iterate every full assignment as a token tuple."""
-    return itertools.product(range(1, model.vocab.size + 1), repeat=model.L)
 
 
 def model_distribution(model: JointModel) -> dict[tuple[int, ...], float]:
@@ -234,17 +234,15 @@ def conditional_marginal(
 def sample_joint(model: JointModel, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one full sequence: table sampling or ancestral sampling."""
     if isinstance(model, TabularJoint):
-        cum = getattr(model, "_flat_cumsum", None)
-        if cum is None:
-            cum = np.cumsum(model.table.ravel())
-            model._flat_cumsum = cum
+        if model._flat_cumsum is None:
+            model._flat_cumsum = np.cumsum(model.table.ravel())
+        cum = model._flat_cumsum
         k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         k = min(k, cum.size - 1)
         return tuple(int(v) + 1 for v in np.unravel_index(k, model.table.shape))
-    cums = getattr(model, "_cpt_cumsum", None)
-    if cums is None:
-        cums = tuple(np.cumsum(c, axis=-1) for c in model.cpts)
-        model._cpt_cumsum = cums
+    if model._cpt_cumsum is None:
+        model._cpt_cumsum = tuple(np.cumsum(c, axis=-1) for c in model.cpts)
+    cums = model._cpt_cumsum
     toks = [0] * model.L
     for i in model.topo_order():
         row = cums[i][tuple(toks[q] - 1 for q in model.parents[i])]
@@ -434,47 +432,68 @@ def save_joint_model(model: JointModel, path: str) -> None:
 
 
 def load_joint_model(path: str) -> JointModel:
-    """Load a joint model; probabilities are validated to 1e-9 then renormalized."""
+    """Load a joint model; probabilities are validated to 1e-9 then renormalized.
+
+    Malformed records (out-of-range tokens or node ids, repeated assignments
+    or nodes, wrong field counts) raise ``JointFormatError``.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
-        raise ValueError(f"{path}: empty joint model file")
+        raise JointFormatError(f"{path}: empty joint model file")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "joint" or head[1] not in ("tabular", "dag"):
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
+        raise JointFormatError(f"{path}: bad header {lines[0]!r}")
     variant, V, L = head[1], int(head[2]), int(head[3])
     vocab = Vocabulary(V)
     if variant == "tabular":
         table = np.zeros((V,) * L)
+        seen: set[tuple[int, ...]] = set()
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != L + 1:
-                raise ValueError(f"{path}: expected {L} tokens and a probability: {ln!r}")
+                raise JointFormatError(
+                    f"{path}: expected {L} tokens and a probability: {ln!r}"
+                )
             toks = tuple(int(x) for x in parts[:L])
+            if not all(1 <= v <= V for v in toks):
+                raise JointFormatError(f"{path}: token outside 1..{V}: {ln!r}")
+            if toks in seen:
+                raise JointFormatError(f"{path}: repeated assignment: {ln!r}")
+            seen.add(toks)
             table[tuple(v - 1 for v in toks)] = float(parts[L])
         total = float(table.sum())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{path}: table sums to {total}, not 1 within 1e-9")
+            raise JointFormatError(f"{path}: table sums to {total}, not 1 within 1e-9")
         return TabularJoint(vocab, table / total)
     parents: list[tuple[int, ...]] = [()] * L
     cpts: list[np.ndarray | None] = [None] * L
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] != "node" or "parents" not in parts or "cpt" not in parts:
-            raise ValueError(f"{path}: bad node line {ln!r}")
+            raise JointFormatError(f"{path}: bad node line {ln!r}")
         i = int(parts[1])
+        if not 0 <= i < L:
+            raise JointFormatError(f"{path}: node id outside 0..{L - 1}: {ln!r}")
+        if cpts[i] is not None:
+            raise JointFormatError(f"{path}: repeated node {i}: {ln!r}")
         pi, ci = parts.index("parents"), parts.index("cpt")
         ps = tuple(int(x) for x in parts[pi + 1 : ci])
         vals = np.array([float(x) for x in parts[ci + 1 :]])
-        cpt = vals.reshape((V,) * len(ps) + (V,))
-        rows = cpt.reshape(-1, V)
+        if vals.size != V ** (len(ps) + 1):
+            raise JointFormatError(
+                f"{path}: node {i} needs {V ** (len(ps) + 1)} CPT values: {ln!r}"
+            )
+        rows = vals.reshape(-1, V)
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError(f"{path}: node {i} CPT rows do not sum to 1 within 1e-9")
-        cpt = (rows / rows.sum(axis=1, keepdims=True)).reshape(cpt.shape)
+            raise JointFormatError(
+                f"{path}: node {i} CPT rows do not sum to 1 within 1e-9: {ln!r}"
+            )
         parents[i] = ps
-        cpts[i] = cpt
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        cpts[i] = rows.reshape((V,) * len(ps) + (V,))
     if any(c is None for c in cpts):
-        raise ValueError(f"{path}: missing node lines (need {L})")
+        raise JointFormatError(f"{path}: missing node lines (need {L})")
     return FactorizedDAG(vocab, tuple(parents), tuple(cpts))  # type: ignore[arg-type]
 
 

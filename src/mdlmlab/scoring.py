@@ -17,25 +17,40 @@ UNCERTAINTY_SCORERS = ("confidence", "entropy", "margin")
 SCORERS = UNCERTAINTY_SCORERS + ("dos", "oracle_dep")
 
 
+def row_scores(kind: str, rows: np.ndarray) -> np.ndarray:
+    """Ranking score of each row of an (n, V) probability matrix.
+
+    The one implementation of the uncertainty scorers: ``confidence`` is the
+    largest probability, ``entropy`` the negated Shannon entropy (sum of
+    p log p over p > 0), ``margin`` the gap between the two largest
+    probabilities.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if kind == "confidence":
+        return rows.max(axis=1)
+    if kind == "entropy":
+        return (rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1)
+    if kind == "margin":
+        if rows.shape[1] < 2:
+            raise ValueError("margin needs at least two outcomes")
+        top2 = np.partition(rows, -2, axis=1)
+        return top2[:, -1] - top2[:, -2]
+    raise ValueError(f"unknown uncertainty scorer {kind!r}")
+
+
 def confidence(p: np.ndarray) -> float:
     """Largest probability in the distribution."""
-    return float(np.max(p))
+    return float(row_scores("confidence", np.atleast_2d(p))[0])
 
 
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(-row_scores("entropy", np.atleast_2d(p))[0])
 
 
 def margin(p: np.ndarray) -> float:
     """Gap between the highest and second-highest probabilities."""
-    p = np.asarray(p, dtype=float)
-    if p.size < 2:
-        raise ValueError("margin needs at least two outcomes")
-    top2 = np.partition(p, -2)[-2:]
-    return float(top2[1] - top2[0])
+    return float(row_scores("margin", np.atleast_2d(p))[0])
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -77,15 +92,9 @@ def uncertainty_scores(
 ) -> np.ndarray:
     """Ranking vector for one of the uncertainty scorers (higher = earlier)."""
     scores = np.full(n_positions, NOT_SCORED)
-    for m in masked:
-        if kind == "confidence":
-            scores[m] = confidence(probs[m])
-        elif kind == "entropy":
-            scores[m] = -entropy(probs[m])
-        elif kind == "margin":
-            scores[m] = margin(probs[m])
-        else:
-            raise ValueError(f"unknown uncertainty scorer {kind!r}")
+    rows = list(masked)
+    if rows:
+        scores[rows] = row_scores(kind, np.asarray(probs)[rows])
     return scores
 
 
@@ -99,7 +108,4 @@ def entropy_vector(
     probs: np.ndarray, masked: Sequence[int], n_positions: int
 ) -> np.ndarray:
     """Raw (unnegated) entropies, used as the budget in entropy-bounded selection."""
-    scores = np.full(n_positions, NOT_SCORED)
-    for m in masked:
-        scores[m] = entropy(probs[m])
-    return scores
+    return -uncertainty_scores("entropy", probs, masked, n_positions)

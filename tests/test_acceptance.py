@@ -12,7 +12,7 @@ import pytest
 
 from helpers import brute_conditionals, central_diff_max_rel_err
 from mdlmlab.core import SequenceState, Vocabulary
-from mdlmlab.decoding import PolicyConfig, decode, select_eb
+from mdlmlab.decoding import PolicyConfig, decode_blockwise, select_eb
 from mdlmlab.harness import (
     ExperimentConfig,
     exact_induced_distribution,
@@ -280,14 +280,16 @@ def test_criterion_09_nfe_accounting():
     top1 = PolicyConfig(scorer="confidence", selector="topk", steps=gen_len,
                         temperature="sample")
     for prompt in prompts:
-        _, trace = decode(den, top1, prompt, gen_len, np.random.default_rng(0))
+        _, trace = decode_blockwise(den, top1, prompt, gen_len,
+                                    np.random.default_rng(0))
         assert trace.nfe == gen_len
 
     for selector in ("threshold", "klass", "eb"):
         policy = PolicyConfig(scorer="confidence", selector=selector,
                               temperature="sample")
         for prompt in prompts:
-            _, trace = decode(den, policy, prompt, gen_len, np.random.default_rng(1))
+            _, trace = decode_blockwise(den, policy, prompt, gen_len,
+                                        np.random.default_rng(1))
             assert trace.nfe <= gen_len
 
     # dependency ranking + entropy budget is never slower than plain top-1

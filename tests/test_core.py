@@ -5,7 +5,6 @@ from mdlmlab.core import (
     LINEAR,
     SequenceState,
     Vocabulary,
-    check_categorical,
     forward_mask,
     make_masked_state,
     make_schedule,
@@ -134,11 +133,3 @@ def test_posterior_composition_recovers_forward_marginal():
                 assert xs.tokens[i] == x0.tokens[i]
     fracs = masked_counts / n
     assert np.all(np.abs(fracs - s) < 0.02)
-
-
-def test_check_categorical():
-    check_categorical(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        check_categorical(np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        check_categorical(np.array([-0.1, 1.1]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from mdlmlab.decoding import (
     PolicyConfig,
     commit_token,
     compute_ranking,
-    decode,
     decode_blockwise,
     select_eb,
     select_klass,
@@ -19,7 +19,7 @@ from mdlmlab.decoding import (
 )
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
 from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag
-from mdlmlab.harness import tv_distance, model_distribution
+from mdlmlab.harness import exact_induced_distribution, model_distribution, tv_distance
 
 
 def oracle_den(seed=0, V=2, L=4):
@@ -127,7 +127,7 @@ def test_decode_one_token_per_step_nfe():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
     rng = np.random.default_rng(0)
-    final, trace = decode(den, policy, [], 4, rng, unconditional=True)
+    final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
     assert trace.nfe == 4
     assert len(trace.steps) == 4
     assert all(len(s.positions) == 1 for s in trace.steps)
@@ -143,7 +143,7 @@ def test_decode_parallel_policies_nfe_bound():
         PolicyConfig(scorer="confidence", selector="klass", temperature="sample"),
         PolicyConfig(scorer="oracle_dep", selector="eb", temperature="sample"),
     ):
-        final, trace = decode(den, policy, [], 4, rng, unconditional=True)
+        final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
         assert 1 <= trace.nfe <= 4
         assert not final.masked_positions()
 
@@ -158,7 +158,7 @@ def test_decode_trace_partitions_positions():
             steps=3,
             temperature="sample",
         )
-        final, trace = decode(den, policy, [1], 4, rng)
+        final, trace = decode_blockwise(den, policy, [1], 4, rng)
         committed = trace.committed_positions()
         assert sorted(committed) == [1, 2, 3, 4]
         assert len(set(committed)) == len(committed)
@@ -172,7 +172,7 @@ def test_unmasked_tokens_never_change():
     rng = np.random.default_rng(2)
     seen = {}
     # instrument by replaying the trace against the final sequence
-    final, trace = decode(den, policy, [2], 4, rng)
+    final, trace = decode_blockwise(den, policy, [2], 4, rng)
     for step in trace.steps:
         for pos, tok in zip(step.positions, step.tokens):
             assert pos not in seen
@@ -206,7 +206,8 @@ def test_blockwise_single_block_equals_decode():
                         temperature="sample")
     blocked = PolicyConfig(scorer="confidence", selector="topk", steps=3,
                            block_size=99, temperature="sample")
-    t1 = decode(den, base, [], 6, np.random.default_rng(42), unconditional=True)
+    t1 = decode_blockwise(den, base, [], 6, np.random.default_rng(42),
+                          unconditional=True)
     t2 = decode_blockwise(den, blocked, [], 6, np.random.default_rng(42),
                           unconditional=True)
     assert t1[0].tokens == t2[0].tokens
@@ -231,7 +232,7 @@ def test_greedy_decode_is_pure():
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2, layer=1,
                           temperature="greedy")
     outs = [
-        decode(den, policy, [2], 4, np.random.default_rng(i))[0].tokens
+        decode_blockwise(den, policy, [2], 4, np.random.default_rng(i))[0].tokens
         for i in range(3)
     ]
     assert outs[0] == outs[1] == outs[2]
@@ -241,7 +242,8 @@ def test_dos_scorer_requires_attentions():
     den = oracle_den(seed=19)
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2)
     with pytest.raises(ValueError, match="attentions"):
-        decode(den, policy, [], 4, np.random.default_rng(0), unconditional=True)
+        decode_blockwise(den, policy, [], 4, np.random.default_rng(0),
+                         unconditional=True)
 
 
 def test_oracle_dep_scorer_requires_exact_denoiser():
@@ -252,7 +254,8 @@ def test_oracle_dep_scorer_requires_exact_denoiser():
     den = TransformerDenoiser(params)
     policy = PolicyConfig(scorer="oracle_dep", selector="topk", steps=2)
     with pytest.raises(ValueError, match="exact"):
-        decode(den, policy, [], 4, np.random.default_rng(0), unconditional=True)
+        decode_blockwise(den, policy, [], 4, np.random.default_rng(0),
+                         unconditional=True)
 
 
 def test_dos_eb_composition_satisfies_budget():
@@ -282,13 +285,13 @@ def test_stochastic_remask_mode():
                           temperature="sample", stochastic_remask=True)
     rng = np.random.default_rng(6)
     # T=1 collapses to a single forced step: reveal probability is 1
-    final, trace = decode(den, policy, [], 4, rng, unconditional=True)
+    final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
     assert trace.nfe == 1 and not final.masked_positions()
 
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample", stochastic_remask=True)
     for i in range(20):
-        final, trace = decode(den, policy, [], 4, np.random.default_rng(i),
+        final, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(i),
                               unconditional=True)
         assert not final.masked_positions()
         committed = trace.committed_positions()
@@ -299,7 +302,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     den = oracle_den(seed=31)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,
                           temperature="sample")
-    _, trace = decode(den, policy, [], 4, np.random.default_rng(7),
+    _, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(7),
                       unconditional=True)
     path = str(tmp_path / "trace.jsonl")
     trace.write_jsonl(path)
@@ -308,3 +311,59 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert len(records) == len(trace.steps)
     assert records[0].keys() == {"step", "positions", "tokens", "scores", "nfe"}
     assert records[-1]["nfe"] == trace.nfe
+
+
+def test_policy_id_is_injective():
+    grid = {
+        "scorer": ("confidence", "dos"),
+        "selector": ("topk", "eb"),
+        "steps": (0, 3),
+        "block_size": (0, 2),
+        "temperature": ("greedy", "sample"),
+        "layer": (0, 1),
+        "eps": (0.95, 0.9),
+        "tau": (0.9, 0.8),
+        "eps_kl": (0.01, 0.02),
+        "n_history": (2, 3),
+        "gamma": (0.01, 0.5),
+        "stochastic_remask": (False, True),
+        "dep_eb_prefilter": (None, 0.1),
+    }
+    policies = set()
+    for values in itertools.product(*grid.values()):
+        kwargs = dict(zip(grid, values))
+        if kwargs["stochastic_remask"] and kwargs["selector"] != "topk":
+            continue
+        policies.add(PolicyConfig(**kwargs))
+    ids = {p.policy_id() for p in policies}
+    assert len(ids) == len(policies)
+    assert (PolicyConfig(selector="eb", gamma=0.01).policy_id()
+            != PolicyConfig(selector="eb", gamma=0.5).policy_id())
+
+
+def test_policy_id_of_default_tuning_is_unchanged():
+    # exact-reference keys and metrics CSV bytes depend on these strings
+    assert PolicyConfig().policy_id() == "confidence-topk-T0-greedy"
+    assert (PolicyConfig(scorer="oracle_dep", steps=4, block_size=2,
+                         temperature="sample").policy_id()
+            == "oracle_dep-topk-T4-b2-sample")
+    assert (PolicyConfig(scorer="dos", steps=2, layer=1).policy_id()
+            == "dos-topk-T2-l1-greedy")
+    assert (PolicyConfig(scorer="entropy", selector="klass").policy_id()
+            == "entropy-klass-greedy")
+    assert (PolicyConfig(selector="eb", gamma=0.5, stochastic_remask=False)
+            .policy_id() == "confidence-eb-greedy-gamma0.5")
+
+
+def test_block_budgets_can_exceed_steps():
+    # T=4 over gen_len=8 in blocks of 3: budgets round(1.5), round(1.5),
+    # round(1.0) = [2, 2, 1], so top-k makes 5 forward calls, not 4
+    den = oracle_den(seed=37, L=9)
+    policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
+                          block_size=3, temperature="sample")
+    for i in range(5):
+        _, trace = decode_blockwise(den, policy, [1], 8, np.random.default_rng(i))
+        assert trace.nfe == 5
+        assert [len(s.positions) for s in trace.steps] == [2, 1, 2, 1, 2]
+    _, mean_nfe = exact_induced_distribution(den.model, policy, prompt_len=1)
+    assert mean_nfe == pytest.approx(5.0, abs=1e-12)

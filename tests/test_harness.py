@@ -1,11 +1,14 @@
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlmlab.cli import load_experiment_config, parse_policy
-from mdlmlab.decoding import PolicyConfig
+from mdlmlab.decoding import SELECTORS, PolicyConfig, decode_blockwise
 from mdlmlab.harness import (
     CSV_SCHEMA_TAG,
     METRIC_FIELDS,
@@ -28,7 +31,9 @@ from mdlmlab.nn import TransformerConfig, init_params, save_checkpoint
 from mdlmlab.oracle import (
     GroupSchedule,
     OracleDenoiser,
+    exact_policy_distribution,
     model_distribution,
+    random_dag,
     sample_joint,
     save_joint_model,
 )
@@ -288,3 +293,48 @@ def test_policy_and_config_parsing(tmp_path):
         fh.write("mystery = 1\n")
     with pytest.raises(ValueError, match="mystery"):
         load_experiment_config(path)
+
+
+def test_dependency_topk_enumeration_equals_greedy_schedule():
+    # the dependency_greedy_schedule contract: an oracle_dep top-k decode
+    # follows that one fixed schedule, whatever values get revealed
+    policy = PolicyConfig(scorer="oracle_dep", selector="topk", steps=4,
+                          temperature="sample")
+    for seed in range(20):
+        model = layered_suite_model(seed)
+        induced, _ = exact_induced_distribution(model, policy, prompt_len=1)
+        sched = dependency_greedy_schedule(model, prompt_len=1, steps=4)
+        reference = exact_policy_distribution(model, sched, prompt_len=1)
+        assert induced.keys() == reference.keys()
+        assert max(abs(induced[k] - reference[k]) for k in induced) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    V=st.integers(2, 3),
+    L=st.integers(2, 4),
+    prompt_len=st.integers(0, 1),
+    scorer=st.sampled_from(("confidence", "entropy", "margin", "oracle_dep")),
+    selector=st.sampled_from(SELECTORS),
+    steps=st.integers(0, 5),
+    block_size=st.integers(0, 4),
+    temperature=st.sampled_from(("greedy", "sample")),
+)
+def test_induced_distributions_are_normalized_and_nfe_bounded(
+    seed, V, L, prompt_len, scorer, selector, steps, block_size, temperature
+):
+    model = random_dag(np.random.default_rng(seed), V=V, L=L)
+    policy = PolicyConfig(scorer=scorer, selector=selector, steps=steps,
+                          block_size=block_size, temperature=temperature)
+    gen_len = L - prompt_len
+    dist, mean_nfe = exact_induced_distribution(model, policy, prompt_len)
+    assert abs(math.fsum(dist.values()) - 1.0) <= 1e-12
+    assert mean_nfe <= gen_len + 1e-12
+    den = OracleDenoiser(model)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        prompt = sample_joint(model, rng)[:prompt_len]
+        _, trace = decode_blockwise(den, policy, prompt, gen_len, rng,
+                                    unconditional=not prompt_len)
+        assert 1 <= trace.nfe <= gen_len

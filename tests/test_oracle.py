@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 
@@ -11,6 +12,7 @@ from mdlmlab.oracle import (
     EnumerationLimitError,
     FactorizedDAG,
     GroupSchedule,
+    JointFormatError,
     OracleDenoiser,
     TabularJoint,
     ZeroSupportError,
@@ -339,3 +341,45 @@ def test_joint_file_errors(tmp_path):
         fh.write("joint dag 2 2\nnode 0 parents cpt 0.7 0.3\n")
     with pytest.raises(ValueError):
         load_joint_model(bad)  # node 1 missing
+
+
+def _load_text(tmp_path, text):
+    path = os.path.join(tmp_path, "m.joint")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return load_joint_model(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # token 0 would index the table at -1, i.e. alias token V
+        ("joint tabular 2 2\n0 0 0.25\n1 1 0.25\n1 2 0.25\n2 1 0.25\n", "0 0 0.25"),
+        ("joint tabular 2 2\n3 1 0.25\n1 1 0.25\n1 2 0.25\n2 1 0.25\n", "3 1 0.25"),
+        ("joint tabular 2 2\n1 1 0.5\n1 1 0.5\n", "1 1 0.5"),  # repeated line
+        # node -1 would alias node L-1; node 5 would index past the end
+        ("joint dag 2 2\nnode -1 parents cpt 0.5 0.5\nnode 0 parents cpt 0.5 0.5\n",
+         "node -1 parents cpt 0.5 0.5"),
+        ("joint dag 2 2\nnode 0 parents cpt 0.5 0.5\nnode 5 parents cpt 0.5 0.5\n",
+         "node 5 parents cpt 0.5 0.5"),
+        ("joint dag 2 2\nnode 0 parents cpt 0.5 0.5\nnode 0 parents cpt 0.4 0.6\n"
+         "node 1 parents cpt 0.5 0.5\n", "node 0 parents cpt 0.4 0.6"),
+        ("joint dag 2 2\nnode 0 parents cpt 0.5 0.5\nnode 1 parents 0 cpt 0.5 0.5\n",
+         "node 1 parents 0 cpt 0.5 0.5"),  # too few CPT values
+    ],
+)
+def test_joint_loader_rejects_bad_records(tmp_path, text, line):
+    with pytest.raises(JointFormatError) as err:
+        _load_text(tmp_path, text)
+    assert repr(line) in str(err.value)
+
+
+def test_sampling_caches_are_declared_fields():
+    rng = np.random.default_rng(61)
+    for m, name in ((random_tabular(rng, V=2, L=3), "_flat_cumsum"),
+                    (random_dag(rng, V=2, L=3), "_cpt_cumsum")):
+        spec = {f.name: f for f in dataclasses.fields(m)}[name]
+        assert not (spec.init or spec.repr or spec.compare)
+        before = repr(m)
+        sample_joint(m, rng)
+        assert getattr(m, name) is not None and repr(m) == before

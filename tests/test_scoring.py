@@ -11,6 +11,7 @@ from mdlmlab.scoring import (
     entropy_vector,
     kl_divergence,
     margin,
+    row_scores,
     uncertainty_scores,
 )
 
@@ -141,3 +142,24 @@ def test_vector_helpers():
     probs = np.array([[0.7, 0.3], [0.5, 0.5]])
     assert confidence_vector(probs, [0], 2)[0] == pytest.approx(0.7)
     assert entropy_vector(probs, [1], 2)[1] == pytest.approx(math.log(2))
+
+
+def test_vectors_and_scalars_share_one_row_rule():
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(5), size=6)
+    probs[1] = [0.0, 1.0, 0.0, 0.0, 0.0]
+    probs[2, :2] = 0.0
+    probs[2] /= probs[2].sum()
+    masked = [0, 1, 2, 4]
+    conf = confidence_vector(probs, masked, 6)
+    ents = entropy_vector(probs, masked, 6)
+    neg_ents = uncertainty_scores("entropy", probs, masked, 6)
+    margins = uncertainty_scores("margin", probs, masked, 6)
+    assert np.array_equal(row_scores("confidence", probs[masked]), conf[masked])
+    for m in masked:
+        assert conf[m] == confidence(probs[m])
+        assert ents[m] == entropy(probs[m]) == -neg_ents[m]
+        assert margins[m] == margin(probs[m])
+    assert np.isnan(conf[[3, 5]]).all() and np.isnan(ents[[3, 5]]).all()
+    with pytest.raises(ValueError, match="unknown"):
+        uncertainty_scores("nope", probs, masked, 6)
