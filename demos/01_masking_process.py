@@ -1,16 +1,17 @@
 """Walk through the forward masking process and its analytic reverse step.
 
 A clean sequence is progressively corrupted by replacing tokens with the
-mask symbol; the reverse step reveals masked positions with the schedule's
-unmasking probability. Running this script prints the whole story.
+mask symbol: at time t each token survives with probability alpha(t) = 1 - t.
+The reverse step t -> s reveals each masked position with probability
+(t - s) / t. Running this script prints the whole story.
 """
 
 import numpy as np
 
 from mdlmlab import (
-    LINEAR,
     SequenceState,
     Vocabulary,
+    alpha,
     forward_mask,
     make_masked_state,
     posterior_step,
@@ -33,17 +34,17 @@ for t in (0.25, 0.5, 0.75, 1.0):
     show(forward_mask(x0, t, rng), f"corrupted at t={t}")
 print("the prompt never masks; each other token flips with probability t\n")
 
-print("== masked fraction tracks the schedule ==")
+print("== masked fraction tracks 1 - alpha(t) = t ==")
 long = SequenceState(vocab, tuple(rng.integers(1, 5, size=5000).tolist()), 0)
 for t in (0.2, 0.6, 0.9):
     xt = forward_mask(long, t, rng)
     frac = len(xt.masked_positions()) / len(long)
-    print(f"t={t:.1f}: masked fraction {frac:.3f} (alpha(t)={LINEAR.alpha(t):.1f})")
+    print(f"t={t:.1f}: masked fraction {frac:.3f} (alpha(t)={alpha(t):.1f})")
 print()
 
 print("== reverse step probabilities ==")
 for t, s in ((1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)):
-    p = reverse_unmask_prob(LINEAR, t, s)
+    p = reverse_unmask_prob(t, s)
     print(f"step t={t:.2f} -> s={s:.2f}: each masked token reveals w.p. {p:.3f}")
 print()
 

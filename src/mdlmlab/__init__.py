@@ -8,15 +8,12 @@ between the sequence distribution it induces and the target joint.
 """
 
 from .core import (
-    LINEAR,
     DenoiserOutput,
-    LinearSchedule,
-    Schedule,
     SequenceState,
     Vocabulary,
+    alpha,
     forward_mask,
     make_masked_state,
-    make_schedule,
     posterior_step,
     reverse_unmask_prob,
 )

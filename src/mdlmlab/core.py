@@ -4,6 +4,10 @@ Token ids are 1..V for content tokens; the mask symbol is the distinguished
 extra id V+1. Positions are 0-based. The leading ``prompt_len`` positions of
 a state are conditioning context and are never masked by any operation here.
 
+The masking process is linear: at time t in [0, 1] each non-prompt token
+survives with probability alpha(t) = 1 - t and is masked otherwise, so
+training weights the masked-position cross-entropy by 1/t.
+
 All types are immutable values; operations are pure given an explicit
 ``numpy.random.Generator``.
 """
@@ -77,30 +81,9 @@ class SequenceState:
         return SequenceState(self.vocab, tuple(toks), self.prompt_len)
 
 
-class Schedule:
-    """Survival schedule alpha(t): nonincreasing, alpha(0) = 1, alpha(1) = 0."""
-
-    kind: str = "abstract"
-
-    def alpha(self, t: float) -> float:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class LinearSchedule(Schedule):
-    kind: str = "linear"
-
-    def alpha(self, t: float) -> float:
-        return 1.0 - t
-
-
-LINEAR = LinearSchedule()
-
-
-def make_schedule(kind: str) -> Schedule:
-    if kind == "linear":
-        return LINEAR
-    raise ValueError(f"unknown schedule kind: {kind!r}")
+def alpha(t: float) -> float:
+    """Survival probability of an unmasked token at time t: 1 - t."""
+    return 1.0 - t
 
 
 @dataclass
@@ -136,7 +119,6 @@ def forward_mask(
     x0: SequenceState,
     t: float,
     rng: np.random.Generator,
-    schedule: Schedule = LINEAR,
 ) -> SequenceState:
     """Corrupt x0 at time t: each non-prompt token survives w.p. alpha(t).
 
@@ -148,7 +130,7 @@ def forward_mask(
     for i in range(x0.prompt_len, len(x0)):
         if x0.is_masked(i):
             raise ValueError("forward_mask expects a fully unmasked input")
-    keep = schedule.alpha(t)
+    keep = alpha(t)
     u = rng.random(len(x0) - x0.prompt_len)
     updates = {
         x0.prompt_len + j: x0.vocab.mask_id for j, uj in enumerate(u) if uj >= keep
@@ -156,15 +138,14 @@ def forward_mask(
     return x0.with_tokens(updates) if updates else x0
 
 
-def reverse_unmask_prob(schedule: Schedule, t: float, s: float) -> float:
+def reverse_unmask_prob(t: float, s: float) -> float:
     """Probability that a masked token is revealed on the step t -> s.
 
-    Equals (alpha(s) - alpha(t)) / (1 - alpha(t)); (t - s) / t for the
-    linear schedule.
+    Equals (alpha(s) - alpha(t)) / (1 - alpha(t)), which is (t - s) / t.
     """
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    a_t, a_s = schedule.alpha(t), schedule.alpha(s)
+    a_t, a_s = alpha(t), alpha(s)
     denom = 1.0 - a_t
     if denom <= 0.0:
         raise ValueError(f"reverse step undefined at t={t} where alpha(t)=1")
@@ -177,7 +158,6 @@ def posterior_step(
     t: float,
     s: float,
     rng: np.random.Generator,
-    schedule: Schedule = LINEAR,
 ) -> SequenceState:
     """One reverse step of the analytic posterior given the true x0.
 
@@ -187,7 +167,7 @@ def posterior_step(
     """
     if x_t.tokens == x0.tokens and not x_t.masked_positions():
         return x_t
-    p = reverse_unmask_prob(schedule, t, s)
+    p = reverse_unmask_prob(t, s)
     updates = {}
     for i in x_t.masked_positions():
         if rng.random() < p:

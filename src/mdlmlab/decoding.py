@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import LINEAR, DenoiserOutput, SequenceState, make_masked_state, reverse_unmask_prob
+from .core import DenoiserOutput, SequenceState, make_masked_state, reverse_unmask_prob
 from . import scoring
 
 SELECTORS = ("topk", "threshold", "klass", "eb")
@@ -404,7 +404,7 @@ def decode_blockwise(
             budget = blocks[block][1]
             t = max(1.0 - steps_in_block / budget, 1.0 / budget)
             s = max(1.0 - (steps_in_block + 1) / budget, 0.0)
-            p_reveal = reverse_unmask_prob(LINEAR, t, s) if s < t else 1.0
+            p_reveal = reverse_unmask_prob(t, s) if s < t else 1.0
             committed = tuple(i for i in committed if rng.random() < p_reveal)
         updates = {
             i: commit_token(out.probs[i], policy.temperature, rng) for i in committed

@@ -84,19 +84,24 @@ def exact_induced_distribution(
     model: JointModel,
     policy: PolicyConfig,
     prompt_len: int,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    denoiser: OracleDenoiser | None = None,
 ) -> tuple[Distribution, float]:
     """Exact sequence distribution produced by a decoding policy.
 
     Prompt values are enumerated from their joint marginal, and for each
     prompt ``decoding.enumerate_decodes`` follows every outcome of the decode
-    loop against the exact denoiser. Returns the distribution and the
-    probability-weighted mean number of forward calls.
+    loop against ``denoiser``, an oracle of ``model`` (a new
+    ``OracleDenoiser(model)`` by default), whose caches and enumeration
+    limit it shares. Returns the distribution and the probability-weighted
+    mean number of forward calls.
     """
-    denoiser = OracleDenoiser(model, enum_limit)
+    if denoiser is None:
+        denoiser = OracleDenoiser(model)
+    elif denoiser.model is not model:
+        raise ValueError("the denoiser must be an oracle of the decoded model")
     gen_len = model.L - prompt_len
     if prompt_len:
-        table = joint_table(model, enum_limit)
+        table = joint_table(model, denoiser.enum_limit)
         pm = table.sum(axis=tuple(range(prompt_len, model.L)))
         prompts = [
             (tuple(int(v) + 1 for v in idx), float(p))
@@ -215,7 +220,7 @@ def run_policy(
     traces: list[DecodeTrace] = []
     if cfg.mode != "mc" and _exact_eligible(cfg, denoiser, policy, model):
         dist, mean_nfe = exact_induced_distribution(
-            model, policy, cfg.prompt_len, cfg.enum_limit
+            model, policy, cfg.prompt_len, denoiser
         )
         samples_used = 0
     elif cfg.mode == "exact":
@@ -375,12 +380,16 @@ def reference_schedules() -> dict[str, GroupSchedule]:
 # is the only one expected to reproduce the joint exactly.
 REFERENCE_EXACT_SCHEDULE = "pair_12_then_34"
 
+# CPT draws a suite model tries before it gives up.
+REFERENCE_MAX_ATTEMPTS = 1000
+LAYERED_MAX_ATTEMPTS = 500
+
 
 def _bern_row(p1: float) -> np.ndarray:
     return np.array([p1, 1.0 - p1])
 
 
-def reference_dag_model(seed: int, max_attempts: int = 1000) -> FactorizedDAG:
+def reference_dag_model(seed: int) -> FactorizedDAG:
     """Seeded binary 5-node network: prompt -> {X1, X2}, X1 -> X3, {X1, X2} -> X4.
 
     CPT draws are rejected until each of the three dependency-breaking
@@ -389,7 +398,7 @@ def reference_dag_model(seed: int, max_attempts: int = 1000) -> FactorizedDAG:
     """
     rng = np.random.default_rng(seed)
     parents = ((), (0,), (0,), (1,), (1, 2))
-    for _ in range(max_attempts):
+    for _ in range(REFERENCE_MAX_ATTEMPTS):
         cpts = (
             _bern_row(rng.uniform(0.35, 0.65)),
             np.stack([_bern_row(rng.uniform(0.08, 0.92)) for _ in range(2)]),
@@ -413,7 +422,7 @@ def reference_dag_model(seed: int, max_attempts: int = 1000) -> FactorizedDAG:
         broken = [v for k, v in tvs.items() if k != REFERENCE_EXACT_SCHEDULE]
         if min(broken) > 0.01:
             return model
-    raise RuntimeError(f"no acceptable CPT draw after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable CPT draw after {REFERENCE_MAX_ATTEMPTS} attempts")
 
 
 def reference_schedule_report(seed: int) -> list[dict]:
@@ -460,20 +469,16 @@ def dependency_greedy_schedule(
     return GroupSchedule(tuple(groups))
 
 
-def layered_suite_model(
-    seed: int,
-    n_roots: int = 4,
-    n_children: int = 4,
-    max_attempts: int = 500,
-) -> FactorizedDAG:
+def layered_suite_model(seed: int) -> FactorizedDAG:
     """One dependency-structured instance of the seeded layered family.
 
-    Binary network over 1 + n_roots + n_children positions: position 0 is
-    the prompt, the roots (next n_roots positions) couple directly to it,
-    and each child couples strongly to two roots. Half the children carry
-    asymmetric tables that inflate their marginal confidence; the other half
-    carry parity-style tables with low prompt information. CPT draws are
-    rejected until the instance is genuinely dependency-structured:
+    Binary network over 9 positions: position 0 is the prompt, the four
+    roots (positions 1..4) couple directly to it, and each of the four
+    children (positions 5..8) couples strongly to two roots. Half the
+    children carry asymmetric tables that inflate their marginal confidence;
+    the other half carry parity-style tables with low prompt information.
+    CPT draws are rejected until the instance is genuinely
+    dependency-structured:
 
       * pattern mutual information separates the layers at the start,
       * for every prompt value at least one child outranks all but one root
@@ -482,12 +487,11 @@ def layered_suite_model(
       * the dependency-greedy parallel schedule is mismatch-free.
     """
     rng = np.random.default_rng(seed)
-    L = 1 + n_roots + n_children
-    roots = list(range(1, 1 + n_roots))
-    children = list(range(1 + n_roots, L))
-    gen_len = L - 1
+    roots = [1, 2, 3, 4]
+    children = [5, 6, 7, 8]
+    gen_len = 8
     steps = gen_len // 2
-    for _ in range(max_attempts):
+    for _ in range(LAYERED_MAX_ATTEMPTS):
         parents: list[tuple[int, ...]] = [()]
         cpts: list[np.ndarray] = [_bern_row(rng.uniform(0.4, 0.6))]
         for _ in roots:
@@ -523,7 +527,6 @@ def layered_suite_model(
         if min(mi[r] for r in roots) < max(mi[c] for c in children) + 0.02:
             continue
         # margin 2: confidence ordering crosses the layers for every prompt value
-        table = joint_table(model)
         crossed = True
         for c in (1, 2):
             state = make_masked_state(model.vocab, (c,), gen_len)
@@ -549,4 +552,4 @@ def layered_suite_model(
         if tv_distance(target, induced) > 1e-9:
             continue
         return model
-    raise RuntimeError(f"no acceptable layered draw after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable layered draw after {LAYERED_MAX_ATTEMPTS} attempts")

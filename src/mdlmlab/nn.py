@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .core import LINEAR, DenoiserOutput, Schedule, SequenceState, Vocabulary, forward_mask
+from .core import DenoiserOutput, SequenceState, Vocabulary, alpha
 from .oracle import JointModel, sample_joint
 
 
@@ -362,37 +362,39 @@ def corrupt_batch(
     x0_batch: np.ndarray,
     prompt_len: int,
     rng: np.random.Generator,
-    schedule: Schedule = LINEAR,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sample t per example and mask; returns (corrupted, loss_mask, weights, skipped).
 
-    t ~ Uniform[t_min, 1]. An example that comes out with no masked position
-    gets one fresh t; if the redraw also masks nothing the example is skipped
-    (weight 0) and counted.
+    Row by row, t ~ Uniform[t_min, 1] and each non-prompt position is masked
+    when its uniform draw is >= alpha(t), the draws ``core.forward_mask``
+    makes. A row that comes out with no masked position gets one fresh t; if
+    the redraw also masks nothing the row is skipped (weight 0) and counted.
+    Raises ``ValueError`` for a token outside 1..V or a prompt_len outside
+    0..L-1.
     """
-    vocab = config.vocab
-    B, L = x0_batch.shape
-    corrupted = np.array(x0_batch, dtype=np.int64)
+    x0 = np.asarray(x0_batch, dtype=np.int64)
+    if x0.ndim != 2 or x0.shape[0] < 1:
+        raise ValueError("x0 batch must be a nonempty (B, L) array")
+    B, L = x0.shape
+    V = config.vocab_size
+    if not 0 <= prompt_len < L:
+        raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
+    bad = (x0 < 1) | (x0 > V)
+    if bad.any():
+        b, i = np.argwhere(bad)[0]
+        raise ValueError(f"invalid token id {x0[b, i]} at row {b}, position {i}")
     loss_mask = np.zeros((B, L), dtype=bool)
     weights = np.zeros(B)
-    skipped = 0
     for b in range(B):
-        clean = SequenceState(vocab, tuple(int(v) for v in x0_batch[b]), prompt_len)
-        t = None
-        state = clean
         for _ in range(2):  # one resample allowed
             t = rng.uniform(config.t_min, 1.0)
-            state = forward_mask(clean, t, rng, schedule)
-            if state.masked_positions():
+            masked = rng.random(L - prompt_len) >= alpha(t)
+            if masked.any():
+                loss_mask[b, prompt_len:] = masked
+                weights[b] = 1.0 / t
                 break
-        if not state.masked_positions():
-            skipped += 1
-            continue
-        corrupted[b] = state.tokens
-        for i in state.masked_positions():
-            loss_mask[b, i] = True
-        weights[b] = 1.0 / t
-    return corrupted, loss_mask, weights, skipped
+    corrupted = np.where(loss_mask, V + 1, x0)
+    return corrupted, loss_mask, weights, int((weights == 0.0).sum())
 
 
 def mdlm_loss_and_grad(
@@ -400,7 +402,6 @@ def mdlm_loss_and_grad(
     x0_batch: np.ndarray,
     prompt_len: int,
     rng: np.random.Generator,
-    schedule: Schedule = LINEAR,
     stats: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One masked-diffusion training objective evaluation on a clean batch.
@@ -410,10 +411,8 @@ def mdlm_loss_and_grad(
     from exact backpropagation through the forward pass.
     """
     x0 = np.asarray(x0_batch, dtype=np.int64)
-    if x0.ndim != 2 or x0.shape[0] < 1:
-        raise ValueError("x0 batch must be a nonempty (B, L) array")
     corrupted, loss_mask, weights, skipped = corrupt_batch(
-        params.config, x0, prompt_len, rng, schedule
+        params.config, x0, prompt_len, rng
     )
     if stats is not None:
         stats["skipped"] = skipped

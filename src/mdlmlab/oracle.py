@@ -431,11 +431,20 @@ def save_joint_model(model: JointModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(kind: type, fields: Sequence[str], path: str, line: str) -> list:
+    """``fields`` parsed with ``kind`` (int or float), quoting ``line`` on failure."""
+    try:
+        return [kind(x) for x in fields]
+    except ValueError:
+        raise JointFormatError(f"{path}: non-numeric field: {line!r}") from None
+
+
 def load_joint_model(path: str) -> JointModel:
     """Load a joint model; probabilities are validated to 1e-9 then renormalized.
 
-    Malformed records (out-of-range tokens or node ids, repeated assignments
-    or nodes, wrong field counts) raise ``JointFormatError``.
+    Malformed records (non-numeric fields, out-of-range tokens or node ids,
+    repeated assignments or nodes, wrong field counts) raise
+    ``JointFormatError``.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -444,7 +453,8 @@ def load_joint_model(path: str) -> JointModel:
     head = lines[0].split()
     if len(head) != 4 or head[0] != "joint" or head[1] not in ("tabular", "dag"):
         raise JointFormatError(f"{path}: bad header {lines[0]!r}")
-    variant, V, L = head[1], int(head[2]), int(head[3])
+    variant = head[1]
+    V, L = _numbers(int, head[2:], path, lines[0])
     vocab = Vocabulary(V)
     if variant == "tabular":
         table = np.zeros((V,) * L)
@@ -455,13 +465,14 @@ def load_joint_model(path: str) -> JointModel:
                 raise JointFormatError(
                     f"{path}: expected {L} tokens and a probability: {ln!r}"
                 )
-            toks = tuple(int(x) for x in parts[:L])
+            toks = tuple(_numbers(int, parts[:L], path, ln))
+            (p,) = _numbers(float, parts[L:], path, ln)
             if not all(1 <= v <= V for v in toks):
                 raise JointFormatError(f"{path}: token outside 1..{V}: {ln!r}")
             if toks in seen:
                 raise JointFormatError(f"{path}: repeated assignment: {ln!r}")
             seen.add(toks)
-            table[tuple(v - 1 for v in toks)] = float(parts[L])
+            table[tuple(v - 1 for v in toks)] = p
         total = float(table.sum())
         if abs(total - 1.0) > 1e-9:
             raise JointFormatError(f"{path}: table sums to {total}, not 1 within 1e-9")
@@ -472,14 +483,14 @@ def load_joint_model(path: str) -> JointModel:
         parts = ln.split()
         if parts[0] != "node" or "parents" not in parts or "cpt" not in parts:
             raise JointFormatError(f"{path}: bad node line {ln!r}")
-        i = int(parts[1])
+        (i,) = _numbers(int, parts[1:2], path, ln)
         if not 0 <= i < L:
             raise JointFormatError(f"{path}: node id outside 0..{L - 1}: {ln!r}")
         if cpts[i] is not None:
             raise JointFormatError(f"{path}: repeated node {i}: {ln!r}")
         pi, ci = parts.index("parents"), parts.index("cpt")
-        ps = tuple(int(x) for x in parts[pi + 1 : ci])
-        vals = np.array([float(x) for x in parts[ci + 1 :]])
+        ps = tuple(_numbers(int, parts[pi + 1 : ci], path, ln))
+        vals = np.array(_numbers(float, parts[ci + 1 :], path, ln))
         if vals.size != V ** (len(ps) + 1):
             raise JointFormatError(
                 f"{path}: node {i} needs {V ** (len(ps) + 1)} CPT values: {ln!r}"

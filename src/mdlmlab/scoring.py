@@ -81,9 +81,9 @@ def dos_dependency(
         raise IndexError(f"layer {layer} out of range for {len(attentions)} layers")
     attn = np.asarray(attentions[layer], dtype=float).mean(axis=0)
     scores = np.full(n_positions, NOT_SCORED)
-    cols = list(unmasked)
-    for m in masked:
-        scores[m] = float(attn[m, cols].sum()) if cols else 0.0
+    rows = np.asarray(masked, dtype=np.intp)
+    cols = np.asarray(unmasked, dtype=np.intp)
+    scores[rows] = attn[np.ix_(rows, cols)].sum(axis=1)
     return scores
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mdlmlab.core import (
-    LINEAR,
     SequenceState,
     Vocabulary,
+    alpha,
     forward_mask,
     make_masked_state,
-    make_schedule,
     posterior_step,
     reverse_unmask_prob,
 )
@@ -51,12 +50,9 @@ def test_make_masked_state_examples():
 
 
 def test_schedule_endpoints():
-    assert LINEAR.alpha(0.0) == 1.0
-    assert LINEAR.alpha(1.0) == 0.0
-    assert LINEAR.alpha(0.25) == 0.75
-    assert make_schedule("linear").kind == "linear"
-    with pytest.raises(ValueError):
-        make_schedule("cosine")
+    assert alpha(0.0) == 1.0
+    assert alpha(1.0) == 0.0
+    assert alpha(0.25) == 0.75
 
 
 def test_forward_mask_endpoints():
@@ -95,20 +91,20 @@ def test_forward_mask_never_touches_prompt():
 
 
 def test_reverse_unmask_prob_values():
-    assert reverse_unmask_prob(LINEAR, 1.0, 0.0) == 1.0
-    assert reverse_unmask_prob(LINEAR, 1.0, 0.5) == 0.5
-    assert reverse_unmask_prob(LINEAR, 0.5, 0.25) == pytest.approx(0.5)
+    assert reverse_unmask_prob(1.0, 0.0) == 1.0
+    assert reverse_unmask_prob(1.0, 0.5) == 0.5
+    assert reverse_unmask_prob(0.5, 0.25) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        reverse_unmask_prob(LINEAR, 0.5, 0.5)
+        reverse_unmask_prob(0.5, 0.5)
     with pytest.raises(ValueError):
-        reverse_unmask_prob(LINEAR, 0.0, -0.1)
+        reverse_unmask_prob(0.0, -0.1)
 
 
 def test_reverse_unmask_prob_range_and_monotonicity():
     for t in (0.2, 0.5, 0.9, 1.0):
         last = None
         for s in np.linspace(0.0, t - 1e-6, 25):
-            p = reverse_unmask_prob(LINEAR, t, float(s))
+            p = reverse_unmask_prob(t, float(s))
             assert 0.0 <= p <= 1.0
             if last is not None:
                 assert p <= last + 1e-12  # decreasing in s for fixed t

@@ -23,6 +23,7 @@ from mdlmlab.harness import (
     reference_dag_model,
     reference_schedule_report,
     run_experiment,
+    run_policy,
     sweep_blocks,
     sweep_layers,
     tv_distance,
@@ -95,6 +96,23 @@ def test_exact_induced_distribution_properties():
     dist, _ = exact_induced_distribution(model, greedy, prompt_len=1)
     # greedy collapses the generated part: one outcome per prompt value
     assert len(dist) == 2
+
+
+def test_exact_mode_uses_the_given_oracle():
+    model = layered_suite_model(3)
+    policy = PolicyConfig(scorer="confidence", selector="klass", temperature="sample")
+    oracle = OracleDenoiser(model)
+    assert exact_induced_distribution(model, policy, 1, oracle) == (
+        exact_induced_distribution(model, policy, 1)
+    )
+    assert oracle._out_cache  # the walk filled the caller's cache
+    with pytest.raises(ValueError):
+        exact_induced_distribution(layered_suite_model(4), policy, 1, oracle)
+    run_oracle = OracleDenoiser(model)
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                           mode="exact")
+    run_policy(model, run_oracle, policy, cfg, np.random.default_rng(0))
+    assert run_oracle._out_cache
 
 
 def test_run_experiment_determinism_and_csv(tmp_path):

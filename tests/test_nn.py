@@ -117,6 +117,54 @@ def test_corrupt_batch_counts_skips():
     assert np.all(corrupted[:, 0] == 1)  # prompt untouched
 
 
+def _corrupt_rows_with_forward_mask(cfg, x0, prompt_len, rng):
+    """Row-by-row reference for corrupt_batch, built on core.forward_mask."""
+    corrupted, mask, weights = x0.copy(), np.zeros(x0.shape, bool), np.zeros(len(x0))
+    redraws = 0
+    for b, row in enumerate(x0):
+        clean = SequenceState(cfg.vocab, tuple(int(v) for v in row), prompt_len)
+        for attempt in range(2):
+            t = rng.uniform(cfg.t_min, 1.0)
+            state = forward_mask(clean, t, rng)
+            if state.masked_positions():
+                corrupted[b] = state.tokens
+                mask[b, list(state.masked_positions())] = True
+                weights[b] = 1.0 / t
+                break
+            redraws += attempt == 0
+    return corrupted, mask, weights, int((weights == 0).sum()), redraws
+
+
+@pytest.mark.parametrize("vocab_size, L, prompt_len", [(2, 2, 1), (3, 6, 2), (4, 5, 0)])
+def test_corrupt_batch_matches_per_row_forward_mask(vocab_size, L, prompt_len):
+    cfg = TransformerConfig(vocab_size=vocab_size, max_len=8, t_min=0.01)
+    x0 = np.random.default_rng(L).integers(1, vocab_size + 1, size=(300, L))
+    got = corrupt_batch(cfg, x0, prompt_len, np.random.default_rng(21))
+    ref_rng = np.random.default_rng(21)
+    *want, redraws = _corrupt_rows_with_forward_mask(cfg, x0, prompt_len, ref_rng)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[3] == want[3]
+    if L - prompt_len == 1:  # one generated position: redraws and skips occur
+        assert redraws > 0 and got[3] > 0
+
+
+@pytest.mark.parametrize(
+    "x0, prompt_len",
+    [
+        ([[1, 2, 3]], 1),  # 3 is the mask id for V=2
+        ([[1, 0, 2]], 1),
+        ([[1, 2], [2, 1]], 2),  # prompt_len must stay below L
+        ([[1, 2]], -1),
+        ([1, 2], 0),  # not a (B, L) batch
+    ],
+)
+def test_corrupt_batch_rejects_malformed_batches(x0, prompt_len):
+    cfg = TransformerConfig(vocab_size=2, max_len=4)
+    with pytest.raises(ValueError):
+        corrupt_batch(cfg, np.array(x0), prompt_len, np.random.default_rng(0))
+
+
 def test_mdlm_loss_runs_and_reports_stats():
     params = init_params(SMALL)
     rng = np.random.default_rng(5)

@@ -366,6 +366,10 @@ def _load_text(tmp_path, text):
          "node 1 parents cpt 0.5 0.5\n", "node 0 parents cpt 0.4 0.6"),
         ("joint dag 2 2\nnode 0 parents cpt 0.5 0.5\nnode 1 parents 0 cpt 0.5 0.5\n",
          "node 1 parents 0 cpt 0.5 0.5"),  # too few CPT values
+        # non-numeric fields
+        ("joint tabular 2 2\n1 x 0.5\n1 1 0.5\n", "1 x 0.5"),
+        ("joint dag 2 two\nnode 0 parents cpt 0.5 0.5\n", "joint dag 2 two"),
+        ("joint dag 2 1\nnode 0 parents cpt abc 0.5\n", "node 0 parents cpt abc 0.5"),
     ],
 )
 def test_joint_loader_rejects_bad_records(tmp_path, text, line):

@@ -110,6 +110,22 @@ def test_dos_dependency_mass_split_property():
             assert scores[m] + masked_mass == pytest.approx(1.0, abs=1e-6)
 
 
+def test_dos_dependency_equals_per_position_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        L, H = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+        raw = rng.gamma(1.0, 1.0, size=(H, L, L))
+        attn = raw / raw.sum(axis=-1, keepdims=True)
+        is_masked = rng.random(L) < rng.random()
+        masked = [i for i in range(L) if is_masked[i]]
+        unmasked = [i for i in range(L) if not is_masked[i]]
+        want = np.full(L, np.nan)
+        for m in masked:
+            want[m] = float(attn.mean(axis=0)[m, unmasked].sum()) if unmasked else 0.0
+        got = dos_dependency([attn], 0, masked, unmasked, L)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_dos_dependency_layer_bounds():
     attn = np.full((1, 2, 2), 0.5)
     with pytest.raises(IndexError):
