@@ -42,6 +42,14 @@ def read_kv_file(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _parse_bool(key: str, value: str) -> bool:
+    """``true`` or ``false`` in any case, else a ValueError naming ``key``."""
+    low = value.lower()
+    if low not in ("true", "false"):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return low == "true"
+
+
 _POLICY_KEYS = {
     "scorer": ("scorer", str),
     "selector": ("selector", str),
@@ -56,7 +64,7 @@ _POLICY_KEYS = {
     "eps_kl": ("eps_kl", float),
     "n": ("n_history", int),
     "gamma": ("gamma", float),
-    "remask": ("stochastic_remask", lambda s: s.lower() == "true"),
+    "remask": ("stochastic_remask", lambda s: _parse_bool("remask", s)),
     "dep_prefilter": ("dep_eb_prefilter", float),
 }
 
@@ -83,10 +91,10 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             policies.append(parse_policy(value))
         elif key in ("joint", "denoiser", "mode", "out"):
             kwargs[key] = value
-        elif key in ("prompt_len", "samples", "seed", "enum_limit"):
+        elif key in ("prompt_len", "samples", "seed"):
             kwargs[key] = int(value)
         elif key == "unconditional":
-            kwargs[key] = value.lower() == "true"
+            kwargs[key] = _parse_bool(key, value)
         else:
             raise ValueError(f"{path}: unknown experiment key {key!r}")
     return ExperimentConfig(policies=tuple(policies), **kwargs)
@@ -121,7 +129,7 @@ def load_train_config(path: str) -> dict:
 
 def _cmd_train(args) -> int:
     spec = load_train_config(args.config)
-    model, _ = resolve_joint(spec["joint"])
+    model = resolve_joint(spec["joint"])
     config: TransformerConfig = spec["config"]
     if config.vocab_size != model.vocab.size:
         raise ValueError(
@@ -147,16 +155,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    model, hint = resolve_joint(args.joint)
-    denoiser = resolve_denoiser(args.denoiser, model, 10**6)
+    model = resolve_joint(args.joint)
+    denoiser = resolve_denoiser(args.denoiser, model)
     policy = parse_policy(args.policy)
     prompt = [int(t) for t in args.prompt.split(",") if t] if args.prompt else []
     prompt_len = len(prompt)
     gen_len = args.gen_len if args.gen_len else model.L - prompt_len
     rng = np.random.default_rng(args.seed)
-    final, trace = decode_blockwise(
-        denoiser, policy, prompt, gen_len, rng, unconditional=not prompt
-    )
+    final, trace = decode_blockwise(denoiser, policy, prompt, gen_len, rng)
     print("sequence:", " ".join(str(t) for t in final.tokens))
     print("nfe:", trace.nfe)
     if args.trace:

@@ -101,16 +101,14 @@ class DenoiserOutput:
 
 
 def make_masked_state(
-    vocab: Vocabulary,
-    prompt: Sequence[int],
-    gen_len: int,
-    unconditional: bool = False,
+    vocab: Vocabulary, prompt: Sequence[int], gen_len: int
 ) -> SequenceState:
-    """Prompt copied in place, followed by ``gen_len`` masked positions."""
+    """Prompt copied in place, followed by ``gen_len`` masked positions.
+
+    An empty prompt means unconditional generation.
+    """
     if gen_len < 1:
         raise ValueError(f"gen_len must be >= 1, got {gen_len}")
-    if len(prompt) == 0 and not unconditional:
-        raise ValueError("empty prompt requires unconditional=True")
     tokens = tuple(int(t) for t in prompt) + (vocab.mask_id,) * gen_len
     return SequenceState(vocab, tokens, prompt_len=len(prompt))
 

@@ -380,7 +380,6 @@ def decode_blockwise(
     prompt: Sequence[int],
     gen_len: int,
     rng: np.random.Generator,
-    unconditional: bool = False,
 ) -> tuple[SequenceState, DecodeTrace]:
     """Generate: forward, score, select, commit until every position is unmasked.
 
@@ -391,7 +390,7 @@ def decode_blockwise(
     least one token per forward call (unless stochastic remasking is on),
     so NFE <= gen_len.
     """
-    state = make_masked_state(denoiser.vocab, prompt, gen_len, unconditional)
+    state = make_masked_state(denoiser.vocab, prompt, gen_len)
     blocks = _block_plan(policy, len(prompt), gen_len)
     history = History(policy.n_history)
     block = steps_in_block = 0
@@ -429,7 +428,6 @@ def enumerate_decodes(
     prompt: Sequence[int],
     gen_len: int,
     mass: float = 1.0,
-    unconditional: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], float, int]]:
     """Every outcome of ``decode_blockwise``, as ``(tokens, mass, forwards)``.
 
@@ -442,7 +440,7 @@ def enumerate_decodes(
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
     blocks = _block_plan(policy, len(prompt), gen_len)
-    state = make_masked_state(denoiser.vocab, prompt, gen_len, unconditional)
+    state = make_masked_state(denoiser.vocab, prompt, gen_len)
     stack = [(state, History(policy.n_history), 0, 0, 0, mass)]
     while stack:
         state, history, block, steps_in_block, forwards, mass = stack.pop()

@@ -2,12 +2,14 @@
 
 The quality metric throughout is total variation distance between the
 distribution a decoding policy induces over full sequences and the known
-target joint. When the exact denoiser is configured and the space is
-enumerable, the induced distribution is computed exactly: this module
+target joint. When the exact denoiser is configured, the induced
+distribution is computed exactly: this module
 enumerates the prompts and sums the outcomes ``decoding.enumerate_decodes``
 yields, so the decode step rule itself lives only in ``decoding``.
 Otherwise the distribution is estimated by Monte Carlo with
-``decode_blockwise``.
+``decode_blockwise``. The one enumeration limit is ``oracle.ENUM_LIMIT``,
+checked where ``oracle.joint_table`` builds a table; a joint past it fails
+at ``model_distribution`` in every mode.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .decoding import (
 )
 from .nn import TransformerDenoiser, load_checkpoint
 from .oracle import (
-    DEFAULT_ENUM_LIMIT,
     FactorizedDAG,
     GroupSchedule,
     JointModel,
@@ -91,9 +92,9 @@ def exact_induced_distribution(
     Prompt values are enumerated from their joint marginal, and for each
     prompt ``decoding.enumerate_decodes`` follows every outcome of the decode
     loop against ``denoiser``, an oracle of ``model`` (a new
-    ``OracleDenoiser(model)`` by default), whose caches and enumeration
-    limit it shares. Returns the distribution and the probability-weighted
-    mean number of forward calls.
+    ``OracleDenoiser(model)`` by default), whose caches it shares. Returns
+    the distribution and the probability-weighted mean number of forward
+    calls.
     """
     if denoiser is None:
         denoiser = OracleDenoiser(model)
@@ -101,7 +102,7 @@ def exact_induced_distribution(
         raise ValueError("the denoiser must be an oracle of the decoded model")
     gen_len = model.L - prompt_len
     if prompt_len:
-        table = joint_table(model, denoiser.enum_limit)
+        table = joint_table(model)
         pm = table.sum(axis=tuple(range(prompt_len, model.L)))
         prompts = [
             (tuple(int(v) + 1 for v in idx), float(p))
@@ -113,9 +114,8 @@ def exact_induced_distribution(
     dist: Distribution = {}
     nfe = 0.0
     for prompt, p in prompts:
-        for tokens, mass, forwards in enumerate_decodes(
-            denoiser, policy, prompt, gen_len, p, unconditional=not prompt_len
-        ):
+        outcomes = enumerate_decodes(denoiser, policy, prompt, gen_len, p)
+        for tokens, mass, forwards in outcomes:
             dist[tokens] = dist.get(tokens, 0.0) + mass
             nfe += mass * forwards
     return dist, nfe
@@ -135,7 +135,6 @@ class ExperimentConfig:
     seed: int = 42
     out: str | None = None
     mode: str = "auto"  # auto | exact | mc
-    enum_limit: int = DEFAULT_ENUM_LIMIT
     unconditional: bool = False
 
     def __post_init__(self) -> None:
@@ -177,33 +176,32 @@ class ExperimentResult:
     traces: dict[str, list[DecodeTrace]] = field(default_factory=dict)
 
 
-def resolve_joint(spec: str) -> tuple[JointModel, int]:
-    """Build the joint named by an experiment spec; returns (model, prompt_len hint)."""
+def resolve_joint(spec: str) -> JointModel:
+    """Build the joint named by an experiment spec."""
     parts = spec.split()
     if parts[0] == "file" and len(parts) == 2:
-        return load_joint_model(parts[1]), 0
+        return load_joint_model(parts[1])
     if parts[0] == "reference" and len(parts) == 2:
-        return reference_dag_model(int(parts[1])), 1
+        return reference_dag_model(int(parts[1]))
     if parts[0] == "layered" and len(parts) == 2:
-        return layered_suite_model(int(parts[1])), 1
+        return layered_suite_model(int(parts[1]))
     raise ValueError(f"bad joint spec {spec!r}")
 
 
-def resolve_denoiser(spec: str, model: JointModel, enum_limit: int):
+def resolve_denoiser(spec: str, model: JointModel):
     parts = spec.split()
     if parts[0] == "oracle" and len(parts) == 1:
-        return OracleDenoiser(model, enum_limit)
+        return OracleDenoiser(model)
     if parts[0] == "checkpoint" and len(parts) == 2:
         return TransformerDenoiser(load_checkpoint(parts[1]))
     raise ValueError(f"bad denoiser spec {spec!r}")
 
 
-def _exact_eligible(cfg: ExperimentConfig, denoiser, policy: PolicyConfig, model) -> bool:
+def _exact_eligible(denoiser, policy: PolicyConfig) -> bool:
     return (
         isinstance(denoiser, OracleDenoiser)
         and policy.scorer != "dos"
         and not policy.stochastic_remask
-        and model.vocab.size ** model.L <= cfg.enum_limit
     )
 
 
@@ -218,7 +216,7 @@ def run_policy(
     target = model_distribution(model)
     gen_len = model.L - cfg.prompt_len
     traces: list[DecodeTrace] = []
-    if cfg.mode != "mc" and _exact_eligible(cfg, denoiser, policy, model):
+    if cfg.mode != "mc" and _exact_eligible(denoiser, policy):
         dist, mean_nfe = exact_induced_distribution(
             model, policy, cfg.prompt_len, denoiser
         )
@@ -233,9 +231,7 @@ def run_policy(
         for _ in range(cfg.samples):
             x = sample_joint(model, rng)
             prompt = x[: cfg.prompt_len]
-            final, trace = decode_blockwise(
-                denoiser, policy, prompt, gen_len, rng, unconditional=cfg.unconditional
-            )
+            final, trace = decode_blockwise(denoiser, policy, prompt, gen_len, rng)
             seqs.append(final.tokens)
             nfes.append(trace.nfe)
             if keep_traces:
@@ -264,8 +260,8 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> Experime
     Per-policy failures are recorded and the run continues; each policy gets
     an independent RNG stream derived from the global seed by its index.
     """
-    model, _ = resolve_joint(cfg.joint)
-    denoiser = resolve_denoiser(cfg.denoiser, model, cfg.enum_limit)
+    model = resolve_joint(cfg.joint)
+    denoiser = resolve_denoiser(cfg.denoiser, model)
     result = ExperimentResult(rows=[], failures=[])
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.policies))
     for policy, ss in zip(cfg.policies, streams):
@@ -313,8 +309,8 @@ def sweep_layers(cfg: ExperimentConfig, layers: Sequence[int]) -> ExperimentResu
 
     Needs a neural denoiser; layer indices are validated against its depth.
     """
-    model, _ = resolve_joint(cfg.joint)
-    denoiser = resolve_denoiser(cfg.denoiser, model, cfg.enum_limit)
+    model = resolve_joint(cfg.joint)
+    denoiser = resolve_denoiser(cfg.denoiser, model)
     if not isinstance(denoiser, TransformerDenoiser):
         raise ValueError("layer sweeps need a checkpoint-backed denoiser")
     for l in layers:
@@ -455,9 +451,7 @@ def dependency_greedy_schedule(
     every revealed value.
     """
     denoiser = OracleDenoiser(model)
-    state = make_masked_state(
-        model.vocab, (1,) * prompt_len, model.L - prompt_len, unconditional=True
-    )
+    state = make_masked_state(model.vocab, (1,) * prompt_len, model.L - prompt_len)
     groups = []
     steps_left = steps
     while masked := state.masked_positions():

@@ -98,9 +98,6 @@ class Params:
     config: TransformerConfig
     tensors: dict[str, np.ndarray]
 
-    def copy(self) -> "Params":
-        return Params(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
 
 def init_params(config: TransformerConfig) -> Params:
     rng = np.random.default_rng(config.seed)

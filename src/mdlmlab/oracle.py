@@ -3,7 +3,9 @@
 Everything here is enumeration-based on purpose: the joints are small enough
 to tabulate, so conditionals, schedule-induced distributions, and dependency
 scores are computed exactly rather than approximated. The dense table is
-built once per model and cached.
+built once per model and cached; ``joint_table`` is the one place that
+checks the state space against ``ENUM_LIMIT``, and every exact computation
+goes through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .core import DenoiserOutput, SequenceState, Vocabulary
 
-DEFAULT_ENUM_LIMIT = 10**6
+ENUM_LIMIT = 10**6
 
 
 class ZeroSupportError(ValueError):
@@ -24,18 +26,11 @@ class ZeroSupportError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """The joint state space exceeds the configured enumeration limit."""
+    """The joint state space exceeds ``ENUM_LIMIT``."""
 
 
 class JointFormatError(ValueError):
     """A joint model file is malformed; the message quotes the offending line."""
-
-
-def _check_enum_limit(V: int, L: int, limit: int) -> None:
-    if V**L > limit:
-        raise EnumerationLimitError(
-            f"joint space {V}^{L} exceeds enumeration limit {limit}"
-        )
 
 
 @dataclass
@@ -44,9 +39,6 @@ class TabularJoint:
 
     vocab: Vocabulary
     table: np.ndarray
-    _cached_table: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _flat_cumsum: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -140,21 +132,27 @@ def _topological_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def joint_table(model: JointModel, enum_limit: int = DEFAULT_ENUM_LIMIT) -> np.ndarray:
-    """Dense (V,)*L table of the joint, cached on the model."""
+def joint_table(model: JointModel) -> np.ndarray:
+    """Dense (V,)*L table of the joint; a DAG's is built once and cached.
+
+    Raises EnumerationLimitError instead of building a DAG table with more
+    than ``ENUM_LIMIT`` states.
+    """
+    if isinstance(model, TabularJoint):
+        return model.table
     if model._cached_table is not None:
         return model._cached_table
-    if isinstance(model, TabularJoint):
-        table = model.table
-    else:
-        V, L = model.vocab.size, model.L
-        _check_enum_limit(V, L, enum_limit)
-        table = np.ones((V,) * L)
-        for i, (ps, cpt) in enumerate(zip(model.parents, model.cpts)):
-            axes = list(ps) + [i]
-            b = cpt.reshape(cpt.shape + (1,) * (L - cpt.ndim))
-            b = np.moveaxis(b, range(cpt.ndim), axes)
-            table = table * b
+    V, L = model.vocab.size, model.L
+    if V**L > ENUM_LIMIT:
+        raise EnumerationLimitError(
+            f"joint space {V}^{L} exceeds enumeration limit {ENUM_LIMIT}"
+        )
+    table = np.ones((V,) * L)
+    for i, (ps, cpt) in enumerate(zip(model.parents, model.cpts)):
+        axes = list(ps) + [i]
+        b = cpt.reshape(cpt.shape + (1,) * (L - cpt.ndim))
+        b = np.moveaxis(b, range(cpt.ndim), axes)
+        table = table * b
     model._cached_table = table
     return table
 
@@ -212,7 +210,7 @@ def _conditionals_given(
 
 
 def conditional_marginal(
-    model: JointModel, state: SequenceState, enum_limit: int = DEFAULT_ENUM_LIMIT
+    model: JointModel, state: SequenceState
 ) -> dict[int, np.ndarray]:
     """Exact p(x_i = v | unmasked tokens) for every masked position i.
 
@@ -226,7 +224,7 @@ def conditional_marginal(
     masked = state.masked_positions()
     if not masked:
         raise ValueError("state has no masked position")
-    table = joint_table(model, enum_limit)
+    table = joint_table(model)
     fixed = {i: state.tokens[i] for i in state.unmasked_positions()}
     return _conditionals_given(table, model.L, fixed, masked)
 
@@ -285,7 +283,6 @@ def exact_policy_distribution(
     model: JointModel,
     schedule: GroupSchedule,
     prompt_len: int = 0,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> dict[tuple[int, ...], float]:
     """Distribution over full sequences induced by a fixed group schedule.
 
@@ -296,10 +293,9 @@ def exact_policy_distribution(
     distribution over the whole sequence space (it matches the target joint
     exactly iff the schedule respects the dependency structure).
     """
-    V, L = model.vocab.size, model.L
-    _check_enum_limit(V, L, enum_limit)
+    L = model.L
     validate_schedule_cover(schedule, L, prompt_len)
-    table = joint_table(model, enum_limit)
+    table = joint_table(model)
 
     out: dict[tuple[int, ...], float] = {}
 
@@ -334,12 +330,7 @@ def exact_policy_distribution(
     return out
 
 
-def oracle_dependency(
-    model: JointModel,
-    state: SequenceState,
-    position: int,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> float:
+def oracle_dependency(model: JointModel, state: SequenceState, position: int) -> float:
     """Mutual information between a masked position and the unmasked set.
 
     The other masked positions are marginalized out; only the mask pattern
@@ -352,7 +343,7 @@ def oracle_dependency(
     unmasked = state.unmasked_positions()
     if not unmasked:
         return 0.0
-    table = joint_table(model, enum_limit)
+    table = joint_table(model)
     L, V = model.L, model.vocab.size
     keep = set(unmasked) | {position}
     drop = tuple(i for i in range(L) if i not in keep)
@@ -374,10 +365,9 @@ class OracleDenoiser:
     so repeated contexts during enumeration or sampling are cheap.
     """
 
-    def __init__(self, model: JointModel, enum_limit: int = DEFAULT_ENUM_LIMIT):
+    def __init__(self, model: JointModel):
         self.model = model
         self.vocab = model.vocab
-        self.enum_limit = enum_limit
         self._out_cache: dict[tuple[int, ...], DenoiserOutput] = {}
         self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
 
@@ -391,7 +381,7 @@ class OracleDenoiser:
         for i in state.unmasked_positions():
             probs[i, state.tokens[i] - 1] = 1.0
         if state.masked_positions():
-            for i, p in conditional_marginal(self.model, state, self.enum_limit).items():
+            for i, p in conditional_marginal(self.model, state).items():
                 probs[i] = p
         out = DenoiserOutput(probs=probs, attentions=None)
         self._out_cache[key] = out
@@ -404,7 +394,7 @@ class OracleDenoiser:
             return hit
         scores = np.full(len(state), np.nan)
         for m in state.masked_positions():
-            scores[m] = oracle_dependency(self.model, state, m, self.enum_limit)
+            scores[m] = oracle_dependency(self.model, state, m)
         self._dep_cache[pattern] = scores
         return scores
 
@@ -439,10 +429,19 @@ def _numbers(kind: type, fields: Sequence[str], path: str, line: str) -> list:
         raise JointFormatError(f"{path}: non-numeric field: {line!r}") from None
 
 
+def _probabilities(fields: Sequence[str], path: str, line: str) -> np.ndarray:
+    """``fields`` as probabilities, quoting ``line`` for a negative or NaN one."""
+    p = np.array(_numbers(float, fields, path, line))
+    if not np.all(p >= 0.0):  # false for NaN too
+        raise JointFormatError(f"{path}: negative or NaN probability: {line!r}")
+    return p
+
+
 def load_joint_model(path: str) -> JointModel:
     """Load a joint model; probabilities are validated to 1e-9 then renormalized.
 
-    Malformed records (non-numeric fields, out-of-range tokens or node ids,
+    Malformed records (non-numeric fields, a vocabulary size below 2,
+    negative or NaN probabilities, out-of-range tokens or node ids,
     repeated assignments or nodes, wrong field counts) raise
     ``JointFormatError``.
     """
@@ -455,6 +454,8 @@ def load_joint_model(path: str) -> JointModel:
         raise JointFormatError(f"{path}: bad header {lines[0]!r}")
     variant = head[1]
     V, L = _numbers(int, head[2:], path, lines[0])
+    if V < 2:
+        raise JointFormatError(f"{path}: vocabulary size below 2: {lines[0]!r}")
     vocab = Vocabulary(V)
     if variant == "tabular":
         table = np.zeros((V,) * L)
@@ -466,7 +467,7 @@ def load_joint_model(path: str) -> JointModel:
                     f"{path}: expected {L} tokens and a probability: {ln!r}"
                 )
             toks = tuple(_numbers(int, parts[:L], path, ln))
-            (p,) = _numbers(float, parts[L:], path, ln)
+            (p,) = _probabilities(parts[L:], path, ln)
             if not all(1 <= v <= V for v in toks):
                 raise JointFormatError(f"{path}: token outside 1..{V}: {ln!r}")
             if toks in seen:
@@ -490,7 +491,7 @@ def load_joint_model(path: str) -> JointModel:
             raise JointFormatError(f"{path}: repeated node {i}: {ln!r}")
         pi, ci = parts.index("parents"), parts.index("cpt")
         ps = tuple(_numbers(int, parts[pi + 1 : ci], path, ln))
-        vals = np.array(_numbers(float, parts[ci + 1 :], path, ln))
+        vals = _probabilities(parts[ci + 1 :], path, ln)
         if vals.size != V ** (len(ps) + 1):
             raise JointFormatError(
                 f"{path}: node {i} needs {V ** (len(ps) + 1)} CPT values: {ln!r}"

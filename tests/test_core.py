@@ -41,12 +41,10 @@ def test_sequence_state_validation():
 def test_make_masked_state_examples():
     s = make_masked_state(V4, [3, 1], 2)
     assert s.tokens == (3, 1, 5, 5) and s.prompt_len == 2
-    s = make_masked_state(V4, [], 1, unconditional=True)
+    s = make_masked_state(V4, [], 1)
     assert s.tokens == (5,) and s.prompt_len == 0
     with pytest.raises(ValueError):
         make_masked_state(V4, [5], 0)
-    with pytest.raises(ValueError):
-        make_masked_state(V4, [], 1)  # empty prompt needs the unconditional flag
 
 
 def test_schedule_endpoints():

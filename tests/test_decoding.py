@@ -127,7 +127,7 @@ def test_decode_one_token_per_step_nfe():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
     rng = np.random.default_rng(0)
-    final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
+    final, trace = decode_blockwise(den, policy, [], 4, rng)
     assert trace.nfe == 4
     assert len(trace.steps) == 4
     assert all(len(s.positions) == 1 for s in trace.steps)
@@ -143,7 +143,7 @@ def test_decode_parallel_policies_nfe_bound():
         PolicyConfig(scorer="confidence", selector="klass", temperature="sample"),
         PolicyConfig(scorer="oracle_dep", selector="eb", temperature="sample"),
     ):
-        final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
+        final, trace = decode_blockwise(den, policy, [], 4, rng)
         assert 1 <= trace.nfe <= 4
         assert not final.masked_positions()
 
@@ -191,7 +191,7 @@ def test_decode_chain_order_recovers_joint():
                           block_size=1, temperature="sample")
     seqs = []
     for _ in range(30000):
-        final, _ = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
+        final, _ = decode_blockwise(den, policy, [], 4, rng)
         seqs.append(final.tokens)
     emp = {}
     for s in seqs:
@@ -206,10 +206,8 @@ def test_blockwise_single_block_equals_decode():
                         temperature="sample")
     blocked = PolicyConfig(scorer="confidence", selector="topk", steps=3,
                            block_size=99, temperature="sample")
-    t1 = decode_blockwise(den, base, [], 6, np.random.default_rng(42),
-                          unconditional=True)
-    t2 = decode_blockwise(den, blocked, [], 6, np.random.default_rng(42),
-                          unconditional=True)
+    t1 = decode_blockwise(den, base, [], 6, np.random.default_rng(42))
+    t2 = decode_blockwise(den, blocked, [], 6, np.random.default_rng(42))
     assert t1[0].tokens == t2[0].tokens
     assert [s.to_record() for s in t1[1].steps] == [s.to_record() for s in t2[1].steps]
 
@@ -242,8 +240,7 @@ def test_dos_scorer_requires_attentions():
     den = oracle_den(seed=19)
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2)
     with pytest.raises(ValueError, match="attentions"):
-        decode_blockwise(den, policy, [], 4, np.random.default_rng(0),
-                         unconditional=True)
+        decode_blockwise(den, policy, [], 4, np.random.default_rng(0))
 
 
 def test_oracle_dep_scorer_requires_exact_denoiser():
@@ -254,8 +251,7 @@ def test_oracle_dep_scorer_requires_exact_denoiser():
     den = TransformerDenoiser(params)
     policy = PolicyConfig(scorer="oracle_dep", selector="topk", steps=2)
     with pytest.raises(ValueError, match="exact"):
-        decode_blockwise(den, policy, [], 4, np.random.default_rng(0),
-                         unconditional=True)
+        decode_blockwise(den, policy, [], 4, np.random.default_rng(0))
 
 
 def test_dos_eb_composition_satisfies_budget():
@@ -285,14 +281,13 @@ def test_stochastic_remask_mode():
                           temperature="sample", stochastic_remask=True)
     rng = np.random.default_rng(6)
     # T=1 collapses to a single forced step: reveal probability is 1
-    final, trace = decode_blockwise(den, policy, [], 4, rng, unconditional=True)
+    final, trace = decode_blockwise(den, policy, [], 4, rng)
     assert trace.nfe == 1 and not final.masked_positions()
 
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample", stochastic_remask=True)
     for i in range(20):
-        final, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(i),
-                              unconditional=True)
+        final, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(i))
         assert not final.masked_positions()
         committed = trace.committed_positions()
         assert sorted(committed) == [0, 1, 2, 3]
@@ -302,8 +297,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     den = oracle_den(seed=31)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,
                           temperature="sample")
-    _, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(7),
-                      unconditional=True)
+    _, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(7))
     path = str(tmp_path / "trace.jsonl")
     trace.write_jsonl(path)
     with open(path) as fh:

@@ -313,6 +313,28 @@ def test_policy_and_config_parsing(tmp_path):
         load_experiment_config(path)
 
 
+def test_boolean_keys_parse_strictly(tmp_path):
+    for text, want in (("true", True), ("FALSE", False), ("True", True)):
+        assert parse_policy(f"remask={text}").stochastic_remask is want
+    for bad in ("yes", "1", "tru", ""):
+        with pytest.raises(ValueError, match="remask"):
+            parse_policy(f"remask={bad}")
+
+    path = str(tmp_path / "exp.cfg")
+
+    def load(extra: str):
+        with open(path, "w") as fh:
+            fh.write("joint = reference 42\nprompt_len = 0\n"
+                     "policy = scorer=confidence selector=topk\n" + extra)
+        return load_experiment_config(path)
+
+    assert load("unconditional = TRUE\n").unconditional is True
+    with pytest.raises(ValueError, match="unconditional"):
+        load("unconditional = yes\n")
+    with pytest.raises(ValueError, match="unknown experiment key 'enum_limit'"):
+        load("unconditional = true\nenum_limit = 100\n")
+
+
 def test_dependency_topk_enumeration_equals_greedy_schedule():
     # the dependency_greedy_schedule contract: an oracle_dep top-k decode
     # follows that one fixed schedule, whatever values get revealed
@@ -353,6 +375,5 @@ def test_induced_distributions_are_normalized_and_nfe_bounded(
     rng = np.random.default_rng(seed)
     for _ in range(5):
         prompt = sample_joint(model, rng)[:prompt_len]
-        _, trace = decode_blockwise(den, policy, prompt, gen_len, rng,
-                                    unconditional=not prompt_len)
+        _, trace = decode_blockwise(den, policy, prompt, gen_len, rng)
         assert 1 <= trace.nfe <= gen_len

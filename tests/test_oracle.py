@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import brute_conditionals
-from mdlmlab.core import SequenceState, Vocabulary
-from mdlmlab.harness import tv_distance
+from mdlmlab.core import SequenceState, Vocabulary, make_masked_state
+from mdlmlab.decoding import PolicyConfig
+from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
 from mdlmlab.oracle import (
+    ENUM_LIMIT,
     EnumerationLimitError,
     FactorizedDAG,
     GroupSchedule,
@@ -180,8 +182,24 @@ def test_exact_policy_distribution_validates_cover_and_limit():
     m = uniform_tabular(2, 3)
     with pytest.raises(ValueError):
         exact_policy_distribution(m, GroupSchedule(((0, 1),)))  # misses position 2
-    with pytest.raises(EnumerationLimitError):
-        exact_policy_distribution(m, GroupSchedule(((0, 1, 2),)), enum_limit=4)
+    # 2^20 states: past ENUM_LIMIT, and building the DAG allocates no table
+    big = random_dag(np.random.default_rng(0), V=2, L=20)
+    assert big.vocab.size ** big.L > ENUM_LIMIT
+    state = make_masked_state(big.vocab, [], big.L)
+    for call in (
+        lambda: joint_table(big),
+        lambda: conditional_marginal(big, state),
+        lambda: exact_policy_distribution(big, GroupSchedule((tuple(range(20)),))),
+        lambda: OracleDenoiser(big)(state),
+    ):
+        with pytest.raises(EnumerationLimitError):
+            call()
+    for mode in ("auto", "mc"):
+        cfg = ExperimentConfig(joint="layered 0", policies=(PolicyConfig(),),
+                               prompt_len=1, samples=1, mode=mode)
+        with pytest.raises(EnumerationLimitError):
+            run_policy(big, OracleDenoiser(big), cfg.policies[0], cfg,
+                       np.random.default_rng(0))
 
 
 def test_refinement_monotonicity_on_trees():
@@ -370,6 +388,14 @@ def _load_text(tmp_path, text):
         ("joint tabular 2 2\n1 x 0.5\n1 1 0.5\n", "1 x 0.5"),
         ("joint dag 2 two\nnode 0 parents cpt 0.5 0.5\n", "joint dag 2 two"),
         ("joint dag 2 1\nnode 0 parents cpt abc 0.5\n", "node 0 parents cpt abc 0.5"),
+        # NaN fails every comparison, so a sum check alone lets it through
+        ("joint tabular 2 1\n1 nan\n2 0.5\n", "1 nan"),
+        ("joint dag 2 1\nnode 0 parents cpt nan 0.5\n", "node 0 parents cpt nan 0.5"),
+        # negative entries whose rows still sum to 1
+        ("joint tabular 2 1\n1 -0.5\n2 1.5\n", "1 -0.5"),
+        ("joint dag 2 1\nnode 0 parents cpt -0.5 1.5\n",
+         "node 0 parents cpt -0.5 1.5"),
+        ("joint tabular 1 2\n1 1 1.0\n", "joint tabular 1 2"),  # V < 2
     ],
 )
 def test_joint_loader_rejects_bad_records(tmp_path, text, line):
