@@ -162,7 +162,7 @@ def _cmd_decode(args) -> int:
     prompt_len = len(prompt)
     gen_len = args.gen_len if args.gen_len else model.L - prompt_len
     rng = np.random.default_rng(args.seed)
-    final, trace = decode_blockwise(denoiser, policy, prompt, gen_len, rng)
+    [(final, trace)] = decode_blockwise(denoiser, policy, [prompt], gen_len, rng)
     print("sequence:", " ".join(str(t) for t in final.tokens))
     print("nfe:", trace.nfe)
     if args.trace:

@@ -81,6 +81,18 @@ class SequenceState:
         return SequenceState(self.vocab, tuple(toks), self.prompt_len)
 
 
+@dataclass(frozen=True)
+class StateBatch:
+    """Same-length sequences of one vocabulary as an (n, L) token array.
+
+    The input of a batched forward pass (``nn.forward``); its rows come from
+    ``SequenceState``s, which have already validated them.
+    """
+
+    vocab: Vocabulary
+    tokens: np.ndarray
+
+
 def alpha(t: float) -> float:
     """Survival probability of an unmasked token at time t: 1 - t."""
     return 1.0 - t

@@ -1,17 +1,24 @@
 """The generation loop: selection policies, block partitioning, traces.
 
-A denoiser is anything callable as ``denoiser(state) -> DenoiserOutput``
-with a ``vocab`` attribute; the exact backend additionally exposes
-``dependency_scores(state)`` for the oracle_dep scorer. One forward call is
-made per step and both the scores and the committed predictions come from
-that same call, so the trace's NFE equals the number of forward evaluations
+A denoiser has a ``vocab`` attribute and two calls. ``denoiser(state)``
+returns the ``DenoiserOutput`` of one state; ``denoiser.batch(states)``
+returns the outputs of a list of same-length states, in order, each equal
+to what the one-state call returns for it (the transformer runs the list as
+one batched forward, the oracle answers each state from its cache). The
+exact backend additionally exposes ``dependency_scores(state)`` for the
+oracle_dep scorer. A step makes one forward evaluation per sequence, and
+both the scores and the committed predictions come from that same
+evaluation, so the trace's NFE equals the number of forward evaluations
 exactly.
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
-and selection) lives in one private function, ``_step``. The sampler
-``decode_blockwise`` draws one branch from each planned step; the
-enumerator ``enumerate_decodes`` follows every branch with its probability,
-which is how the harness computes exact induced distributions.
+and selection) lives in two private functions: ``_next_block`` skips
+finished blocks before the forward, ``_step`` plans from its output. The
+sampler ``decode_blockwise`` advances many prompts in lockstep, with one
+batch call and one token draw per step for all unfinished sequences; the
+enumerator ``enumerate_decodes`` follows every branch of one prompt with
+its probability, calling the denoiser one state at a time, which is how
+the harness computes exact induced distributions.
 """
 
 from __future__ import annotations
@@ -243,13 +250,25 @@ def select_eb(
     return tuple(sorted(chosen))
 
 
-def commit_token(p: np.ndarray, temperature: str, rng: np.random.Generator) -> int:
-    """Greedy argmax (ties to the lowest token id) or an exact categorical draw."""
-    p = np.asarray(p, dtype=float)
+def commit_token(
+    probs: np.ndarray, temperature: str, rng: np.random.Generator
+) -> np.ndarray:
+    """One token id (1..V) per row of a (K, V) probability matrix.
+
+    Greedy takes each row's argmax (ties to the lowest token id) and draws
+    nothing. Sampling normalises each row, takes its cumulative sum divided
+    by the last entry, and counts the entries <= one ``rng.random()`` draw
+    per row, in row order: the tokens, and the generator state left behind,
+    are those of K calls of ``rng.choice(V, p=row / row.sum())``.
+    """
+    probs = np.asarray(probs, dtype=float)
     if temperature == "greedy":
-        return int(np.argmax(p)) + 1
+        return probs.argmax(axis=1) + 1
     if temperature == "sample":
-        return int(rng.choice(p.size, p=p / p.sum())) + 1
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cdf = cdf / cdf[:, -1:]
+        u = rng.random(len(cdf))
+        return (cdf <= u[:, None]).sum(axis=1) + 1
     raise ValueError(f"unknown temperature mode {temperature!r}")
 
 
@@ -332,7 +351,25 @@ def _block_plan(
     ]
 
 
+def _next_block(
+    blocks: list[tuple[list[int], int]],
+    state: SequenceState,
+    block: int,
+    steps_in_block: int,
+) -> tuple[int, int] | None:
+    """The ``(block, steps_in_block)`` of the next step; None once all is unmasked.
+
+    Finished blocks are skipped here, before the forward call, and entering
+    a block restarts its step count.
+    """
+    while block < len(blocks) and not any(map(state.is_masked, blocks[block][0])):
+        block += 1
+        steps_in_block = 0
+    return None if block == len(blocks) else (block, steps_in_block)
+
+
 def _step(
+    out: DenoiserOutput,
     denoiser,
     policy: PolicyConfig,
     blocks: list[tuple[list[int], int]],
@@ -340,32 +377,21 @@ def _step(
     history: History,
     block: int,
     steps_in_block: int,
-):
-    """Plan the next step; None once every block is unmasked.
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Plan the step of ``state`` in ``block`` from its forward output ``out``.
 
-    This is the whole step rule, shared by the sampler and the enumerator:
-    finished blocks are skipped, one forward call is made, KLASS records the
-    predictive distribution of every masked position, and the policy selects
-    among the active block's masked positions under its remaining budget.
-    Returns ``(block, steps_in_block, out, ranking, selected)`` with the
-    block index and step count of the block the step was planned in.
+    The step rule after ``_next_block``, shared by the sampler and the
+    enumerator: KLASS records the predictive distribution of every masked
+    position, and the policy selects among the active block's masked
+    positions under its remaining budget. Returns ``(ranking, selected)``.
     """
-    while block < len(blocks) and not any(map(state.is_masked, blocks[block][0])):
-        block += 1
-        steps_in_block = 0
-    if block == len(blocks):
-        return None
-    positions, budget = blocks[block]
-    out = denoiser(state)
     if policy.selector == "klass":
         for i in state.masked_positions():
             history.record(i, out.probs[i])
+    positions, budget = blocks[block]
     candidates = tuple(i for i in positions if state.is_masked(i))
     steps_left = max(1, budget - steps_in_block)
-    ranking, selected = plan_step(
-        policy, out, state, denoiser, candidates, steps_left, history
-    )
-    return block, steps_in_block, out, ranking, selected
+    return plan_step(policy, out, state, denoiser, candidates, steps_left, history)
 
 
 def _commit(state: SequenceState, history: History, updates: dict[int, int]):
@@ -374,14 +400,44 @@ def _commit(state: SequenceState, history: History, updates: dict[int, int]):
     return state.with_tokens(updates) if updates else state
 
 
+@dataclass
+class _Row:
+    """One sequence of a lockstep decode and where it is in the block plan."""
+
+    state: SequenceState
+    history: History
+    trace: DecodeTrace = field(default_factory=DecodeTrace)
+    block: int = 0
+    steps_in_block: int = 0
+
+
+def _unfinished(rows: list[_Row], blocks: list[tuple[list[int], int]]) -> list[_Row]:
+    """The rows with a masked position left, each moved past finished blocks."""
+    left = []
+    for row in rows:
+        at = _next_block(blocks, row.state, row.block, row.steps_in_block)
+        if at is not None:
+            row.block, row.steps_in_block = at
+            left.append(row)
+    return left
+
+
 def decode_blockwise(
     denoiser,
     policy: PolicyConfig,
-    prompt: Sequence[int],
+    prompts: Sequence[Sequence[int]],
     gen_len: int,
     rng: np.random.Generator,
-) -> tuple[SequenceState, DecodeTrace]:
-    """Generate: forward, score, select, commit until every position is unmasked.
+) -> list[tuple[SequenceState, DecodeTrace]]:
+    """Generate from every prompt in lockstep; ``(final state, trace)`` per prompt.
+
+    Each step runs one ``denoiser.batch`` call over the sequences that still
+    have masked positions, scores and selects per sequence, and commits
+    with one ``commit_token`` call over all selected positions. A sequence
+    leaves the batch once it is unmasked, so adaptive selectors (threshold,
+    KLASS, EB) finish sequences at different steps. The prompts must be
+    non-empty in number and share one length (an empty prompt means
+    unconditional generation).
 
     Positions are partitioned into left-to-right blocks of
     ``policy.block_size`` (the last may be short; 0 or ``>= gen_len`` is one
@@ -389,37 +445,55 @@ def decode_blockwise(
     unmasked; scoring sees the whole sequence. Every selector commits at
     least one token per forward call (unless stochastic remasking is on),
     so NFE <= gen_len.
+
+    Per step, ``rng`` first gives the stochastic-remasking draws, sequence
+    by sequence, then the token draws, sequence by sequence and in position
+    order within one; a single prompt draws exactly as a one-sequence
+    decoder would.
     """
-    state = make_masked_state(denoiser.vocab, prompt, gen_len)
-    blocks = _block_plan(policy, len(prompt), gen_len)
-    history = History(policy.n_history)
-    block = steps_in_block = 0
-    trace = DecodeTrace()
-    while (
-        step := _step(denoiser, policy, blocks, state, history, block, steps_in_block)
-    ) is not None:
-        block, steps_in_block, out, ranking, committed = step
+    lengths = {len(p) for p in prompts}
+    if len(lengths) != 1:
+        raise ValueError("decode_blockwise needs one or more prompts of one length")
+    blocks = _block_plan(policy, lengths.pop(), gen_len)
+    rows = [
+        _Row(make_masked_state(denoiser.vocab, p, gen_len), History(policy.n_history))
+        for p in prompts
+    ]
+    active = rows
+    while active := _unfinished(active, blocks):
+        outs = denoiser.batch([row.state for row in active])
+        plans = [
+            _step(out, denoiser, policy, blocks, row.state, row.history,
+                  row.block, row.steps_in_block)
+            for row, out in zip(active, outs)
+        ]
+        committed = [selected for _, selected in plans]
         if policy.stochastic_remask:
-            budget = blocks[block][1]
-            t = max(1.0 - steps_in_block / budget, 1.0 / budget)
-            s = max(1.0 - (steps_in_block + 1) / budget, 0.0)
-            p_reveal = reverse_unmask_prob(t, s) if s < t else 1.0
-            committed = tuple(i for i in committed if rng.random() < p_reveal)
-        updates = {
-            i: commit_token(out.probs[i], policy.temperature, rng) for i in committed
-        }
-        trace.steps.append(
-            TraceStep(
-                step=len(trace.steps),
-                positions=list(committed),
-                tokens=[updates[i] for i in committed],
-                scores=[float(ranking[i]) for i in committed],
-                nfe=len(trace.steps) + 1,  # one forward call per step
-            )
+            for k, row in enumerate(active):
+                budget = blocks[row.block][1]
+                t = max(1.0 - row.steps_in_block / budget, 1.0 / budget)
+                s = max(1.0 - (row.steps_in_block + 1) / budget, 0.0)
+                p_reveal = reverse_unmask_prob(t, s) if s < t else 1.0
+                committed[k] = tuple(i for i in committed[k] if rng.random() < p_reveal)
+        probs = np.concatenate(
+            [out.probs[list(sel)] for out, sel in zip(outs, committed)]
         )
-        state = _commit(state, history, updates)
-        steps_in_block += 1
-    return state, trace
+        tokens = iter(commit_token(probs, policy.temperature, rng).tolist())
+        for row, (ranking, _), sel in zip(active, plans, committed):
+            toks = [next(tokens) for _ in sel]
+            trace = row.trace
+            trace.steps.append(
+                TraceStep(
+                    step=len(trace.steps),
+                    positions=list(sel),
+                    tokens=toks,
+                    scores=[float(ranking[i]) for i in sel],
+                    nfe=len(trace.steps) + 1,  # one forward evaluation per step
+                )
+            )
+            row.state = _commit(row.state, row.history, dict(zip(sel, toks)))
+            row.steps_in_block += 1
+    return [(row.state, row.trace) for row in rows]
 
 
 def enumerate_decodes(
@@ -429,13 +503,14 @@ def enumerate_decodes(
     gen_len: int,
     mass: float = 1.0,
 ) -> Iterator[tuple[tuple[int, ...], float, int]]:
-    """Every outcome of ``decode_blockwise``, as ``(tokens, mass, forwards)``.
+    """Every outcome of a one-prompt decode, as ``(tokens, mass, forwards)``.
 
-    Runs the sampler's step rule but, instead of drawing the committed
-    tokens, follows every value combination of the selected set with its
-    product probability times ``mass`` (greedy temperature follows the single
-    argmax branch). Outcomes come depth-first, in token order within a step;
-    a sequence reached along several paths is yielded once per path.
+    Runs the sampler's step rule, one state per denoiser call, but instead
+    of drawing the committed tokens, follows every value combination of the
+    selected set with its product probability times ``mass`` (greedy
+    temperature follows the single argmax branch). Outcomes come depth-first,
+    in token order within a step; a sequence reached along several paths is
+    yielded once per path.
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
@@ -444,11 +519,15 @@ def enumerate_decodes(
     stack = [(state, History(policy.n_history), 0, 0, 0, mass)]
     while stack:
         state, history, block, steps_in_block, forwards, mass = stack.pop()
-        step = _step(denoiser, policy, blocks, state, history, block, steps_in_block)
-        if step is None:
+        at = _next_block(blocks, state, block, steps_in_block)
+        if at is None:
             yield state.tokens, mass, forwards
             continue
-        block, steps_in_block, out, _, selected = step
+        block, steps_in_block = at
+        out = denoiser(state)
+        _, selected = _step(
+            out, denoiser, policy, blocks, state, history, block, steps_in_block
+        )
         if policy.temperature == "greedy":
             supports = [[(int(np.argmax(out.probs[i])) + 1, 1.0)] for i in selected]
         else:

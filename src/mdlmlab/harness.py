@@ -7,9 +7,10 @@ distribution is computed exactly: this module
 enumerates the prompts and sums the outcomes ``decoding.enumerate_decodes``
 yields, so the decode step rule itself lives only in ``decoding``.
 Otherwise the distribution is estimated by Monte Carlo with
-``decode_blockwise``. The one enumeration limit is ``oracle.ENUM_LIMIT``,
-checked where ``oracle.joint_table`` builds a table; a joint past it fails
-at ``model_distribution`` in every mode.
+``decode_blockwise``, which decodes all samples of a policy in lockstep.
+The one enumeration limit is ``oracle.ENUM_LIMIT``, checked where
+``oracle.joint_table`` builds a table; a joint past it fails at
+``model_distribution`` in every mode.
 """
 
 from __future__ import annotations
@@ -213,6 +214,17 @@ def run_policy(
     rng: np.random.Generator,
     keep_traces: bool = False,
 ) -> tuple[MetricRow, list[DecodeTrace]]:
+    """One policy's metrics row, and its Monte Carlo traces when ``keep_traces``.
+
+    An oracle denoiser and a policy without stochastic remasking run in
+    exact mode unless ``cfg.mode`` is "mc"; exact mode enumerates the
+    induced distribution and draws nothing from ``rng``. Monte Carlo mode
+    decodes ``cfg.samples`` sequences in lockstep with ``decode_blockwise``
+    and draws from ``rng`` in this order: every prompt first (one
+    ``sample_joint`` per sample); then, per step, the stochastic-remasking
+    draws in sample order, then one token draw per committed token, sample
+    by sample and in position order within a sample.
+    """
     target = model_distribution(model)
     gen_len = model.L - cfg.prompt_len
     traces: list[DecodeTrace] = []
@@ -226,18 +238,14 @@ def run_policy(
             f"policy {policy.policy_id()} cannot run in exact mode with this setup"
         )
     else:
-        seqs = []
-        nfes = []
-        for _ in range(cfg.samples):
-            x = sample_joint(model, rng)
-            prompt = x[: cfg.prompt_len]
-            final, trace = decode_blockwise(denoiser, policy, prompt, gen_len, rng)
-            seqs.append(final.tokens)
-            nfes.append(trace.nfe)
-            if keep_traces:
-                traces.append(trace)
-        dist = empirical_distribution(seqs)
-        mean_nfe = float(np.mean(nfes))
+        prompts = [
+            sample_joint(model, rng)[: cfg.prompt_len] for _ in range(cfg.samples)
+        ]
+        decoded = decode_blockwise(denoiser, policy, prompts, gen_len, rng)
+        dist = empirical_distribution([final.tokens for final, _ in decoded])
+        mean_nfe = float(np.mean([trace.nfe for _, trace in decoded]))
+        if keep_traces:
+            traces = [trace for _, trace in decoded]
         samples_used = cfg.samples
     row = MetricRow(
         policy_id=policy.policy_id(),

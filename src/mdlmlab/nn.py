@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, SequenceState, Vocabulary, alpha
+from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, alpha
 from .oracle import JointModel, sample_joint
 
 
@@ -179,8 +179,13 @@ def token_rows(config: TransformerConfig, tokens: np.ndarray) -> np.ndarray:
     return toks - 1
 
 
-def _forward_batch(params: Params, tokens: np.ndarray):
-    """Full forward pass; returns (log_probs, attentions, cache)."""
+def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None):
+    """Full forward pass over a (B, L) token array; returns (log_probs, attentions).
+
+    The backward pass needs every layer's activations. The training path
+    passes a list as ``cache`` and they are appended to it; inference passes
+    none and keeps none.
+    """
     cfg = params.config
     t = params.tensors
     B, L = tokens.shape
@@ -205,20 +210,25 @@ def _forward_batch(params: Params, tokens: np.ndarray):
         u = x2 @ p("w1") + p("b1")
         gu, phi = _gelu(u)
         h_out = h_mid + gu @ p("w2") + p("b2")
-        layer_caches.append((h, c1, x1, qh, kh, vh, a, ctx, h_mid, c2, x2, u, phi, gu))
+        if cache is not None:
+            layer_caches.append(
+                (h, c1, x1, qh, kh, vh, a, ctx, h_mid, c2, x2, u, phi, gu)
+            )
+        del u, phi, gu  # the widest activations: not alive in the next layer
         attentions.append(a)
         h = h_out
     hf, cf = _ln_forward(h, t["lnf.g"], t["lnf.b"])
     logits = hf @ t["wout"] + t["bout"]
     log_probs = _log_softmax(logits)
-    cache = (rows, layer_caches, cf, hf, log_probs)
-    return log_probs, attentions, cache
+    if cache is not None:
+        cache.extend((rows, layer_caches, cf, hf))
+    return log_probs, attentions
 
 
 def _backward_batch(params: Params, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
     cfg = params.config
     t = params.tensors
-    rows, layer_caches, cf, hf, _ = cache
+    rows, layer_caches, cf, hf = cache
     B, L, _ = dlogits.shape
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     g = {name: np.zeros_like(arr) for name, arr in t.items()}
@@ -268,19 +278,27 @@ def _backward_batch(params: Params, dlogits: np.ndarray, cache) -> dict[str, np.
     return g
 
 
-def forward(params: Params, state: SequenceState) -> DenoiserOutput:
-    """Denoise one state: per-position distributions plus all attention maps.
+def forward(params: Params, state: SequenceState | StateBatch) -> DenoiserOutput:
+    """Denoise one state or a batch: per-position distributions plus all attention maps.
 
+    ``state.tokens`` is one length-L sequence (a ``SequenceState``) or an
+    (n, L) array of n sequences (a ``StateBatch``); the output carries the
+    same leading axis: probs (L, V) or (n, L, V), and per layer an attention
+    tensor (H, L, L) or (n, H, L, L). The rows of a batch do not interact.
     Deterministic given (params, state); repeated calls are bit-identical.
     """
     if state.vocab.size != params.config.vocab_size:
         raise ValueError("state vocabulary does not match the model")
-    tokens = np.asarray(state.tokens, dtype=np.int64)[None, :]
-    log_probs, attentions, _ = _forward_batch(params, tokens)
-    return DenoiserOutput(
-        probs=np.exp(log_probs[0]),
-        attentions=[a[0] for a in attentions],
-    )
+    tokens = np.asarray(state.tokens, dtype=np.int64)
+    log_probs, attentions = _forward_batch(params, np.atleast_2d(tokens))
+    if tokens.ndim == 1:  # one state: drop the batch axis
+        log_probs, attentions = log_probs[0], [a[0] for a in attentions]
+    return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
+
+
+# Rows per batched forward call; bounds the activations one call holds
+# (a 10000-sample evaluation would otherwise hold hundreds of MiB at once).
+FORWARD_ROWS = 256
 
 
 class TransformerDenoiser:
@@ -292,6 +310,19 @@ class TransformerDenoiser:
 
     def __call__(self, state: SequenceState) -> DenoiserOutput:
         return forward(self.params, state)
+
+    def batch(self, states: Sequence[SequenceState]) -> list[DenoiserOutput]:
+        """The output of each same-length state, from batched forward calls."""
+        outs: list[DenoiserOutput] = []
+        for lo in range(0, len(states), FORWARD_ROWS):
+            chunk = states[lo : lo + FORWARD_ROWS]
+            tokens = np.array([s.tokens for s in chunk], dtype=np.int64)
+            out = forward(self.params, StateBatch(chunk[0].vocab, tokens))
+            outs += (
+                DenoiserOutput(out.probs[r], [a[r] for a in out.attentions])
+                for r in range(len(chunk))
+            )
+        return outs
 
     @property
     def n_layers(self) -> int:
@@ -328,7 +359,7 @@ def loss_on_corrupted(
     weights: np.ndarray,
 ) -> float:
     """Loss only (no gradient); the target for finite-difference checks."""
-    log_probs, _, _ = _forward_batch(params, corrupted)
+    log_probs, _ = _forward_batch(params, corrupted)
     return masked_cross_entropy(log_probs, x0, loss_mask, weights)
 
 
@@ -340,7 +371,8 @@ def loss_and_grad_on_corrupted(
     weights: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Deterministic loss and exact-backprop gradient on a corrupted batch."""
-    log_probs, _, cache = _forward_batch(params, corrupted)
+    cache: list = []
+    log_probs, _ = _forward_batch(params, corrupted, cache)
     loss = masked_cross_entropy(log_probs, x0, loss_mask, weights)
     B, L, V = log_probs.shape
     w = (weights / B)[:, None] * loss_mask  # (B, L) per-position weight

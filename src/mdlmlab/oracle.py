@@ -33,6 +33,14 @@ class JointFormatError(ValueError):
     """A joint model file is malformed; the message quotes the offending line."""
 
 
+class CycleError(ValueError):
+    """The parent relation of a DAG has a cycle; ``node`` lies on it."""
+
+    def __init__(self, node: int):
+        super().__init__(f"parent relation contains a cycle through node {node}")
+        self.node = node
+
+
 @dataclass
 class TabularJoint:
     """Full probability table; ``table[v1-1, ..., vL-1]`` = p(v1, ..., vL)."""
@@ -128,7 +136,15 @@ def _topological_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 ready.append(c)
         ready.sort()
     if len(order) != L:
-        raise ValueError("parent relation contains a cycle")
+        # Every node left out has a parent left out, so walking up such
+        # parents revisits a node, and the first one revisited is on a cycle.
+        done = set(order)
+        node = min(set(range(L)) - done)
+        seen: set[int] = set()
+        while node not in seen:
+            seen.add(node)
+            node = next(p for p in parents[node] if p not in done)
+        raise CycleError(node)
     return tuple(order)
 
 
@@ -387,6 +403,10 @@ class OracleDenoiser:
         self._out_cache[key] = out
         return out
 
+    def batch(self, states: Sequence[SequenceState]) -> list[DenoiserOutput]:
+        """``self(state)`` for each state, in order."""
+        return [self(s) for s in states]
+
     def dependency_scores(self, state: SequenceState) -> np.ndarray:
         pattern = tuple(state.is_masked(i) for i in range(len(state)))
         hit = self._dep_cache.get(pattern)
@@ -440,10 +460,11 @@ def _probabilities(fields: Sequence[str], path: str, line: str) -> np.ndarray:
 def load_joint_model(path: str) -> JointModel:
     """Load a joint model; probabilities are validated to 1e-9 then renormalized.
 
-    Malformed records (non-numeric fields, a vocabulary size below 2,
-    negative or NaN probabilities, out-of-range tokens or node ids,
-    repeated assignments or nodes, wrong field counts) raise
-    ``JointFormatError``.
+    Malformed records (non-numeric fields, a vocabulary size below 2 or a
+    length below 1, negative or NaN probabilities, out-of-range tokens or
+    node ids, parent lists naming an unknown node or the node itself,
+    cyclic parent relations, repeated assignments or nodes, wrong field
+    counts) raise ``JointFormatError``.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -456,6 +477,8 @@ def load_joint_model(path: str) -> JointModel:
     V, L = _numbers(int, head[2:], path, lines[0])
     if V < 2:
         raise JointFormatError(f"{path}: vocabulary size below 2: {lines[0]!r}")
+    if L < 1:
+        raise JointFormatError(f"{path}: sequence length below 1: {lines[0]!r}")
     vocab = Vocabulary(V)
     if variant == "tabular":
         table = np.zeros((V,) * L)
@@ -480,6 +503,7 @@ def load_joint_model(path: str) -> JointModel:
         return TabularJoint(vocab, table / total)
     parents: list[tuple[int, ...]] = [()] * L
     cpts: list[np.ndarray | None] = [None] * L
+    node_lines = [""] * L
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] != "node" or "parents" not in parts or "cpt" not in parts:
@@ -491,6 +515,10 @@ def load_joint_model(path: str) -> JointModel:
             raise JointFormatError(f"{path}: repeated node {i}: {ln!r}")
         pi, ci = parts.index("parents"), parts.index("cpt")
         ps = tuple(_numbers(int, parts[pi + 1 : ci], path, ln))
+        if any(not 0 <= p < L or p == i for p in ps):
+            raise JointFormatError(
+                f"{path}: node {i} needs parents in 0..{L - 1} but itself: {ln!r}"
+            )
         vals = _probabilities(parts[ci + 1 :], path, ln)
         if vals.size != V ** (len(ps) + 1):
             raise JointFormatError(
@@ -502,11 +530,17 @@ def load_joint_model(path: str) -> JointModel:
                 f"{path}: node {i} CPT rows do not sum to 1 within 1e-9: {ln!r}"
             )
         parents[i] = ps
+        node_lines[i] = ln
         rows = rows / rows.sum(axis=1, keepdims=True)
         cpts[i] = rows.reshape((V,) * len(ps) + (V,))
     if any(c is None for c in cpts):
         raise JointFormatError(f"{path}: missing node lines (need {L})")
-    return FactorizedDAG(vocab, tuple(parents), tuple(cpts))  # type: ignore[arg-type]
+    try:
+        return FactorizedDAG(vocab, tuple(parents), tuple(cpts))  # type: ignore
+    except CycleError as exc:
+        raise JointFormatError(
+            f"{path}: cyclic parents through node {exc.node}: {node_lines[exc.node]!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_criterion_09_nfe_accounting():
     top1 = PolicyConfig(scorer="confidence", selector="topk", steps=gen_len,
                         temperature="sample")
     for prompt in prompts:
-        _, trace = decode_blockwise(den, top1, prompt, gen_len,
+        [(_, trace)] = decode_blockwise(den, top1, [prompt], gen_len,
                                     np.random.default_rng(0))
         assert trace.nfe == gen_len
 
@@ -288,7 +288,7 @@ def test_criterion_09_nfe_accounting():
         policy = PolicyConfig(scorer="confidence", selector=selector,
                               temperature="sample")
         for prompt in prompts:
-            _, trace = decode_blockwise(den, policy, prompt, gen_len,
+            [(_, trace)] = decode_blockwise(den, policy, [prompt], gen_len,
                                         np.random.default_rng(1))
             assert trace.nfe <= gen_len
 

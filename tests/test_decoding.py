@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlmlab.core import SequenceState, Vocabulary
 from mdlmlab.decoding import (
@@ -18,7 +20,7 @@ from mdlmlab.decoding import (
     select_topk,
 )
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
-from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag
+from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag, sample_joint
 from mdlmlab.harness import exact_induced_distribution, model_distribution, tv_distance
 
 
@@ -45,12 +47,25 @@ def test_policy_config_validation():
 
 def test_commit_token():
     rng = np.random.default_rng(0)
-    assert commit_token(np.array([0.1, 0.8, 0.1]), "greedy", rng) == 2
-    assert commit_token(np.array([0.5, 0.5]), "greedy", rng) == 1  # tie rule
+    assert commit_token(np.array([[0.1, 0.8, 0.1]]), "greedy", rng)[0] == 2
+    assert commit_token(np.array([[0.5, 0.5]]), "greedy", rng)[0] == 1  # tie rule
     counts = np.zeros(4)
     for _ in range(100000):
-        counts[commit_token(np.full(4, 0.25), "sample", rng) - 1] += 1
+        counts[commit_token(np.full((1, 4), 0.25), "sample", rng)[0] - 1] += 1
     assert np.all(np.abs(counts / 100000 - 0.25) < 0.01)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(0, 6), V=st.integers(2, 17))
+def test_commit_token_draws_like_sequential_choice(seed, K, V):
+    data = np.random.default_rng(seed)
+    probs = data.random((K, V)) * (data.random((K, V)) < 0.6)  # with zeros
+    probs[np.arange(K), data.integers(0, V, size=K)] += 0.1  # no empty row
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = commit_token(probs, "sample", rng)
+    want = [int(ref.choice(V, p=row / row.sum())) + 1 for row in probs]
+    assert got.tolist() == want
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_select_topk():
@@ -127,7 +142,7 @@ def test_decode_one_token_per_step_nfe():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
     rng = np.random.default_rng(0)
-    final, trace = decode_blockwise(den, policy, [], 4, rng)
+    [(final, trace)] = decode_blockwise(den, policy, [[]], 4, rng)
     assert trace.nfe == 4
     assert len(trace.steps) == 4
     assert all(len(s.positions) == 1 for s in trace.steps)
@@ -143,7 +158,7 @@ def test_decode_parallel_policies_nfe_bound():
         PolicyConfig(scorer="confidence", selector="klass", temperature="sample"),
         PolicyConfig(scorer="oracle_dep", selector="eb", temperature="sample"),
     ):
-        final, trace = decode_blockwise(den, policy, [], 4, rng)
+        [(final, trace)] = decode_blockwise(den, policy, [[]], 4, rng)
         assert 1 <= trace.nfe <= 4
         assert not final.masked_positions()
 
@@ -158,7 +173,7 @@ def test_decode_trace_partitions_positions():
             steps=3,
             temperature="sample",
         )
-        final, trace = decode_blockwise(den, policy, [1], 4, rng)
+        [(final, trace)] = decode_blockwise(den, policy, [[1]], 4, rng)
         committed = trace.committed_positions()
         assert sorted(committed) == [1, 2, 3, 4]
         assert len(set(committed)) == len(committed)
@@ -172,7 +187,7 @@ def test_unmasked_tokens_never_change():
     rng = np.random.default_rng(2)
     seen = {}
     # instrument by replaying the trace against the final sequence
-    final, trace = decode_blockwise(den, policy, [2], 4, rng)
+    [(final, trace)] = decode_blockwise(den, policy, [[2]], 4, rng)
     for step in trace.steps:
         for pos, tok in zip(step.positions, step.tokens):
             assert pos not in seen
@@ -191,7 +206,7 @@ def test_decode_chain_order_recovers_joint():
                           block_size=1, temperature="sample")
     seqs = []
     for _ in range(30000):
-        final, _ = decode_blockwise(den, policy, [], 4, rng)
+        [(final, _)] = decode_blockwise(den, policy, [[]], 4, rng)
         seqs.append(final.tokens)
     emp = {}
     for s in seqs:
@@ -206,8 +221,8 @@ def test_blockwise_single_block_equals_decode():
                         temperature="sample")
     blocked = PolicyConfig(scorer="confidence", selector="topk", steps=3,
                            block_size=99, temperature="sample")
-    t1 = decode_blockwise(den, base, [], 6, np.random.default_rng(42))
-    t2 = decode_blockwise(den, blocked, [], 6, np.random.default_rng(42))
+    [t1] = decode_blockwise(den, base, [[]], 6, np.random.default_rng(42))
+    [t2] = decode_blockwise(den, blocked, [[]], 6, np.random.default_rng(42))
     assert t1[0].tokens == t2[0].tokens
     assert [s.to_record() for s in t1[1].steps] == [s.to_record() for s in t2[1].steps]
 
@@ -217,7 +232,7 @@ def test_blockwise_size_one_is_left_to_right():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=5,
                           block_size=1, temperature="sample")
     rng = np.random.default_rng(3)
-    final, trace = decode_blockwise(den, policy, [1], 4, rng)
+    [(final, trace)] = decode_blockwise(den, policy, [[1]], 4, rng)
     assert [s.positions for s in trace.steps] == [[1], [2], [3], [4]]
 
 
@@ -230,17 +245,50 @@ def test_greedy_decode_is_pure():
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2, layer=1,
                           temperature="greedy")
     outs = [
-        decode_blockwise(den, policy, [2], 4, np.random.default_rng(i))[0].tokens
+        decode_blockwise(den, policy, [[2]], 4, np.random.default_rng(i))[0][0].tokens
         for i in range(3)
     ]
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_lockstep_greedy_equals_one_prompt_decodes():
+    # greedy draws nothing, so each sequence of a lockstep decode must match
+    # its own one-prompt decode, whichever steps the others finish at
+    model = random_dag(np.random.default_rng(43), V=3, L=7)
+    rng = np.random.default_rng(44)
+    prompts = [sample_joint(model, rng)[:2] for _ in range(8)]
+    transformer = TransformerDenoiser(init_params(
+        TransformerConfig(n_layers=2, n_heads=2, d_model=16, max_len=8,
+                          vocab_size=3, seed=5)
+    ))
+    spread = set()
+    for den, scorer in ((OracleDenoiser(model), "oracle_dep"),
+                        (OracleDenoiser(model), "confidence"),
+                        (transformer, "dos"), (transformer, "entropy")):
+        for kwargs in ({"steps": 2}, {"steps": 3, "block_size": 2},
+                       {"selector": "threshold", "eps": 0.6},
+                       {"selector": "klass", "tau": 0.5}, {"selector": "eb"},
+                       # budgets at which these sequences finish at different
+                       # steps: 0.3 for the oracle, and just under ln 3 for
+                       # the untrained transformer's near-uniform rows
+                       {"selector": "eb", "gamma": 0.3},
+                       {"selector": "eb", "gamma": 1.095}):
+            policy = PolicyConfig(scorer=scorer, temperature="greedy", **kwargs)
+            lockstep = decode_blockwise(den, policy, prompts, 5, rng)
+            for prompt, (final, trace) in zip(prompts, lockstep):
+                [(alone, alone_trace)] = decode_blockwise(den, policy, [prompt], 5, rng)
+                assert final.tokens == alone.tokens
+                assert trace.to_jsonl() == alone_trace.to_jsonl()
+            spread.add((den is transformer, len({t.nfe for _, t in lockstep}) > 1))
+    # both denoisers had a call whose sequences finished at different steps
+    assert {(False, True), (True, True)} <= spread
 
 
 def test_dos_scorer_requires_attentions():
     den = oracle_den(seed=19)
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2)
     with pytest.raises(ValueError, match="attentions"):
-        decode_blockwise(den, policy, [], 4, np.random.default_rng(0))
+        decode_blockwise(den, policy, [[]], 4, np.random.default_rng(0))
 
 
 def test_oracle_dep_scorer_requires_exact_denoiser():
@@ -251,7 +299,7 @@ def test_oracle_dep_scorer_requires_exact_denoiser():
     den = TransformerDenoiser(params)
     policy = PolicyConfig(scorer="oracle_dep", selector="topk", steps=2)
     with pytest.raises(ValueError, match="exact"):
-        decode_blockwise(den, policy, [], 4, np.random.default_rng(0))
+        decode_blockwise(den, policy, [[]], 4, np.random.default_rng(0))
 
 
 def test_dos_eb_composition_satisfies_budget():
@@ -281,13 +329,13 @@ def test_stochastic_remask_mode():
                           temperature="sample", stochastic_remask=True)
     rng = np.random.default_rng(6)
     # T=1 collapses to a single forced step: reveal probability is 1
-    final, trace = decode_blockwise(den, policy, [], 4, rng)
+    [(final, trace)] = decode_blockwise(den, policy, [[]], 4, rng)
     assert trace.nfe == 1 and not final.masked_positions()
 
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample", stochastic_remask=True)
     for i in range(20):
-        final, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(i))
+        [(final, trace)] = decode_blockwise(den, policy, [[]], 4, np.random.default_rng(i))
         assert not final.masked_positions()
         committed = trace.committed_positions()
         assert sorted(committed) == [0, 1, 2, 3]
@@ -297,7 +345,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     den = oracle_den(seed=31)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,
                           temperature="sample")
-    _, trace = decode_blockwise(den, policy, [], 4, np.random.default_rng(7))
+    [(_, trace)] = decode_blockwise(den, policy, [[]], 4, np.random.default_rng(7))
     path = str(tmp_path / "trace.jsonl")
     trace.write_jsonl(path)
     with open(path) as fh:
@@ -356,8 +404,15 @@ def test_block_budgets_can_exceed_steps():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           block_size=3, temperature="sample")
     for i in range(5):
-        _, trace = decode_blockwise(den, policy, [1], 8, np.random.default_rng(i))
+        [(_, trace)] = decode_blockwise(den, policy, [[1]], 8, np.random.default_rng(i))
         assert trace.nfe == 5
         assert [len(s.positions) for s in trace.steps] == [2, 1, 2, 1, 2]
     _, mean_nfe = exact_induced_distribution(den.model, policy, prompt_len=1)
     assert mean_nfe == pytest.approx(5.0, abs=1e-12)
+
+
+def test_decode_blockwise_needs_prompts_of_one_length():
+    den = oracle_den(seed=47, L=5)
+    for prompts in ([], [[1], [1, 2]]):
+        with pytest.raises(ValueError, match="one length"):
+            decode_blockwise(den, PolicyConfig(), prompts, 3, np.random.default_rng(0))

@@ -69,18 +69,47 @@ def test_kl_target_induced_floor():
     assert np.isfinite(kl_target_induced(p, {(2,): 1.0}))
 
 
+def _mc_tv_bound(q, n, delta=1e-6):
+    """How far the TV of n MC samples may sit from the exact TV.
+
+    The gap is at most TV(empirical, q) for the induced distribution q,
+    whose mean is at most (1/2) sum sqrt(q_k (1 - q_k) / n); one sample
+    moves it by at most 1/n, so by McDiarmid it exceeds that mean by more
+    than sqrt(ln(1/delta) / (2n)) with probability below delta.
+    """
+    mean = 0.5 * sum(math.sqrt(p * (1.0 - p) / n) for p in q.values())
+    return mean + math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+
+
 def test_exact_and_monte_carlo_agree():
     model = reference_dag_model(3)
-    policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,
-                          temperature="sample")
+    policies = [
+        PolicyConfig(scorer="confidence", selector="topk", steps=2,
+                     temperature="sample"),
+        PolicyConfig(scorer="confidence", selector="topk", steps=2, block_size=2,
+                     temperature="sample"),
+        # adaptive settings under which samples take different step counts
+        PolicyConfig(scorer="confidence", selector="threshold", eps=0.7,
+                     temperature="sample"),
+        PolicyConfig(scorer="confidence", selector="klass", tau=0.6, n_history=1,
+                     temperature="sample"),
+        PolicyConfig(scorer="oracle_dep", selector="eb", gamma=0.5,
+                     temperature="sample"),
+    ]
     cfg_exact = ExperimentConfig(
-        joint="reference 3", prompt_len=1, policies=(policy,), samples=10000,
-        seed=7, mode="exact",
+        joint="reference 3", prompt_len=1, policies=tuple(policies),
+        samples=10000, seed=7, mode="exact",
     )
-    cfg_mc = replace(cfg_exact, mode="mc")
-    tv_exact = run_experiment(cfg_exact).rows[0].tv_distance
-    tv_mc = run_experiment(cfg_mc).rows[0].tv_distance
-    assert abs(tv_exact - tv_mc) <= 3.0 / np.sqrt(10000)
+    rows_exact = run_experiment(cfg_exact).rows
+    rows_mc = run_experiment(replace(cfg_exact, mode="mc"), keep_traces=True)
+    for policy, exact, mc in zip(policies, rows_exact, rows_mc.rows):
+        q, _ = exact_induced_distribution(model, policy, prompt_len=1)
+        gap = abs(exact.tv_distance - mc.tv_distance)
+        assert gap <= _mc_tv_bound(q, 10000), (policy.policy_id(), gap)
+        if policy.selector != "topk":
+            # samples of one lockstep call finished at different steps
+            nfes = {t.nfe for t in rows_mc.traces[policy.policy_id()]}
+            assert len(nfes) > 1, policy.policy_id()
 
 
 def test_exact_induced_distribution_properties():
@@ -375,5 +404,5 @@ def test_induced_distributions_are_normalized_and_nfe_bounded(
     rng = np.random.default_rng(seed)
     for _ in range(5):
         prompt = sample_joint(model, rng)[:prompt_len]
-        _, trace = decode_blockwise(den, policy, prompt, gen_len, rng)
+        [(_, trace)] = decode_blockwise(den, policy, [prompt], gen_len, rng)
         assert 1 <= trace.nfe <= gen_len

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import central_diff_max_rel_err
-from mdlmlab.core import SequenceState, Vocabulary, forward_mask
+from mdlmlab.core import SequenceState, StateBatch, Vocabulary, forward_mask
 from mdlmlab.nn import (
     CheckpointError,
     Params,
@@ -317,6 +317,29 @@ def test_transformer_denoiser_interface():
     state = SequenceState(Vocabulary(3), (1, 4), 0)
     out = den(state)
     assert out.attentions is not None and len(out.attentions) == 2
+
+
+def test_batched_forward_rows_equal_single_rows(monkeypatch):
+    params = init_params(SMALL)
+    vocab = Vocabulary(3)
+    rng = np.random.default_rng(71)
+    states = [
+        SequenceState(vocab, tuple(int(t) for t in rng.integers(1, 5, size=6)))
+        for _ in range(7)
+    ]
+    batch = forward(params, StateBatch(vocab, np.array([s.tokens for s in states])))
+    assert batch.probs.shape == (7, 6, 3)
+    assert [a.shape for a in batch.attentions] == [(7, 2, 6, 6)] * 2
+    monkeypatch.setattr("mdlmlab.nn.FORWARD_ROWS", 3)  # three forward calls
+    outs = TransformerDenoiser(params).batch(states)
+    assert len(outs) == len(states)
+    for r, (state, out) in enumerate(zip(states, outs)):
+        single = forward(params, state)
+        for probs in (batch.probs[r], out.probs):
+            assert np.max(np.abs(probs - single.probs)) <= 1e-12
+        for layer, want in enumerate(single.attentions):
+            assert np.max(np.abs(batch.attentions[layer][r] - want)) <= 1e-12
+            assert np.max(np.abs(out.attentions[layer] - want)) <= 1e-12
 
 
 def test_masked_cross_entropy_matches_manual():

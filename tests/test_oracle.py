@@ -396,6 +396,21 @@ def _load_text(tmp_path, text):
         ("joint dag 2 1\nnode 0 parents cpt -0.5 1.5\n",
          "node 0 parents cpt -0.5 1.5"),
         ("joint tabular 1 2\n1 1 1.0\n", "joint tabular 1 2"),  # V < 2
+        # L < 1: a DAG would load empty, a table would fail with no line
+        ("joint dag 2 0\n", "joint dag 2 0"),
+        ("joint dag 2 -1\n", "joint dag 2 -1"),
+        ("joint tabular 2 0\n1.0\n", "joint tabular 2 0"),
+        # parents outside 0..L-1, the node itself, or a cycle
+        ("joint dag 2 1\nnode 0 parents 7 cpt 0.5 0.5 0.5 0.5\n",
+         "node 0 parents 7 cpt 0.5 0.5 0.5 0.5"),
+        ("joint dag 2 2\nnode 0 parents -1 cpt 0.5 0.5 0.5 0.5\n"
+         "node 1 parents cpt 0.5 0.5\n", "node 0 parents -1 cpt 0.5 0.5 0.5 0.5"),
+        ("joint dag 2 2\nnode 0 parents cpt 0.5 0.5\n"
+         "node 1 parents 1 cpt 0.5 0.5 0.5 0.5\n", "node 1 parents 1 cpt 0.5 0.5 0.5 0.5"),
+        # node 0 only hangs below the 1 <-> 2 cycle; the line quoted is on it
+        ("joint dag 2 3\nnode 0 parents 1 cpt 0.5 0.5 0.5 0.5\n"
+         "node 1 parents 2 cpt 0.5 0.5 0.5 0.5\n"
+         "node 2 parents 1 cpt 0.5 0.5 0.5 0.5\n", "node 1 parents 2 cpt 0.5 0.5 0.5 0.5"),
     ],
 )
 def test_joint_loader_rejects_bad_records(tmp_path, text, line):

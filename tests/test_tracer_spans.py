@@ -5,7 +5,12 @@ drops one of them breaks that run, so it should fail here as well."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import mdlmlab  # noqa: F401 - the tracer looks owners up in sys.modules
+from mdlmlab.decoding import PolicyConfig
+from mdlmlab.harness import ExperimentConfig, layered_suite_model, run_policy
+from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -27,3 +32,22 @@ def test_every_traced_span_resolves():
             owner, attr, None
         )
         assert callable(found), f"{layer}: {owner_spec}.{attr} does not resolve"
+
+
+def test_lockstep_mc_run_is_attributed_per_step():
+    # 16 samples at T=4 advance together: one forward of 16 rows and one
+    # token draw per step. A path around the traced names would read 0 here.
+    tracer = _load_tracer()
+    model = layered_suite_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
+                          temperature="sample")
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                           samples=16, mode="mc")
+    with tracer.installed(tracer.Tracer()) as t:
+        run_policy(model, den, policy, cfg, np.random.default_rng(0))
+    assert not tracer.leftover_wrappers()
+    assert t.calls["nn.forward"] == 4
+    assert t.rows == 64
+    assert t.calls["decoding.commit_token"] == 4
+    assert t.calls["decoding.decode_blockwise"] == 1
