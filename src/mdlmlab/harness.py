@@ -2,15 +2,16 @@
 
 The quality metric throughout is total variation distance between the
 distribution a decoding policy induces over full sequences and the known
-target joint. When the exact denoiser is configured, the induced
-distribution is computed exactly: this module
-enumerates the prompts and sums the outcomes ``decoding.enumerate_decodes``
+target joint. Unless the mode is "mc", a policy without stochastic
+remasking is scored exactly, whatever the denoiser: this module sums over
+``oracle.prompt_marginal`` the outcomes ``decoding.enumerate_decodes``
 yields, so the decode step rule itself lives only in ``decoding``.
 Otherwise the distribution is estimated by Monte Carlo with
 ``decode_blockwise``, which decodes all samples of a policy in lockstep.
 The one enumeration limit is ``oracle.ENUM_LIMIT``, checked where
 ``oracle.joint_table`` builds a table; a joint past it fails at
-``model_distribution`` in every mode.
+``model_distribution`` in every mode. It also bounds enumeration: a policy
+selects from the path so far, so each prompt has at most V^gen_len paths.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .decoding import (
     enumerate_decodes,
     select_topk,
 )
-from .nn import TransformerDenoiser, load_checkpoint
+from .nn import CheckpointError, TransformerDenoiser, load_checkpoint
 from .oracle import (
     FactorizedDAG,
     GroupSchedule,
@@ -37,9 +38,9 @@ from .oracle import (
     OracleDenoiser,
     conditional_marginal,
     exact_policy_distribution,
-    joint_table,
     load_joint_model,
     model_distribution,
+    prompt_marginal,
     sample_joint,
 )
 from . import scoring
@@ -86,37 +87,24 @@ def exact_induced_distribution(
     model: JointModel,
     policy: PolicyConfig,
     prompt_len: int,
-    denoiser: OracleDenoiser | None = None,
+    denoiser=None,
 ) -> tuple[Distribution, float]:
     """Exact sequence distribution produced by a decoding policy.
 
     Prompt values are enumerated from their joint marginal, and for each
     prompt ``decoding.enumerate_decodes`` follows every outcome of the decode
-    loop against ``denoiser``, an oracle of ``model`` (a new
-    ``OracleDenoiser(model)`` by default), whose caches it shares. Returns
-    the distribution and the probability-weighted mean number of forward
-    calls.
+    loop against ``denoiser``: any denoiser whose vocabulary and length fit
+    ``model``, a new ``OracleDenoiser(model)`` by default. One denoiser
+    serves every prompt, so an oracle's caches are shared. Returns the
+    distribution and the probability-weighted mean number of forward calls.
     """
     if denoiser is None:
         denoiser = OracleDenoiser(model)
-    elif denoiser.model is not model:
-        raise ValueError("the denoiser must be an oracle of the decoded model")
     gen_len = model.L - prompt_len
-    if prompt_len:
-        table = joint_table(model)
-        pm = table.sum(axis=tuple(range(prompt_len, model.L)))
-        prompts = [
-            (tuple(int(v) + 1 for v in idx), float(p))
-            for idx, p in np.ndenumerate(pm)
-            if p > 0
-        ]
-    else:
-        prompts = [((), 1.0)]
     dist: Distribution = {}
     nfe = 0.0
-    for prompt, p in prompts:
-        outcomes = enumerate_decodes(denoiser, policy, prompt, gen_len, p)
-        for tokens, mass, forwards in outcomes:
+    for prompt, p in prompt_marginal(model, prompt_len):
+        for tokens, mass, forwards in enumerate_decodes(denoiser, policy, prompt, gen_len, p):
             dist[tokens] = dist.get(tokens, 0.0) + mass
             nfe += mass * forwards
     return dist, nfe
@@ -135,7 +123,7 @@ class ExperimentConfig:
     samples: int = 10000
     seed: int = 42
     out: str | None = None
-    mode: str = "auto"  # auto | exact | mc
+    mode: str = "auto"  # auto (exact unless remasking stochastically) | exact | mc
     unconditional: bool = False
 
     def __post_init__(self) -> None:
@@ -190,20 +178,20 @@ def resolve_joint(spec: str) -> JointModel:
 
 
 def resolve_denoiser(spec: str, model: JointModel):
+    """The denoiser a spec names; a checkpoint that does not fit ``model`` (its
+    ``vocab_size`` is not V or its ``max_len`` is below L) raises ``CheckpointError``."""
     parts = spec.split()
     if parts[0] == "oracle" and len(parts) == 1:
         return OracleDenoiser(model)
     if parts[0] == "checkpoint" and len(parts) == 2:
-        return TransformerDenoiser(load_checkpoint(parts[1]))
+        params = load_checkpoint(parts[1])
+        V, max_len = params.config.vocab_size, params.config.max_len
+        if V != model.vocab.size:
+            raise CheckpointError(f"{spec}: vocab_size {V} must equal V={model.vocab.size}")
+        if max_len < model.L:
+            raise CheckpointError(f"{spec}: max_len {max_len} must be >= L={model.L}")
+        return TransformerDenoiser(params)
     raise ValueError(f"bad denoiser spec {spec!r}")
-
-
-def _exact_eligible(denoiser, policy: PolicyConfig) -> bool:
-    return (
-        isinstance(denoiser, OracleDenoiser)
-        and policy.scorer != "dos"
-        and not policy.stochastic_remask
-    )
 
 
 def run_policy(
@@ -216,27 +204,23 @@ def run_policy(
 ) -> tuple[MetricRow, list[DecodeTrace]]:
     """One policy's metrics row, and its Monte Carlo traces when ``keep_traces``.
 
-    An oracle denoiser and a policy without stochastic remasking run in
-    exact mode unless ``cfg.mode`` is "mc"; exact mode enumerates the
-    induced distribution and draws nothing from ``rng``. Monte Carlo mode
-    decodes ``cfg.samples`` sequences in lockstep with ``decode_blockwise``
-    and draws from ``rng`` in this order: every prompt first (one
-    ``sample_joint`` per sample); then, per step, the stochastic-remasking
-    draws in sample order, then one token draw per committed token, sample
-    by sample and in position order within a sample.
+    With any denoiser, a policy without stochastic remasking runs in exact
+    mode unless ``cfg.mode`` is "mc" (in mode "exact", one with it fails).
+    Exact mode enumerates the induced distribution and draws nothing from
+    ``rng``. Monte Carlo mode decodes ``cfg.samples`` sequences in lockstep
+    with ``decode_blockwise`` and draws from ``rng`` in this order: every
+    prompt first (one ``sample_joint`` per sample); then, per step, the
+    stochastic-remasking draws in sample order, then one token draw per
+    committed token, sample by sample and in position order within a sample.
     """
     target = model_distribution(model)
     gen_len = model.L - cfg.prompt_len
     traces: list[DecodeTrace] = []
-    if cfg.mode != "mc" and _exact_eligible(denoiser, policy):
+    if cfg.mode == "exact" or (cfg.mode == "auto" and not policy.stochastic_remask):
         dist, mean_nfe = exact_induced_distribution(
             model, policy, cfg.prompt_len, denoiser
         )
         samples_used = 0
-    elif cfg.mode == "exact":
-        raise ValueError(
-            f"policy {policy.policy_id()} cannot run in exact mode with this setup"
-        )
     else:
         prompts = [
             sample_joint(model, rng)[: cfg.prompt_len] for _ in range(cfg.samples)

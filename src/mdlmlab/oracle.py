@@ -3,8 +3,8 @@
 Everything here is enumeration-based on purpose: the joints are small enough
 to tabulate, so conditionals, schedule-induced distributions, and dependency
 scores are computed exactly rather than approximated. The dense table is
-built once per model and cached; ``joint_table`` is the one place that
-checks the state space against ``ENUM_LIMIT``, and every exact computation
+built once per model and cached; ``joint_table`` checks the state space
+against ``ENUM_LIMIT`` before it builds one, and every exact computation
 goes through it.
 """
 
@@ -295,6 +295,23 @@ def validate_schedule_cover(schedule: GroupSchedule, L: int, prompt_len: int) ->
         )
 
 
+def prompt_marginal(
+    model: JointModel, prompt_len: int
+) -> list[tuple[tuple[int, ...], float]]:
+    """Every prompt of positive mass with its joint marginal, in table order.
+
+    An empty prompt (``prompt_len`` 0) is the one outcome ``((), 1.0)``.
+    """
+    if not prompt_len:
+        return [((), 1.0)]
+    pm = joint_table(model).sum(axis=tuple(range(prompt_len, model.L)))
+    return [
+        (tuple(int(v) + 1 for v in idx), float(p))
+        for idx, p in np.ndenumerate(pm)
+        if p > 0
+    ]
+
+
 def exact_policy_distribution(
     model: JointModel,
     schedule: GroupSchedule,
@@ -335,14 +352,8 @@ def exact_policy_distribution(
                 nxt[pos] = tok
             walk(nxt, gi + 1, p)
 
-    if prompt_len:
-        pm = table.sum(axis=tuple(range(prompt_len, L)))
-        for idx, p in np.ndenumerate(pm):
-            if p > 0:
-                fixed = {i: v + 1 for i, v in enumerate(idx)}
-                walk(fixed, 0, float(p))
-    else:
-        walk({}, 0, 1.0)
+    for prompt, p in prompt_marginal(model, prompt_len):
+        walk(dict(enumerate(prompt)), 0, p)
     return out
 
 
@@ -461,10 +472,10 @@ def load_joint_model(path: str) -> JointModel:
     """Load a joint model; probabilities are validated to 1e-9 then renormalized.
 
     Malformed records (non-numeric fields, a vocabulary size below 2 or a
-    length below 1, negative or NaN probabilities, out-of-range tokens or
-    node ids, parent lists naming an unknown node or the node itself,
-    cyclic parent relations, repeated assignments or nodes, wrong field
-    counts) raise ``JointFormatError``.
+    length below 1, a tabular header past ``ENUM_LIMIT``, negative or NaN
+    probabilities, out-of-range tokens or node ids, parent lists naming an
+    unknown node or the node itself, cyclic parent relations, repeated
+    assignments or nodes, wrong field counts) raise ``JointFormatError``.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -481,6 +492,8 @@ def load_joint_model(path: str) -> JointModel:
         raise JointFormatError(f"{path}: sequence length below 1: {lines[0]!r}")
     vocab = Vocabulary(V)
     if variant == "tabular":
+        if V**L > ENUM_LIMIT:
+            raise JointFormatError(f"{path}: table exceeds {ENUM_LIMIT} entries: {lines[0]!r}")
         table = np.zeros((V,) * L)
         seen: set[tuple[int, ...]] = set()
         for ln in lines[1:]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlmlab.cli import load_experiment_config, parse_policy
-from mdlmlab.decoding import SELECTORS, PolicyConfig, decode_blockwise
+from mdlmlab.decoding import SELECTORS, PolicyConfig, decode_blockwise, enumerate_decodes
 from mdlmlab.harness import (
     CSV_SCHEMA_TAG,
     METRIC_FIELDS,
@@ -28,12 +28,19 @@ from mdlmlab.harness import (
     sweep_layers,
     tv_distance,
 )
-from mdlmlab.nn import TransformerConfig, init_params, save_checkpoint
+from mdlmlab.nn import (
+    CheckpointError,
+    TransformerConfig,
+    TransformerDenoiser,
+    init_params,
+    save_checkpoint,
+)
 from mdlmlab.oracle import (
     GroupSchedule,
     OracleDenoiser,
     exact_policy_distribution,
     model_distribution,
+    prompt_marginal,
     random_dag,
     sample_joint,
     save_joint_model,
@@ -112,6 +119,49 @@ def test_exact_and_monte_carlo_agree():
             assert len(nfes) > 1, policy.policy_id()
 
 
+def test_exact_and_monte_carlo_agree_for_a_transformer():
+    # reference 3 has 32 outcomes, so the sampling bound (~0.054) is tight
+    # enough to catch a wrong enumeration; layered 3's 512 give 0.138
+    model = reference_dag_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    policies = [
+        PolicyConfig(scorer="dos", selector="topk", steps=2, layer=0,
+                     temperature="sample"),
+        PolicyConfig(scorer="dos", selector="topk", steps=2, layer=1, block_size=2,
+                     temperature="sample"),
+        PolicyConfig(scorer="confidence", selector="threshold", eps=0.7,
+                     temperature="sample"),
+    ]
+    cfg = ExperimentConfig(joint="reference 3", prompt_len=1,
+                           policies=tuple(policies), samples=10000, seed=7)
+    rng = np.random.default_rng(7)
+    for policy in policies:
+        exact, _ = run_policy(model, den, policy, replace(cfg, mode="exact"), rng)
+        mc, _ = run_policy(model, den, policy, replace(cfg, mode="mc"), rng)
+        q, _ = exact_induced_distribution(model, policy, 1, den)
+        gap = abs(exact.tv_distance - mc.tv_distance)
+        assert gap <= _mc_tv_bound(q, 10000), (policy.policy_id(), gap)
+
+
+def test_exact_transformer_enumeration_follows_the_sampler():
+    model = layered_suite_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    for selector in ("topk", "threshold", "eb", "klass"):
+        policy = PolicyConfig(scorer="dos", selector=selector, steps=4,
+                              temperature="greedy")
+        # greedy: one outcome per prompt, the one the sampler decodes
+        for prompt, p in prompt_marginal(model, 1):
+            [(tokens, mass, forwards)] = enumerate_decodes(den, policy, prompt, 8, p)
+            [(final, trace)] = decode_blockwise(
+                den, policy, [prompt], 8, np.random.default_rng(0)
+            )
+            assert (tokens, forwards, mass) == (final.tokens, trace.nfe, p)
+        dist, _ = exact_induced_distribution(
+            model, replace(policy, temperature="sample"), 1, den
+        )
+        assert abs(sum(dist.values()) - 1.0) <= 1e-12
+
+
 def test_exact_induced_distribution_properties():
     model = reference_dag_model(5)
     for selector in ("topk", "threshold", "eb", "klass"):
@@ -135,8 +185,6 @@ def test_exact_mode_uses_the_given_oracle():
         exact_induced_distribution(model, policy, 1)
     )
     assert oracle._out_cache  # the walk filled the caller's cache
-    with pytest.raises(ValueError):
-        exact_induced_distribution(layered_suite_model(4), policy, 1, oracle)
     run_oracle = OracleDenoiser(model)
     cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
                            mode="exact")
@@ -236,6 +284,27 @@ def test_run_experiment_from_file_joint(tmp_path):
     assert row_file.mean_nfe == pytest.approx(row_gen.mean_nfe, abs=1e-12)
 
 
+def test_checkpoint_runs_are_exact_and_must_fit_the_joint(tmp_path):
+    policy = PolicyConfig(scorer="dos", selector="topk", steps=4,
+                          temperature="sample")
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                           samples=50, seed=3)
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_params(TransformerConfig(vocab_size=2, max_len=9, seed=1)), ckpt)
+    run = replace(cfg, denoiser=f"checkpoint {ckpt}")
+    [auto] = run_experiment(run).rows
+    assert auto.samples == 0
+    assert run_experiment(replace(run, mode="exact")).rows == [auto]
+    for field, config in (
+        ("vocab_size", TransformerConfig(vocab_size=3, seed=1)),  # V is 2
+        ("max_len", TransformerConfig(vocab_size=2, max_len=4, seed=1)),  # L is 9
+    ):
+        save_checkpoint(init_params(config), ckpt)
+        for mode in ("auto", "mc"):  # refused before any policy runs
+            with pytest.raises(CheckpointError, match=field):
+                run_experiment(replace(run, mode=mode))
+
+
 def test_sweep_blocks_row_count():
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
@@ -261,6 +330,7 @@ def test_sweep_layers_needs_neural_denoiser(tmp_path):
     result = sweep_layers(cfg, [0, 1])
     assert len(result.rows) == 2
     assert [r.layer for r in result.rows] == [0, 1]
+    assert [r.samples for r in result.rows] == [0, 0]  # exact, as in auto mode
     again = sweep_layers(cfg, [0, 1])
     assert [r.tv_distance for r in again.rows] == [r.tv_distance for r in result.rows]
     with pytest.raises(ValueError, match="out of range"):

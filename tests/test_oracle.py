@@ -400,6 +400,10 @@ def _load_text(tmp_path, text):
         ("joint dag 2 0\n", "joint dag 2 0"),
         ("joint dag 2 -1\n", "joint dag 2 -1"),
         ("joint tabular 2 0\n1.0\n", "joint tabular 2 0"),
+        # tables past ENUM_LIMIT, refused before any allocation: 2^21 entries
+        # would load from one record, and 70 axes exceed numpy's 64
+        ("joint tabular 2 21\n" + "1 " * 21 + "1.0\n", "joint tabular 2 21"),
+        ("joint tabular 2 70\n", "joint tabular 2 70"),
         # parents outside 0..L-1, the node itself, or a cycle
         ("joint dag 2 1\nnode 0 parents 7 cpt 0.5 0.5 0.5 0.5\n",
          "node 0 parents 7 cpt 0.5 0.5 0.5 0.5"),

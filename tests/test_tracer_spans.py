@@ -51,3 +51,24 @@ def test_lockstep_mc_run_is_attributed_per_step():
     assert t.rows == 64
     assert t.calls["decoding.commit_token"] == 4
     assert t.calls["decoding.decode_blockwise"] == 1
+
+
+def test_exact_transformer_run_is_attributed_per_forward():
+    # auto mode enumerates a transformer's decode too: one exact walk, no
+    # sampler, and one single-row forward per enumerated state (170 here,
+    # what a level-synchronous enumerator would batch)
+    tracer = _load_tracer()
+    model = layered_suite_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    policy = PolicyConfig(scorer="dos", selector="topk", steps=4,
+                          temperature="sample")
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                           mode="auto")
+    with tracer.installed(tracer.Tracer()) as t:
+        row, _ = run_policy(model, den, policy, cfg, np.random.default_rng(0))
+    assert not tracer.leftover_wrappers()
+    assert row.samples == 0
+    assert t.calls["harness.exact_walk"] == 1
+    assert t.calls["decoding.decode_blockwise"] == 0
+    assert t.calls["nn.forward"] == 170
+    assert t.rows == 170
