@@ -1,24 +1,22 @@
 """The generation loop: selection policies, block partitioning, traces.
 
-A denoiser has a ``vocab`` attribute and two calls. ``denoiser(state)``
-returns the ``DenoiserOutput`` of one state; ``denoiser.batch(states)``
-returns the outputs of a list of same-length states, in order, each equal
-to what the one-state call returns for it (the transformer runs the list as
-one batched forward, the oracle answers each state from its cache). The
-exact backend additionally exposes ``dependency_scores(state)`` for the
-oracle_dep scorer. A step makes one forward evaluation per sequence, and
-both the scores and the committed predictions come from that same
-evaluation, so the trace's NFE equals the number of forward evaluations
-exactly.
+A denoiser has a ``vocab`` attribute and one call: ``denoiser.batch(states)``
+returns the ``DenoiserOutput`` of each of a list of same-length states, in
+order (the transformer runs the list as one batched forward, the oracle
+answers each state from its cache). The exact backend additionally exposes
+``dependency_scores(state)`` for the oracle_dep scorer. A step makes one
+forward evaluation per sequence, and both the scores and the committed
+predictions come from that same evaluation, so the trace's NFE equals the
+number of forward evaluations exactly.
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
-and selection) lives in two private functions: ``_next_block`` skips
-finished blocks before the forward, ``_step`` plans from its output. The
-sampler ``decode_blockwise`` advances many prompts in lockstep, with one
-batch call and one token draw per step for all unfinished sequences; the
-enumerator ``enumerate_decodes`` follows every branch of one prompt with
-its probability, calling the denoiser one state at a time, which is how
-the harness computes exact induced distributions.
+and selection) lives in one step loop, the private generator ``_lockstep``:
+per step it makes the denoiser calls for every unfinished sequence and
+yields their plans. The sampler ``decode_blockwise`` draws one continuation
+per sequence, with one token draw per step; the enumerator
+``enumerate_decodes`` replaces each sequence by all of its continuations,
+each with its probability, which is how the harness computes exact induced
+distributions.
 """
 
 from __future__ import annotations
@@ -335,63 +333,13 @@ def plan_step(
 
 
 # ---------------------------------------------------------------------------
-# the step rule, shared by the sampler and the exact enumerator
+# the step loop, shared by the sampler and the exact enumerator
 # ---------------------------------------------------------------------------
 
-def _block_plan(
-    policy: PolicyConfig, prompt_len: int, gen_len: int
-) -> list[tuple[list[int], int]]:
-    """Left-to-right blocks with their step budgets (see ``PolicyConfig``)."""
-    positions = list(range(prompt_len, prompt_len + gen_len))
-    size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
-    total_steps = policy.steps if policy.steps else gen_len
-    return [
-        (block, max(1, round(total_steps * len(block) / gen_len)))
-        for block in (positions[i : i + size] for i in range(0, gen_len, size))
-    ]
-
-
-def _next_block(
-    blocks: list[tuple[list[int], int]],
-    state: SequenceState,
-    block: int,
-    steps_in_block: int,
-) -> tuple[int, int] | None:
-    """The ``(block, steps_in_block)`` of the next step; None once all is unmasked.
-
-    Finished blocks are skipped here, before the forward call, and entering
-    a block restarts its step count.
-    """
-    while block < len(blocks) and not any(map(state.is_masked, blocks[block][0])):
-        block += 1
-        steps_in_block = 0
-    return None if block == len(blocks) else (block, steps_in_block)
-
-
-def _step(
-    out: DenoiserOutput,
-    denoiser,
-    policy: PolicyConfig,
-    blocks: list[tuple[list[int], int]],
-    state: SequenceState,
-    history: History,
-    block: int,
-    steps_in_block: int,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Plan the step of ``state`` in ``block`` from its forward output ``out``.
-
-    The step rule after ``_next_block``, shared by the sampler and the
-    enumerator: KLASS records the predictive distribution of every masked
-    position, and the policy selects among the active block's masked
-    positions under its remaining budget. Returns ``(ranking, selected)``.
-    """
-    if policy.selector == "klass":
-        for i in state.masked_positions():
-            history.record(i, out.probs[i])
-    positions, budget = blocks[block]
-    candidates = tuple(i for i in positions if state.is_masked(i))
-    steps_left = max(1, budget - steps_in_block)
-    return plan_step(policy, out, state, denoiser, candidates, steps_left, history)
+# Rows per denoiser call. A step denoises its rows chunk by chunk and a row
+# keeps only what it commits from, so a 10000-sample evaluation or a wide
+# enumeration level holds one chunk's outputs (and attention maps) at a time.
+FORWARD_ROWS = 256
 
 
 def _commit(state: SequenceState, history: History, updates: dict[int, int]):
@@ -402,24 +350,83 @@ def _commit(state: SequenceState, history: History, updates: dict[int, int]):
 
 @dataclass
 class _Row:
-    """One sequence of a lockstep decode and where it is in the block plan."""
+    """One sequence of the step loop; ``mass`` is its path's probability when enumerated."""
 
     state: SequenceState
     history: History
-    trace: DecodeTrace = field(default_factory=DecodeTrace)
     block: int = 0
     steps_in_block: int = 0
+    forwards: int = 0
+    mass: float = 1.0
 
 
-def _unfinished(rows: list[_Row], blocks: list[tuple[list[int], int]]) -> list[_Row]:
-    """The rows with a masked position left, each moved past finished blocks."""
-    left = []
-    for row in rows:
-        at = _next_block(blocks, row.state, row.block, row.steps_in_block)
-        if at is not None:
-            row.block, row.steps_in_block = at
-            left.append(row)
-    return left
+def _start(
+    denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int
+) -> tuple[list[tuple[list[int], int]], list[_Row]]:
+    """Left-to-right blocks with their step budgets (see ``PolicyConfig``),
+    and one fresh row per prompt."""
+    lengths = {len(p) for p in prompts}
+    if len(lengths) != 1:
+        raise ValueError("a decode needs one or more prompts of one length")
+    prompt_len = lengths.pop()
+    positions = list(range(prompt_len, prompt_len + gen_len))
+    size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
+    total_steps = policy.steps if policy.steps else gen_len
+    blocks = [
+        (block, max(1, round(total_steps * len(block) / gen_len)))
+        for block in (positions[i : i + size] for i in range(0, gen_len, size))
+    ]
+    rows = [
+        _Row(make_masked_state(denoiser.vocab, p, gen_len), History(policy.n_history))
+        for p in prompts
+    ]
+    return blocks, rows
+
+
+def _lockstep(
+    denoiser, policy: PolicyConfig, blocks: list[tuple[list[int], int]], rows: list[_Row]
+) -> Iterator[list]:
+    """The step loop: plan the next step of every row of ``rows``, step by step.
+
+    A step moves each row past its finished blocks (entering a block restarts
+    its step count) and denoises the unfinished rows in ``denoiser.batch``
+    calls of at most ``FORWARD_ROWS`` rows. KLASS records the predictive
+    distribution of every masked position, and ``plan_step`` selects among
+    the active block's masked positions under its remaining budget. Yields
+    one plan per row, in order: None for a finished row, else ``(ranking,
+    selected, probs)`` with the probability rows of the selected positions.
+    The caller commits before resuming, in place or by replacing the
+    contents of ``rows``. The loop ends when no row has a masked position.
+    """
+    while True:
+        todo = []
+        for k, row in enumerate(rows):
+            while row.block < len(blocks) and not any(
+                map(row.state.is_masked, blocks[row.block][0])
+            ):
+                row.block += 1
+                row.steps_in_block = 0
+            if row.block < len(blocks):
+                todo.append(k)
+        if not todo:
+            return
+        plans = [None] * len(rows)
+        for lo in range(0, len(todo), FORWARD_ROWS):
+            chunk = todo[lo : lo + FORWARD_ROWS]
+            for k, out in zip(chunk, denoiser.batch([rows[k].state for k in chunk])):
+                row, state = rows[k], rows[k].state
+                if policy.selector == "klass":
+                    for i in state.masked_positions():
+                        row.history.record(i, out.probs[i])
+                positions, budget = blocks[row.block]
+                candidates = tuple(i for i in positions if state.is_masked(i))
+                steps_left = max(1, budget - row.steps_in_block)
+                ranking, selected = plan_step(
+                    policy, out, state, denoiser, candidates, steps_left, row.history
+                )
+                plans[k] = (ranking, selected, out.probs[list(selected)])
+            del out  # the next chunk's forward runs without this chunk's outputs
+        yield plans
 
 
 def decode_blockwise(
@@ -431,7 +438,7 @@ def decode_blockwise(
 ) -> list[tuple[SequenceState, DecodeTrace]]:
     """Generate from every prompt in lockstep; ``(final state, trace)`` per prompt.
 
-    Each step runs one ``denoiser.batch`` call over the sequences that still
+    Each step of the shared step loop denoises the sequences that still
     have masked positions, scores and selects per sequence, and commits
     with one ``commit_token`` call over all selected positions. A sequence
     leaves the batch once it is unmasked, so adaptive selectors (threshold,
@@ -451,101 +458,77 @@ def decode_blockwise(
     order within one; a single prompt draws exactly as a one-sequence
     decoder would.
     """
-    lengths = {len(p) for p in prompts}
-    if len(lengths) != 1:
-        raise ValueError("decode_blockwise needs one or more prompts of one length")
-    blocks = _block_plan(policy, lengths.pop(), gen_len)
-    rows = [
-        _Row(make_masked_state(denoiser.vocab, p, gen_len), History(policy.n_history))
-        for p in prompts
-    ]
-    active = rows
-    while active := _unfinished(active, blocks):
-        outs = denoiser.batch([row.state for row in active])
-        plans = [
-            _step(out, denoiser, policy, blocks, row.state, row.history,
-                  row.block, row.steps_in_block)
-            for row, out in zip(active, outs)
-        ]
-        committed = [selected for _, selected in plans]
+    blocks, rows = _start(denoiser, policy, prompts, gen_len)
+    traces = [DecodeTrace() for _ in prompts]
+    for plans in _lockstep(denoiser, policy, blocks, rows):
+        steps = [(row, trace, *plan) for row, trace, plan in zip(rows, traces, plans) if plan]
         if policy.stochastic_remask:
-            for k, row in enumerate(active):
+            for k, (row, trace, ranking, selected, probs) in enumerate(steps):
                 budget = blocks[row.block][1]
                 t = max(1.0 - row.steps_in_block / budget, 1.0 / budget)
                 s = max(1.0 - (row.steps_in_block + 1) / budget, 0.0)
                 p_reveal = reverse_unmask_prob(t, s) if s < t else 1.0
-                committed[k] = tuple(i for i in committed[k] if rng.random() < p_reveal)
-        probs = np.concatenate(
-            [out.probs[list(sel)] for out, sel in zip(outs, committed)]
-        )
+                keep = [rng.random() < p_reveal for _ in selected]
+                kept = tuple(itertools.compress(selected, keep))
+                steps[k] = (row, trace, ranking, kept, probs[keep])
+        probs = np.concatenate([step[-1] for step in steps])
         tokens = iter(commit_token(probs, policy.temperature, rng).tolist())
-        for row, (ranking, _), sel in zip(active, plans, committed):
-            toks = [next(tokens) for _ in sel]
-            trace = row.trace
-            trace.steps.append(
-                TraceStep(
-                    step=len(trace.steps),
-                    positions=list(sel),
-                    tokens=toks,
-                    scores=[float(ranking[i]) for i in sel],
-                    nfe=len(trace.steps) + 1,  # one forward evaluation per step
-                )
-            )
-            row.state = _commit(row.state, row.history, dict(zip(sel, toks)))
+        for row, trace, ranking, selected, _ in steps:
+            toks = [next(tokens) for _ in selected]
+            row.forwards += 1  # one forward evaluation per step
+            trace.steps.append(TraceStep(
+                step=len(trace.steps), positions=list(selected), tokens=toks,
+                scores=[float(ranking[i]) for i in selected], nfe=row.forwards,
+            ))
+            row.state = _commit(row.state, row.history, dict(zip(selected, toks)))
             row.steps_in_block += 1
-    return [(row.state, row.trace) for row in rows]
+    return [(row.state, trace) for row, trace in zip(rows, traces)]
 
 
 def enumerate_decodes(
     denoiser,
     policy: PolicyConfig,
-    prompt: Sequence[int],
+    prompts: Sequence[tuple[Sequence[int], float]],
     gen_len: int,
-    mass: float = 1.0,
-) -> Iterator[tuple[tuple[int, ...], float, int]]:
-    """Every outcome of a one-prompt decode, as ``(tokens, mass, forwards)``.
+) -> list[tuple[tuple[int, ...], float, int]]:
+    """Every outcome of decoding the prompts, as ``(tokens, mass, forwards)``.
 
-    Runs the sampler's step rule, one state per denoiser call, but instead
-    of drawing the committed tokens, follows every value combination of the
-    selected set with its product probability times ``mass`` (greedy
-    temperature follows the single argmax branch). Outcomes come depth-first,
-    in token order within a step; a sequence reached along several paths is
-    yielded once per path.
+    ``prompts`` pairs each prompt with its mass, as ``oracle.prompt_marginal``
+    returns them. Runs the sampler's step loop over all prompts at once, but
+    instead of drawing the committed tokens, it replaces each unfinished
+    row by every value combination of its selected set, with the row's mass
+    times the combination's product probability (greedy temperature follows
+    the single argmax branch). Finished rows keep their place, so outcomes
+    come prompt by prompt, each prompt's depth-first in token order within a
+    step; a sequence reached along several paths is listed once per path.
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
-    blocks = _block_plan(policy, len(prompt), gen_len)
-    state = make_masked_state(denoiser.vocab, prompt, gen_len)
-    stack = [(state, History(policy.n_history), 0, 0, 0, mass)]
-    while stack:
-        state, history, block, steps_in_block, forwards, mass = stack.pop()
-        at = _next_block(blocks, state, block, steps_in_block)
-        if at is None:
-            yield state.tokens, mass, forwards
-            continue
-        block, steps_in_block = at
-        out = denoiser(state)
-        _, selected = _step(
-            out, denoiser, policy, blocks, state, history, block, steps_in_block
-        )
-        if policy.temperature == "greedy":
-            supports = [[(int(np.argmax(out.probs[i])) + 1, 1.0)] for i in selected]
-        else:
-            supports = [
-                [(v + 1, float(p)) for v, p in enumerate(out.probs[i]) if p > 0]
-                for i in selected
-            ]
-        combos = list(itertools.product(*supports))
-        children = []
-        for k, combo in enumerate(combos):
-            # each KLASS branch needs its own history; the last takes the parent's
-            h = history
-            if policy.selector == "klass" and k < len(combos) - 1:
-                h = history.copy()
-            p = 1.0  # in selection order, then times mass: masses stay bit-stable
-            for _, pv in combo:
-                p *= pv
-            child = _commit(state, h, dict(zip(selected, [tok for tok, _ in combo])))
-            node = (child, h, block, steps_in_block + 1, forwards + 1, mass * p)
-            children.append(node)
-        stack.extend(reversed(children))  # depth-first, first branch first
+    blocks, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
+    for row, (_, mass) in zip(rows, prompts):
+        row.mass = mass
+    for plans in _lockstep(denoiser, policy, blocks, rows):
+        frontier = []
+        for row, plan in zip(rows, plans):
+            if plan is None:
+                frontier.append(row)
+                continue
+            _, selected, probs = plan
+            if policy.temperature == "greedy":
+                supports = [[(int(np.argmax(p)) + 1, 1.0)] for p in probs]
+            else:
+                supports = [[(v + 1, float(pv)) for v, pv in enumerate(p) if pv > 0] for p in probs]
+            combos = list(itertools.product(*supports))
+            for k, combo in enumerate(combos):
+                # each KLASS branch needs its own history; the last takes the row's
+                h = row.history
+                if policy.selector == "klass" and k < len(combos) - 1:
+                    h = h.copy()
+                p = 1.0  # in selection order, then times mass: masses stay bit-stable
+                for _, pv in combo:
+                    p *= pv
+                state = _commit(row.state, h, dict(zip(selected, [tok for tok, _ in combo])))
+                frontier.append(_Row(state, h, row.block, row.steps_in_block + 1,
+                                     row.forwards + 1, row.mass * p))
+        rows[:] = frontier
+    return [(row.state.tokens, row.mass, row.forwards) for row in rows]

@@ -3,11 +3,11 @@
 The quality metric throughout is total variation distance between the
 distribution a decoding policy induces over full sequences and the known
 target joint. Unless the mode is "mc", a policy without stochastic
-remasking is scored exactly, whatever the denoiser: this module sums over
-``oracle.prompt_marginal`` the outcomes ``decoding.enumerate_decodes``
-yields, so the decode step rule itself lives only in ``decoding``.
+remasking is scored exactly, whatever the denoiser: this module sums the
+outcomes ``decoding.enumerate_decodes`` lists over ``oracle.prompt_marginal``.
 Otherwise the distribution is estimated by Monte Carlo with
 ``decode_blockwise``, which decodes all samples of a policy in lockstep.
+Both run the one step loop of ``decoding``, where the step rule lives.
 The one enumeration limit is ``oracle.ENUM_LIMIT``, checked where
 ``oracle.joint_table`` builds a table; a joint past it fails at
 ``model_distribution`` in every mode. It also bounds enumeration: a policy
@@ -91,22 +91,21 @@ def exact_induced_distribution(
 ) -> tuple[Distribution, float]:
     """Exact sequence distribution produced by a decoding policy.
 
-    Prompt values are enumerated from their joint marginal, and for each
-    prompt ``decoding.enumerate_decodes`` follows every outcome of the decode
-    loop against ``denoiser``: any denoiser whose vocabulary and length fit
-    ``model``, a new ``OracleDenoiser(model)`` by default. One denoiser
-    serves every prompt, so an oracle's caches are shared. Returns the
-    distribution and the probability-weighted mean number of forward calls.
+    ``decoding.enumerate_decodes`` follows every outcome of the decode loop
+    from all prompts of the joint's marginal at once, level by level (a
+    transformer runs one batched forward per level), against ``denoiser``:
+    any denoiser whose vocabulary and length fit ``model``, a new
+    ``OracleDenoiser(model)`` by default. Returns the distribution and the
+    probability-weighted mean number of forward calls.
     """
     if denoiser is None:
         denoiser = OracleDenoiser(model)
-    gen_len = model.L - prompt_len
+    prompts, gen_len = prompt_marginal(model, prompt_len), model.L - prompt_len
     dist: Distribution = {}
     nfe = 0.0
-    for prompt, p in prompt_marginal(model, prompt_len):
-        for tokens, mass, forwards in enumerate_decodes(denoiser, policy, prompt, gen_len, p):
-            dist[tokens] = dist.get(tokens, 0.0) + mass
-            nfe += mass * forwards
+    for tokens, mass, forwards in enumerate_decodes(denoiser, policy, prompts, gen_len):
+        dist[tokens] = dist.get(tokens, 0.0) + mass
+        nfe += mass * forwards
     return dist, nfe
 
 
@@ -133,6 +132,8 @@ class ExperimentConfig:
             raise ValueError("an experiment needs at least one policy")
         if self.mode not in ("auto", "exact", "mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.prompt_len < 0:
+            raise ValueError(f"prompt_len must be >= 0, got {self.prompt_len}")
         if self.prompt_len == 0 and not self.unconditional:
             raise ValueError("prompt_len=0 requires unconditional=true")
 
@@ -167,30 +168,30 @@ class ExperimentResult:
 
 def resolve_joint(spec: str) -> JointModel:
     """Build the joint named by an experiment spec."""
-    parts = spec.split()
-    if parts[0] == "file" and len(parts) == 2:
-        return load_joint_model(parts[1])
-    if parts[0] == "reference" and len(parts) == 2:
-        return reference_dag_model(int(parts[1]))
-    if parts[0] == "layered" and len(parts) == 2:
-        return layered_suite_model(int(parts[1]))
+    match spec.split():
+        case ["file", path]:
+            return load_joint_model(path)
+        case ["reference", seed]:
+            return reference_dag_model(int(seed))
+        case ["layered", seed]:
+            return layered_suite_model(int(seed))
     raise ValueError(f"bad joint spec {spec!r}")
 
 
 def resolve_denoiser(spec: str, model: JointModel):
     """The denoiser a spec names; a checkpoint that does not fit ``model`` (its
     ``vocab_size`` is not V or its ``max_len`` is below L) raises ``CheckpointError``."""
-    parts = spec.split()
-    if parts[0] == "oracle" and len(parts) == 1:
-        return OracleDenoiser(model)
-    if parts[0] == "checkpoint" and len(parts) == 2:
-        params = load_checkpoint(parts[1])
-        V, max_len = params.config.vocab_size, params.config.max_len
-        if V != model.vocab.size:
-            raise CheckpointError(f"{spec}: vocab_size {V} must equal V={model.vocab.size}")
-        if max_len < model.L:
-            raise CheckpointError(f"{spec}: max_len {max_len} must be >= L={model.L}")
-        return TransformerDenoiser(params)
+    match spec.split():
+        case ["oracle"]:
+            return OracleDenoiser(model)
+        case ["checkpoint", path]:
+            params = load_checkpoint(path)
+            V, max_len = params.config.vocab_size, params.config.max_len
+            if V != model.vocab.size:
+                raise CheckpointError(f"{spec}: vocab_size {V} must equal V={model.vocab.size}")
+            if max_len < model.L:
+                raise CheckpointError(f"{spec}: max_len {max_len} must be >= L={model.L}")
+            return TransformerDenoiser(params)
     raise ValueError(f"bad denoiser spec {spec!r}")
 
 
@@ -253,7 +254,13 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> Experime
     an independent RNG stream derived from the global seed by its index.
     """
     model = resolve_joint(cfg.joint)
-    denoiser = resolve_denoiser(cfg.denoiser, model)
+    return _run(cfg, model, resolve_denoiser(cfg.denoiser, model), keep_traces)
+
+
+def _run(cfg, model: JointModel, denoiser, keep_traces: bool = False) -> ExperimentResult:
+    """``run_experiment`` on an already resolved joint and denoiser."""
+    if cfg.prompt_len >= model.L:
+        raise ValueError(f"prompt_len {cfg.prompt_len} must be below L={model.L}")
     result = ExperimentResult(rows=[], failures=[])
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.policies))
     for policy, ss in zip(cfg.policies, streams):
@@ -313,7 +320,7 @@ def sweep_layers(cfg: ExperimentConfig, layers: Sequence[int]) -> ExperimentResu
         PolicyConfig(scorer="dos", selector="topk", temperature="sample"),
     )
     policies = tuple(replace(template, layer=l) for l in layers)
-    return run_experiment(replace(cfg, policies=policies))
+    return _run(replace(cfg, policies=policies), model, denoiser)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +350,7 @@ def mean_conditional_kl(
         while not state.masked_positions():
             state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
         exact = conditional_marginal(model, state)
-        out = denoiser(state)
+        [out] = denoiser.batch([state])
         for i, p in exact.items():
             total += scoring.kl_divergence(p, out.probs[i])
             count += 1

@@ -296,33 +296,21 @@ def forward(params: Params, state: SequenceState | StateBatch) -> DenoiserOutput
     return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
 
 
-# Rows per batched forward call; bounds the activations one call holds
-# (a 10000-sample evaluation would otherwise hold hundreds of MiB at once).
-FORWARD_ROWS = 256
-
-
 class TransformerDenoiser:
-    """Callable wrapper giving the decode loop a uniform denoiser interface."""
+    """The denoiser interface of ``decoding`` over a parameter set."""
 
     def __init__(self, params: Params):
         self.params = params
         self.vocab = params.config.vocab
 
-    def __call__(self, state: SequenceState) -> DenoiserOutput:
-        return forward(self.params, state)
-
     def batch(self, states: Sequence[SequenceState]) -> list[DenoiserOutput]:
-        """The output of each same-length state, from batched forward calls."""
-        outs: list[DenoiserOutput] = []
-        for lo in range(0, len(states), FORWARD_ROWS):
-            chunk = states[lo : lo + FORWARD_ROWS]
-            tokens = np.array([s.tokens for s in chunk], dtype=np.int64)
-            out = forward(self.params, StateBatch(chunk[0].vocab, tokens))
-            outs += (
-                DenoiserOutput(out.probs[r], [a[r] for a in out.attentions])
-                for r in range(len(chunk))
-            )
-        return outs
+        """The output of each same-length state, from one batched forward."""
+        tokens = np.array([s.tokens for s in states], dtype=np.int64)
+        out = forward(self.params, StateBatch(states[0].vocab, tokens))
+        return [
+            DenoiserOutput(out.probs[r], [a[r] for a in out.attentions])
+            for r in range(len(states))
+        ]
 
     @property
     def n_layers(self) -> int:

@@ -21,7 +21,12 @@ from mdlmlab.decoding import (
 )
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
 from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag, sample_joint
-from mdlmlab.harness import exact_induced_distribution, model_distribution, tv_distance
+from mdlmlab.harness import (
+    exact_induced_distribution,
+    layered_suite_model,
+    model_distribution,
+    tv_distance,
+)
 
 
 def oracle_den(seed=0, V=2, L=4):
@@ -282,6 +287,35 @@ def test_lockstep_greedy_equals_one_prompt_decodes():
             spread.add((den is transformer, len({t.nfe for _, t in lockstep}) > 1))
     # both denoisers had a call whose sequences finished at different steps
     assert {(False, True), (True, True)} <= spread
+
+
+def test_forward_chunks_leave_results_unchanged(monkeypatch):
+    # the step loop hands the denoiser at most FORWARD_ROWS rows a call and
+    # commits once per step, after every chunk: smaller chunks change no MC
+    # draw (remasking makes the sequences finish at different steps) and no
+    # exact mass
+    model = layered_suite_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    rng = np.random.default_rng(5)
+    prompts = [sample_joint(model, rng)[:1] for _ in range(10)]
+    sampled = PolicyConfig(scorer="dos", steps=4, temperature="sample",
+                           stochastic_remask=True)
+    exact = PolicyConfig(scorer="dos", selector="threshold", temperature="sample")
+    sizes = []
+    batch = den.batch
+    monkeypatch.setattr(den, "batch", lambda states: sizes.append(len(states)) or batch(states))
+
+    def run():
+        decoded = decode_blockwise(den, sampled, prompts, 8, np.random.default_rng(6))
+        return ([(final.tokens, trace.to_jsonl()) for final, trace in decoded],
+                exact_induced_distribution(model, exact, 1, den))
+
+    whole = run()
+    assert max(sizes) > 3
+    sizes.clear()
+    monkeypatch.setattr("mdlmlab.decoding.FORWARD_ROWS", 3)
+    assert run() == whole
+    assert max(sizes) == 3
 
 
 def test_dos_scorer_requires_attentions():

@@ -22,6 +22,8 @@ from mdlmlab.harness import (
     metrics_csv_text,
     reference_dag_model,
     reference_schedule_report,
+    resolve_denoiser,
+    resolve_joint,
     run_experiment,
     run_policy,
     sweep_blocks,
@@ -33,6 +35,7 @@ from mdlmlab.nn import (
     TransformerConfig,
     TransformerDenoiser,
     init_params,
+    load_checkpoint,
     save_checkpoint,
 )
 from mdlmlab.oracle import (
@@ -149,9 +152,12 @@ def test_exact_transformer_enumeration_follows_the_sampler():
     for selector in ("topk", "threshold", "eb", "klass"):
         policy = PolicyConfig(scorer="dos", selector=selector, steps=4,
                               temperature="greedy")
-        # greedy: one outcome per prompt, the one the sampler decodes
-        for prompt, p in prompt_marginal(model, 1):
-            [(tokens, mass, forwards)] = enumerate_decodes(den, policy, prompt, 8, p)
+        # greedy: one outcome per prompt, in prompt order, the one the sampler
+        # decodes; one enumeration runs both prompts
+        prompts = prompt_marginal(model, 1)
+        outcomes = enumerate_decodes(den, policy, prompts, 8)
+        assert len(outcomes) == len(prompts) == 2
+        for (prompt, p), (tokens, mass, forwards) in zip(prompts, outcomes):
             [(final, trace)] = decode_blockwise(
                 den, policy, [prompt], 8, np.random.default_rng(0)
             )
@@ -266,6 +272,19 @@ def test_experiment_config_validation():
                          mode="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=0)
+    with pytest.raises(ValueError, match="prompt_len"):
+        ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=-1)
+
+
+def test_prompt_len_must_leave_a_position_to_generate():
+    # layered 3 has L = 9; the run refuses prompt_len 9 before any policy runs
+    policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,
+                          temperature="sample")
+    for mode in ("exact", "mc"):
+        cfg = ExperimentConfig(joint="layered 3", policies=(policy,), prompt_len=9,
+                               samples=10, mode=mode)
+        with pytest.raises(ValueError, match="prompt_len 9 must be below L=9"):
+            run_experiment(cfg)
 
 
 def test_run_experiment_from_file_joint(tmp_path):
@@ -315,7 +334,7 @@ def test_sweep_blocks_row_count():
     assert [r.block_size for r in result.rows] == [1, 2, 4, 8]
 
 
-def test_sweep_layers_needs_neural_denoiser(tmp_path):
+def test_sweep_layers_needs_neural_denoiser(tmp_path, monkeypatch):
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2,
                           temperature="sample")
     cfg = ExperimentConfig(joint="reference 23", prompt_len=1,
@@ -327,7 +346,12 @@ def test_sweep_layers_needs_neural_denoiser(tmp_path):
     ckpt = str(tmp_path / "m.ckpt")
     save_checkpoint(params, ckpt)
     cfg = replace(cfg, denoiser=f"checkpoint {ckpt}")
+    loads = []
+    monkeypatch.setattr(
+        "mdlmlab.harness.load_checkpoint", lambda path: loads.append(path) or load_checkpoint(path)
+    )
     result = sweep_layers(cfg, [0, 1])
+    assert loads == [ckpt]  # the sweep's runs reuse the one loaded checkpoint
     assert len(result.rows) == 2
     assert [r.layer for r in result.rows] == [0, 1]
     assert [r.samples for r in result.rows] == [0, 0]  # exact, as in auto mode
@@ -388,6 +412,13 @@ def test_policy_and_config_parsing(tmp_path):
     assert p.gamma == 0.02 and p.temperature == "sample"
     with pytest.raises(ValueError):
         parse_policy("scorer=confidence bogus=1")
+    model = reference_dag_model(42)
+    for spec in ("", " ", "layered", "layered 1 2"):
+        with pytest.raises(ValueError, match="bad joint spec"):
+            resolve_joint(spec)
+    for spec in ("", " ", "oracle x", "checkpoint"):
+        with pytest.raises(ValueError, match="bad denoiser spec"):
+            resolve_denoiser(spec, model)
 
     path = str(tmp_path / "exp.cfg")
     with open(path, "w") as fh:

@@ -315,11 +315,12 @@ def test_transformer_denoiser_interface():
     assert den.vocab.size == 3
     assert den.n_layers == 2
     state = SequenceState(Vocabulary(3), (1, 4), 0)
-    out = den(state)
+    [out] = den.batch([state])
+    assert out.probs.shape == (2, 3)
     assert out.attentions is not None and len(out.attentions) == 2
 
 
-def test_batched_forward_rows_equal_single_rows(monkeypatch):
+def test_batched_forward_rows_equal_single_rows():
     params = init_params(SMALL)
     vocab = Vocabulary(3)
     rng = np.random.default_rng(71)
@@ -330,7 +331,6 @@ def test_batched_forward_rows_equal_single_rows(monkeypatch):
     batch = forward(params, StateBatch(vocab, np.array([s.tokens for s in states])))
     assert batch.probs.shape == (7, 6, 3)
     assert [a.shape for a in batch.attentions] == [(7, 2, 6, 6)] * 2
-    monkeypatch.setattr("mdlmlab.nn.FORWARD_ROWS", 3)  # three forward calls
     outs = TransformerDenoiser(params).batch(states)
     assert len(outs) == len(states)
     for r, (state, out) in enumerate(zip(states, outs)):

@@ -55,20 +55,21 @@ def test_lockstep_mc_run_is_attributed_per_step():
 
 def test_exact_transformer_run_is_attributed_per_forward():
     # auto mode enumerates a transformer's decode too: one exact walk, no
-    # sampler, and one single-row forward per enumerated state (170 here,
-    # what a level-synchronous enumerator would batch)
+    # sampler, and one batched forward per enumeration level over every
+    # prompt's states (top-k at T=4: levels of 2, 8, 32 and 128 states)
     tracer = _load_tracer()
     model = layered_suite_model(3)
     den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
-    policy = PolicyConfig(scorer="dos", selector="topk", steps=4,
-                          temperature="sample")
-    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
-                           mode="auto")
-    with tracer.installed(tracer.Tracer()) as t:
-        row, _ = run_policy(model, den, policy, cfg, np.random.default_rng(0))
-    assert not tracer.leftover_wrappers()
-    assert row.samples == 0
-    assert t.calls["harness.exact_walk"] == 1
-    assert t.calls["decoding.decode_blockwise"] == 0
-    assert t.calls["nn.forward"] == 170
-    assert t.rows == 170
+    for selector, calls, rows in (("topk", 4, 170), ("threshold", 8, 510),
+                                  ("klass", 8, 510), ("eb", 8, 510)):
+        policy = PolicyConfig(scorer="dos", selector=selector, steps=4,
+                              temperature="sample")
+        cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                               mode="auto")
+        with tracer.installed(tracer.Tracer()) as t:
+            row, _ = run_policy(model, den, policy, cfg, np.random.default_rng(0))
+        assert not tracer.leftover_wrappers()
+        assert row.samples == 0
+        assert t.calls["harness.exact_walk"] == 1
+        assert t.calls["decoding.decode_blockwise"] == 0
+        assert (t.calls["nn.forward"], t.rows) == (calls, rows)
