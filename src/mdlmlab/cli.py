@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .harness import (
     run_experiment,
     sweep_blocks,
     sweep_layers,
-    write_metrics_csv,
 )
 from .nn import TransformerConfig, save_checkpoint, train
 
@@ -50,74 +50,69 @@ def _parse_bool(key: str, value: str) -> bool:
     return low == "true"
 
 
-_POLICY_KEYS = {
-    "scorer": ("scorer", str),
-    "selector": ("selector", str),
-    "steps": ("steps", int),
-    "block": ("block_size", int),
-    "block_size": ("block_size", int),
-    "temp": ("temperature", str),
-    "temperature": ("temperature", str),
-    "layer": ("layer", int),
-    "eps": ("eps", float),
-    "tau": ("tau", float),
-    "eps_kl": ("eps_kl", float),
-    "n": ("n_history", int),
-    "gamma": ("gamma", float),
-    "remask": ("stochastic_remask", lambda s: _parse_bool("remask", s)),
-    "dep_prefilter": ("dep_eb_prefilter", float),
+def _typed(owner, name: str, value: str, key: str | None = None):
+    """``value`` as the annotated type of ``name`` on a dataclass or function
+    (``X | None`` as ``X``); a malformed value raises a ValueError naming ``key``."""
+    key = key or name
+    kind = get_type_hints(owner)[name]
+    kind = next((a for a in get_args(kind) if a is not type(None)), kind)
+    if kind is bool:
+        return _parse_bool(key, value)
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
+
+# Short spellings of policy keys; every PolicyConfig field name is a key too.
+_POLICY_ALIASES = {
+    "block": "block_size",
+    "temp": "temperature",
+    "n": "n_history",
+    "remask": "stochastic_remask",
+    "dep_prefilter": "dep_eb_prefilter",
 }
 
 
 def parse_policy(text: str) -> PolicyConfig:
+    names = {f.name for f in fields(PolicyConfig)}
     kwargs = {}
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"bad policy token {token!r}")
         key, value = token.split("=", 1)
-        if key not in _POLICY_KEYS:
+        name = _POLICY_ALIASES.get(key, key)
+        if name not in names:
             raise ValueError(f"unknown policy key {key!r}")
-        name, conv = _POLICY_KEYS[key]
-        kwargs[name] = conv(value)
+        kwargs[name] = _typed(PolicyConfig, name, value, key)
     return PolicyConfig(**kwargs)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    pairs = read_kv_file(path)
+    names = {f.name for f in fields(ExperimentConfig)} - {"policies"}
     kwargs: dict = {}
     policies: list[PolicyConfig] = []
-    for key, value in pairs:
+    for key, value in read_kv_file(path):
         if key == "policy":
             policies.append(parse_policy(value))
-        elif key in ("joint", "denoiser", "mode", "out"):
-            kwargs[key] = value
-        elif key in ("prompt_len", "samples", "seed"):
-            kwargs[key] = int(value)
-        elif key == "unconditional":
-            kwargs[key] = _parse_bool(key, value)
+        elif key in names:
+            kwargs[key] = _typed(ExperimentConfig, key, value)
         else:
             raise ValueError(f"{path}: unknown experiment key {key!r}")
     return ExperimentConfig(policies=tuple(policies), **kwargs)
 
 
 def load_train_config(path: str) -> dict:
-    pairs = read_kv_file(path)
-    cfg_fields = {f.name: f.type for f in fields(TransformerConfig)}
+    names = {f.name for f in fields(TransformerConfig)}
     model_kwargs: dict = {}
     extra: dict = {"prompt_len": 0, "loss_curve_out": None}
-    for key, value in pairs:
-        if key in cfg_fields:
-            model_kwargs[key] = (
-                float(value) if key in ("learning_rate", "t_min") else int(value)
-            )
-        elif key == "joint":
-            extra["joint"] = value
+    for key, value in read_kv_file(path):
+        if key in names:
+            model_kwargs[key] = _typed(TransformerConfig, key, value)
         elif key == "prompt_len":
-            extra["prompt_len"] = int(value)
-        elif key == "checkpoint_out":
-            extra["checkpoint_out"] = value
-        elif key == "loss_curve_out":
-            extra["loss_curve_out"] = value
+            extra[key] = _typed(train, key, value)
+        elif key in ("joint", "checkpoint_out", "loss_curve_out"):
+            extra[key] = value
         else:
             raise ValueError(f"{path}: unknown train key {key!r}")
     for required in ("joint", "checkpoint_out"):
@@ -158,9 +153,13 @@ def _cmd_decode(args) -> int:
     model = resolve_joint(args.joint)
     denoiser = resolve_denoiser(args.denoiser, model)
     policy = parse_policy(args.policy)
-    prompt = [int(t) for t in args.prompt.split(",") if t] if args.prompt else []
-    prompt_len = len(prompt)
-    gen_len = args.gen_len if args.gen_len else model.L - prompt_len
+    try:
+        prompt = [int(t) for t in args.prompt.split(",") if t]
+    except ValueError:
+        raise ValueError(f"--prompt must be comma-separated ints, got {args.prompt!r}") from None
+    gen_len = model.L - len(prompt)
+    if gen_len < 1:
+        raise ValueError(f"--prompt has {len(prompt)} tokens; it must be shorter than L={model.L}")
     rng = np.random.default_rng(args.seed)
     [(final, trace)] = decode_blockwise(denoiser, policy, [prompt], gen_len, rng)
     print("sequence:", " ".join(str(t) for t in final.tokens))
@@ -171,13 +170,13 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _experiment_config(args) -> ExperimentConfig:
+    """The --config file, with --out (when given) replacing its ``out``."""
     cfg = load_experiment_config(args.config)
-    if args.out:
-        from dataclasses import replace
+    return replace(cfg, out=args.out) if args.out else cfg
 
-        cfg = replace(cfg, out=args.out)
-    result = run_experiment(cfg)
+
+def _report(result, out: str | None) -> int:
     for row in result.rows:
         print(
             f"{row.policy_id:32s} tv={row.tv_distance:.6f} "
@@ -185,28 +184,21 @@ def _cmd_evaluate(args) -> int:
         )
     for pid, err in result.failures:
         print(f"{pid}: FAILED ({err})", file=sys.stderr)
-    if cfg.out:
-        print(f"metrics written to {cfg.out}")
+    if out:
+        print(f"metrics written to {out}")
     return 1 if result.failures else 0
+
+
+def _cmd_evaluate(args) -> int:
+    cfg = _experiment_config(args)
+    return _report(run_experiment(cfg), cfg.out)
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_experiment_config(args.config)
+    cfg = _experiment_config(args)
     values = [int(v) for v in args.values.split(",") if v]
-    if args.what == "blocks":
-        result = sweep_blocks(cfg, values)
-    else:
-        result = sweep_layers(cfg, values)
-    if args.out:
-        write_metrics_csv(result.rows, args.out)
-        print(f"metrics written to {args.out}")
-    for row in result.rows:
-        print(
-            f"{row.policy_id:32s} tv={row.tv_distance:.6f} nfe={row.mean_nfe:.2f}"
-        )
-    for pid, err in result.failures:
-        print(f"{pid}: FAILED ({err})", file=sys.stderr)
-    return 1 if result.failures else 0
+    sweep = sweep_blocks if args.what == "blocks" else sweep_layers
+    return _report(sweep(cfg, values), cfg.out)
 
 
 def _cmd_fig2(args) -> int:
@@ -239,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denoiser", default="oracle", help="'oracle' | 'checkpoint PATH'")
     p.add_argument("--policy", default="scorer=confidence selector=topk")
     p.add_argument("--prompt", default="", help="comma-separated token ids")
-    p.add_argument("--gen-len", type=int, default=0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trace", default=None, help="write the JSONL step trace here")
     p.set_defaults(func=_cmd_decode)

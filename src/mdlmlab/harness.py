@@ -407,26 +407,26 @@ def reference_dag_model(seed: int) -> FactorizedDAG:
             ),
         )
         model = FactorizedDAG(Vocabulary(2), parents, cpts)
-        target = model_distribution(model)
-        tvs = {
-            name: tv_distance(
-                target, exact_policy_distribution(model, sched, prompt_len=1)
-            )
-            for name, sched in reference_schedules().items()
-        }
+        tvs = _reference_tvs(model)
         broken = [v for k, v in tvs.items() if k != REFERENCE_EXACT_SCHEDULE]
         if min(broken) > 0.01:
             return model
     raise RuntimeError(f"no acceptable CPT draw after {REFERENCE_MAX_ATTEMPTS} attempts")
 
 
+def _reference_tvs(model: FactorizedDAG) -> dict[str, float]:
+    """TV between the joint and each reference schedule's induced distribution."""
+    target = model_distribution(model)
+    return {
+        name: tv_distance(target, exact_policy_distribution(model, sched, prompt_len=1))
+        for name, sched in reference_schedules().items()
+    }
+
+
 def reference_schedule_report(seed: int) -> list[dict]:
     """TV of each reference schedule, with its expected outcome; CLI-facing."""
-    model = reference_dag_model(seed)
-    target = model_distribution(model)
     report = []
-    for name, sched in reference_schedules().items():
-        tv = tv_distance(target, exact_policy_distribution(model, sched, prompt_len=1))
+    for name, tv in _reference_tvs(reference_dag_model(seed)).items():
         exact_expected = name == REFERENCE_EXACT_SCHEDULE
         ok = tv <= 1e-9 if exact_expected else tv > 0.01
         report.append(

@@ -419,7 +419,6 @@ def mdlm_loss_and_grad(
     x0_batch: np.ndarray,
     prompt_len: int,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One masked-diffusion training objective evaluation on a clean batch.
 
@@ -428,11 +427,7 @@ def mdlm_loss_and_grad(
     from exact backpropagation through the forward pass.
     """
     x0 = np.asarray(x0_batch, dtype=np.int64)
-    corrupted, loss_mask, weights, skipped = corrupt_batch(
-        params.config, x0, prompt_len, rng
-    )
-    if stats is not None:
-        stats["skipped"] = skipped
+    corrupted, loss_mask, weights, _ = corrupt_batch(params.config, x0, prompt_len, rng)
     return loss_and_grad_on_corrupted(params, corrupted, x0, loss_mask, weights)
 
 
