@@ -32,6 +32,7 @@ from .oracle import (
     model_distribution,
     oracle_dependency,
     sample_joint,
+    sample_joints,
     save_joint_model,
 )
 from .scoring import confidence, dos_dependency, entropy, kl_divergence, margin

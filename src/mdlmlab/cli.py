@@ -196,7 +196,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    values = [int(v) for v in args.values.split(",") if v]
+    try:
+        values = [int(v) for v in args.values.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--values must be comma-separated ints, got {args.values!r}") from None
     sweep = sweep_blocks if args.what == "blocks" else sweep_layers
     return _report(sweep(cfg, values), cfg.out)
 

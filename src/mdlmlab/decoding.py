@@ -75,12 +75,15 @@ class PolicyConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.eps_kl <= 0.0:
+        # written so that NaN, which fails every comparison, fails each check
+        if not self.eps_kl > 0.0:
             raise ValueError("eps_kl must be > 0")
         if self.n_history < 1:
             raise ValueError("n_history must be >= 1")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be >= 0")
+        if self.dep_eb_prefilter is not None and math.isnan(self.dep_eb_prefilter):
+            raise ValueError("dep_eb_prefilter must be a number, got nan")
         if self.steps < 0 or self.block_size < 0 or self.layer < 0:
             raise ValueError("steps, block_size, and layer must be >= 0")
         if self.stochastic_remask and self.selector != "topk":
@@ -276,60 +279,77 @@ def commit_token(
 
 def compute_ranking(
     policy: PolicyConfig,
-    out: DenoiserOutput,
-    state: SequenceState,
+    outs: Sequence[DenoiserOutput],
+    probs: np.ndarray,
+    masked: np.ndarray,
+    states: Sequence[SequenceState],
     denoiser,
 ) -> np.ndarray:
-    """ScoreVector for the policy's scorer over the currently masked positions."""
-    masked = state.masked_positions()
-    L = len(state)
+    """The policy's (n, L) ScoreVectors of n states, NaN off the masked positions.
+
+    ``probs`` stacks the states' output probabilities (n, L, V) and
+    ``masked`` their masks (n, L). Uncertainty scorers rank every state in
+    one call; dos and oracle_dep rank state by state.
+    """
     if policy.scorer in scoring.UNCERTAINTY_SCORERS:
-        return scoring.uncertainty_scores(policy.scorer, out.probs, masked, L)
+        return scoring.uncertainty_scores(policy.scorer, probs, masked)
     if policy.scorer == "dos":
-        if out.attentions is None:
+        if any(out.attentions is None for out in outs):
             raise ValueError("the dos scorer needs a denoiser that returns attentions")
-        return scoring.dos_dependency(
-            out.attentions, policy.layer, masked, state.unmasked_positions(), L
-        )
+        return np.array([
+            scoring.dos_dependency(
+                out.attentions, policy.layer, s.masked_positions(),
+                s.unmasked_positions(), len(s),
+            )
+            for out, s in zip(outs, states)
+        ])
     if policy.scorer == "oracle_dep":
         dep = getattr(denoiser, "dependency_scores", None)
         if dep is None:
             raise ValueError("the oracle_dep scorer needs an exact denoiser")
-        return dep(state)
+        return np.array([dep(s) for s in states])
     raise ValueError(f"unknown scorer {policy.scorer!r}")
+
+
+def selector_vectors(
+    policy: PolicyConfig, probs: np.ndarray, masked: np.ndarray
+) -> np.ndarray | None:
+    """What the selector reads besides the ranking, for n states at once:
+    confidences for threshold and KLASS, entropies for EB, None for top-k."""
+    if policy.selector in ("threshold", "klass"):
+        return scoring.confidence_vector(probs, masked)
+    if policy.selector == "eb":
+        return scoring.entropy_vector(probs, masked)
+    return None
 
 
 def plan_step(
     policy: PolicyConfig,
-    out: DenoiserOutput,
-    state: SequenceState,
-    denoiser,
+    ranking: np.ndarray,
+    vector: np.ndarray | None,
     candidates: Sequence[int],
     steps_left: int,
     history: History,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Scores and the selected position subset for one step (no commitment)."""
-    L = len(state)
-    ranking = compute_ranking(policy, out, state, denoiser)
+) -> tuple[int, ...]:
+    """The position subset one state commits at a step (no commitment).
+
+    ``ranking`` is the state's ScoreVector and ``vector`` its row of
+    ``selector_vectors``.
+    """
     if policy.selector == "topk":
         k = math.ceil(len(candidates) / max(1, steps_left))
-        selected = select_topk(ranking, candidates, k)
-    elif policy.selector == "threshold":
-        conf = scoring.confidence_vector(out.probs, state.masked_positions(), L)
-        selected = select_threshold(conf, candidates, policy.eps)
-    elif policy.selector == "klass":
-        conf = scoring.confidence_vector(out.probs, state.masked_positions(), L)
-        selected = select_klass(history, conf, candidates, policy.tau, policy.eps_kl)
-    elif policy.selector == "eb":
-        ents = scoring.entropy_vector(out.probs, state.masked_positions(), L)
+        return select_topk(ranking, candidates, k)
+    if policy.selector == "threshold":
+        return select_threshold(vector, candidates, policy.eps)
+    if policy.selector == "klass":
+        return select_klass(history, vector, candidates, policy.tau, policy.eps_kl)
+    if policy.selector == "eb":
         pool = candidates
         if policy.dep_eb_prefilter is not None:
             kept = [i for i in candidates if ranking[i] > policy.dep_eb_prefilter]
             pool = kept or candidates
-        selected = select_eb(ranking, ents, pool, policy.gamma)
-    else:
-        raise ValueError(f"unknown selector {policy.selector!r}")
-    return ranking, selected
+        return select_eb(ranking, vector, pool, policy.gamma)
+    raise ValueError(f"unknown selector {policy.selector!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +382,14 @@ class _Row:
 
 def _start(
     denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int
-) -> tuple[list[tuple[list[int], int]], list[_Row]]:
+) -> tuple[list[tuple[range, int]], list[_Row]]:
     """Left-to-right blocks with their step budgets (see ``PolicyConfig``),
     and one fresh row per prompt."""
     lengths = {len(p) for p in prompts}
     if len(lengths) != 1:
         raise ValueError("a decode needs one or more prompts of one length")
     prompt_len = lengths.pop()
-    positions = list(range(prompt_len, prompt_len + gen_len))
+    positions = range(prompt_len, prompt_len + gen_len)
     size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
     total_steps = policy.steps if policy.steps else gen_len
     blocks = [
@@ -384,26 +404,30 @@ def _start(
 
 
 def _lockstep(
-    denoiser, policy: PolicyConfig, blocks: list[tuple[list[int], int]], rows: list[_Row]
+    denoiser, policy: PolicyConfig, blocks: list[tuple[range, int]], rows: list[_Row]
 ) -> Iterator[list]:
     """The step loop: plan the next step of every row of ``rows``, step by step.
 
     A step moves each row past its finished blocks (entering a block restarts
     its step count) and denoises the unfinished rows in ``denoiser.batch``
-    calls of at most ``FORWARD_ROWS`` rows. KLASS records the predictive
-    distribution of every masked position, and ``plan_step`` selects among
-    the active block's masked positions under its remaining budget. Yields
-    one plan per row, in order: None for a finished row, else ``(ranking,
-    selected, probs)`` with the probability rows of the selected positions.
+    calls of at most ``FORWARD_ROWS`` rows. Each such chunk is scored as a
+    whole: its outputs are stacked into (n, L, V) probabilities and an
+    (n, L) mask, and one call per vector gives the rankings and the
+    selector's vectors. KLASS records the predictive distribution of every
+    masked position, and ``plan_step`` selects among the active block's
+    masked positions under its remaining budget. Yields one plan per row,
+    in order: None for a finished row, else ``(ranking, selected, probs)``
+    with the probability rows of the selected positions.
     The caller commits before resuming, in place or by replacing the
     contents of ``rows``. The loop ends when no row has a masked position.
     """
+    mask_id = denoiser.vocab.mask_id
     while True:
         todo = []
         for k, row in enumerate(rows):
-            while row.block < len(blocks) and not any(
-                map(row.state.is_masked, blocks[row.block][0])
-            ):
+            while row.block < len(blocks) and mask_id not in row.state.tokens[
+                blocks[row.block][0].start : blocks[row.block][0].stop
+            ]:
                 row.block += 1
                 row.steps_in_block = 0
             if row.block < len(blocks):
@@ -413,19 +437,27 @@ def _lockstep(
         plans = [None] * len(rows)
         for lo in range(0, len(todo), FORWARD_ROWS):
             chunk = todo[lo : lo + FORWARD_ROWS]
-            for k, out in zip(chunk, denoiser.batch([rows[k].state for k in chunk])):
-                row, state = rows[k], rows[k].state
+            states = [rows[k].state for k in chunk]
+            outs = denoiser.batch(states)
+            probs = np.array([out.probs for out in outs])
+            masked = np.array([s.tokens for s in states]) == mask_id
+            rankings = compute_ranking(policy, outs, probs, masked, states, denoiser)
+            vectors = selector_vectors(policy, probs, masked)
+            for j, (k, row_masked) in enumerate(zip(chunk, masked.tolist())):
+                row = rows[k]
                 if policy.selector == "klass":
-                    for i in state.masked_positions():
-                        row.history.record(i, out.probs[i])
+                    for i, m in enumerate(row_masked):
+                        if m:
+                            row.history.record(i, probs[j, i])
                 positions, budget = blocks[row.block]
-                candidates = tuple(i for i in positions if state.is_masked(i))
+                candidates = tuple(i for i in positions if row_masked[i])
                 steps_left = max(1, budget - row.steps_in_block)
-                ranking, selected = plan_step(
-                    policy, out, state, denoiser, candidates, steps_left, row.history
+                selected = plan_step(
+                    policy, rankings[j], None if vectors is None else vectors[j],
+                    candidates, steps_left, row.history,
                 )
-                plans[k] = (ranking, selected, out.probs[list(selected)])
-            del out  # the next chunk's forward runs without this chunk's outputs
+                plans[k] = (rankings[j], selected, probs[j, list(selected)])
+            del outs, probs  # the next chunk's forward runs without this chunk's outputs
         yield plans
 
 

@@ -42,6 +42,7 @@ from .oracle import (
     model_distribution,
     prompt_marginal,
     sample_joint,
+    sample_joints,
 )
 from . import scoring
 
@@ -210,9 +211,10 @@ def run_policy(
     Exact mode enumerates the induced distribution and draws nothing from
     ``rng``. Monte Carlo mode decodes ``cfg.samples`` sequences in lockstep
     with ``decode_blockwise`` and draws from ``rng`` in this order: every
-    prompt first (one ``sample_joint`` per sample); then, per step, the
-    stochastic-remasking draws in sample order, then one token draw per
-    committed token, sample by sample and in position order within a sample.
+    prompt first (one ``sample_joints`` call, as one ``sample_joint`` per
+    sample would); then, per step, the stochastic-remasking draws in sample
+    order, then one token draw per committed token, sample by sample and in
+    position order within a sample.
     """
     target = model_distribution(model)
     gen_len = model.L - cfg.prompt_len
@@ -223,9 +225,7 @@ def run_policy(
         )
         samples_used = 0
     else:
-        prompts = [
-            sample_joint(model, rng)[: cfg.prompt_len] for _ in range(cfg.samples)
-        ]
+        prompts = sample_joints(model, rng, cfg.samples)[:, : cfg.prompt_len].tolist()
         decoded = decode_blockwise(denoiser, policy, prompts, gen_len, rng)
         dist = empirical_distribution([final.tokens for final, _ in decoded])
         mean_nfe = float(np.mean([trace.nfe for _, trace in decoded]))

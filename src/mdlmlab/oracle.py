@@ -190,13 +190,14 @@ def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
 
 
 def model_distribution(model: JointModel) -> dict[tuple[int, ...], float]:
-    """The target joint as a sequence -> probability map (zero entries kept out)."""
+    """The target joint as a sequence -> probability map (zero entries kept out).
+
+    Sequences come in the table's C order.
+    """
     table = joint_table(model)
-    out: dict[tuple[int, ...], float] = {}
-    for idx, p in np.ndenumerate(table):
-        if p > 0:
-            out[tuple(v + 1 for v in idx)] = float(p)
-    return out
+    support = table > 0
+    keys = map(tuple, (np.argwhere(support) + 1).tolist())
+    return dict(zip(keys, table[support].tolist()))
 
 
 def _conditionals_given(
@@ -245,24 +246,38 @@ def conditional_marginal(
     return _conditionals_given(table, model.L, fixed, masked)
 
 
-def sample_joint(model: JointModel, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one full sequence: table sampling or ancestral sampling."""
+def sample_joints(model: JointModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n full sequences as an (n, L) token array.
+
+    A table draws one uniform per sequence and takes the first entry of its
+    cumulative sum above u times the total. A DAG samples ancestrally: it
+    draws an (n, L) block of uniforms, column j serving the j-th node of
+    the topological order, and counts the entries of the node's cumulative
+    CPT row that are <= u times the row total. So the tokens, and the
+    generator state left behind, are those of n ``sample_joint`` calls.
+    """
     if isinstance(model, TabularJoint):
         if model._flat_cumsum is None:
             model._flat_cumsum = np.cumsum(model.table.ravel())
         cum = model._flat_cumsum
-        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        k = min(k, cum.size - 1)
-        return tuple(int(v) + 1 for v in np.unravel_index(k, model.table.shape))
+        k = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
+        k = np.minimum(k, cum.size - 1)
+        return np.stack(np.unravel_index(k, model.table.shape), axis=1) + 1
     if model._cpt_cumsum is None:
         model._cpt_cumsum = tuple(np.cumsum(c, axis=-1) for c in model.cpts)
     cums = model._cpt_cumsum
-    toks = [0] * model.L
-    for i in model.topo_order():
-        row = cums[i][tuple(toks[q] - 1 for q in model.parents[i])]
-        v = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
-        toks[i] = min(v, row.size - 1) + 1
-    return tuple(toks)
+    u = rng.random((n, model.L))
+    toks = np.zeros((n, model.L), dtype=np.int64)
+    for j, i in enumerate(model.topo_order()):
+        rows = cums[i][tuple(toks[:, q] - 1 for q in model.parents[i])]
+        v = (rows <= u[:, j : j + 1] * rows[..., -1:]).sum(axis=-1)
+        toks[:, i] = np.minimum(v, rows.shape[-1] - 1) + 1
+    return toks
+
+
+def sample_joint(model: JointModel, rng: np.random.Generator) -> tuple[int, ...]:
+    """Draw one full sequence: ``sample_joints`` for one row."""
+    return tuple(sample_joints(model, rng, 1)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -419,7 +434,8 @@ class OracleDenoiser:
         return [self(s) for s in states]
 
     def dependency_scores(self, state: SequenceState) -> np.ndarray:
-        pattern = tuple(state.is_masked(i) for i in range(len(state)))
+        mask_id = self.vocab.mask_id
+        pattern = tuple(t == mask_id for t in state.tokens)
         hit = self._dep_cache.get(pattern)
         if hit is not None:
             return hit

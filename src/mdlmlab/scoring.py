@@ -87,25 +87,26 @@ def dos_dependency(
     return scores
 
 
-def uncertainty_scores(
-    kind: str, probs: np.ndarray, masked: Sequence[int], n_positions: int
-) -> np.ndarray:
-    """Ranking vector for one of the uncertainty scorers (higher = earlier)."""
-    scores = np.full(n_positions, NOT_SCORED)
-    rows = list(masked)
-    if rows:
-        scores[rows] = row_scores(kind, np.asarray(probs)[rows])
+def uncertainty_scores(kind: str, probs: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    """Ranking of every position under one of the uncertainty scorers.
+
+    ``probs`` holds the (n, L, V) predictive distributions of n states and
+    ``masked`` their (n, L) boolean mask; the (n, L) result scores each
+    masked position (higher = earlier) and is NaN elsewhere. One state's
+    (L, V) probabilities with an (L,) mask give its (L,) vector. Each
+    position's score comes from its own row alone, so a state scores the
+    same alone as in a batch.
+    """
+    masked = np.asarray(masked, dtype=bool)
+    scores = np.full(masked.shape, NOT_SCORED)
+    scores[masked] = row_scores(kind, np.asarray(probs)[masked])
     return scores
 
 
-def confidence_vector(
-    probs: np.ndarray, masked: Sequence[int], n_positions: int
-) -> np.ndarray:
-    return uncertainty_scores("confidence", probs, masked, n_positions)
+def confidence_vector(probs: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    return uncertainty_scores("confidence", probs, masked)
 
 
-def entropy_vector(
-    probs: np.ndarray, masked: Sequence[int], n_positions: int
-) -> np.ndarray:
+def entropy_vector(probs: np.ndarray, masked: np.ndarray) -> np.ndarray:
     """Raw (unnegated) entropies, used as the budget in entropy-bounded selection."""
-    return -uncertainty_scores("entropy", probs, masked, n_positions)
+    return -uncertainty_scores("entropy", probs, masked)

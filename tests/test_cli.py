@@ -90,6 +90,8 @@ def test_sweep_out_replaces_the_config_out(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 5 and all(" kl=" in line for line in printed[:4])
     assert printed[4] == f"metrics written to {cli_out}"
+    with pytest.raises(ValueError, match="^--values must be"):
+        main(["sweep", "blocks", "--config", config, "--values", "1,x"])
 
 
 def test_sweep_layers_on_a_trained_checkpoint(trained, tmp_path, capsys):

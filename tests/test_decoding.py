@@ -45,6 +45,9 @@ def test_policy_config_validation():
         PolicyConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         PolicyConfig(selector="eb", stochastic_remask=True)
+    for name in ("gamma", "eps_kl", "dep_eb_prefilter", "eps", "tau"):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            PolicyConfig(**{name: float("nan")})
     # the standard defaults come prefilled
     p = PolicyConfig()
     assert p.eps == 0.95 and p.gamma == 0.01 and p.n_history == 2
@@ -345,14 +348,13 @@ def test_dos_eb_composition_satisfies_budget():
     vocab = den.vocab
     state = SequenceState(vocab, (1,) + (vocab.mask_id,) * 5, 1)
     out = den(state)
-    from mdlmlab.decoding import plan_step
+    from mdlmlab.decoding import plan_step, selector_vectors
 
-    ranking, selected = plan_step(
-        policy, out, state, den, state.masked_positions(), 1, History(2)
-    )
-    from mdlmlab.scoring import entropy_vector
-
-    ents = entropy_vector(out.probs, state.masked_positions(), len(state))
+    probs = out.probs[None]
+    masked = (np.array(state.tokens) == vocab.mask_id)[None]
+    [ranking] = compute_ranking(policy, [out], probs, masked, [state], den)
+    [ents] = selector_vectors(policy, probs, masked)
+    selected = plan_step(policy, ranking, ents, state.masked_positions(), 1, History(2))
     sel = list(selected)
     assert ents[sel].sum() - ents[sel].max() <= policy.gamma + 1e-12
 

@@ -46,6 +46,7 @@ from mdlmlab.oracle import (
     prompt_marginal,
     random_dag,
     sample_joint,
+    sample_joints,
     save_joint_model,
 )
 
@@ -61,7 +62,7 @@ def test_empirical_distribution_examples():
 def test_empirical_matches_sampler():
     model = reference_dag_model(1)
     rng = np.random.default_rng(0)
-    samples = [sample_joint(model, rng) for _ in range(100000)]
+    samples = list(map(tuple, sample_joints(model, rng, 100000).tolist()))
     assert tv_distance(model_distribution(model), empirical_distribution(samples)) < 0.02
 
 

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_conditionals
 from mdlmlab.core import SequenceState, Vocabulary, make_masked_state
@@ -29,6 +31,7 @@ from mdlmlab.oracle import (
     random_tabular,
     random_tree_dag,
     sample_joint,
+    sample_joints,
     save_joint_model,
 )
 
@@ -242,8 +245,7 @@ def test_sample_joint_uniform_frequencies():
     rng = np.random.default_rng(41)
     counts = {}
     n = 100000
-    for _ in range(n):
-        s = sample_joint(m, rng)
+    for s in map(tuple, sample_joints(m, rng, n).tolist()):
         counts[s] = counts.get(s, 0) + 1
     for s in itertools.product((1, 2), repeat=2):
         assert abs(counts[s] / n - 0.25) < 0.01
@@ -254,11 +256,73 @@ def test_sample_joint_matches_model_distribution():
     m = random_dag(rng, V=2, L=4)
     n = 100000
     emp = {}
-    for _ in range(n):
-        s = sample_joint(m, rng)
+    for s in map(tuple, sample_joints(m, rng, n).tolist()):
         emp[s] = emp.get(s, 0) + 1
     emp = {k: c / n for k, c in emp.items()}
     assert tv_distance(model_distribution(m), emp) < 0.02
+
+
+def scalar_draw(model, rng):
+    """One draw by the per-node loop that ``sample_joints`` vectorises."""
+    if isinstance(model, TabularJoint):
+        cum = np.cumsum(model.table.ravel())
+        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        k = min(k, cum.size - 1)
+        return tuple(int(v) + 1 for v in np.unravel_index(k, model.table.shape))
+    toks = [0] * model.L
+    for i in model.topo_order():
+        cum = np.cumsum(model.cpts[i], axis=-1)
+        row = cum[tuple(toks[q] - 1 for q in model.parents[i])]
+        v = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
+        toks[i] = min(v, row.size - 1) + 1
+    return tuple(toks)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       n=st.integers(0, 12), tabular=st.booleans())
+def test_sample_joints_draws_like_one_row_calls(seed, V, L, n, tabular):
+    data = np.random.default_rng(seed)
+    if tabular:
+        table = data.random((V,) * L) * (data.random((V,) * L) < 0.7)
+        table.flat[0] += 0.1
+        model = TabularJoint(Vocabulary(V), table / table.sum())
+    else:
+        dag = random_dag(data, V, L, max_parents=3)
+        # relabel the nodes, so the topological order is not the index order
+        perm = data.permutation(L).tolist()
+        parents, cpts = [()] * L, [None] * L
+        for i in range(L):
+            keep = data.random(dag.cpts[i].shape) < 0.7
+            keep[..., 0] = True  # zeros in the CPT rows, none all zero
+            cpt = dag.cpts[i] * keep
+            parents[perm[i]] = tuple(perm[q] for q in dag.parents[i])
+            cpts[perm[i]] = cpt / cpt.sum(axis=-1, keepdims=True)
+        model = FactorizedDAG(Vocabulary(V), tuple(parents), tuple(cpts))
+    batched, one_row, scalar = (np.random.default_rng(seed + 1) for _ in range(3))
+    got = sample_joints(model, batched, n)
+    assert got.shape == (n, L)
+    rows = [tuple(r) for r in got.tolist()]
+    assert rows == [sample_joint(model, one_row) for _ in range(n)]
+    assert rows == [scalar_draw(model, scalar) for _ in range(n)]
+    assert batched.random() == one_row.random() == scalar.random()
+
+
+def test_model_distribution_lists_the_support_in_table_order():
+    rng = np.random.default_rng(8)
+    sparse = rng.random((3, 3, 3)) * (rng.random((3, 3, 3)) < 0.5)
+    sparse[0, 0, 0] = 0.0
+    sparse[2, 1, 0] += 0.1
+    for model in (random_dag(rng, 3, 4), random_tabular(rng, 2, 5),
+                  TabularJoint(Vocabulary(3), sparse / sparse.sum())):
+        want = {
+            tuple(v + 1 for v in idx): float(p)
+            for idx, p in np.ndenumerate(joint_table(model)) if p > 0
+        }
+        got = model_distribution(model)
+        assert list(got.items()) == list(want.items())
+        assert all(type(p) is float for p in got.values())
+        assert all(type(v) is int for seq in got for v in seq)
 
 
 def test_oracle_dependency_independent_is_zero():

@@ -11,6 +11,7 @@ from mdlmlab.scoring import (
     entropy_vector,
     kl_divergence,
     margin,
+    UNCERTAINTY_SCORERS,
     row_scores,
     uncertainty_scores,
 )
@@ -144,20 +145,20 @@ def test_dos_depends_only_on_attentions():
 
 def test_uncertainty_scores_convention():
     probs = np.array([[0.7, 0.3], [0.5, 0.5]])
-    conf = uncertainty_scores("confidence", probs, [0, 1], 2)
-    ent = uncertainty_scores("entropy", probs, [0, 1], 2)
-    marg = uncertainty_scores("margin", probs, [0, 1], 2)
+    conf = uncertainty_scores("confidence", probs, [True, True])
+    ent = uncertainty_scores("entropy", probs, [True, True])
+    marg = uncertainty_scores("margin", probs, [True, True])
     # higher always means decode earlier: all three prefer position 0 here
     assert conf[0] > conf[1]
     assert ent[0] > ent[1]  # entropy is negated at this boundary
     assert marg[0] > marg[1]
-    assert np.isnan(uncertainty_scores("confidence", probs, [1], 2)[0])
+    assert np.isnan(uncertainty_scores("confidence", probs, [False, True])[0])
 
 
 def test_vector_helpers():
     probs = np.array([[0.7, 0.3], [0.5, 0.5]])
-    assert confidence_vector(probs, [0], 2)[0] == pytest.approx(0.7)
-    assert entropy_vector(probs, [1], 2)[1] == pytest.approx(math.log(2))
+    assert confidence_vector(probs, [True, False])[0] == pytest.approx(0.7)
+    assert entropy_vector(probs, [False, True])[1] == pytest.approx(math.log(2))
 
 
 def test_vectors_and_scalars_share_one_row_rule():
@@ -167,10 +168,11 @@ def test_vectors_and_scalars_share_one_row_rule():
     probs[2, :2] = 0.0
     probs[2] /= probs[2].sum()
     masked = [0, 1, 2, 4]
-    conf = confidence_vector(probs, masked, 6)
-    ents = entropy_vector(probs, masked, 6)
-    neg_ents = uncertainty_scores("entropy", probs, masked, 6)
-    margins = uncertainty_scores("margin", probs, masked, 6)
+    is_masked = np.isin(np.arange(6), masked)
+    conf = confidence_vector(probs, is_masked)
+    ents = entropy_vector(probs, is_masked)
+    neg_ents = uncertainty_scores("entropy", probs, is_masked)
+    margins = uncertainty_scores("margin", probs, is_masked)
     assert np.array_equal(row_scores("confidence", probs[masked]), conf[masked])
     for m in masked:
         assert conf[m] == confidence(probs[m])
@@ -178,4 +180,26 @@ def test_vectors_and_scalars_share_one_row_rule():
         assert margins[m] == margin(probs[m])
     assert np.isnan(conf[[3, 5]]).all() and np.isnan(ents[[3, 5]]).all()
     with pytest.raises(ValueError, match="unknown"):
-        uncertainty_scores("nope", probs, masked, 6)
+        uncertainty_scores("nope", probs, is_masked)
+
+
+def test_a_batch_scores_like_its_states_one_by_one():
+    rng = np.random.default_rng(6)
+    scalar = {"confidence": confidence, "entropy": lambda p: -entropy(p), "margin": margin}
+    for V in (2, 3, 9):
+        probs = rng.dirichlet(np.ones(V), size=(5, 7))
+        probs[probs < 0.1] = 0.0  # zero entries, as one-hot rows have
+        masked = rng.random((5, 7)) < 0.6
+        masked[0] = False  # a state with nothing left to score
+        masked[1] = True
+        for kind in UNCERTAINTY_SCORERS:
+            batch = uncertainty_scores(kind, probs, masked)
+            one_by_one = [uncertainty_scores(kind, probs[k], masked[k]) for k in range(5)]
+            assert np.array_equal(batch, np.stack(one_by_one), equal_nan=True)
+            assert np.isnan(batch[~masked]).all()
+            for k, i in zip(*np.nonzero(masked)):
+                assert batch[k, i] == scalar[kind](probs[k, i])
+        assert np.array_equal(confidence_vector(probs, masked),
+                              uncertainty_scores("confidence", probs, masked), equal_nan=True)
+        assert np.array_equal(entropy_vector(probs, masked),
+                              -uncertainty_scores("entropy", probs, masked), equal_nan=True)

@@ -35,8 +35,9 @@ def test_every_traced_span_resolves():
 
 
 def test_lockstep_mc_run_is_attributed_per_step():
-    # 16 samples at T=4 advance together: one forward of 16 rows and one
-    # token draw per step. A path around the traced names would read 0 here.
+    # 16 samples at T=4 advance together: one forward of 16 rows, one
+    # scoring call and one token draw per step. A path around the traced
+    # names would read 0 here.
     tracer = _load_tracer()
     model = layered_suite_model(3)
     den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
@@ -50,6 +51,7 @@ def test_lockstep_mc_run_is_attributed_per_step():
     assert t.calls["nn.forward"] == 4
     assert t.rows == 64
     assert t.calls["decoding.commit_token"] == 4
+    assert t.calls["scoring"] == 4
     assert t.calls["decoding.decode_blockwise"] == 1
 
 
