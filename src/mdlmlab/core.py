@@ -85,12 +85,18 @@ class SequenceState:
 class StateBatch:
     """Same-length sequences of one vocabulary as an (n, L) token array.
 
-    The input of a batched forward pass (``nn.forward``); its rows come from
-    ``SequenceState``s, which have already validated them.
+    The input of ``denoiser.batch`` and of a batched forward pass
+    (``nn.forward``). It is not validated: its rows come from prompts that
+    entered as ``SequenceState``s and from commits of content tokens into
+    masked positions. The one output for it is a ``DenoiserOutput`` whose
+    arrays carry a leading axis of n rows.
     """
 
     vocab: Vocabulary
     tokens: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tokens)
 
 
 def alpha(t: float) -> float:
@@ -102,10 +108,12 @@ def alpha(t: float) -> float:
 class DenoiserOutput:
     """Per-position predictive distributions plus optional attention tensors.
 
-    ``probs[i]`` is position i's distribution over content tokens 1..V; the
-    mask symbol carries probability 0 by construction (it has no output
-    dimension). ``attentions``, when present, holds one row-stochastic
-    (H, L, L) tensor per transformer layer.
+    For one state, ``probs[i]`` is position i's distribution over content
+    tokens 1..V; the mask symbol carries probability 0 by construction (it
+    has no output dimension). ``attentions``, when present, holds one
+    row-stochastic (H, L, L) tensor per transformer layer. The output for a
+    ``StateBatch`` of n rows has the same arrays with a leading row axis:
+    (n, L, V) probs and (n, H, L, L) attentions per layer.
     """
 
     probs: np.ndarray

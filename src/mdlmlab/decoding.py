@@ -1,18 +1,23 @@
 """The generation loop: selection policies, block partitioning, traces.
 
 A denoiser has a ``vocab`` attribute and one call: ``denoiser.batch(states)``
-returns the ``DenoiserOutput`` of each of a list of same-length states, in
-order (the transformer runs the list as one batched forward, the oracle
-answers each state from its cache). The exact backend additionally exposes
-``dependency_scores(state)`` for the oracle_dep scorer. A step makes one
-forward evaluation per sequence, and both the scores and the committed
-predictions come from that same evaluation, so the trace's NFE equals the
-number of forward evaluations exactly.
+takes a ``core.StateBatch`` of n same-length rows and returns one
+``DenoiserOutput`` whose arrays carry a leading row axis, in row order (the
+transformer runs the rows as one batched forward, the oracle reads each row
+from its cache and computes the missed rows together). A row's output must
+not depend on the other rows of the call. The exact backend additionally
+exposes ``dependency_scores(masked)``, from one row's mask, for the
+oracle_dep scorer. A step makes one forward evaluation per sequence, and
+both the scores and the committed predictions come from that same
+evaluation, so the trace's NFE equals the number of forward evaluations
+exactly.
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``:
 per step it makes the denoiser calls for every unfinished sequence and
-yields their plans. The sampler ``decode_blockwise`` draws one continuation
+yields their plans. Inside the loop a sequence is a plain token tuple;
+``SequenceState`` validates only what enters (the prompts) and what the
+sampler returns. The sampler ``decode_blockwise`` draws one continuation
 per sequence, with one token draw per step; the enumerator
 ``enumerate_decodes`` replaces each sequence by all of its continuations,
 each with its probability, which is how the harness computes exact induced
@@ -29,7 +34,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, SequenceState, make_masked_state, reverse_unmask_prob
+from .core import (
+    DenoiserOutput, SequenceState, StateBatch, make_masked_state, reverse_unmask_prob,
+)
 from . import scoring
 
 SELECTORS = ("topk", "threshold", "klass", "eb")
@@ -278,43 +285,39 @@ def commit_token(
 # ---------------------------------------------------------------------------
 
 def compute_ranking(
-    policy: PolicyConfig,
-    outs: Sequence[DenoiserOutput],
-    probs: np.ndarray,
-    masked: np.ndarray,
-    states: Sequence[SequenceState],
-    denoiser,
+    policy: PolicyConfig, out: DenoiserOutput, masked: np.ndarray, denoiser
 ) -> np.ndarray:
-    """The policy's (n, L) ScoreVectors of n states, NaN off the masked positions.
+    """The policy's (n, L) ScoreVectors of n rows, NaN off the masked positions.
 
-    ``probs`` stacks the states' output probabilities (n, L, V) and
-    ``masked`` their masks (n, L). Uncertainty scorers rank every state in
-    one call; dos and oracle_dep rank state by state.
+    ``out`` is the rows' ``denoiser.batch`` output ((n, L, V) probs) and
+    ``masked`` their (n, L) mask. Uncertainty scorers rank every row in one
+    call; dos and oracle_dep rank row by row, from each row's mask.
     """
     if policy.scorer in scoring.UNCERTAINTY_SCORERS:
-        return scoring.uncertainty_scores(policy.scorer, probs, masked)
+        return scoring.uncertainty_scores(policy.scorer, out.probs, masked)
     if policy.scorer == "dos":
-        if any(out.attentions is None for out in outs):
+        if out.attentions is None:
             raise ValueError("the dos scorer needs a denoiser that returns attentions")
+        L = masked.shape[1]
         return np.array([
             scoring.dos_dependency(
-                out.attentions, policy.layer, s.masked_positions(),
-                s.unmasked_positions(), len(s),
+                [a[j] for a in out.attentions], policy.layer,
+                np.flatnonzero(row), np.flatnonzero(~row), L,
             )
-            for out, s in zip(outs, states)
+            for j, row in enumerate(masked)
         ])
     if policy.scorer == "oracle_dep":
         dep = getattr(denoiser, "dependency_scores", None)
         if dep is None:
             raise ValueError("the oracle_dep scorer needs an exact denoiser")
-        return np.array([dep(s) for s in states])
+        return np.array([dep(row) for row in masked.tolist()])
     raise ValueError(f"unknown scorer {policy.scorer!r}")
 
 
 def selector_vectors(
     policy: PolicyConfig, probs: np.ndarray, masked: np.ndarray
 ) -> np.ndarray | None:
-    """What the selector reads besides the ranking, for n states at once:
+    """What the selector reads besides the ranking, for n rows at once:
     confidences for threshold and KLASS, entropies for EB, None for top-k."""
     if policy.selector in ("threshold", "klass"):
         return scoring.confidence_vector(probs, masked)
@@ -331,9 +334,9 @@ def plan_step(
     steps_left: int,
     history: History,
 ) -> tuple[int, ...]:
-    """The position subset one state commits at a step (no commitment).
+    """The position subset one row commits at a step (no commitment).
 
-    ``ranking`` is the state's ScoreVector and ``vector`` its row of
+    ``ranking`` is the row's ScoreVector and ``vector`` its row of
     ``selector_vectors``.
     """
     if policy.selector == "topk":
@@ -362,17 +365,28 @@ def plan_step(
 FORWARD_ROWS = 256
 
 
-def _commit(state: SequenceState, history: History, updates: dict[int, int]):
-    """The state after ``updates``; KLASS forgets the committed positions."""
+def _commit(
+    tokens: tuple[int, ...], history: History, updates: dict[int, int]
+) -> tuple[int, ...]:
+    """The tokens after ``updates``; KLASS forgets the committed positions.
+
+    The step loop only writes content tokens into masked positions, so the
+    result needs no validation.
+    """
     history.clear(updates)
-    return state.with_tokens(updates) if updates else state
+    if not updates:
+        return tokens
+    out = list(tokens)
+    for pos, tok in updates.items():
+        out[pos] = tok
+    return tuple(out)
 
 
 @dataclass
 class _Row:
     """One sequence of the step loop; ``mass`` is its path's probability when enumerated."""
 
-    state: SequenceState
+    tokens: tuple[int, ...]
     history: History
     block: int = 0
     steps_in_block: int = 0
@@ -384,7 +398,12 @@ def _start(
     denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int
 ) -> tuple[list[tuple[range, int]], list[_Row]]:
     """Left-to-right blocks with their step budgets (see ``PolicyConfig``),
-    and one fresh row per prompt."""
+    and one fresh row per prompt.
+
+    Each prompt is validated as a ``SequenceState`` here, before any
+    denoiser call: ragged lengths, and a token outside 1..V (the mask id
+    included), raise ``ValueError``.
+    """
     lengths = {len(p) for p in prompts}
     if len(lengths) != 1:
         raise ValueError("a decode needs one or more prompts of one length")
@@ -397,7 +416,7 @@ def _start(
         for block in (positions[i : i + size] for i in range(0, gen_len, size))
     ]
     rows = [
-        _Row(make_masked_state(denoiser.vocab, p, gen_len), History(policy.n_history))
+        _Row(make_masked_state(denoiser.vocab, p, gen_len).tokens, History(policy.n_history))
         for p in prompts
     ]
     return blocks, rows
@@ -410,22 +429,23 @@ def _lockstep(
 
     A step moves each row past its finished blocks (entering a block restarts
     its step count) and denoises the unfinished rows in ``denoiser.batch``
-    calls of at most ``FORWARD_ROWS`` rows. Each such chunk is scored as a
-    whole: its outputs are stacked into (n, L, V) probabilities and an
-    (n, L) mask, and one call per vector gives the rankings and the
-    selector's vectors. KLASS records the predictive distribution of every
-    masked position, and ``plan_step`` selects among the active block's
-    masked positions under its remaining budget. Yields one plan per row,
-    in order: None for a finished row, else ``(ranking, selected, probs)``
-    with the probability rows of the selected positions.
-    The caller commits before resuming, in place or by replacing the
+    calls of at most ``FORWARD_ROWS`` rows, each an (n, L) ``StateBatch`` of
+    the rows' token tuples. Each such chunk is scored as a whole: from its
+    (n, L, V) probabilities and (n, L) mask, one call per vector gives the
+    rankings and the selector's vectors. KLASS records the predictive
+    distribution of every masked position, and ``plan_step`` selects among
+    the active block's masked positions under its remaining budget. Yields
+    one plan per row, in order: None for a finished row, else
+    ``(ranking, selected, probs)`` with the probability rows of the selected
+    positions. The caller commits before resuming, in place or by replacing the
     contents of ``rows``. The loop ends when no row has a masked position.
     """
-    mask_id = denoiser.vocab.mask_id
+    vocab = denoiser.vocab
+    mask_id = vocab.mask_id
     while True:
         todo = []
         for k, row in enumerate(rows):
-            while row.block < len(blocks) and mask_id not in row.state.tokens[
+            while row.block < len(blocks) and mask_id not in row.tokens[
                 blocks[row.block][0].start : blocks[row.block][0].stop
             ]:
                 row.block += 1
@@ -437,11 +457,11 @@ def _lockstep(
         plans = [None] * len(rows)
         for lo in range(0, len(todo), FORWARD_ROWS):
             chunk = todo[lo : lo + FORWARD_ROWS]
-            states = [rows[k].state for k in chunk]
-            outs = denoiser.batch(states)
-            probs = np.array([out.probs for out in outs])
-            masked = np.array([s.tokens for s in states]) == mask_id
-            rankings = compute_ranking(policy, outs, probs, masked, states, denoiser)
+            tokens = np.array([rows[k].tokens for k in chunk])
+            out = denoiser.batch(StateBatch(vocab, tokens))
+            probs = out.probs
+            masked = tokens == mask_id
+            rankings = compute_ranking(policy, out, masked, denoiser)
             vectors = selector_vectors(policy, probs, masked)
             for j, (k, row_masked) in enumerate(zip(chunk, masked.tolist())):
                 row = rows[k]
@@ -457,7 +477,7 @@ def _lockstep(
                     candidates, steps_left, row.history,
                 )
                 plans[k] = (rankings[j], selected, probs[j, list(selected)])
-            del outs, probs  # the next chunk's forward runs without this chunk's outputs
+            del out, probs  # the next chunk's forward runs without this chunk's outputs
         yield plans
 
 
@@ -469,6 +489,9 @@ def decode_blockwise(
     rng: np.random.Generator,
 ) -> list[tuple[SequenceState, DecodeTrace]]:
     """Generate from every prompt in lockstep; ``(final state, trace)`` per prompt.
+
+    A malformed prompt raises ``ValueError`` before any denoiser call (see
+    ``_start``); each final state is a validated ``SequenceState``.
 
     Each step of the shared step loop denoises the sequences that still
     have masked positions, scores and selects per sequence, and commits
@@ -512,9 +535,13 @@ def decode_blockwise(
                 step=len(trace.steps), positions=list(selected), tokens=toks,
                 scores=[float(ranking[i]) for i in selected], nfe=row.forwards,
             ))
-            row.state = _commit(row.state, row.history, dict(zip(selected, toks)))
+            row.tokens = _commit(row.tokens, row.history, dict(zip(selected, toks)))
             row.steps_in_block += 1
-    return [(row.state, trace) for row, trace in zip(rows, traces)]
+    prompt_len = len(prompts[0])
+    return [
+        (SequenceState(denoiser.vocab, row.tokens, prompt_len), trace)
+        for row, trace in zip(rows, traces)
+    ]
 
 
 def enumerate_decodes(
@@ -533,6 +560,8 @@ def enumerate_decodes(
     the single argmax branch). Finished rows keep their place, so outcomes
     come prompt by prompt, each prompt's depth-first in token order within a
     step; a sequence reached along several paths is listed once per path.
+    A malformed prompt raises ``ValueError`` before any denoiser call (see
+    ``_start``).
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
@@ -559,8 +588,8 @@ def enumerate_decodes(
                 p = 1.0  # in selection order, then times mass: masses stay bit-stable
                 for _, pv in combo:
                     p *= pv
-                state = _commit(row.state, h, dict(zip(selected, [tok for tok, _ in combo])))
-                frontier.append(_Row(state, h, row.block, row.steps_in_block + 1,
+                tokens = _commit(row.tokens, h, dict(zip(selected, [tok for tok, _ in combo])))
+                frontier.append(_Row(tokens, h, row.block, row.steps_in_block + 1,
                                      row.forwards + 1, row.mass * p))
         rows[:] = frontier
-    return [(row.state.tokens, row.mass, row.forwards) for row in rows]
+    return [(row.tokens, row.mass, row.forwards) for row in rows]

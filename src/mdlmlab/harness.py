@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SequenceState, Vocabulary, forward_mask, make_masked_state
+from .core import SequenceState, StateBatch, Vocabulary, forward_mask, make_masked_state
 from .decoding import (
     DecodeTrace,
     PolicyConfig,
@@ -337,22 +337,26 @@ def mean_conditional_kl(
     """Mean KL(exact conditional || prediction) over random masked states.
 
     States are drawn by sampling a clean sequence and corrupting it at a
-    uniform time, redrawing until at least one position is masked; the KL is
-    averaged over every masked position of every state.
+    uniform time, redrawing until at least one position is masked; all of
+    them are drawn first and then denoised in one ``denoiser.batch`` call,
+    which draws nothing. The KL is averaged over every masked position of
+    every state.
     """
     vocab = model.vocab
-    total = 0.0
-    count = 0
+    states = []
     for _ in range(n_states):
         x = sample_joint(model, rng)
         clean = SequenceState(vocab, x, prompt_len)
         state = clean
         while not state.masked_positions():
             state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
-        exact = conditional_marginal(model, state)
-        [out] = denoiser.batch([state])
-        for i, p in exact.items():
-            total += scoring.kl_divergence(p, out.probs[i])
+        states.append(state)
+    out = denoiser.batch(StateBatch(vocab, np.array([s.tokens for s in states])))
+    total = 0.0
+    count = 0
+    for state, probs in zip(states, out.probs):
+        for i, p in conditional_marginal(model, state).items():
+            total += scoring.kl_divergence(p, probs[i])
             count += 1
     return total / count
 
@@ -446,18 +450,18 @@ def dependency_greedy_schedule(
     """The fixed group schedule a dependency-ranked top-k decode follows.
 
     Pattern mutual information does not depend on observed values, so the
-    selection sequence is one deterministic schedule; token 1 stands in for
-    every revealed value.
+    selection sequence is one deterministic schedule.
     """
     denoiser = OracleDenoiser(model)
-    state = make_masked_state(model.vocab, (1,) * prompt_len, model.L - prompt_len)
+    mask = [i >= prompt_len for i in range(model.L)]
     groups = []
     steps_left = steps
-    while masked := state.masked_positions():
+    while masked := [i for i, m in enumerate(mask) if m]:
         k = math.ceil(len(masked) / max(1, steps_left))
-        group = select_topk(denoiser.dependency_scores(state), masked, k)
+        group = select_topk(denoiser.dependency_scores(mask), masked, k)
         groups.append(group)
-        state = state.with_tokens({i: 1 for i in group})
+        for i in group:
+            mask[i] = False
         steps_left = max(1, steps_left - 1)
     return GroupSchedule(tuple(groups))
 
@@ -515,8 +519,7 @@ def layered_suite_model(seed: int) -> FactorizedDAG:
         model = FactorizedDAG(Vocabulary(2), tuple(parents), tuple(cpts))
 
         # margin 1: mutual information separates the layers up front
-        start = make_masked_state(model.vocab, (1,), gen_len)
-        mi = OracleDenoiser(model).dependency_scores(start)
+        mi = OracleDenoiser(model).dependency_scores([False] + [True] * gen_len)
         if min(mi[r] for r in roots) < max(mi[c] for c in children) + 0.02:
             continue
         # margin 2: confidence ordering crosses the layers for every prompt value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -305,14 +305,9 @@ class TransformerDenoiser:
         self.params = params
         self.vocab = params.config.vocab
 
-    def batch(self, states: Sequence[SequenceState]) -> list[DenoiserOutput]:
-        """The output of each same-length state, from one batched forward."""
-        tokens = np.array([s.tokens for s in states], dtype=np.int64)
-        out = forward(self.params, StateBatch(states[0].vocab, tokens))
-        return [
-            DenoiserOutput(out.probs[r], [a[r] for a in out.attentions])
-            for r in range(len(states))
-        ]
+    def batch(self, states: StateBatch) -> DenoiserOutput:
+        """The rows' outputs from one batched forward: ``forward(params, states)``."""
+        return forward(self.params, states)
 
     @property
     def n_layers(self) -> int:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, SequenceState, Vocabulary
+from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary
 
 ENUM_LIMIT = 10**6
 
@@ -403,45 +403,106 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
 class OracleDenoiser:
     """Exact denoiser backed by a joint model; no attentions are produced.
 
-    Outputs are cached by token tuple and dependency scores by mask pattern,
-    so repeated contexts during enumeration or sampling are cheap.
+    Output rows are cached by token tuple and dependency scores by mask
+    pattern, so repeated contexts during enumeration or sampling are cheap.
     """
 
     def __init__(self, model: JointModel):
         self.model = model
         self.vocab = model.vocab
-        self._out_cache: dict[tuple[int, ...], DenoiserOutput] = {}
+        self._out_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
 
-    def __call__(self, state: SequenceState) -> DenoiserOutput:
-        key = state.tokens
-        hit = self._out_cache.get(key)
-        if hit is not None:
-            return hit
-        L, V = self.model.L, self.vocab.size
-        probs = np.zeros((L, V))
-        for i in state.unmasked_positions():
-            probs[i, state.tokens[i] - 1] = 1.0
-        if state.masked_positions():
-            for i, p in conditional_marginal(self.model, state).items():
-                probs[i] = p
-        out = DenoiserOutput(probs=probs, attentions=None)
-        self._out_cache[key] = out
-        return out
+    def __call__(self, states: SequenceState | StateBatch) -> DenoiserOutput:
+        """Exact output of one state, or of each row of a ``StateBatch``.
 
-    def batch(self, states: Sequence[SequenceState]) -> list[DenoiserOutput]:
-        """``self(state)`` for each state, in order."""
-        return [self(s) for s in states]
+        Probs are (L, V) for one state and (n, L, V) for a batch: each masked
+        position gets p(x_i | unmasked tokens), each unmasked one the exact
+        one-hot of its token. A row is computed once and then read from the
+        cache; the rows a call misses are computed together (see
+        ``_conditionals``), and each is a function of its own tokens alone,
+        bit for bit, whatever else the call holds. Tokens or a shape that do
+        not fit the joint raise ``ValueError``; a row with a masked position
+        whose unmasked tokens have probability zero raises
+        ``ZeroSupportError``.
+        """
+        tokens = np.asarray(states.tokens)
+        batch = np.atleast_2d(tokens)
+        V, L = self.vocab.size, self.model.L
+        if states.vocab.size != V or batch.ndim != 2 or batch.shape[1] != L:
+            raise ValueError("state does not match the model's vocabulary or length")
+        if not np.all((batch >= 1) & (batch <= V + 1)):
+            raise ValueError(f"token ids must lie in 1..{V + 1}")
+        keys = list(map(tuple, batch.tolist()))
+        cache = self._out_cache
+        missed = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missed:
+            rows = self._conditionals(np.array(missed))
+            rows.flags.writeable = False  # one state's output is the cached row itself
+            cache.update(zip(missed, rows))
+        if tokens.ndim == 1:
+            return DenoiserOutput(cache[keys[0]])
+        return DenoiserOutput(np.array([cache[key] for key in keys]))
 
-    def dependency_scores(self, state: SequenceState) -> np.ndarray:
-        mask_id = self.vocab.mask_id
-        pattern = tuple(t == mask_id for t in state.tokens)
+    def batch(self, states: StateBatch) -> DenoiserOutput:
+        """``self(states)``: one output with a leading row axis."""
+        return self(states)
+
+    def _conditionals(self, tokens: np.ndarray) -> np.ndarray:
+        """The (m, L, V) output rows of m distinct (m, L) token rows.
+
+        Rows that mask the same positions are answered together: one gather
+        takes each row's slice of the joint table at its unmasked tokens, an
+        (m_g, V, ..., V) array over the masked positions, and each masked
+        position's conditional is that slice summed over the other masked
+        positions, divided by the row's total. Every sum runs over one row's
+        contiguous values, so a row's bits do not depend on the other rows.
+        """
+        table = joint_table(self.model)
+        m, L = tokens.shape
+        V = self.vocab.size
+        masked = tokens == self.vocab.mask_id
+        probs = np.zeros((m, L, V))
+        seen_r, seen_i = np.nonzero(~masked)
+        probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
+        groups: dict[tuple[bool, ...], list[int]] = {}
+        for r, pattern in enumerate(map(tuple, masked.tolist())):
+            groups.setdefault(pattern, []).append(r)
+        for pattern, rs in groups.items():
+            free = [i for i in range(L) if pattern[i]]
+            if not free:
+                continue
+            fixed = [i for i in range(L) if not pattern[i]]
+            index = tuple(tokens[rs][:, fixed].T - 1)
+            sub = table.transpose(fixed + free)[index].reshape((len(rs),) + (V,) * len(free))
+            total = sub.reshape(len(rs), -1).sum(axis=1)
+            if not np.all(total > 0.0):
+                bad = tokens[rs[int(np.argmin(total > 0.0))]]
+                fixed_tokens = {i: int(bad[i]) for i in fixed}
+                raise ZeroSupportError(
+                    f"conditioning event {fixed_tokens} has probability zero"
+                )
+            for k, pos in enumerate(free):
+                slabs = np.moveaxis(sub, 1 + k, 1).reshape(len(rs), V, -1)
+                probs[rs, pos] = slabs.sum(axis=2) / total[:, None]
+        return probs
+
+    def dependency_scores(self, masked: Sequence[bool]) -> np.ndarray:
+        """``oracle_dependency`` of every masked position, NaN elsewhere.
+
+        ``masked`` is one row's mask (position -> masked); the scores depend
+        on it alone, so they are cached by it.
+        """
+        pattern = tuple(bool(m) for m in masked)
         hit = self._dep_cache.get(pattern)
         if hit is not None:
             return hit
-        scores = np.full(len(state), np.nan)
-        for m in state.masked_positions():
-            scores[m] = oracle_dependency(self.model, state, m)
+        # the observed values do not matter: token 1 stands in for each
+        mask_id = self.vocab.mask_id
+        state = SequenceState(self.vocab, tuple(mask_id if m else 1 for m in pattern))
+        scores = np.full(len(pattern), np.nan)
+        for i in state.masked_positions():
+            scores[i] = oracle_dependency(self.model, state, i)
         self._dep_cache[pattern] = scores
         return scores
 

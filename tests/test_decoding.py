@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlmlab.core import SequenceState, Vocabulary
+from mdlmlab.core import DenoiserOutput, SequenceState, Vocabulary
 from mdlmlab.decoding import (
     DecodeTrace,
     History,
@@ -14,6 +14,7 @@ from mdlmlab.decoding import (
     commit_token,
     compute_ranking,
     decode_blockwise,
+    enumerate_decodes,
     select_eb,
     select_klass,
     select_threshold,
@@ -352,7 +353,7 @@ def test_dos_eb_composition_satisfies_budget():
 
     probs = out.probs[None]
     masked = (np.array(state.tokens) == vocab.mask_id)[None]
-    [ranking] = compute_ranking(policy, [out], probs, masked, [state], den)
+    [ranking] = compute_ranking(policy, DenoiserOutput(probs), masked, den)
     [ents] = selector_vectors(policy, probs, masked)
     selected = plan_step(policy, ranking, ents, state.masked_positions(), 1, History(2))
     sel = list(selected)
@@ -445,6 +446,33 @@ def test_block_budgets_can_exceed_steps():
         assert [len(s.positions) for s in trace.steps] == [2, 1, 2, 1, 2]
     _, mean_nfe = exact_induced_distribution(den.model, policy, prompt_len=1)
     assert mean_nfe == pytest.approx(5.0, abs=1e-12)
+
+
+def test_malformed_prompts_fail_before_any_denoiser_call(monkeypatch):
+    den = oracle_den(seed=47, L=5)
+    V = den.vocab.size
+
+    def no_forward(states):
+        raise AssertionError("denoised a malformed prompt")
+
+    monkeypatch.setattr(den, "batch", no_forward)
+    policy = PolicyConfig(temperature="sample")
+    for prompts in ([[1], [1, 2]], [[0, 1]], [[1, V + 1]], [[V + 2, 1]], [[-1, 1]]):
+        with pytest.raises(ValueError):
+            decode_blockwise(den, policy, prompts, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            enumerate_decodes(den, policy, [(p, 1.0) for p in prompts], 3)
+
+
+def test_decode_blockwise_returns_validated_states():
+    den = oracle_den(seed=47, L=5)
+    policy = PolicyConfig(selector="threshold", temperature="sample")
+    decoded = decode_blockwise(den, policy, [[1, 2], [2, 2]], 3, np.random.default_rng(0))
+    for (final, trace), prompt in zip(decoded, ([1, 2], [2, 2])):
+        assert isinstance(final, SequenceState)
+        assert final.vocab == den.vocab and final.prompt_len == 2
+        assert final.tokens[:2] == tuple(prompt) and not final.masked_positions()
+        assert trace.nfe >= 1
 
 
 def test_decode_blockwise_needs_prompts_of_one_length():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlmlab.cli import load_experiment_config, parse_policy
+from mdlmlab.core import SequenceState, forward_mask
 from mdlmlab.decoding import SELECTORS, PolicyConfig, decode_blockwise, enumerate_decodes
 from mdlmlab.harness import (
     CSV_SCHEMA_TAG,
@@ -34,6 +35,7 @@ from mdlmlab.nn import (
     CheckpointError,
     TransformerConfig,
     TransformerDenoiser,
+    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -41,6 +43,7 @@ from mdlmlab.nn import (
 from mdlmlab.oracle import (
     GroupSchedule,
     OracleDenoiser,
+    conditional_marginal,
     exact_policy_distribution,
     model_distribution,
     prompt_marginal,
@@ -49,6 +52,7 @@ from mdlmlab.oracle import (
     sample_joints,
     save_joint_model,
 )
+from mdlmlab.scoring import kl_divergence
 
 
 def test_empirical_distribution_examples():
@@ -393,6 +397,30 @@ def test_mean_conditional_kl_zero_for_oracle():
     rng = np.random.default_rng(0)
     kl = mean_conditional_kl(model, den, prompt_len=1, n_states=50, rng=rng)
     assert kl == pytest.approx(0.0, abs=1e-10)
+
+
+def test_mean_conditional_kl_denoises_every_state_in_one_call():
+    model = reference_dag_model(29)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    calls = []
+    batch = den.batch
+    den.batch = lambda states: calls.append(len(states)) or batch(states)
+    kl = mean_conditional_kl(model, den, prompt_len=1, n_states=40,
+                             rng=np.random.default_rng(3))
+    assert calls == [40]
+    # the same states, drawn the same way, each denoised alone
+    rng = np.random.default_rng(3)
+    total, count = 0.0, 0
+    for _ in range(40):
+        clean = SequenceState(model.vocab, sample_joint(model, rng), 1)
+        state = clean
+        while not state.masked_positions():
+            state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
+        probs = forward(den.params, state).probs
+        for i, p in conditional_marginal(model, state).items():
+            total += kl_divergence(p, probs[i])
+            count += 1
+    assert abs(kl - total / count) <= 1e-12
 
 
 def test_metrics_csv_schema_stability():

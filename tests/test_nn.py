@@ -312,9 +312,8 @@ def test_transformer_denoiser_interface():
     den = TransformerDenoiser(params)
     assert den.vocab.size == 3
     assert den.n_layers == 2
-    state = SequenceState(Vocabulary(3), (1, 4), 0)
-    [out] = den.batch([state])
-    assert out.probs.shape == (2, 3)
+    out = den.batch(StateBatch(Vocabulary(3), np.array([[1, 4]])))
+    assert out.probs.shape == (1, 2, 3)
     assert out.attentions is not None and len(out.attentions) == 2
 
 
@@ -326,18 +325,19 @@ def test_batched_forward_rows_equal_single_rows():
         SequenceState(vocab, tuple(int(t) for t in rng.integers(1, 5, size=6)))
         for _ in range(7)
     ]
-    batch = forward(params, StateBatch(vocab, np.array([s.tokens for s in states])))
+    rows = StateBatch(vocab, np.array([s.tokens for s in states]))
+    batch = forward(params, rows)
     assert batch.probs.shape == (7, 6, 3)
     assert [a.shape for a in batch.attentions] == [(7, 2, 6, 6)] * 2
-    outs = TransformerDenoiser(params).batch(states)
-    assert len(outs) == len(states)
-    for r, (state, out) in enumerate(zip(states, outs)):
+    out = TransformerDenoiser(params).batch(rows)
+    assert out.probs.shape == (7, 6, 3)
+    for r, state in enumerate(states):
         single = forward(params, state)
-        for probs in (batch.probs[r], out.probs):
+        for probs in (batch.probs[r], out.probs[r]):
             assert np.max(np.abs(probs - single.probs)) <= 1e-12
         for layer, want in enumerate(single.attentions):
             assert np.max(np.abs(batch.attentions[layer][r] - want)) <= 1e-12
-            assert np.max(np.abs(out.attentions[layer] - want)) <= 1e-12
+            assert np.max(np.abs(out.attentions[layer][r] - want)) <= 1e-12
 
 
 def test_masked_cross_entropy_matches_manual():

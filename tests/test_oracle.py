@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_conditionals
-from mdlmlab.core import SequenceState, Vocabulary, make_masked_state
+from mdlmlab.core import SequenceState, StateBatch, Vocabulary, make_masked_state
 from mdlmlab.decoding import PolicyConfig
 from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
 from mdlmlab.oracle import (
@@ -278,27 +278,31 @@ def scalar_draw(model, rng):
     return tuple(toks)
 
 
+def sparse_model(data: np.random.Generator, V: int, L: int, tabular: bool):
+    """A random table, or a DAG with relabelled nodes, with zero entries."""
+    if tabular:
+        table = data.random((V,) * L) * (data.random((V,) * L) < 0.7)
+        table.flat[0] += 0.1
+        return TabularJoint(Vocabulary(V), table / table.sum())
+    dag = random_dag(data, V, L, max_parents=3)
+    # relabel the nodes, so the topological order is not the index order
+    perm = data.permutation(L).tolist()
+    parents, cpts = [()] * L, [None] * L
+    for i in range(L):
+        keep = data.random(dag.cpts[i].shape) < 0.7
+        keep[..., 0] = True  # zeros in the CPT rows, none all zero
+        cpt = dag.cpts[i] * keep
+        parents[perm[i]] = tuple(perm[q] for q in dag.parents[i])
+        cpts[perm[i]] = cpt / cpt.sum(axis=-1, keepdims=True)
+    return FactorizedDAG(Vocabulary(V), tuple(parents), tuple(cpts))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
        n=st.integers(0, 12), tabular=st.booleans())
 def test_sample_joints_draws_like_one_row_calls(seed, V, L, n, tabular):
     data = np.random.default_rng(seed)
-    if tabular:
-        table = data.random((V,) * L) * (data.random((V,) * L) < 0.7)
-        table.flat[0] += 0.1
-        model = TabularJoint(Vocabulary(V), table / table.sum())
-    else:
-        dag = random_dag(data, V, L, max_parents=3)
-        # relabel the nodes, so the topological order is not the index order
-        perm = data.permutation(L).tolist()
-        parents, cpts = [()] * L, [None] * L
-        for i in range(L):
-            keep = data.random(dag.cpts[i].shape) < 0.7
-            keep[..., 0] = True  # zeros in the CPT rows, none all zero
-            cpt = dag.cpts[i] * keep
-            parents[perm[i]] = tuple(perm[q] for q in dag.parents[i])
-            cpts[perm[i]] = cpt / cpt.sum(axis=-1, keepdims=True)
-        model = FactorizedDAG(Vocabulary(V), tuple(parents), tuple(cpts))
+    model = sparse_model(data, V, L, tabular)
     batched, one_row, scalar = (np.random.default_rng(seed + 1) for _ in range(3))
     got = sample_joints(model, batched, n)
     assert got.shape == (n, L)
@@ -364,9 +368,73 @@ def test_oracle_denoiser_outputs_and_cache():
     assert out.attentions is None
     assert np.allclose(out.probs.sum(axis=1), 1.0)
     assert out.probs[0, 1] == 1.0  # observed positions are point masses
-    assert den(state) is out  # cached
-    dep = den.dependency_scores(state)
+    assert den(state).probs is out.probs  # cached
+    with pytest.raises(ValueError):  # read-only, so no caller can corrupt the cache
+        out.probs[1, 0] = 0.0
+    dep = den.dependency_scores([t == m.vocab.mask_id for t in state.tokens])
     assert np.isnan(dep[0]) and np.isfinite(dep[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       n=st.integers(1, 12), tabular=st.booleans())
+def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
+    data = np.random.default_rng(seed)
+    model = sparse_model(data, V, L, tabular)
+    vocab = model.vocab
+    # contexts of positive mass, under random masks, plus one all-masked row
+    tokens = np.where(data.random((n, L)) < data.random(), vocab.mask_id,
+                      sample_joints(model, data, n))
+    tokens = np.vstack([tokens, np.full((1, L), vocab.mask_id)])
+    den = OracleDenoiser(model)
+    out = den.batch(StateBatch(vocab, tokens))
+    assert out.probs.shape == (n + 1, L, V) and out.attentions is None
+    for r, row in enumerate(tokens.tolist()):
+        state = SequenceState(vocab, tuple(row))
+        want = conditional_marginal(model, state) if state.masked_positions() else {}
+        for i, tok in enumerate(row):
+            if i in want:
+                assert np.max(np.abs(out.probs[r, i] - want[i])) <= 1e-15
+            else:  # an unmasked position: the exact one-hot of its token
+                assert np.array_equal(out.probs[r, i], np.eye(V)[tok - 1])
+        # bit for bit the same alone, in a fresh denoiser
+        assert np.array_equal(OracleDenoiser(model)(state).probs, out.probs[r])
+    # ... as cache hits, and in a batch that mixes hits with misses
+    assert np.array_equal(den.batch(StateBatch(vocab, tokens[::-1])).probs, out.probs[::-1])
+    mixed = OracleDenoiser(model)
+    mixed.batch(StateBatch(vocab, tokens[::2]))
+    assert np.array_equal(mixed.batch(StateBatch(vocab, tokens)).probs, out.probs)
+    # a context of zero mass fails in the batch as in conditional_marginal
+    row = data.integers(1, V + 1, size=L)
+    row[data.random(L) < 0.5] = vocab.mask_id
+    row[0] = vocab.mask_id
+    seen = [i for i in range(L) if row[i] != vocab.mask_id]
+    index = tuple(row[i] - 1 if i in seen else slice(None) for i in range(L))
+    if joint_table(model)[index].sum() == 0.0:
+        state = SequenceState(vocab, tuple(row.tolist()))
+        with pytest.raises(ZeroSupportError):
+            conditional_marginal(model, state)
+        with pytest.raises(ZeroSupportError):
+            OracleDenoiser(model).batch(StateBatch(vocab, np.vstack([tokens, row])))
+
+
+def test_oracle_batch_rejects_rows_that_do_not_fit():
+    model = random_dag(np.random.default_rng(5), V=3, L=4)
+    den = OracleDenoiser(model)
+    mask = model.vocab.mask_id
+    for batch in (
+        StateBatch(Vocabulary(2), np.array([[1, 3, 1, 3]])),  # another V
+        StateBatch(model.vocab, np.array([[1, mask, 1]])),  # another L
+        StateBatch(model.vocab, np.array([[0, mask, 1, 2]])),  # token 0
+        StateBatch(model.vocab, np.array([[1, mask + 1, 1, 2]])),  # past the mask id
+    ):
+        with pytest.raises(ValueError):
+            den.batch(batch)
+    state = SequenceState(Vocabulary(3), (1, mask, 2))
+    with pytest.raises(ValueError, match="vocabulary or length"):
+        conditional_marginal(model, state)
+    with pytest.raises(ValueError, match="vocabulary or length"):
+        den(state)
 
 
 def test_group_schedule_validation():

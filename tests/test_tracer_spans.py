@@ -11,6 +11,7 @@ import mdlmlab  # noqa: F401 - the tracer looks owners up in sys.modules
 from mdlmlab.decoding import PolicyConfig
 from mdlmlab.harness import ExperimentConfig, layered_suite_model, run_policy
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
+from mdlmlab.oracle import OracleDenoiser
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -75,3 +76,24 @@ def test_exact_transformer_run_is_attributed_per_forward():
         assert t.calls["harness.exact_walk"] == 1
         assert t.calls["decoding.decode_blockwise"] == 0
         assert (t.calls["nn.forward"], t.rows) == (calls, rows)
+
+
+def test_exact_oracle_run_keeps_its_work_under_traced_names():
+    # the exact walk holds token tuples, so no commit derives a SequenceState,
+    # and the oracle answers each enumeration level (2, 8, 32 and 128 rows)
+    # in one traced call, without conditional_marginal
+    tracer = _load_tracer()
+    model = layered_suite_model(3)
+    policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
+                          temperature="sample")
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                           mode="exact")
+    with tracer.installed(tracer.Tracer()) as t:
+        row, _ = run_policy(model, OracleDenoiser(model), policy, cfg,
+                            np.random.default_rng(0))
+    assert not tracer.leftover_wrappers()
+    assert row.samples == 0
+    assert t.calls["core.with_tokens"] == 0
+    assert t.calls["oracle.denoise"] == 4
+    assert t.calls["oracle.conditional_marginal"] == 0
+    assert t.self_s["oracle.denoise"] > 0.0
