@@ -22,6 +22,12 @@ per sequence, with one token draw per step; the enumerator
 ``enumerate_decodes`` replaces each sequence by all of its continuations,
 each with its probability, which is how the harness computes exact induced
 distributions.
+
+Stochastic remasking runs only under top-k, so under every other selector a
+position is masked from a sequence's first step until it is committed. KLASS
+relies on this: its ``History`` is the sequence's last n+1 whole outputs, a
+masked position's own record is its slice of them, and enumeration branches
+share their parent's history instead of copying it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -154,36 +160,32 @@ class DecodeTrace:
 
 
 class History:
-    """Rolling record of the last n+1 predictive distributions per position."""
+    """A row's last n+1 (L, V) outputs, oldest first; an immutable value.
 
-    def __init__(self, n: int):
+    A KLASS position is masked from the row's first step until committed, so
+    its own record is exactly its slice of these outputs.
+    """
+
+    def __init__(self, n: int, outputs: tuple[np.ndarray, ...] = ()):
         self.n = n
-        self._dists: dict[int, list[np.ndarray]] = {}
+        self.outputs = outputs
 
-    def record(self, position: int, dist: np.ndarray) -> None:
-        lst = self._dists.setdefault(position, [])
-        lst.append(np.array(dist, dtype=float))
-        if len(lst) > self.n + 1:
-            del lst[0]
-
-    def clear(self, positions: Iterable[int]) -> None:
-        for i in positions:
-            self._dists.pop(i, None)
+    def record(self, probs: np.ndarray) -> "History":
+        """A new history ending with ``probs``; the receiver is unchanged."""
+        return History(self.n, (self.outputs + (probs,))[-(self.n + 1):])
 
     def stable(self, position: int, eps_kl: float) -> bool:
         """True iff n+1 records exist and all n consecutive KLs are < eps_kl."""
-        lst = self._dists.get(position, [])
-        if len(lst) < self.n + 1:
+        if len(self.outputs) < self.n + 1:
             return False
         return all(
-            scoring.kl_divergence(lst[k], lst[k + 1]) < eps_kl
-            for k in range(self.n)
+            scoring.kl_divergence(a[position], b[position]) < eps_kl
+            for a, b in zip(self.outputs, self.outputs[1:])
         )
 
     def copy(self) -> "History":
-        h = History(self.n)
-        h._dists = {k: [d.copy() for d in v] for k, v in self._dists.items()}
-        return h
+        # an immutable value needs no copy; kept while bench/tracer.py traces it
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +367,12 @@ def plan_step(
 FORWARD_ROWS = 256
 
 
-def _commit(
-    tokens: tuple[int, ...], history: History, updates: dict[int, int]
-) -> tuple[int, ...]:
-    """The tokens after ``updates``; KLASS forgets the committed positions.
+def _commit(tokens: tuple[int, ...], updates: dict[int, int]) -> tuple[int, ...]:
+    """The tokens after ``updates``.
 
     The step loop only writes content tokens into masked positions, so the
     result needs no validation.
     """
-    history.clear(updates)
     if not updates:
         return tokens
     out = list(tokens)
@@ -432,8 +431,9 @@ def _lockstep(
     calls of at most ``FORWARD_ROWS`` rows, each an (n, L) ``StateBatch`` of
     the rows' token tuples. Each such chunk is scored as a whole: from its
     (n, L, V) probabilities and (n, L) mask, one call per vector gives the
-    rankings and the selector's vectors. KLASS records the predictive
-    distribution of every masked position, and ``plan_step`` selects among
+    rankings and the selector's vectors. KLASS records each row's whole
+    output, as a KLASS position is masked from the first step until
+    committed (see the module docstring), and ``plan_step`` selects among
     the active block's masked positions under its remaining budget. Yields
     one plan per row, in order: None for a finished row, else
     ``(ranking, selected, probs)`` with the probability rows of the selected
@@ -466,9 +466,7 @@ def _lockstep(
             for j, (k, row_masked) in enumerate(zip(chunk, masked.tolist())):
                 row = rows[k]
                 if policy.selector == "klass":
-                    for i, m in enumerate(row_masked):
-                        if m:
-                            row.history.record(i, probs[j, i])
+                    row.history = row.history.record(probs[j])
                 positions, budget = blocks[row.block]
                 candidates = tuple(i for i in positions if row_masked[i])
                 steps_left = max(1, budget - row.steps_in_block)
@@ -477,7 +475,7 @@ def _lockstep(
                     candidates, steps_left, row.history,
                 )
                 plans[k] = (rankings[j], selected, probs[j, list(selected)])
-            del out, probs  # the next chunk's forward runs without this chunk's outputs
+            del out, probs  # the next forward runs without these (KLASS keeps its rows)
         yield plans
 
 
@@ -535,7 +533,7 @@ def decode_blockwise(
                 step=len(trace.steps), positions=list(selected), tokens=toks,
                 scores=[float(ranking[i]) for i in selected], nfe=row.forwards,
             ))
-            row.tokens = _commit(row.tokens, row.history, dict(zip(selected, toks)))
+            row.tokens = _commit(row.tokens, dict(zip(selected, toks)))
             row.steps_in_block += 1
     prompt_len = len(prompts[0])
     return [
@@ -579,17 +577,12 @@ def enumerate_decodes(
                 supports = [[(int(np.argmax(p)) + 1, 1.0)] for p in probs]
             else:
                 supports = [[(v + 1, float(pv)) for v, pv in enumerate(p) if pv > 0] for p in probs]
-            combos = list(itertools.product(*supports))
-            for k, combo in enumerate(combos):
-                # each KLASS branch needs its own history; the last takes the row's
-                h = row.history
-                if policy.selector == "klass" and k < len(combos) - 1:
-                    h = h.copy()
+            for combo in itertools.product(*supports):
                 p = 1.0  # in selection order, then times mass: masses stay bit-stable
                 for _, pv in combo:
                     p *= pv
-                tokens = _commit(row.tokens, h, dict(zip(selected, [tok for tok, _ in combo])))
-                frontier.append(_Row(tokens, h, row.block, row.steps_in_block + 1,
+                tokens = _commit(row.tokens, dict(zip(selected, [tok for tok, _ in combo])))
+                frontier.append(_Row(tokens, row.history, row.block, row.steps_in_block + 1,
                                      row.forwards + 1, row.mass * p))
         rows[:] = frontier
     return [(row.tokens, row.mass, row.forwards) for row in rows]

@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.prompt_len < 0:
             raise ValueError(f"prompt_len must be >= 0, got {self.prompt_len}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.prompt_len == 0 and not self.unconditional:
             raise ValueError("prompt_len=0 requires unconditional=true")
 

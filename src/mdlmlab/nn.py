@@ -42,16 +42,19 @@ class TransformerConfig:
     t_min: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
+        for name in ("n_layers", "n_heads", "d_model", "max_len", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 < self.t_min <= 0.5:
             raise ValueError("t_min must lie in (0, 0.5]")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        if not self.learning_rate >= 0.0:  # false for NaN too
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.train_steps < 0:
+            raise ValueError(f"train_steps must be >= 0, got {self.train_steps}")
 
     @property
     def d_ff(self) -> int:
@@ -504,13 +507,16 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         arch = struct.unpack("<5I", _read_exact(fh, 20))
-        config = TransformerConfig(
-            **dict(zip(_ARCH_FIELDS, arch)),
-            seed=0,
-            learning_rate=0.0,
-            batch_size=1,
-            train_steps=0,
-        )
+        try:
+            config = TransformerConfig(
+                **dict(zip(_ARCH_FIELDS, arch)),
+                seed=0,
+                learning_rate=0.0,
+                batch_size=1,
+                train_steps=0,
+            )
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid architecture header: {exc}") from None
         if expected_config is not None:
             for f in _ARCH_FIELDS:
                 if getattr(expected_config, f) != getattr(config, f):
@@ -519,15 +525,18 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
                         f"checkpoint has {getattr(config, f)}, "
                         f"expected {getattr(expected_config, f)}"
                     )
-        specs = param_specs(config)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        if count != len(specs):
+        # checked before param_specs, which a corrupt n_layers would make huge:
+        # 2 embeddings, 12 tensors per layer and 4 in the head
+        if count != 6 + 12 * config.n_layers:
             raise CheckpointError(
-                f"{path}: tensor count {count} does not match architecture ({len(specs)})"
+                f"{path}: tensor count {count} does not match n_layers={config.n_layers}"
             )
         tensors: dict[str, np.ndarray] = {}
-        for name, shape in specs:
+        for name, shape in param_specs(config):
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
+            if ndim != len(shape):
+                raise CheckpointError(f"{path}: tensor {name} has {ndim} axes, not {len(shape)}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
             if dims != shape:
                 raise CheckpointError(

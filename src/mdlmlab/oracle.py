@@ -546,16 +546,22 @@ def _probabilities(fields: Sequence[str], path: str, line: str) -> np.ndarray:
 
 
 def load_joint_model(path: str) -> JointModel:
-    """Load a joint model; probabilities are validated to 1e-9 then renormalized.
+    """Load a joint model; probabilities are validated to 1e-9 and renormalized.
 
-    Malformed records (non-numeric fields, a vocabulary size below 2 or a
-    length below 1, a tabular header past ``ENUM_LIMIT``, negative or NaN
-    probabilities, out-of-range tokens or node ids, parent lists naming an
-    unknown node or the node itself, cyclic parent relations, repeated
-    assignments or nodes, wrong field counts) raise ``JointFormatError``.
+    A table or CPT row whose sum is within 1e-12 of 1 (the models' own
+    tolerance) loads as written, so a saved joint loads bit for bit.
+    Bytes that are not UTF-8 and malformed records (non-numeric fields, a
+    vocabulary size below 2 or a length below 1, a tabular header past
+    ``ENUM_LIMIT``, negative or NaN probabilities, out-of-range tokens or
+    node ids, parent lists naming an unknown node or the node itself, cyclic
+    parent relations, repeated assignments or nodes, too few node lines,
+    wrong field counts) raise ``JointFormatError``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise JointFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise JointFormatError(f"{path}: empty joint model file")
     head = lines[0].split()
@@ -569,7 +575,8 @@ def load_joint_model(path: str) -> JointModel:
         raise JointFormatError(f"{path}: sequence length below 1: {lines[0]!r}")
     vocab = Vocabulary(V)
     if variant == "tabular":
-        if V**L > ENUM_LIMIT:
+        # V >= 2, so an L of ENUM_LIMIT's bit length or more is past it already
+        if L >= ENUM_LIMIT.bit_length() or V**L > ENUM_LIMIT:
             raise JointFormatError(f"{path}: table exceeds {ENUM_LIMIT} entries: {lines[0]!r}")
         table = np.zeros((V,) * L)
         seen: set[tuple[int, ...]] = set()
@@ -590,7 +597,9 @@ def load_joint_model(path: str) -> JointModel:
         total = float(table.sum())
         if abs(total - 1.0) > 1e-9:
             raise JointFormatError(f"{path}: table sums to {total}, not 1 within 1e-9")
-        return TabularJoint(vocab, table / total)
+        return TabularJoint(vocab, table / total if abs(total - 1.0) > 1e-12 else table)
+    if len(lines) - 1 < L:  # checked before allocating per-node lists
+        raise JointFormatError(f"{path}: {L} node lines needed: {lines[0]!r}")
     parents: list[tuple[int, ...]] = [()] * L
     cpts: list[np.ndarray | None] = [None] * L
     node_lines = [""] * L
@@ -621,10 +630,9 @@ def load_joint_model(path: str) -> JointModel:
             )
         parents[i] = ps
         node_lines[i] = ln
-        rows = rows / rows.sum(axis=1, keepdims=True)
+        sums = rows.sum(axis=1, keepdims=True)
+        rows = np.where(np.abs(sums - 1.0) > 1e-12, rows / sums, rows)
         cpts[i] = rows.reshape((V,) * len(ps) + (V,))
-    if any(c is None for c in cpts):
-        raise JointFormatError(f"{path}: missing node lines (need {L})")
     try:
         return FactorizedDAG(vocab, tuple(parents), tuple(cpts))  # type: ignore
     except CycleError as exc:

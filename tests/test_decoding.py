@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlmlab import scoring
 from mdlmlab.core import DenoiserOutput, SequenceState, Vocabulary
 from mdlmlab.decoding import (
     DecodeTrace,
@@ -95,23 +96,97 @@ def test_select_threshold():
 
 
 def test_select_klass_history_rule():
-    h = History(n=2)
-    conf = np.array([0.99, 0.1])
-    d = np.array([0.99, 0.01])
+    # each record is a row's whole (L, V) output; position 0 holds still
+    steady = np.array([[0.99, 0.01], [0.95, 0.05]])
+    conf = np.array([0.99, 0.95])
+    h = History(n=2).record(steady)
     # fewer than n+1 records: ineligible, falls back to argmax confidence
-    h.record(0, d)
-    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
     assert not h.stable(0, 0.01)
-    h.record(0, d)
-    h.record(0, d)
-    assert h.stable(0, 0.01)
     assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
-    # drifting distributions stay ineligible
-    h2 = History(n=2)
-    h2.record(1, np.array([0.9, 0.1]))
-    h2.record(1, np.array([0.5, 0.5]))
-    h2.record(1, np.array([0.1, 0.9]))
-    assert not h2.stable(1, 0.01)
+    # n+1 agreeing outputs: both positions are stable
+    h = h.record(steady).record(steady)
+    assert h.stable(0, 0.01) and h.stable(1, 0.01)
+    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0, 1)
+    # position 1 drifts across the last n+1 outputs and is no longer stable
+    for p1 in (0.5, 0.95):
+        h = h.record(np.array([[0.99, 0.01], [p1, 1.0 - p1]]))
+    assert h.stable(0, 0.01) and not h.stable(1, 0.01)
+    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
+
+
+def test_history_record_leaves_its_receiver_unchanged():
+    outputs = [np.full((2, 2), 0.5), np.eye(2), np.full((2, 2), 0.5)]
+    h = History(n=1)
+    kept = []
+    for out in outputs:
+        kept.append((h, h.outputs))
+        h = h.record(out)
+    for old, before in kept:
+        assert old.outputs is before  # the same tuple, holding the same arrays
+    assert [len(old.outputs) for old, _ in kept] == [0, 1, 2]
+    # the last n+1 outputs only
+    assert len(h.outputs) == 2 and all(a is b for a, b in zip(h.outputs, outputs[1:]))
+    assert h.copy() is h
+
+
+class PerPositionHistory:
+    """A KLASS history kept per position: every masked position records its
+    own distribution at every step, and a committed position is forgotten."""
+
+    def __init__(self, n):
+        self.n = n
+        self.dists = {}
+
+    def record(self, position, dist):
+        self.dists.setdefault(position, []).append(dist)
+        del self.dists[position][: -(self.n + 1)]
+
+    def clear(self, positions):
+        for i in positions:
+            self.dists.pop(i, None)
+
+    def stable(self, position, eps_kl):
+        lst = self.dists.get(position, [])
+        return len(lst) == self.n + 1 and all(
+            scoring.kl_divergence(a, b) < eps_kl for a, b in zip(lst, lst[1:]))
+
+
+@pytest.mark.parametrize("temperature", ["greedy", "sample"])
+@pytest.mark.parametrize("block_size", [0, 3])
+@pytest.mark.parametrize("n_history", [1, 2, 3])
+def test_klass_replays_the_per_position_history_rule(n_history, block_size, temperature):
+    # every step of a lockstep run picks what the per-position rule picks
+    # when replayed one sequence at a time from that run's own commits
+    model = layered_suite_model(3)
+    den = OracleDenoiser(model)
+    mask = den.vocab.mask_id
+    policy = PolicyConfig(selector="klass", n_history=n_history, block_size=block_size,
+                          temperature=temperature, tau=0.6, eps_kl=0.1)
+    prompts = [[1], [2], [1], [2], [1], [2]]
+    gen_len = model.L - 1
+    size = block_size or gen_len
+    runs = decode_blockwise(den, policy, prompts, gen_len, np.random.default_rng(11))
+    parallel = 0
+    for prompt, (final, trace) in zip(prompts, runs):
+        tokens = list(prompt) + [mask] * gen_len
+        history = PerPositionHistory(n_history)
+        for step in trace.steps:
+            probs = den(SequenceState(den.vocab, tuple(tokens), len(prompt))).probs
+            masked = [i for i, t in enumerate(tokens) if t == mask]
+            for i in masked:
+                history.record(i, probs[i])
+            block = (masked[0] - len(prompt)) // size  # the first block not yet unmasked
+            lo = len(prompt) + block * size
+            candidates = [i for i in masked if i < lo + size]
+            conf = scoring.confidence_vector(probs, np.array(tokens) == mask)
+            chosen = select_klass(history, conf, candidates, policy.tau, policy.eps_kl)
+            assert chosen == tuple(step.positions)
+            parallel += len(chosen) > 1
+            for i, tok in zip(step.positions, step.tokens):
+                tokens[i] = tok
+            history.clear(step.positions)
+        assert tuple(tokens) == final.tokens
+    assert parallel  # some step committed a stable set, not the fallback
 
 
 def test_select_eb_examples():

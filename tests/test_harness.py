@@ -279,6 +279,9 @@ def test_experiment_config_validation():
         ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=0)
     with pytest.raises(ValueError, match="prompt_len"):
         ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=-1)
+    # refused here, not later inside SeedSequence
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=1, seed=-1)
 
 
 def test_prompt_len_must_leave_a_position_to_generate():

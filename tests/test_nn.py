@@ -1,7 +1,14 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import central_diff_max_rel_err
+from mdlmlab import nn
 from mdlmlab.core import SequenceState, StateBatch, Vocabulary, forward_mask
 from mdlmlab.nn import (
     CheckpointError,
@@ -48,6 +55,14 @@ def test_config_validation():
         TransformerConfig(n_layers=0)
     with pytest.raises(ValueError):
         TransformerConfig(t_min=0.6)
+    # each refusal names its key; n_heads=0 is refused before the modulo
+    for key, value in (("n_heads", 0), ("d_model", 0), ("batch_size", 0),
+                       ("learning_rate", float("nan")), ("learning_rate", -0.1),
+                       ("train_steps", -1)):
+        with pytest.raises(ValueError, match=key):
+            TransformerConfig(**{key: value})
+    # the placeholders a loaded checkpoint carries stay valid
+    TransformerConfig(learning_rate=0.0, batch_size=1, train_steps=0)
 
 
 def test_forward_single_position_attention():
@@ -305,6 +320,104 @@ def test_checkpoint_errors(tmp_path):
     )
     with pytest.raises(CheckpointError, match="d_model"):
         load_checkpoint(path, expected_config=other)
+
+
+# the header after the 8-byte magic and the u32 version: five u32 arch ints
+ARCH_FIELDS = ("n_layers", "n_heads", "d_model", "max_len", "vocab_size")
+
+
+def with_arch_field(data: bytes, field: str, value: int) -> bytes:
+    offset = 12 + 4 * ARCH_FIELDS.index(field)
+    return data[:offset] + struct.pack("<I", value) + data[offset + 4 :]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_heads", 0), ("n_layers", 0), ("max_len", 0), ("vocab_size", 1),
+    ("n_heads", 3), ("n_layers", 10**9),
+])
+def test_corrupt_checkpoint_header_raises_checkpoint_error(tmp_path, monkeypatch, field, value):
+    cfg = TransformerConfig(n_layers=1, n_heads=2, d_model=32, max_len=8, vocab_size=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(cfg), str(path))
+    path.write_bytes(with_arch_field(path.read_bytes(), field, value))
+
+    def refuse(config):  # a billion layers would build 12 billion specs first
+        raise AssertionError("param_specs built for a corrupt header")
+
+    monkeypatch.setattr(nn, "param_specs", refuse)
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(str(path))
+
+
+def checkpoint_bytes(params: Params) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ckpt")
+        save_checkpoint(params, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_bytes(data: bytes) -> Params:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return load_checkpoint(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_layers=st.integers(1, 3), n_heads=st.integers(1, 3), head_dim=st.integers(1, 3),
+       max_len=st.integers(1, 5), vocab_size=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_is_bit_exact(n_layers, n_heads, head_dim, max_len,
+                                            vocab_size, seed):
+    cfg = TransformerConfig(n_layers=n_layers, n_heads=n_heads, d_model=n_heads * head_dim,
+                            max_len=max_len, vocab_size=vocab_size)
+    params = init_params(cfg)
+    rng = np.random.default_rng(seed)
+    for name, tensor in params.tensors.items():
+        # any 64-bit pattern: NaN payloads, infinities, -0.0 and subnormals too
+        params.tensors[name] = rng.integers(0, 2**64, tensor.shape, dtype=np.uint64,
+                                            endpoint=False).view(np.float64)
+    loaded = load_bytes(checkpoint_bytes(params))
+    assert [getattr(loaded.config, f) for f in ARCH_FIELDS] == [
+        getattr(cfg, f) for f in ARCH_FIELDS]
+    assert list(loaded.tensors) == list(params.tensors)
+    for name, tensor in params.tensors.items():
+        assert loaded.tensors[name].dtype == np.float64
+        assert loaded.tensors[name].tobytes() == tensor.tobytes()
+
+
+SMALL_BYTES = checkpoint_bytes(init_params(SMALL))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupt_checkpoints_raise_checkpoint_error(data):
+    # every corruption of a valid file raises CheckpointError, never a bare
+    # error; an overwrite inside a tensor's values may load, and so may
+    # another head count that divides d_model (no tensor shape depends on it)
+    kind = data.draw(st.sampled_from(("arch", "truncate", "trailing", "overwrite")))
+    may_load = False
+    if kind == "arch":
+        field = data.draw(st.sampled_from(ARCH_FIELDS))
+        value = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)).filter(
+            lambda v: v != getattr(SMALL, field)))
+        corrupt = with_arch_field(SMALL_BYTES, field, value)
+        may_load = field == "n_heads" and value > 0 and SMALL.d_model % value == 0
+    elif kind == "truncate":
+        corrupt = SMALL_BYTES[: data.draw(st.integers(0, len(SMALL_BYTES) - 1))]
+    elif kind == "trailing":
+        corrupt = SMALL_BYTES + data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        at = data.draw(st.integers(0, len(SMALL_BYTES) - 4))
+        corrupt = SMALL_BYTES[:at] + data.draw(st.binary(min_size=4, max_size=4)) + (
+            SMALL_BYTES[at + 4 :])
+        may_load = True
+    try:
+        load_bytes(corrupt)
+    except CheckpointError:
+        return
+    assert may_load, f"{kind} corruption loaded"
 
 
 def test_transformer_denoiser_interface():

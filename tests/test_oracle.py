@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -477,6 +478,76 @@ def test_joint_file_round_trip(tmp_path):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def joint_text(model) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.joint")
+        save_joint_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       tabular=st.booleans())
+def test_joint_file_round_trip_is_bit_exact(seed, V, L, tabular):
+    model = sparse_model(np.random.default_rng(seed), V, L, tabular)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.joint")
+        save_joint_model(model, path)
+        loaded = load_joint_model(path)
+    assert type(loaded) is type(model) and loaded.vocab.size == V and loaded.L == L
+    if tabular:
+        assert loaded.table.tobytes() == model.table.tobytes()
+    else:
+        assert loaded.parents == model.parents
+        assert [c.tobytes() for c in loaded.cpts] == [c.tobytes() for c in model.cpts]
+
+
+# field values a corrupt file might hold: non-numbers, signs, special and
+# huge numbers, keywords out of place
+FIELDS = st.one_of(
+    st.sampled_from(("x", "nan", "inf", "-inf", "1e309", "-1", "0", "-0.5", "0.5", "2",
+                     "joint", "tabular", "dag", "node", "parents", "cpt", "9" * 5000)),
+    st.integers(-3, 2**40).map(str),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 3), L=st.integers(1, 4),
+       tabular=st.booleans(), data=st.data())
+def test_corrupt_joint_files_raise_joint_format_error(seed, V, L, tabular, data):
+    # a corrupt file loads as some joint or raises JointFormatError, never a
+    # bare error, and never allocates what a huge header asks for
+    lines = joint_text(sparse_model(np.random.default_rng(seed), V, L, tabular)).splitlines()
+    kind = data.draw(st.sampled_from(("field", "drop_field", "add_field", "drop_line",
+                                      "repeat_line", "header")))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    parts = lines[k].split()
+    j = data.draw(st.integers(0, len(parts) - 1))
+    if kind == "field":
+        parts[j] = data.draw(FIELDS)
+    elif kind == "drop_field":
+        del parts[j]
+    elif kind == "add_field":
+        parts.insert(j, data.draw(FIELDS))
+    if kind == "drop_line":
+        del lines[k]
+    elif kind == "repeat_line":
+        lines.insert(k, lines[k])
+    elif kind == "header":
+        lines[0] = " ".join(data.draw(st.tuples(
+            st.sampled_from(("joint", "jointx")), st.sampled_from(("tabular", "dag", "x")),
+            FIELDS, FIELDS)))
+    else:
+        lines[k] = " ".join(parts)
+    try:
+        with tempfile.TemporaryDirectory() as d:
+            model = _load_text(d, "\n".join(lines) + "\n")
+    except JointFormatError:
+        return
+    assert isinstance(model, (TabularJoint, FactorizedDAG))
+
+
 def test_joint_file_errors(tmp_path):
     bad = os.path.join(tmp_path, "bad.joint")
     with open(bad, "w") as fh:
@@ -491,6 +562,10 @@ def test_joint_file_errors(tmp_path):
         fh.write("joint dag 2 2\nnode 0 parents cpt 0.7 0.3\n")
     with pytest.raises(ValueError):
         load_joint_model(bad)  # node 1 missing
+    with open(bad, "wb") as fh:
+        fh.write(b"joint tabular 2 1\n1 0.5\n2 0.5\xff\n")
+    with pytest.raises(JointFormatError, match="UTF-8"):
+        load_joint_model(bad)
 
 
 def _load_text(tmp_path, text):
@@ -536,6 +611,10 @@ def _load_text(tmp_path, text):
         # would load from one record, and 70 axes exceed numpy's 64
         ("joint tabular 2 21\n" + "1 " * 21 + "1.0\n", "joint tabular 2 21"),
         ("joint tabular 2 70\n", "joint tabular 2 70"),
+        # refused before 2**(2**40) is computed or 2**40 node slots allocated
+        ("joint tabular 2 1099511627776\n", "joint tabular 2 1099511627776"),
+        ("joint dag 2 1099511627776\nnode 0 parents cpt 0.5 0.5\n",
+         "joint dag 2 1099511627776"),
         # parents outside 0..L-1, the node itself, or a cycle
         ("joint dag 2 1\nnode 0 parents 7 cpt 0.5 0.5 0.5 0.5\n",
          "node 0 parents 7 cpt 0.5 0.5 0.5 0.5"),
