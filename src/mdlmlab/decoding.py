@@ -13,26 +13,24 @@ evaluation, so the trace's NFE equals the number of forward evaluations
 exactly.
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
-and selection) lives in one step loop, the private generator ``_lockstep``:
-per step it makes the denoiser calls for every unfinished sequence and
-yields their plans. Inside the loop a sequence is a plain token tuple;
-``SequenceState`` validates only what enters (the prompts) and what the
-sampler returns. The sampler ``decode_blockwise`` draws one continuation
-per sequence, with one token draw per step; the enumerator
-``enumerate_decodes`` replaces each sequence by all of its continuations,
-each with its probability, which is how the harness computes exact induced
-distributions.
+and selection) lives in one step loop, the private generator ``_lockstep``,
+which holds the sequences as arrays (an (N, L) token array and (N,) arrays
+of block, steps in block, forwards and mass) and scores and selects each
+chunk of rows with whole-array calls. ``SequenceState`` validates only the
+prompts and what the sampler returns. The sampler ``decode_blockwise``
+draws one continuation per sequence; the enumerator ``enumerate_decodes``
+replaces each sequence by all of its continuations, each with its
+probability, which is how the harness computes exact induced distributions.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
-relies on this: its ``History`` is the sequence's last n+1 whole outputs, a
+relies on this: its ``History`` is the sequences' last n+1 whole outputs, a
 masked position's own record is its slice of them, and enumeration branches
-share their parent's history instead of copying it.
+inherit their parent's records.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -41,7 +39,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    DenoiserOutput, SequenceState, StateBatch, make_masked_state, reverse_unmask_prob,
+    DenoiserOutput, SequenceState, StateBatch, make_masked_state, mask_patterns,
+    reverse_unmask_prob,
 )
 from . import scoring
 
@@ -160,11 +159,10 @@ class DecodeTrace:
 
 
 class History:
-    """A row's last n+1 (L, V) outputs, oldest first; an immutable value.
-
-    A KLASS position is masked from the row's first step until committed, so
-    its own record is exactly its slice of these outputs.
-    """
+    """The last n+1 outputs of one row, (L, V) each, or of a chunk of rows,
+    (rows, L, V) each, oldest first; an immutable value. A KLASS position is
+    masked from the row's first step until committed, so its own record is
+    exactly its slice of these outputs."""
 
     def __init__(self, n: int, outputs: tuple[np.ndarray, ...] = ()):
         self.n = n
@@ -174,14 +172,17 @@ class History:
         """A new history ending with ``probs``; the receiver is unchanged."""
         return History(self.n, (self.outputs + (probs,))[-(self.n + 1):])
 
-    def stable(self, position: int, eps_kl: float) -> bool:
-        """True iff n+1 records exist and all n consecutive KLs are < eps_kl."""
+    def take(self, rows: np.ndarray) -> "History":
+        """The history of ``rows`` of a chunk, in that order."""
+        return History(self.n, tuple(out[rows] for out in self.outputs))
+
+    def stable(self, eps_kl: float) -> np.ndarray:
+        """Per position: n+1 records exist and all n consecutive KLs are < eps_kl
+        (False for every position while fewer records exist)."""
         if len(self.outputs) < self.n + 1:
-            return False
-        return all(
-            scoring.kl_divergence(a[position], b[position]) < eps_kl
-            for a, b in zip(self.outputs, self.outputs[1:])
-        )
+            return np.False_
+        older, newer = np.array(self.outputs[:-1]), np.array(self.outputs[1:])
+        return (scoring.kl_divergence(older, newer) < eps_kl).all(axis=0)
 
     def copy(self) -> "History":
         # an immutable value needs no copy; kept while bench/tracer.py traces it
@@ -189,80 +190,96 @@ class History:
 
 
 # ---------------------------------------------------------------------------
-# selection primitives (all ties break toward the lowest position index)
+# selection primitives over (n, L) chunks: each takes per-row candidate masks
+# and returns an (n, L) selected mask; all ties break toward the lowest
+# position index. A 1-D vector with a position list is the one-row case and
+# gives the selected positions as a sorted tuple.
 # ---------------------------------------------------------------------------
 
-def _ranked(scores: np.ndarray, candidates: Sequence[int]) -> list[int]:
-    return sorted(candidates, key=lambda i: (-scores[i], i))
+def _one_row(select, vectors: Sequence[np.ndarray], candidates: Sequence[int], *args):
+    """``select`` on one row given as 1-D ``vectors`` and a position list."""
+    mask = np.zeros((1, len(vectors[0])), dtype=bool)
+    mask[0, list(candidates)] = True
+    selected = select(*(np.asarray(v)[None] for v in vectors), mask, *args)
+    return tuple(np.flatnonzero(selected[0]).tolist())
 
 
-def select_topk(scores: np.ndarray, candidates: Sequence[int], k: int) -> tuple[int, ...]:
-    """The min(k, #candidates) highest-scoring positions."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not candidates:
-        raise ValueError("no masked positions to select from")
-    return tuple(sorted(_ranked(scores, candidates)[:k]))
+def _ranked(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Each row's positions: its candidates by descending score, then the rest."""
+    return np.argsort(np.where(candidates, -scores, np.nan), axis=1, kind="stable")
 
 
-def select_threshold(conf: np.ndarray, candidates: Sequence[int], eps: float) -> tuple[int, ...]:
-    """Positions with confidence > eps; falls back to the single best one."""
-    chosen = [i for i in sorted(candidates) if conf[i] > eps]
-    if not chosen:
-        chosen = _ranked(conf, candidates)[:1]
-    return tuple(sorted(chosen))
+def _prefix(order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mask of the first ``counts[r]`` positions of each row's ``order``."""
+    selected = np.zeros(order.shape, dtype=bool)
+    selected[np.arange(len(order))[:, None], order] = np.arange(order.shape[1]) < counts[:, None]
+    return selected
+
+
+def _or_best(chosen: np.ndarray, conf: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """``chosen``, where a row with no chosen position takes its most confident candidate."""
+    empty = np.flatnonzero(~chosen.any(axis=1))
+    if len(empty):
+        best = np.where(candidates[empty], conf[empty], -np.inf).argmax(axis=1)
+        chosen[empty, best] = True
+    return chosen
+
+
+def select_topk(scores: np.ndarray, candidates, k) -> np.ndarray | tuple[int, ...]:
+    """The min(k, #candidates) highest-scoring candidates, with k per row. One row
+    sorts in Python, as numpy calls cost more in the layered models' rejection loop."""
+    if np.ndim(scores) == 1:
+        if k < 1 or not candidates:
+            raise ValueError("k must be >= 1" if k < 1 else "no masked positions to select from")
+        return tuple(sorted(sorted(candidates, key=lambda i: (-scores[i], i))[:k]))
+    count = candidates.sum(axis=1)
+    if (k < 1).any() or not count.all():
+        raise ValueError("k must be >= 1 and every row needs a masked position")
+    return _prefix(_ranked(scores, candidates), np.minimum(k, count))
+
+
+def select_threshold(conf: np.ndarray, candidates, eps: float) -> np.ndarray | tuple[int, ...]:
+    """Candidates with confidence > eps; a row with none takes its single best one."""
+    if np.ndim(conf) == 1:
+        return _one_row(select_threshold, [conf], candidates, eps)
+    return _or_best(candidates & (conf > eps), conf, candidates)
 
 
 def select_klass(
-    history: History,
-    conf: np.ndarray,
-    candidates: Sequence[int],
-    tau: float,
-    eps_kl: float,
-) -> tuple[int, ...]:
-    """Stable positions: n consecutive KLs below eps_kl and confidence above tau.
+    history, conf: np.ndarray, candidates, tau: float, eps_kl: float
+) -> np.ndarray | tuple[int, ...]:
+    """Stable candidates: n consecutive KLs below eps_kl and confidence above tau.
 
-    Positions with fewer than n+1 recorded distributions are ineligible; an
-    empty result falls back to the argmax-confidence singleton.
+    ``history`` is the rows' ``History``, of (L, V) outputs in the one-row
+    case. Positions with fewer than n+1 records are ineligible; a row with
+    no stable candidate falls back to its argmax-confidence singleton.
     """
-    chosen = [
-        i
-        for i in sorted(candidates)
-        if conf[i] > tau and history.stable(i, eps_kl)
-    ]
-    if not chosen:
-        chosen = _ranked(conf, candidates)[:1]
-    return tuple(sorted(chosen))
+    if np.ndim(conf) == 1:
+        return _one_row(lambda c, m: select_klass(history, c, m, tau, eps_kl), [conf], candidates)
+    return _or_best(candidates & (conf > tau) & history.stable(eps_kl), conf, candidates)
 
 
 def select_eb(
-    ranking: np.ndarray,
-    entropies: np.ndarray,
-    candidates: Sequence[int],
-    gamma: float,
-) -> tuple[int, ...]:
+    ranking: np.ndarray, entropies: np.ndarray, candidates, gamma: float
+) -> np.ndarray | tuple[int, ...]:
     """Longest ranked prefix whose entropy sum minus prefix-max entropy is <= gamma.
 
-    The constraint value never decreases as the prefix grows, so the scan
-    stops at the first violation; a prefix of size 1 always qualifies.
+    A prefix of size 1 always qualifies; a longer one ends before the first
+    position at which the running sum minus the running max exceeds gamma
+    (a value that never decreases as the prefix grows).
     """
+    if np.ndim(ranking) == 1:
+        return _one_row(select_eb, [ranking, entropies], candidates, gamma)
     order = _ranked(ranking, candidates)
-    chosen: list[int] = []
-    ent_sum = 0.0
-    ent_max = 0.0
-    for i in order:
-        e = float(entropies[i])
-        if chosen and (ent_sum + e) - max(ent_max, e) > gamma:
-            break
-        chosen.append(i)
-        ent_sum += e
-        ent_max = max(ent_max, e)
-    return tuple(sorted(chosen))
+    ent = np.take_along_axis(entropies, order, axis=1)
+    top = np.maximum.accumulate(np.maximum(ent, 0.0), axis=1)  # the running max starts at 0
+    count = candidates.sum(axis=1)
+    over = (np.cumsum(ent, axis=1) - top > gamma) & (np.arange(ent.shape[1]) < count[:, None])
+    over[:, 0] = False  # a prefix of one qualifies, whatever gamma
+    return _prefix(order, np.where(over.any(axis=1), over.argmax(axis=1), count))
 
 
-def commit_token(
-    probs: np.ndarray, temperature: str, rng: np.random.Generator
-) -> np.ndarray:
+def commit_token(probs: np.ndarray, temperature: str, rng: np.random.Generator) -> np.ndarray:
     """One token id (1..V) per row of a (K, V) probability matrix.
 
     Greedy takes each row's argmax (ties to the lowest token id) and draws
@@ -283,7 +300,7 @@ def commit_token(
 
 
 # ---------------------------------------------------------------------------
-# scoring and selection for one step
+# scoring and selection for one step of a chunk of rows
 # ---------------------------------------------------------------------------
 
 def compute_ranking(
@@ -292,27 +309,21 @@ def compute_ranking(
     """The policy's (n, L) ScoreVectors of n rows, NaN off the masked positions.
 
     ``out`` is the rows' ``denoiser.batch`` output ((n, L, V) probs) and
-    ``masked`` their (n, L) mask. Uncertainty scorers rank every row in one
-    call; dos and oracle_dep rank row by row, from each row's mask.
+    ``masked`` their (n, L) mask. Every scorer ranks the rows in one call,
+    except oracle_dep, which asks once per distinct mask pattern.
     """
     if policy.scorer in scoring.UNCERTAINTY_SCORERS:
         return scoring.uncertainty_scores(policy.scorer, out.probs, masked)
     if policy.scorer == "dos":
         if out.attentions is None:
             raise ValueError("the dos scorer needs a denoiser that returns attentions")
-        L = masked.shape[1]
-        return np.array([
-            scoring.dos_dependency(
-                [a[j] for a in out.attentions], policy.layer,
-                np.flatnonzero(row), np.flatnonzero(~row), L,
-            )
-            for j, row in enumerate(masked)
-        ])
+        return scoring.dos_dependency(out.attentions, policy.layer, masked)
     if policy.scorer == "oracle_dep":
         dep = getattr(denoiser, "dependency_scores", None)
         if dep is None:
             raise ValueError("the oracle_dep scorer needs an exact denoiser")
-        return np.array([dep(row) for row in masked.tolist()])
+        patterns, inverse = mask_patterns(masked)
+        return np.array([dep(pattern) for pattern in patterns])[inverse]
     raise ValueError(f"unknown scorer {policy.scorer!r}")
 
 
@@ -329,21 +340,18 @@ def selector_vectors(
 
 
 def plan_step(
-    policy: PolicyConfig,
-    ranking: np.ndarray,
-    vector: np.ndarray | None,
-    candidates: Sequence[int],
-    steps_left: int,
-    history: History,
-) -> tuple[int, ...]:
-    """The position subset one row commits at a step (no commitment).
+    policy: PolicyConfig, ranking: np.ndarray, vector: np.ndarray | None,
+    candidates: np.ndarray, steps_left: np.ndarray, history: History | None,
+) -> np.ndarray:
+    """The (n, L) mask of the positions n rows commit at a step (no commitment).
 
-    ``ranking`` is the row's ScoreVector and ``vector`` its row of
-    ``selector_vectors``.
+    ``ranking`` holds the rows' ScoreVectors, ``vector`` their rows of
+    ``selector_vectors``, ``candidates`` the masked positions of each row's
+    active block, ``steps_left`` each row's remaining budget (>= 1), and
+    ``history`` the rows' KLASS ``History`` (None under other selectors).
     """
     if policy.selector == "topk":
-        k = math.ceil(len(candidates) / max(1, steps_left))
-        return select_topk(ranking, candidates, k)
+        return select_topk(ranking, candidates, -(-candidates.sum(axis=1) // steps_left))
     if policy.selector == "threshold":
         return select_threshold(vector, candidates, policy.eps)
     if policy.selector == "klass":
@@ -351,8 +359,8 @@ def plan_step(
     if policy.selector == "eb":
         pool = candidates
         if policy.dep_eb_prefilter is not None:
-            kept = [i for i in candidates if ranking[i] > policy.dep_eb_prefilter]
-            pool = kept or candidates
+            kept = candidates & (ranking > policy.dep_eb_prefilter)
+            pool = np.where(kept.any(axis=1, keepdims=True), kept, candidates)
         return select_eb(ranking, vector, pool, policy.gamma)
     raise ValueError(f"unknown selector {policy.selector!r}")
 
@@ -361,192 +369,159 @@ def plan_step(
 # the step loop, shared by the sampler and the exact enumerator
 # ---------------------------------------------------------------------------
 
-# Rows per denoiser call. A step denoises its rows chunk by chunk and a row
-# keeps only what it commits from, so a 10000-sample evaluation or a wide
-# enumeration level holds one chunk's outputs (and attention maps) at a time.
+# Rows per denoiser call. A step denoises its rows chunk by chunk and keeps
+# only the probabilities of the selected positions, so a 10000-sample
+# evaluation or a wide enumeration level holds one chunk's outputs (and
+# attention maps) at a time.
 FORWARD_ROWS = 256
 
 
-def _commit(tokens: tuple[int, ...], updates: dict[int, int]) -> tuple[int, ...]:
-    """The tokens after ``updates``.
-
-    The step loop only writes content tokens into masked positions, so the
-    result needs no validation.
-    """
-    if not updates:
-        return tokens
-    out = list(tokens)
-    for pos, tok in updates.items():
-        out[pos] = tok
-    return tuple(out)
-
-
 @dataclass
-class _Row:
-    """One sequence of the step loop; ``mass`` is its path's probability when enumerated."""
+class _Rows:
+    """The step loop's sequences, one entry per row: ``block`` is the active
+    block (the block count once unmasked), ``steps`` the steps taken in it,
+    ``mass`` the path probability, ``history`` the KLASS ``History``."""
 
-    tokens: tuple[int, ...]
-    history: History
-    block: int = 0
-    steps_in_block: int = 0
-    forwards: int = 0
-    mass: float = 1.0
+    tokens: np.ndarray
+    block: np.ndarray
+    steps: np.ndarray
+    forwards: np.ndarray
+    mass: np.ndarray
+    history: History | None
 
 
 def _start(
     denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int
-) -> tuple[list[tuple[range, int]], list[_Row]]:
-    """Left-to-right blocks with their step budgets (see ``PolicyConfig``),
-    and one fresh row per prompt.
+) -> tuple[np.ndarray, np.ndarray, _Rows]:
+    """Left-to-right blocks, as each position's block index (-1 in the
+    prompt) and each block's step budget (see ``PolicyConfig``), and one
+    fresh row per prompt.
 
     Each prompt is validated as a ``SequenceState`` here, before any
-    denoiser call: ragged lengths, and a token outside 1..V (the mask id
-    included), raise ``ValueError``.
+    denoiser call: ragged lengths, a token outside 1..V (the mask id
+    included) and a ``gen_len`` below 1 raise ``ValueError``.
     """
     lengths = {len(p) for p in prompts}
     if len(lengths) != 1:
         raise ValueError("a decode needs one or more prompts of one length")
     prompt_len = lengths.pop()
-    positions = range(prompt_len, prompt_len + gen_len)
+    tokens = np.array([make_masked_state(denoiser.vocab, p, gen_len).tokens for p in prompts])
     size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
     total_steps = policy.steps if policy.steps else gen_len
-    blocks = [
-        (block, max(1, round(total_steps * len(block) / gen_len)))
-        for block in (positions[i : i + size] for i in range(0, gen_len, size))
-    ]
-    rows = [
-        _Row(make_masked_state(denoiser.vocab, p, gen_len).tokens, History(policy.n_history))
-        for p in prompts
-    ]
-    return blocks, rows
+    sizes = np.diff([*range(0, gen_len, size), gen_len]).tolist()
+    budgets = np.array([max(1, round(total_steps * n / gen_len)) for n in sizes])
+    block_of = np.repeat(np.arange(-1, len(sizes)), [prompt_len, *sizes])
+    block, steps, forwards = (np.zeros(len(tokens), dtype=int) for _ in range(3))
+    history = History(policy.n_history) if policy.selector == "klass" else None
+    return block_of, budgets, _Rows(tokens, block, steps, forwards, np.ones(len(tokens)), history)
 
 
 def _lockstep(
-    denoiser, policy: PolicyConfig, blocks: list[tuple[range, int]], rows: list[_Row]
-) -> Iterator[list]:
+    denoiser, policy: PolicyConfig, block_of: np.ndarray, budgets: np.ndarray, rows: _Rows
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The step loop: plan the next step of every row of ``rows``, step by step.
 
-    A step moves each row past its finished blocks (entering a block restarts
-    its step count) and denoises the unfinished rows in ``denoiser.batch``
-    calls of at most ``FORWARD_ROWS`` rows, each an (n, L) ``StateBatch`` of
-    the rows' token tuples. Each such chunk is scored as a whole: from its
-    (n, L, V) probabilities and (n, L) mask, one call per vector gives the
-    rankings and the selector's vectors. KLASS records each row's whole
-    output, as a KLASS position is masked from the first step until
-    committed (see the module docstring), and ``plan_step`` selects among
-    the active block's masked positions under its remaining budget. Yields
-    one plan per row, in order: None for a finished row, else
-    ``(ranking, selected, probs)`` with the probability rows of the selected
-    positions. The caller commits before resuming, in place or by replacing the
-    contents of ``rows``. The loop ends when no row has a masked position.
+    A step moves each row to its first block with a masked position
+    (entering a block restarts its step count) and denoises the unfinished
+    rows in ``denoiser.batch`` calls of at most ``FORWARD_ROWS`` rows, each
+    a slice of their token array. Each chunk is scored and selected as a
+    whole: one call per vector, one KLASS record of its whole output (see
+    the module docstring), and one ``plan_step`` call over the masked
+    positions of each row's block under its remaining budget. Yields
+    ``(active, selected, probs, scores)`` per step: the unfinished rows, the
+    (N, L) mask each row commits, and the probability rows and rankings of
+    the selected positions in row-major order. The caller commits before
+    resuming, by writing into or replacing the arrays of ``rows``.
     """
     vocab = denoiser.vocab
-    mask_id = vocab.mask_id
     while True:
-        todo = []
-        for k, row in enumerate(rows):
-            while row.block < len(blocks) and mask_id not in row.tokens[
-                blocks[row.block][0].start : blocks[row.block][0].stop
-            ]:
-                row.block += 1
-                row.steps_in_block = 0
-            if row.block < len(blocks):
-                todo.append(k)
-        if not todo:
+        masked = rows.tokens == vocab.mask_id
+        block = np.where(masked, block_of, len(budgets)).min(axis=1)
+        rows.steps = np.where(block == rows.block, rows.steps, 0)
+        rows.block = block
+        active = np.flatnonzero(block < len(budgets))
+        if not len(active):
             return
-        plans = [None] * len(rows)
-        for lo in range(0, len(todo), FORWARD_ROWS):
-            chunk = todo[lo : lo + FORWARD_ROWS]
-            tokens = np.array([rows[k].tokens for k in chunk])
-            out = denoiser.batch(StateBatch(vocab, tokens))
-            probs = out.probs
-            masked = tokens == mask_id
-            rankings = compute_ranking(policy, out, masked, denoiser)
-            vectors = selector_vectors(policy, probs, masked)
-            for j, (k, row_masked) in enumerate(zip(chunk, masked.tolist())):
-                row = rows[k]
-                if policy.selector == "klass":
-                    row.history = row.history.record(probs[j])
-                positions, budget = blocks[row.block]
-                candidates = tuple(i for i in positions if row_masked[i])
-                steps_left = max(1, budget - row.steps_in_block)
-                selected = plan_step(
-                    policy, rankings[j], None if vectors is None else vectors[j],
-                    candidates, steps_left, row.history,
-                )
-                plans[k] = (rankings[j], selected, probs[j, list(selected)])
-            del out, probs  # the next forward runs without these (KLASS keeps its rows)
-        yield plans
+        tokens, block = rows.tokens[active], block[active]
+        candidates = masked[active] & (block_of == block[:, None])
+        steps_left = np.maximum(1, budgets[block] - rows.steps[active])
+        selected = np.zeros(masked.shape, dtype=bool)
+        record = None if rows.history is None else np.zeros(masked.shape + (vocab.size,))
+        chosen_probs, chosen_scores = [], []
+        for lo in range(0, len(active), FORWARD_ROWS):
+            part, ids = slice(lo, lo + FORWARD_ROWS), active[lo : lo + FORWARD_ROWS]
+            out = denoiser.batch(StateBatch(vocab, tokens[part]))
+            ranking = compute_ranking(policy, out, masked[ids], denoiser)
+            vector = selector_vectors(policy, out.probs, masked[ids])
+            history = None
+            if record is not None:
+                history = rows.history.take(ids).record(out.probs)
+                record[ids] = out.probs
+            chosen = plan_step(policy, ranking, vector, candidates[part], steps_left[part], history)
+            selected[ids] = chosen
+            chosen_probs.append(out.probs[chosen])
+            chosen_scores.append(ranking[chosen])
+            del out  # the next forward runs without this one
+        if record is not None:
+            rows.history = rows.history.record(record)
+        rows.steps[active] += 1
+        rows.forwards[active] += 1  # one forward evaluation per step
+        yield active, selected, np.concatenate(chosen_probs), np.concatenate(chosen_scores)
 
 
 def decode_blockwise(
-    denoiser,
-    policy: PolicyConfig,
-    prompts: Sequence[Sequence[int]],
-    gen_len: int,
+    denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int,
     rng: np.random.Generator,
 ) -> list[tuple[SequenceState, DecodeTrace]]:
     """Generate from every prompt in lockstep; ``(final state, trace)`` per prompt.
 
-    A malformed prompt raises ``ValueError`` before any denoiser call (see
-    ``_start``); each final state is a validated ``SequenceState``.
-
-    Each step of the shared step loop denoises the sequences that still
-    have masked positions, scores and selects per sequence, and commits
-    with one ``commit_token`` call over all selected positions. A sequence
-    leaves the batch once it is unmasked, so adaptive selectors (threshold,
-    KLASS, EB) finish sequences at different steps. The prompts must be
-    non-empty in number and share one length (an empty prompt means
-    unconditional generation).
+    The prompts must be non-empty in number and share one length (an empty
+    prompt means unconditional generation); a malformed prompt raises
+    ``ValueError`` before any denoiser call (see ``_start``), and each final
+    state is a validated ``SequenceState``. Each step of the shared step
+    loop denoises the sequences that still have masked positions and
+    commits with one ``commit_token`` call over all selected positions, by
+    fancy indexing into the token array. A sequence leaves the batch once it
+    is unmasked, so adaptive selectors (threshold, KLASS, EB) finish
+    sequences at different steps.
 
     Positions are partitioned into left-to-right blocks of
     ``policy.block_size`` (the last may be short; 0 or ``>= gen_len`` is one
     block), and selection is confined to the active block until it is
     unmasked; scoring sees the whole sequence. Every selector commits at
     least one token per forward call (unless stochastic remasking is on),
-    so NFE <= gen_len.
-
-    Per step, ``rng`` first gives the stochastic-remasking draws, sequence
-    by sequence, then the token draws, sequence by sequence and in position
-    order within one; a single prompt draws exactly as a one-sequence
-    decoder would.
+    so NFE <= gen_len. Per step, ``rng`` first gives the stochastic-remasking
+    draws, then the token draws, each sequence by sequence and in position
+    order within one; a single prompt draws as a one-sequence decoder would.
     """
-    blocks, rows = _start(denoiser, policy, prompts, gen_len)
+    block_of, budgets, rows = _start(denoiser, policy, prompts, gen_len)
     traces = [DecodeTrace() for _ in prompts]
-    for plans in _lockstep(denoiser, policy, blocks, rows):
-        steps = [(row, trace, *plan) for row, trace, plan in zip(rows, traces, plans) if plan]
+    for active, selected, probs, scores in _lockstep(denoiser, policy, block_of, budgets, rows):
+        r, c = np.nonzero(selected)
         if policy.stochastic_remask:
-            for k, (row, trace, ranking, selected, probs) in enumerate(steps):
-                budget = blocks[row.block][1]
-                t = max(1.0 - row.steps_in_block / budget, 1.0 / budget)
-                s = max(1.0 - (row.steps_in_block + 1) / budget, 0.0)
-                p_reveal = reverse_unmask_prob(t, s) if s < t else 1.0
-                keep = [rng.random() < p_reveal for _ in selected]
-                kept = tuple(itertools.compress(selected, keep))
-                steps[k] = (row, trace, ranking, kept, probs[keep])
-        probs = np.concatenate([step[-1] for step in steps])
-        tokens = iter(commit_token(probs, policy.temperature, rng).tolist())
-        for row, trace, ranking, selected, _ in steps:
-            toks = [next(tokens) for _ in selected]
-            row.forwards += 1  # one forward evaluation per step
+            k, b = rows.steps[r] - 1, budgets[rows.block[r]]  # k: the steps before this one
+            t, s = np.maximum(1.0 - k / b, 1.0 / b), np.maximum(1.0 - (k + 1) / b, 0.0)
+            keep = rng.random(len(r)) < reverse_unmask_prob(t, s)
+            r, c, probs, scores = r[keep], c[keep], probs[keep], scores[keep]
+        tokens = commit_token(probs, policy.temperature, rng)
+        rows.tokens[r, c] = tokens
+        ends = np.cumsum(np.bincount(r, minlength=len(traces))).tolist()
+        positions, toks, values = c.tolist(), tokens.tolist(), scores.tolist()
+        for k, nfe in zip(active.tolist(), rows.forwards[active].tolist()):
+            lo, hi = ends[k - 1] if k else 0, ends[k]
+            trace = traces[k]
             trace.steps.append(TraceStep(
-                step=len(trace.steps), positions=list(selected), tokens=toks,
-                scores=[float(ranking[i]) for i in selected], nfe=row.forwards,
+                len(trace.steps), positions[lo:hi], toks[lo:hi], values[lo:hi], nfe,
             ))
-            row.tokens = _commit(row.tokens, dict(zip(selected, toks)))
-            row.steps_in_block += 1
     prompt_len = len(prompts[0])
     return [
-        (SequenceState(denoiser.vocab, row.tokens, prompt_len), trace)
-        for row, trace in zip(rows, traces)
+        (SequenceState(denoiser.vocab, tuple(tokens), prompt_len), trace)
+        for tokens, trace in zip(rows.tokens.tolist(), traces)
     ]
 
 
 def enumerate_decodes(
-    denoiser,
-    policy: PolicyConfig,
-    prompts: Sequence[tuple[Sequence[int], float]],
-    gen_len: int,
+    denoiser, policy: PolicyConfig, prompts: Sequence[tuple[Sequence[int], float]], gen_len: int
 ) -> list[tuple[tuple[int, ...], float, int]]:
     """Every outcome of decoding the prompts, as ``(tokens, mass, forwards)``.
 
@@ -555,34 +530,36 @@ def enumerate_decodes(
     instead of drawing the committed tokens, it replaces each unfinished
     row by every value combination of its selected set, with the row's mass
     times the combination's product probability (greedy temperature follows
-    the single argmax branch). Finished rows keep their place, so outcomes
-    come prompt by prompt, each prompt's depth-first in token order within a
-    step; a sequence reached along several paths is listed once per path.
-    A malformed prompt raises ``ValueError`` before any denoiser call (see
-    ``_start``).
+    the single argmax branch). A step repeats the rows once per value of
+    their first selected position, then of the next, so the first position
+    varies slowest; finished rows keep their place. Outcomes come prompt by
+    prompt, each prompt's depth-first in token order; a sequence reached
+    along several paths is listed once per path. A malformed prompt raises
+    ``ValueError`` before any denoiser call (see ``_start``).
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
-    blocks, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
-    for row, (_, mass) in zip(rows, prompts):
-        row.mass = mass
-    for plans in _lockstep(denoiser, policy, blocks, rows):
-        frontier = []
-        for row, plan in zip(rows, plans):
-            if plan is None:
-                frontier.append(row)
-                continue
-            _, selected, probs = plan
-            if policy.temperature == "greedy":
-                supports = [[(int(np.argmax(p)) + 1, 1.0)] for p in probs]
-            else:
-                supports = [[(v + 1, float(pv)) for v, pv in enumerate(p) if pv > 0] for p in probs]
-            for combo in itertools.product(*supports):
-                p = 1.0  # in selection order, then times mass: masses stay bit-stable
-                for _, pv in combo:
-                    p *= pv
-                tokens = _commit(row.tokens, dict(zip(selected, [tok for tok, _ in combo])))
-                frontier.append(_Row(tokens, row.history, row.block, row.steps_in_block + 1,
-                                     row.forwards + 1, row.mass * p))
-        rows[:] = frontier
-    return [(row.tokens, row.mass, row.forwards) for row in rows]
+    block_of, budgets, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
+    rows.mass = np.array([mass for _, mass in prompts], dtype=float)
+    V = denoiser.vocab.size
+    for active, selected, probs, _ in _lockstep(denoiser, policy, block_of, budgets, rows):
+        if policy.temperature == "greedy":
+            probs = np.eye(V)[probs.argmax(axis=1)]  # one branch of probability 1
+        count = selected.sum(axis=1)
+        first = np.cumsum(count) - count  # each row's first entry in probs
+        order = np.argsort(~selected, axis=1, kind="stable")  # its selected positions first
+        src, path, tokens = np.arange(len(count)), np.ones(len(count)), rows.tokens
+        for j in range(count.max()):
+            level = count[src] > j
+            support = np.eye(V)[np.zeros(len(src), dtype=int)]  # no j-th position: one branch
+            support[level] = probs[first[src[level]] + j]
+            parent, value = np.nonzero(support > 0)
+            # in selection order, then times mass below: masses stay bit-stable
+            path = path[parent] * support[parent, value]
+            src, tokens, level = src[parent], tokens[parent], level[parent]
+            tokens[np.flatnonzero(level), order[src[level], j]] = value[level] + 1
+        rows.tokens, rows.mass = tokens, rows.mass[src] * path
+        rows.block, rows.steps, rows.forwards = rows.block[src], rows.steps[src], rows.forwards[src]
+        if rows.history is not None:
+            rows.history = rows.history.take(src)
+    return list(zip(map(tuple, rows.tokens.tolist()), rows.mass.tolist(), rows.forwards.tolist()))

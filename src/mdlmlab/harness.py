@@ -17,6 +17,7 @@ selects from the path so far, so each prompt has at most V^gen_len paths.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -57,10 +58,7 @@ def empirical_distribution(samples: Sequence[tuple[int, ...]]) -> Distribution:
     """Normalized frequency table over observed sequences."""
     if not samples:
         raise ValueError("empirical_distribution needs at least one sample")
-    counts: dict[tuple[int, ...], int] = {}
-    for s in samples:
-        key = tuple(int(v) for v in s)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(tuple(int(v) for v in s) for s in samples)
     n = len(samples)
     return {k: c / n for k, c in counts.items()}
 
@@ -85,10 +83,7 @@ def kl_target_induced(target: Distribution, induced: Distribution) -> float:
 # ---------------------------------------------------------------------------
 
 def exact_induced_distribution(
-    model: JointModel,
-    policy: PolicyConfig,
-    prompt_len: int,
-    denoiser=None,
+    model: JointModel, policy: PolicyConfig, prompt_len: int, denoiser=None
 ) -> tuple[Distribution, float]:
     """Exact sequence distribution produced by a decoding policy.
 
@@ -199,12 +194,8 @@ def resolve_denoiser(spec: str, model: JointModel):
 
 
 def run_policy(
-    model: JointModel,
-    denoiser,
-    policy: PolicyConfig,
-    cfg: ExperimentConfig,
-    rng: np.random.Generator,
-    keep_traces: bool = False,
+    model: JointModel, denoiser, policy: PolicyConfig, cfg: ExperimentConfig,
+    rng: np.random.Generator, keep_traces: bool = False,
 ) -> tuple[MetricRow, list[DecodeTrace]]:
     """One policy's metrics row, and its Monte Carlo traces when ``keep_traces``.
 
@@ -276,7 +267,8 @@ def _run(cfg, model: JointModel, denoiser, keep_traces: bool = False) -> Experim
         if keep_traces:
             result.traces[policy.policy_id()] = traces
     if cfg.out:
-        write_metrics_csv(result.rows, cfg.out)
+        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(metrics_csv_text(result.rows))
     return result
 
 
@@ -286,11 +278,6 @@ def metrics_csv_text(rows: Sequence[MetricRow]) -> str:
         # str of a Python float is its shortest round-trip repr
         lines.append(",".join(str(getattr(r, f)) for f in METRIC_FIELDS))
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(rows: Sequence[MetricRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(metrics_csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +317,7 @@ def sweep_layers(cfg: ExperimentConfig, layers: Sequence[int]) -> ExperimentResu
 # ---------------------------------------------------------------------------
 
 def mean_conditional_kl(
-    model: JointModel,
-    denoiser,
-    prompt_len: int,
-    n_states: int,
-    rng: np.random.Generator,
+    model: JointModel, denoiser, prompt_len: int, n_states: int, rng: np.random.Generator
 ) -> float:
     """Mean KL(exact conditional || prediction) over random masked states.
 
@@ -446,9 +429,7 @@ def reference_schedule_report(seed: int) -> list[dict]:
     return report
 
 
-def dependency_greedy_schedule(
-    model: JointModel, prompt_len: int, steps: int
-) -> GroupSchedule:
+def dependency_greedy_schedule(model: JointModel, prompt_len: int, steps: int) -> GroupSchedule:
     """The fixed group schedule a dependency-ranked top-k decode follows.
 
     Pattern mutual information does not depend on observed values, so the

@@ -11,6 +11,7 @@ All tensors are float64, which keeps finite-difference gradient checks tight.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -176,14 +177,6 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
 
 
-def token_rows(config: TransformerConfig, tokens: np.ndarray) -> np.ndarray:
-    """Map token ids (1..V, mask=V+1) to embedding rows (0..V-1, mask=V)."""
-    toks = np.asarray(tokens, dtype=np.int64)
-    if np.any(toks < 1) or np.any(toks > config.vocab_size + 1):
-        raise ValueError("invalid token id in batch")
-    return toks - 1
-
-
 def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None):
     """Full forward pass over a (B, L) token array; returns (log_probs, attentions).
 
@@ -196,7 +189,9 @@ def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None
     B, L = tokens.shape
     if L > cfg.max_len:
         raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    rows = token_rows(cfg, tokens)
+    if np.any(tokens < 1) or np.any(tokens > cfg.vocab_size + 1):
+        raise ValueError("invalid token id in batch")
+    rows = tokens - 1  # embedding rows: 0..V-1 for content tokens, V for the mask
     h = t["tok_emb"][rows] + t["pos_emb"][:L]
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     layer_caches = []
@@ -462,17 +457,18 @@ def train(
 # ---------------------------------------------------------------------------
 # checkpoint format: little-endian binary
 #   magic "MDLMLABC" | u32 version | u32 x5 arch ints | u32 tensor count |
-#   per tensor (canonical param_specs order): u32 ndim, u32 dims..., f64 data
+#   per tensor (canonical param_specs order): u32 ndim, u32 dims..., f64 data |
+#   SHA-256 of all preceding bytes (no tensor shape depends on n_heads)
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"MDLMLABC"
-_VERSION = 1
+_VERSION = 2
 _ARCH_FIELDS = ("n_layers", "n_heads", "d_model", "max_len", "vocab_size")
 
 
 def save_checkpoint(params: Params, path: str) -> None:
     cfg = params.config
-    with open(path, "wb") as fh:
+    with open(path, "w+b") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<5I", *(getattr(cfg, f) for f in _ARCH_FIELDS)))
@@ -485,6 +481,8 @@ def save_checkpoint(params: Params, path: str) -> None:
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
+        fh.seek(0)
+        fh.write(hashlib.sha256(fh.read()).digest())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -498,7 +496,8 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
     """Load a checkpoint; the round trip with save_checkpoint is bit-exact.
 
     With ``expected_config`` given, every architecture field is compared and
-    a mismatch error names the offending field.
+    a mismatch error names the offending field. The checksum is checked
+    last, so a corrupt header still gets its own error.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, len(_MAGIC)) != _MAGIC:
@@ -545,6 +544,11 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
             n = int(np.prod(dims)) if dims else 1
             data = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
             tensors[name] = data.reshape(dims).astype(np.float64)
+        end = fh.tell()
+        digest = _read_exact(fh, 32)
         if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after parameter tensors")
+            raise CheckpointError(f"{path}: trailing bytes after the checksum")
+        fh.seek(0)
+        if hashlib.sha256(fh.read(end)).digest() != digest:
+            raise CheckpointError(f"{path}: checksum mismatch")
     return Params(config, tensors)

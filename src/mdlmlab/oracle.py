@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary
+from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, mask_patterns
 
 ENUM_LIMIT = 10**6
 
@@ -41,15 +41,18 @@ class CycleError(ValueError):
         self.node = node
 
 
+def _cache():
+    """A field that caches derived data: not an argument, shown or compared."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class TabularJoint:
     """Full probability table; ``table[v1-1, ..., vL-1]`` = p(v1, ..., vL)."""
 
     vocab: Vocabulary
     table: np.ndarray
-    _flat_cumsum: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _flat_cumsum: np.ndarray | None = _cache()
 
     def __post_init__(self) -> None:
         self.table = np.asarray(self.table, dtype=float)
@@ -75,15 +78,9 @@ class FactorizedDAG:
     vocab: Vocabulary
     parents: tuple[tuple[int, ...], ...]
     cpts: tuple[np.ndarray, ...]
-    _cached_table: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _topo: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _cpt_cumsum: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _cached_table: np.ndarray | None = _cache()
+    _topo: tuple[int, ...] | None = _cache()
+    _cpt_cumsum: tuple[np.ndarray, ...] | None = _cache()
 
     def __post_init__(self) -> None:
         V, L = self.vocab.size, len(self.parents)
@@ -301,18 +298,7 @@ class GroupSchedule:
         return {p for g in self.groups for p in g}
 
 
-def validate_schedule_cover(schedule: GroupSchedule, L: int, prompt_len: int) -> None:
-    want = set(range(prompt_len, L))
-    if schedule.positions() != want:
-        raise ValueError(
-            f"schedule covers {sorted(schedule.positions())}, "
-            f"expected exactly the non-prompt positions {sorted(want)}"
-        )
-
-
-def prompt_marginal(
-    model: JointModel, prompt_len: int
-) -> list[tuple[tuple[int, ...], float]]:
+def prompt_marginal(model: JointModel, prompt_len: int) -> list[tuple[tuple[int, ...], float]]:
     """Every prompt of positive mass with its joint marginal, in table order.
 
     An empty prompt (``prompt_len`` 0) is the one outcome ``((), 1.0)``.
@@ -328,9 +314,7 @@ def prompt_marginal(
 
 
 def exact_policy_distribution(
-    model: JointModel,
-    schedule: GroupSchedule,
-    prompt_len: int = 0,
+    model: JointModel, schedule: GroupSchedule, prompt_len: int = 0
 ) -> dict[tuple[int, ...], float]:
     """Distribution over full sequences induced by a fixed group schedule.
 
@@ -342,7 +326,9 @@ def exact_policy_distribution(
     exactly iff the schedule respects the dependency structure).
     """
     L = model.L
-    validate_schedule_cover(schedule, L, prompt_len)
+    if schedule.positions() != set(range(prompt_len, L)):
+        raise ValueError(f"schedule covers {sorted(schedule.positions())}, expected "
+                         f"exactly the non-prompt positions {list(range(prompt_len, L))}")
     table = joint_table(model)
 
     out: dict[tuple[int, ...], float] = {}
@@ -403,14 +389,22 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
 class OracleDenoiser:
     """Exact denoiser backed by a joint model; no attentions are produced.
 
-    Output rows are cached by token tuple and dependency scores by mask
+    Output rows are cached by token row and dependency scores by mask
     pattern, so repeated contexts during enumeration or sampling are cheap.
+    A row's cache key is one integer, its tokens 1..V+1 read as base-(V+1)
+    digits; under ``ENUM_LIMIT`` (V+1)^L stays below 2^31.
     """
 
     def __init__(self, model: JointModel):
         self.model = model
         self.vocab = model.vocab
-        self._out_cache: dict[tuple[int, ...], np.ndarray] = {}
+        V, L = self.vocab.size, model.L
+        self._radix = (V + 1) ** np.arange(L, dtype=np.int64)
+        # the cached rows' codes, sorted after a sentinel that matches no
+        # row, and each code's row in the read-only _rows
+        self._codes = np.array([np.iinfo(np.int64).max])
+        self._slots = np.array([-1])
+        self._rows = np.zeros((0, L, V))
         self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
 
     def __call__(self, states: SequenceState | StateBatch) -> DenoiserOutput:
@@ -421,10 +415,10 @@ class OracleDenoiser:
         one-hot of its token. A row is computed once and then read from the
         cache; the rows a call misses are computed together (see
         ``_conditionals``), and each is a function of its own tokens alone,
-        bit for bit, whatever else the call holds. Tokens or a shape that do
-        not fit the joint raise ``ValueError``; a row with a masked position
-        whose unmasked tokens have probability zero raises
-        ``ZeroSupportError``.
+        bit for bit, whatever else the call holds. One state's output is a
+        read-only view of the cache. Tokens or a shape that do not fit the
+        joint raise ``ValueError``; a row with a masked position whose
+        unmasked tokens have probability zero raises ``ZeroSupportError``.
         """
         tokens = np.asarray(states.tokens)
         batch = np.atleast_2d(tokens)
@@ -433,16 +427,24 @@ class OracleDenoiser:
             raise ValueError("state does not match the model's vocabulary or length")
         if not np.all((batch >= 1) & (batch <= V + 1)):
             raise ValueError(f"token ids must lie in 1..{V + 1}")
-        keys = list(map(tuple, batch.tolist()))
-        cache = self._out_cache
-        missed = [key for key in dict.fromkeys(keys) if key not in cache]
-        if missed:
-            rows = self._conditionals(np.array(missed))
-            rows.flags.writeable = False  # one state's output is the cached row itself
-            cache.update(zip(missed, rows))
+        codes = (batch - 1) @ self._radix
+        at = np.searchsorted(self._codes, codes)
+        slots = np.where(self._codes[at] == codes, self._slots[at], -1)
+        missed = slots < 0
+        if missed.any():
+            new, first, inverse = np.unique(
+                codes[missed], return_index=True, return_inverse=True
+            )
+            rows = np.concatenate([self._rows, self._conditionals(batch[missed][first])])
+            rows.flags.writeable = False  # no caller can corrupt a cached row
+            slots[missed] = len(self._rows) + inverse
+            at = np.searchsorted(self._codes, new)
+            self._codes = np.insert(self._codes, at, new)
+            self._slots = np.insert(self._slots, at, np.arange(len(self._rows), len(rows)))
+            self._rows = rows
         if tokens.ndim == 1:
-            return DenoiserOutput(cache[keys[0]])
-        return DenoiserOutput(np.array([cache[key] for key in keys]))
+            return DenoiserOutput(self._rows[slots[0]])
+        return DenoiserOutput(self._rows[slots])
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
         """``self(states)``: one output with a leading row axis."""
@@ -465,14 +467,13 @@ class OracleDenoiser:
         probs = np.zeros((m, L, V))
         seen_r, seen_i = np.nonzero(~masked)
         probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
-        groups: dict[tuple[bool, ...], list[int]] = {}
-        for r, pattern in enumerate(map(tuple, masked.tolist())):
-            groups.setdefault(pattern, []).append(r)
-        for pattern, rs in groups.items():
-            free = [i for i in range(L) if pattern[i]]
+        patterns, group = mask_patterns(masked)
+        for g, pattern in enumerate(patterns):
+            free = np.flatnonzero(pattern).tolist()
             if not free:
                 continue
-            fixed = [i for i in range(L) if not pattern[i]]
+            fixed = np.flatnonzero(~pattern).tolist()
+            rs = np.flatnonzero(group == g)
             index = tuple(tokens[rs][:, fixed].T - 1)
             sub = table.transpose(fixed + free)[index].reshape((len(rs),) + (V,) * len(free))
             total = sub.reshape(len(rs), -1).sum(axis=1)
@@ -494,17 +495,15 @@ class OracleDenoiser:
         on it alone, so they are cached by it.
         """
         pattern = tuple(bool(m) for m in masked)
-        hit = self._dep_cache.get(pattern)
-        if hit is not None:
-            return hit
-        # the observed values do not matter: token 1 stands in for each
-        mask_id = self.vocab.mask_id
-        state = SequenceState(self.vocab, tuple(mask_id if m else 1 for m in pattern))
-        scores = np.full(len(pattern), np.nan)
-        for i in state.masked_positions():
-            scores[i] = oracle_dependency(self.model, state, i)
-        self._dep_cache[pattern] = scores
-        return scores
+        if pattern not in self._dep_cache:
+            # the observed values do not matter: token 1 stands in for each
+            mask_id = self.vocab.mask_id
+            state = SequenceState(self.vocab, tuple(mask_id if m else 1 for m in pattern))
+            self._dep_cache[pattern] = np.array([
+                oracle_dependency(self.model, state, i) if m else np.nan
+                for i, m in enumerate(pattern)
+            ])
+        return self._dep_cache[pattern]
 
 
 # ---------------------------------------------------------------------------

@@ -53,38 +53,68 @@ def margin(p: np.ndarray) -> float:
     return float(row_scores("margin", np.atleast_2d(p))[0])
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) with 0 log 0 = 0; q is floored at 1e-12 so the value is total."""
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """KL(p || q) with 0 log 0 = 0; q is floored at 1e-12 so the value is total.
+
+    Arrays with leading axes give each last-axis row's KL, bit for bit its
+    1-D value.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError("distributions must share a support size")
-    q = np.maximum(q, 1e-12)
     nz = p > 0
-    return float((p[nz] * np.log(p[nz] / q[nz])).sum())
+    kl = _subset_sum(p * np.log(np.where(nz, p / np.maximum(q, 1e-12), 1.0)), nz)
+    return float(kl) if p.ndim == 1 else kl
+
+
+def _subset_sum(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each last-axis row of ``terms`` summed over its ``keep`` entries, bit for
+    bit the sum of those entries as a 1-D array: numpy sums pairwise, so a
+    zero-padded row of 8 or more can round differently. Rows are summed in
+    groups of equal kept count instead."""
+    V = terms.shape[-1]
+    flat = terms.reshape(-1, V)
+    keep = np.broadcast_to(keep, terms.shape).reshape(-1, V)
+    counts = keep.sum(axis=1)
+    out = np.zeros(len(counts))
+    for c in np.unique(counts).tolist():
+        if c:
+            rows = counts == c
+            out[rows] = flat[rows][keep[rows]].reshape(-1, c).sum(axis=1)
+    return out.reshape(terms.shape[:-1])
 
 
 def dos_dependency(
     attentions: Sequence[np.ndarray],
     layer: int,
-    masked: Sequence[int],
-    unmasked: Sequence[int],
-    n_positions: int,
+    masked: np.ndarray | Sequence[int],
+    unmasked: Sequence[int] | None = None,
+    n_positions: int | None = None,
 ) -> np.ndarray:
     """Attention mass each masked position places on the unmasked context.
 
     The chosen layer's heads are averaged arithmetically into one L x L
     matrix; the score of a masked position is its row-sum over the unmasked
     columns (no renormalization). Unmasked positions stay unscored.
+
+    For n states, ``attentions`` holds each layer's (n, H, L, L) maps and
+    ``masked`` is their (n, L) mask; the result is (n, L). One state's
+    (H, L, L) maps with ``masked`` and ``unmasked`` position lists and
+    ``n_positions`` give its (L,) vector, bit for bit its row of a chunk.
     """
     if not 0 <= layer < len(attentions):
         raise IndexError(f"layer {layer} out of range for {len(attentions)} layers")
-    attn = np.asarray(attentions[layer], dtype=float).mean(axis=0)
-    scores = np.full(n_positions, NOT_SCORED)
-    rows = np.asarray(masked, dtype=np.intp)
-    cols = np.asarray(unmasked, dtype=np.intp)
-    scores[rows] = attn[np.ix_(rows, cols)].sum(axis=1)
-    return scores
+    attn = np.asarray(attentions[layer], dtype=float)
+    if unmasked is None:
+        rows = np.asarray(masked, dtype=bool)
+        cols = ~rows
+    else:  # one state
+        attn, rows, cols = attn[None], *np.zeros((2, 1, n_positions), dtype=bool)
+        rows[0, list(masked)] = cols[0, list(unmasked)] = True
+    scores = _subset_sum(attn.mean(axis=1), cols[:, None, :])
+    scores[~rows] = NOT_SCORED
+    return scores if unmasked is None else scores[0]
 
 
 def uncertainty_scores(kind: str, probs: np.ndarray, masked: np.ndarray) -> np.ndarray:

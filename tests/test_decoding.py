@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mdlmlab import scoring
 from mdlmlab.core import DenoiserOutput, SequenceState, Vocabulary
 from mdlmlab.decoding import (
+    SELECTORS,
     DecodeTrace,
     History,
     PolicyConfig,
@@ -16,6 +18,7 @@ from mdlmlab.decoding import (
     compute_ranking,
     decode_blockwise,
     enumerate_decodes,
+    plan_step,
     select_eb,
     select_klass,
     select_threshold,
@@ -101,16 +104,16 @@ def test_select_klass_history_rule():
     conf = np.array([0.99, 0.95])
     h = History(n=2).record(steady)
     # fewer than n+1 records: ineligible, falls back to argmax confidence
-    assert not h.stable(0, 0.01)
+    assert not np.any(h.stable(0.01))
     assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
     # n+1 agreeing outputs: both positions are stable
     h = h.record(steady).record(steady)
-    assert h.stable(0, 0.01) and h.stable(1, 0.01)
+    assert h.stable(0.01).tolist() == [True, True]
     assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0, 1)
     # position 1 drifts across the last n+1 outputs and is no longer stable
     for p1 in (0.5, 0.95):
         h = h.record(np.array([[0.99, 0.01], [p1, 1.0 - p1]]))
-    assert h.stable(0, 0.01) and not h.stable(1, 0.01)
+    assert h.stable(0.01).tolist() == [True, False]
     assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
 
 
@@ -179,7 +182,9 @@ def test_klass_replays_the_per_position_history_rule(n_history, block_size, temp
             lo = len(prompt) + block * size
             candidates = [i for i in masked if i < lo + size]
             conf = scoring.confidence_vector(probs, np.array(tokens) == mask)
-            chosen = select_klass(history, conf, candidates, policy.tau, policy.eps_kl)
+            chosen = tuple(i for i in candidates
+                           if conf[i] > policy.tau and history.stable(i, policy.eps_kl))
+            chosen = chosen or (max(candidates, key=lambda i: (conf[i], -i)),)
             assert chosen == tuple(step.positions)
             parallel += len(chosen) > 1
             for i, tok in zip(step.positions, step.tokens):
@@ -219,6 +224,91 @@ def test_select_eb_maximality_property():
             ext = sel + [nxt]
             ext_val = ents[ext].sum() - max(ents[i] for i in ext)
             assert ext_val > gamma
+
+
+# Per-row selectors as they were written before selection ran over (n, L)
+# chunks: the reference the chunk-wide plan_step is checked against.
+def _ref_ranked(scores, candidates):
+    return sorted(candidates, key=lambda i: (-scores[i], i))
+
+
+def _ref_kl(p, q):
+    q = np.maximum(q, 1e-12)
+    nz = p > 0
+    return float((p[nz] * np.log(p[nz] / q[nz])).sum())
+
+
+def _ref_stable(outputs, n, i, eps_kl):
+    return len(outputs) >= n + 1 and all(
+        _ref_kl(a[i], b[i]) < eps_kl for a, b in zip(outputs, outputs[1:]))
+
+
+def _ref_eb(ranking, entropies, candidates, gamma):
+    chosen, ent_sum, ent_max = [], 0.0, 0.0
+    for i in _ref_ranked(ranking, candidates):
+        e = float(entropies[i])
+        if chosen and (ent_sum + e) - max(ent_max, e) > gamma:
+            break
+        chosen.append(i)
+        ent_sum += e
+        ent_max = max(ent_max, e)
+    return tuple(sorted(chosen))
+
+
+def _ref_plan(policy, ranking, vector, candidates, steps_left, outputs):
+    if policy.selector == "topk":
+        k = math.ceil(len(candidates) / max(1, steps_left))
+        return tuple(sorted(_ref_ranked(ranking, candidates)[:k]))
+    if policy.selector == "eb":
+        pool = candidates
+        if policy.dep_eb_prefilter is not None:
+            pool = [i for i in candidates if ranking[i] > policy.dep_eb_prefilter] or candidates
+        return _ref_eb(ranking, vector, pool, policy.gamma)
+    if policy.selector == "threshold":
+        chosen = [i for i in candidates if vector[i] > policy.eps]
+    else:
+        chosen = [i for i in candidates if vector[i] > policy.tau
+                  and _ref_stable(outputs, policy.n_history, i, policy.eps_kl)]
+    return tuple(sorted(chosen or _ref_ranked(vector, candidates)[:1]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), selector=st.sampled_from(SELECTORS),
+       n=st.integers(1, 6), L=st.integers(1, 9), V=st.integers(2, 4),
+       n_history=st.integers(1, 3), records=st.integers(1, 4),
+       prefilter=st.sampled_from([None, 0.25, 0.5]), noise=st.sampled_from([0.0, 0.02, 0.3]))
+def test_chunk_plan_step_matches_per_row_selectors(
+        seed, selector, n, L, V, n_history, records, prefilter, noise):
+    # tied scores, per-row candidate sets and budgets, and KLASS histories
+    # whose consecutive KLs fall on both sides of eps_kl
+    rng = np.random.default_rng(seed)
+    candidates = rng.random((n, L)) < 0.5
+    candidates[np.arange(n), rng.integers(0, L, size=n)] = True
+    masked = candidates | (rng.random((n, L)) < 0.3)
+    levels = {"topk": [0.0, 0.25, 0.5, 1.0], "threshold": [0.5, 0.7, 0.9, 1.0],
+              "klass": [0.5, 0.7, 0.9, 1.0], "eb": [0.0, 0.005, 0.01, 0.3]}[selector]
+    ranking = np.where(masked, rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, L)), np.nan)
+    vector = np.where(masked, rng.choice(levels, size=(n, L)), np.nan)
+    steps_left = rng.integers(1, 5, size=n)
+    base = rng.random((n, L, V)) * (rng.random((n, L, V)) < 0.8) + 1e-3
+    outputs = []
+    for _ in range(min(records, n_history + 1)):
+        out = base * np.exp(noise * rng.normal(size=base.shape))
+        outputs.append(out / out.sum(axis=-1, keepdims=True))
+    policy = PolicyConfig(selector=selector, eps=0.7, tau=0.7, eps_kl=0.01, gamma=0.01,
+                          n_history=n_history,
+                          dep_eb_prefilter=prefilter if selector == "eb" else None)
+    history = History(n_history, tuple(outputs)) if selector == "klass" else None
+    got = plan_step(policy, ranking, vector if selector != "topk" else None, candidates,
+                    steps_left, history)
+    assert got.shape == (n, L) and not (got & ~candidates).any()
+    for r in range(n):
+        want = _ref_plan(policy, ranking[r], vector[r], np.flatnonzero(candidates[r]).tolist(),
+                         int(steps_left[r]), [out[r] for out in outputs])
+        assert tuple(np.flatnonzero(got[r]).tolist()) == want
+        if selector == "topk":  # the one-row case is a separate Python sort
+            k = math.ceil(candidates[r].sum() / steps_left[r])
+            assert select_topk(ranking[r], np.flatnonzero(candidates[r]).tolist(), k) == want
 
 
 def test_decode_one_token_per_step_nfe():
@@ -537,6 +627,11 @@ def test_malformed_prompts_fail_before_any_denoiser_call(monkeypatch):
             decode_blockwise(den, policy, prompts, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             enumerate_decodes(den, policy, [(p, 1.0) for p in prompts], 3)
+    for gen_len in (0, -1):  # named, not a bare error from the block plan
+        with pytest.raises(ValueError, match="gen_len must be >= 1"):
+            decode_blockwise(den, policy, [[1]], gen_len, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gen_len must be >= 1"):
+            enumerate_decodes(den, policy, [([1], 1.0)], gen_len)
 
 
 def test_decode_blockwise_returns_validated_states():

@@ -195,12 +195,12 @@ def test_exact_mode_uses_the_given_oracle():
     assert exact_induced_distribution(model, policy, 1, oracle) == (
         exact_induced_distribution(model, policy, 1)
     )
-    assert oracle._out_cache  # the walk filled the caller's cache
+    assert len(oracle._rows)  # the walk filled the caller's cache
     run_oracle = OracleDenoiser(model)
     cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
                            mode="exact")
     run_policy(model, run_oracle, policy, cfg, np.random.default_rng(0))
-    assert run_oracle._out_cache
+    assert len(run_oracle._rows)
 
 
 def test_run_experiment_determinism_and_csv(tmp_path):

@@ -394,30 +394,40 @@ SMALL_BYTES = checkpoint_bytes(init_params(SMALL))
 @given(data=st.data())
 def test_corrupt_checkpoints_raise_checkpoint_error(data):
     # every corruption of a valid file raises CheckpointError, never a bare
-    # error; an overwrite inside a tensor's values may load, and so may
+    # error; the checksum catches an overwrite inside a tensor's values and
     # another head count that divides d_model (no tensor shape depends on it)
     kind = data.draw(st.sampled_from(("arch", "truncate", "trailing", "overwrite")))
-    may_load = False
     if kind == "arch":
         field = data.draw(st.sampled_from(ARCH_FIELDS))
         value = data.draw(st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)).filter(
             lambda v: v != getattr(SMALL, field)))
         corrupt = with_arch_field(SMALL_BYTES, field, value)
-        may_load = field == "n_heads" and value > 0 and SMALL.d_model % value == 0
     elif kind == "truncate":
         corrupt = SMALL_BYTES[: data.draw(st.integers(0, len(SMALL_BYTES) - 1))]
     elif kind == "trailing":
         corrupt = SMALL_BYTES + data.draw(st.binary(min_size=1, max_size=16))
     else:
         at = data.draw(st.integers(0, len(SMALL_BYTES) - 4))
-        corrupt = SMALL_BYTES[:at] + data.draw(st.binary(min_size=4, max_size=4)) + (
-            SMALL_BYTES[at + 4 :])
-        may_load = True
-    try:
+        new = data.draw(st.binary(min_size=4, max_size=4).filter(
+            lambda b: b != SMALL_BYTES[at : at + 4]))
+        corrupt = SMALL_BYTES[:at] + new + SMALL_BYTES[at + 4 :]
+    with pytest.raises(CheckpointError):
         load_bytes(corrupt)
-    except CheckpointError:
-        return
-    assert may_load, f"{kind} corruption loaded"
+
+
+def test_checkpoint_with_rewritten_head_count_raises(tmp_path):
+    # 4 heads divide d_model 32 too, so only the checksum tells the files apart
+    cfg = TransformerConfig(n_layers=1, n_heads=2, d_model=32, max_len=8, vocab_size=2)
+    good = checkpoint_bytes(init_params(cfg))
+    assert load_bytes(good).config.n_heads == 2
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_bytes(with_arch_field(good, "n_heads", 4))
+
+
+def test_version_1_checkpoint_is_refused():
+    old = SMALL_BYTES[:8] + struct.pack("<I", 1) + SMALL_BYTES[12:-32]
+    with pytest.raises(CheckpointError, match="unsupported format version 1"):
+        load_bytes(old)
 
 
 def test_transformer_denoiser_interface():

@@ -112,19 +112,40 @@ def test_dos_dependency_mass_split_property():
 
 
 def test_dos_dependency_equals_per_position_loop():
+    # one state alone, and each row of an (n, L) chunk, bit for bit the
+    # per-position sums (L reaches 16, past numpy's 8-entry pairwise blocks)
     rng = np.random.default_rng(8)
     for _ in range(500):
-        L, H = int(rng.integers(1, 17)), int(rng.integers(1, 4))
-        raw = rng.gamma(1.0, 1.0, size=(H, L, L))
+        L, H, n = int(rng.integers(1, 17)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        raw = rng.gamma(1.0, 1.0, size=(n, H, L, L))
         attn = raw / raw.sum(axis=-1, keepdims=True)
-        is_masked = rng.random(L) < rng.random()
-        masked = [i for i in range(L) if is_masked[i]]
-        unmasked = [i for i in range(L) if not is_masked[i]]
-        want = np.full(L, np.nan)
-        for m in masked:
-            want[m] = float(attn.mean(axis=0)[m, unmasked].sum()) if unmasked else 0.0
-        got = dos_dependency([attn], 0, masked, unmasked, L)
-        assert np.array_equal(got, want, equal_nan=True)
+        is_masked = rng.random((n, L)) < rng.random((n, 1))
+        chunk = dos_dependency([attn], 0, is_masked)
+        assert chunk.shape == (n, L)
+        for r in range(n):
+            masked = [i for i in range(L) if is_masked[r, i]]
+            unmasked = [i for i in range(L) if not is_masked[r, i]]
+            want = np.full(L, np.nan)
+            for m in masked:
+                want[m] = float(attn[r].mean(axis=0)[m, unmasked].sum()) if unmasked else 0.0
+            got = dos_dependency([attn[r]], 0, masked, unmasked, L)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(chunk[r], want, equal_nan=True)
+
+
+def test_kl_divergence_rows_equal_one_dimensional_calls():
+    # V reaches 12, so zero-padded pairwise sums would round differently
+    rng = np.random.default_rng(9)
+    for V in range(2, 13):
+        p = rng.random((3, 5, V)) * (rng.random((3, 5, V)) < 0.6)
+        q = rng.random((3, 5, V)) * (rng.random((3, 5, V)) < 0.9)
+        rows = kl_divergence(p, q)
+        assert rows.shape == (3, 5)
+        for i, j in np.ndindex(3, 5):
+            q_ij = np.maximum(q[i, j], 1e-12)
+            nz = p[i, j] > 0
+            want = float((p[i, j][nz] * np.log(p[i, j][nz] / q_ij[nz])).sum())
+            assert rows[i, j] == want == kl_divergence(p[i, j], q[i, j])
 
 
 def test_dos_dependency_layer_bounds():
