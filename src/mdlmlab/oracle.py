@@ -5,12 +5,13 @@ to tabulate, so conditionals, schedule-induced distributions, and dependency
 scores are computed exactly rather than approximated. The dense table is
 built once per model and cached; ``joint_table`` checks the state space
 against ``ENUM_LIMIT`` before it builds one, and every exact computation
-goes through it.
+goes through it. One kernel serves every exact conditional and mutual
+information: ``_slabs`` sums a slice of the table onto each of its free
+positions, and ``_conditionals`` answers token rows with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -197,30 +198,54 @@ def model_distribution(model: JointModel) -> dict[tuple[int, ...], float]:
     return dict(zip(keys, table[support].tolist()))
 
 
-def _conditionals_given(
-    table: np.ndarray,
-    L: int,
-    fixed: dict[int, int],
-    positions: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Exact per-position conditionals given fixed token values.
+def _slabs(sub: np.ndarray) -> list[np.ndarray]:
+    """For each free axis of an (m, V, ..., V) slice, its (m, V) sum over the
+    other free axes. Every sum runs over one row's contiguous values, so a
+    row's bits do not depend on the other rows."""
+    m, V, n = sub.shape[0], sub.shape[-1], sub.ndim - 1
+    return [
+        sub.transpose(0, 1 + k, *(1 + j for j in range(n) if j != k))
+        .reshape(m, V, -1).sum(axis=2)
+        for k in range(n)
+    ]
 
-    All unfixed positions other than the target are marginalized out.
+
+def _conditionals(table: np.ndarray, tokens: np.ndarray, mask_id: int) -> np.ndarray:
+    """The (m, L, V) exact output rows of m distinct (m, L) token rows.
+
+    A masked position gets p(x_i | unmasked tokens), an unmasked one the
+    one-hot of its token. Rows that mask the same positions are answered
+    together: one gather takes each row's slice of the joint table at its
+    unmasked tokens, an (m_g, V, ..., V) array over the masked positions,
+    and each masked position's conditional is its ``_slabs`` sum divided by
+    the row's total. Raises ZeroSupportError for a row with a masked
+    position whose unmasked tokens have probability zero.
     """
-    idx = tuple(
-        fixed[i] - 1 if i in fixed else slice(None) for i in range(L)
-    )
-    sub = table[idx]
-    free = [i for i in range(L) if i not in fixed]
-    total = float(sub.sum())
-    if total <= 0.0:
-        raise ZeroSupportError(f"conditioning event {fixed} has probability zero")
-    out: dict[int, np.ndarray] = {}
-    for pos in positions:
-        axis = free.index(pos)
-        other = tuple(a for a in range(sub.ndim) if a != axis)
-        out[pos] = sub.sum(axis=other) / total
-    return out
+    m, L = tokens.shape
+    V = table.shape[0]
+    masked = tokens == mask_id
+    probs = np.zeros((m, L, V))
+    seen_r, seen_i = np.nonzero(~masked)
+    probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
+    patterns, group = mask_patterns(masked)
+    for g, pattern in enumerate(patterns):
+        free = np.flatnonzero(pattern).tolist()
+        if not free:
+            continue
+        fixed = np.flatnonzero(~pattern).tolist()
+        rs = np.flatnonzero(group == g)
+        index = tuple(tokens[rs][:, fixed].T - 1)
+        sub = table.transpose(fixed + free)[index].reshape((len(rs),) + (V,) * len(free))
+        total = sub.reshape(len(rs), -1).sum(axis=1)
+        if not np.all(total > 0.0):
+            bad = tokens[rs[int(np.argmin(total > 0.0))]]
+            fixed_tokens = {i: int(bad[i]) for i in fixed}
+            raise ZeroSupportError(
+                f"conditioning event {fixed_tokens} has probability zero"
+            )
+        for pos, slab in zip(free, _slabs(sub)):
+            probs[rs, pos] = slab / total[:, None]
+    return probs
 
 
 def conditional_marginal(
@@ -238,9 +263,9 @@ def conditional_marginal(
     masked = state.masked_positions()
     if not masked:
         raise ValueError("state has no masked position")
-    table = joint_table(model)
-    fixed = {i: state.tokens[i] for i in state.unmasked_positions()}
-    return _conditionals_given(table, model.L, fixed, masked)
+    tokens = np.array([state.tokens])
+    probs = _conditionals(joint_table(model), tokens, model.vocab.mask_id)[0]
+    return {i: probs[i] for i in masked}
 
 
 def sample_joints(model: JointModel, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -301,16 +326,16 @@ class GroupSchedule:
 def prompt_marginal(model: JointModel, prompt_len: int) -> list[tuple[tuple[int, ...], float]]:
     """Every prompt of positive mass with its joint marginal, in table order.
 
-    An empty prompt (``prompt_len`` 0) is the one outcome ``((), 1.0)``.
+    An empty prompt (``prompt_len`` 0) is the one outcome ``((), 1.0)``; a
+    ``prompt_len`` outside 0..L raises ``ValueError``.
     """
+    if not 0 <= prompt_len <= model.L:
+        raise ValueError(f"prompt_len {prompt_len} outside 0..{model.L}")
     if not prompt_len:
         return [((), 1.0)]
     pm = joint_table(model).sum(axis=tuple(range(prompt_len, model.L)))
-    return [
-        (tuple(int(v) + 1 for v in idx), float(p))
-        for idx, p in np.ndenumerate(pm)
-        if p > 0
-    ]
+    keys = map(tuple, (np.argwhere(pm > 0) + 1).tolist())
+    return list(zip(keys, pm[pm > 0].tolist()))
 
 
 def exact_policy_distribution(
@@ -329,33 +354,24 @@ def exact_policy_distribution(
     if schedule.positions() != set(range(prompt_len, L)):
         raise ValueError(f"schedule covers {sorted(schedule.positions())}, expected "
                          f"exactly the non-prompt positions {list(range(prompt_len, L))}")
-    table = joint_table(model)
-
-    out: dict[tuple[int, ...], float] = {}
-
-    def walk(fixed: dict[int, int], gi: int, mass: float) -> None:
-        if gi == len(schedule.groups):
-            seq = tuple(fixed[i] for i in range(L))
-            out[seq] = out.get(seq, 0.0) + mass
-            return
-        group = schedule.groups[gi]
-        conds = _conditionals_given(table, L, fixed, group)
-        supports = [
-            [(v + 1, float(p)) for v, p in enumerate(conds[pos]) if p > 0]
-            for pos in group
-        ]
-        for combo in itertools.product(*supports):
-            p = mass
-            for _, pv in combo:
-                p *= pv
-            nxt = dict(fixed)
-            for pos, (tok, _) in zip(group, combo):
-                nxt[pos] = tok
-            walk(nxt, gi + 1, p)
-
-    for prompt, p in prompt_marginal(model, prompt_len):
-        walk(dict(enumerate(prompt)), 0, p)
-    return out
+    table, mask_id = joint_table(model), model.vocab.mask_id
+    prompts = prompt_marginal(model, prompt_len)
+    # The walk goes one group at a time over every partial row of that level:
+    # they all mask the same positions, so one kernel call conditions them
+    # all. A row branches on each group position's support in group order
+    # (the first position varies slowest) and its mass is multiplied in that
+    # order, so sequences come out depth-first, as a recursive walk lists them.
+    rows = np.full((len(prompts), L), mask_id)
+    rows[:, :prompt_len] = np.array([t for t, _ in prompts]).reshape(len(prompts), prompt_len)
+    mass = np.array([p for _, p in prompts])
+    for group in schedule.groups:
+        probs = _conditionals(table, rows, mask_id)
+        src = np.arange(len(rows))
+        for pos in group:
+            r, v = np.nonzero(probs[src, pos])
+            src, rows, mass = src[r], rows[r], mass[r] * probs[src[r], pos, v]
+            rows[:, pos] = v + 1
+    return dict(zip(map(tuple, rows.tolist()), mass.tolist()))
 
 
 def oracle_dependency(model: JointModel, state: SequenceState, position: int) -> float:
@@ -365,33 +381,25 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
     matters, not the observed values. Serves as the attention-free stand-in
     for dependency scoring when decoding against the exact denoiser: a high
     score means the position is strongly pinned down by the visible context.
+    This is one entry of ``OracleDenoiser.dependency_scores``.
     """
+    if state.vocab.size != model.vocab.size or len(state) != model.L:
+        raise ValueError("state does not match the model's vocabulary or length")
     if not state.is_masked(position):
         raise ValueError(f"position {position} is not masked")
-    unmasked = state.unmasked_positions()
-    if not unmasked:
-        return 0.0
-    table = joint_table(model)
-    L, V = model.L, model.vocab.size
-    keep = set(unmasked) | {position}
-    drop = tuple(i for i in range(L) if i not in keep)
-    joint = table.sum(axis=drop) if drop else table
-    kept_order = sorted(keep)
-    joint = np.moveaxis(joint, kept_order.index(position), 0).reshape(V, -1)
-    pm = joint.sum(axis=1)
-    pu = joint.sum(axis=0)
-    prod = np.outer(pm, pu)
-    nz = joint > 0
-    mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
-    return max(mi, 0.0)
+    mask_id = state.vocab.mask_id
+    return float(OracleDenoiser(model).dependency_scores(
+        [t == mask_id for t in state.tokens])[position])
 
 
 class OracleDenoiser:
     """Exact denoiser backed by a joint model; no attentions are produced.
 
-    Output rows are cached by token row and dependency scores by mask
-    pattern, so repeated contexts during enumeration or sampling are cheap.
-    A row's cache key is one integer, its tokens 1..V+1 read as base-(V+1)
+    Its outputs and dependency scores come from the module's one kernel
+    (``_conditionals`` and ``_slabs``), as every exact conditional and mutual
+    information here does. Output rows are cached by token row and
+    dependency scores by mask pattern, so repeated contexts during
+    enumeration or sampling are cheap. A row's cache key is one integer, its tokens 1..V+1 read as base-(V+1)
     digits; under ``ENUM_LIMIT`` (V+1)^L stays below 2^31.
     """
 
@@ -435,7 +443,8 @@ class OracleDenoiser:
             new, first, inverse = np.unique(
                 codes[missed], return_index=True, return_inverse=True
             )
-            rows = np.concatenate([self._rows, self._conditionals(batch[missed][first])])
+            fresh = _conditionals(joint_table(self.model), batch[missed][first], V + 1)
+            rows = np.concatenate([self._rows, fresh])
             rows.flags.writeable = False  # no caller can corrupt a cached row
             slots[missed] = len(self._rows) + inverse
             at = np.searchsorted(self._codes, new)
@@ -450,59 +459,34 @@ class OracleDenoiser:
         """``self(states)``: one output with a leading row axis."""
         return self(states)
 
-    def _conditionals(self, tokens: np.ndarray) -> np.ndarray:
-        """The (m, L, V) output rows of m distinct (m, L) token rows.
-
-        Rows that mask the same positions are answered together: one gather
-        takes each row's slice of the joint table at its unmasked tokens, an
-        (m_g, V, ..., V) array over the masked positions, and each masked
-        position's conditional is that slice summed over the other masked
-        positions, divided by the row's total. Every sum runs over one row's
-        contiguous values, so a row's bits do not depend on the other rows.
-        """
-        table = joint_table(self.model)
-        m, L = tokens.shape
-        V = self.vocab.size
-        masked = tokens == self.vocab.mask_id
-        probs = np.zeros((m, L, V))
-        seen_r, seen_i = np.nonzero(~masked)
-        probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
-        patterns, group = mask_patterns(masked)
-        for g, pattern in enumerate(patterns):
-            free = np.flatnonzero(pattern).tolist()
-            if not free:
-                continue
-            fixed = np.flatnonzero(~pattern).tolist()
-            rs = np.flatnonzero(group == g)
-            index = tuple(tokens[rs][:, fixed].T - 1)
-            sub = table.transpose(fixed + free)[index].reshape((len(rs),) + (V,) * len(free))
-            total = sub.reshape(len(rs), -1).sum(axis=1)
-            if not np.all(total > 0.0):
-                bad = tokens[rs[int(np.argmin(total > 0.0))]]
-                fixed_tokens = {i: int(bad[i]) for i in fixed}
-                raise ZeroSupportError(
-                    f"conditioning event {fixed_tokens} has probability zero"
-                )
-            for k, pos in enumerate(free):
-                slabs = np.moveaxis(sub, 1 + k, 1).reshape(len(rs), V, -1)
-                probs[rs, pos] = slabs.sum(axis=2) / total[:, None]
-        return probs
-
     def dependency_scores(self, masked: Sequence[bool]) -> np.ndarray:
         """``oracle_dependency`` of every masked position, NaN elsewhere.
 
         ``masked`` is one row's mask (position -> masked); the scores depend
-        on it alone, so they are cached by it.
+        on it alone, so they are cached by it. The table is transposed once
+        to (unmasked..., masked...) with the unmasked assignments as rows, so
+        ``_slabs`` gives each masked position's joint with the unmasked set.
+        A mask of another length raises ``ValueError``.
         """
         pattern = tuple(bool(m) for m in masked)
+        L, V = self.model.L, self.vocab.size
+        if len(pattern) != L:
+            raise ValueError(f"mask of length {len(pattern)} does not match "
+                             "the model's vocabulary or length")
         if pattern not in self._dep_cache:
-            # the observed values do not matter: token 1 stands in for each
-            mask_id = self.vocab.mask_id
-            state = SequenceState(self.vocab, tuple(mask_id if m else 1 for m in pattern))
-            self._dep_cache[pattern] = np.array([
-                oracle_dependency(self.model, state, i) if m else np.nan
-                for i, m in enumerate(pattern)
-            ])
+            free = [i for i in range(L) if pattern[i]]
+            fixed = [i for i in range(L) if not pattern[i]]
+            scores = np.full(L, np.nan)
+            scores[free] = 0.0
+            if free and fixed:
+                sub = joint_table(self.model).transpose(fixed + free)
+                for pos, slab in zip(free, _slabs(sub.reshape((-1,) + (V,) * len(free)))):
+                    joint = slab.T  # (value of pos, unmasked assignment)
+                    prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+                    nz = joint > 0
+                    mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
+                    scores[pos] = max(mi, 0.0)
+            self._dep_cache[pattern] = scores
         return self._dep_cache[pattern]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import os
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mdlmlab.oracle import (
     load_joint_model,
     model_distribution,
     oracle_dependency,
+    prompt_marginal,
     random_dag,
     random_tabular,
     random_tree_dag,
@@ -392,10 +394,10 @@ def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
     assert out.probs.shape == (n + 1, L, V) and out.attentions is None
     for r, row in enumerate(tokens.tolist()):
         state = SequenceState(vocab, tuple(row))
-        want = conditional_marginal(model, state) if state.masked_positions() else {}
+        want = brute_conditionals(model, state) if state.masked_positions() else {}
         for i, tok in enumerate(row):
             if i in want:
-                assert np.max(np.abs(out.probs[r, i] - want[i])) <= 1e-15
+                assert np.max(np.abs(out.probs[r, i] - want[i])) <= 1e-12
             else:  # an unmasked position: the exact one-hot of its token
                 assert np.array_equal(out.probs[r, i], np.eye(V)[tok - 1])
         # bit for bit the same alone, in a fresh denoiser
@@ -436,6 +438,114 @@ def test_oracle_batch_rejects_rows_that_do_not_fit():
         conditional_marginal(model, state)
     with pytest.raises(ValueError, match="vocabulary or length"):
         den(state)
+
+
+def test_oracle_inputs_that_do_not_fit_the_joint_raise():
+    model = random_dag(np.random.default_rng(5), V=3, L=4)
+    mask = model.vocab.mask_id
+    for state in (
+        SequenceState(model.vocab, (1, mask, 2)),  # another L
+        SequenceState(Vocabulary(2), (1, 3, 2, 3)),  # another V
+    ):
+        with pytest.raises(ValueError, match="vocabulary or length"):
+            oracle_dependency(model, state, 1)
+    den = OracleDenoiser(model)
+    for masked in ([True] * 3, [True] * 5):
+        with pytest.raises(ValueError, match="vocabulary or length"):
+            den.dependency_scores(masked)
+    for prompt_len in (model.L + 1, model.L + 2, -1):
+        with pytest.raises(ValueError, match=f"prompt_len {prompt_len} outside"):
+            prompt_marginal(model, prompt_len)
+    with pytest.raises(ValueError, match="prompt_len"):
+        exact_policy_distribution(model, GroupSchedule(()), model.L + 2)
+    assert len(prompt_marginal(model, model.L)) == len(model_distribution(model))
+
+
+def recursive_walk(model, schedule: GroupSchedule, prompt_len: int) -> dict:
+    """The schedule walk as a depth-first recursion, on brute-force prompt
+    masses and conditionals."""
+    V, L = model.vocab.size, model.L
+    prompts: dict = defaultdict(float)
+    for a in itertools.product(range(1, V + 1), repeat=L):
+        prompts[a[:prompt_len]] += joint_prob(model, a)
+    out: dict = {}
+
+    def walk(tokens: tuple, gi: int, mass: float) -> None:
+        if gi == len(schedule.groups):
+            out[tokens] = out.get(tokens, 0.0) + mass
+            return
+        group = schedule.groups[gi]
+        try:
+            conds = brute_conditionals(model, SequenceState(model.vocab, tokens))
+        except ZeroDivisionError:
+            raise ZeroSupportError(f"context {tokens} has probability zero") from None
+        supports = [[(v + 1, p) for v, p in enumerate(conds[i].tolist()) if p > 0]
+                    for i in group]
+        for combo in itertools.product(*supports):
+            p, nxt = mass, list(tokens)
+            for i, (tok, pv) in zip(group, combo):
+                p *= pv
+                nxt[i] = tok
+            walk(tuple(nxt), gi + 1, p)
+
+    for prompt, p in prompts.items():
+        if p > 0:
+            walk(prompt + (model.vocab.mask_id,) * (L - prompt_len), 0, p)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 3), L=st.integers(1, 4),
+       prompt_len=st.integers(0, 1), tabular=st.booleans())
+def test_schedule_walk_matches_the_recursive_walk(seed, V, L, prompt_len, tabular):
+    data = np.random.default_rng(seed)
+    model = sparse_model(data, V, L, tabular)
+    groups, group = [], []
+    for i in data.permutation(np.arange(prompt_len, L)).tolist():
+        group.append(i)
+        if data.random() < 0.5:
+            groups, group = groups + [tuple(group)], []
+    sched = GroupSchedule(tuple(groups + [tuple(group)] if group else groups))
+    try:
+        want = recursive_walk(model, sched, prompt_len)
+    except ZeroSupportError:  # a group's joint draw left a context of zero mass
+        with pytest.raises(ZeroSupportError):
+            exact_policy_distribution(model, sched, prompt_len)
+        return
+    got = exact_policy_distribution(model, sched, prompt_len)
+    assert list(got) == list(want)  # the same sequences in the same order
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+def brute_mutual_information(probs: dict, masked, i: int) -> float:
+    """I(x_i; unmasked positions) from every full assignment's probability."""
+    seen = [j for j, m in enumerate(masked) if not m]
+    joint, p_i, p_seen = defaultdict(float), defaultdict(float), defaultdict(float)
+    for a, p in probs.items():
+        u = tuple(a[j] for j in seen)
+        joint[a[i], u] += p
+        p_i[a[i]] += p
+        p_seen[u] += p
+    return sum(p * np.log(p / (p_i[v] * p_seen[u])) for (v, u), p in joint.items() if p > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       tabular=st.booleans())
+def test_dependency_scores_match_brute_force_mutual_information(seed, V, L, tabular):
+    data = np.random.default_rng(seed)
+    model = sparse_model(data, V, L, tabular)
+    probs = {a: joint_prob(model, a) for a in itertools.product(range(1, V + 1), repeat=L)}
+    den = OracleDenoiser(model)
+    for masked in (data.random(L) < data.random(), np.ones(L, dtype=bool)):
+        scores = den.dependency_scores(masked)
+        state = SequenceState(model.vocab, tuple(np.where(masked, V + 1, 1).tolist()))
+        for i in range(L):
+            if masked[i]:
+                assert abs(scores[i] - brute_mutual_information(probs, masked, i)) <= 1e-12
+                assert oracle_dependency(model, state, i) == scores[i]
+            else:
+                assert np.isnan(scores[i])
 
 
 def test_group_schedule_validation():
