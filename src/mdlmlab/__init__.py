@@ -63,8 +63,7 @@ from .harness import (
     empirical_distribution,
     exact_induced_distribution,
     run_experiment,
-    sweep_blocks,
-    sweep_layers,
+    sweep,
     tv_distance,
 )
 

@@ -3,6 +3,8 @@
 Config files are line-oriented ``key = value`` text; ``#`` starts a comment.
 The ``policy`` key may repeat, one decoding policy per line, with
 space-separated ``key=value`` pairs (defaults: eps=0.95, gamma=0.01, n=2).
+A policy key is a ``PolicyConfig`` field or one of ``_POLICY_ALIASES``;
+``sweep KEY --values v1,v2,...`` re-runs every policy at each value of KEY.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .harness import (
     resolve_denoiser,
     resolve_joint,
     run_experiment,
-    sweep_blocks,
-    sweep_layers,
+    sweep,
 )
 from .nn import TransformerConfig, save_checkpoint, train
 
@@ -74,16 +75,21 @@ _POLICY_ALIASES = {
 }
 
 
+def _policy_field(key: str) -> str:
+    """The ``PolicyConfig`` field a policy key names: the field or its alias."""
+    name = _POLICY_ALIASES.get(key, key)
+    if name not in {f.name for f in fields(PolicyConfig)}:
+        raise ValueError(f"unknown policy key {key!r}")
+    return name
+
+
 def parse_policy(text: str) -> PolicyConfig:
-    names = {f.name for f in fields(PolicyConfig)}
     kwargs = {}
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"bad policy token {token!r}")
         key, value = token.split("=", 1)
-        name = _POLICY_ALIASES.get(key, key)
-        if name not in names:
-            raise ValueError(f"unknown policy key {key!r}")
+        name = _policy_field(key)
         kwargs[name] = _typed(PolicyConfig, name, value, key)
     return PolicyConfig(**kwargs)
 
@@ -196,12 +202,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    try:
-        values = [int(v) for v in args.values.split(",") if v]
-    except ValueError:
-        raise ValueError(f"--values must be comma-separated ints, got {args.values!r}") from None
-    sweep = sweep_blocks if args.what == "blocks" else sweep_layers
-    return _report(sweep(cfg, values), cfg.out)
+    name = _policy_field(args.key)
+    values = [_typed(PolicyConfig, name, v, args.key) for v in args.values.split(",") if v]
+    if not values:
+        raise ValueError(f"--values must list at least one value, got {args.values!r}")
+    return _report(sweep(cfg, name, values), cfg.out)
 
 
 def _cmd_fig2(args) -> int:
@@ -243,10 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="sweep block sizes or attention layers")
-    p.add_argument("what", choices=["blocks", "layers"])
+    p = sub.add_parser(
+        "sweep", help="re-run every policy of a config at each value of one policy key"
+    )
+    p.add_argument("key", metavar="KEY", help="a policy key, e.g. block, layer, gamma, steps")
     p.add_argument("--config", required=True)
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", required=True, help="comma-separated values of KEY's type")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -96,6 +96,8 @@ class PolicyConfig:
             raise ValueError("gamma must be >= 0")
         if self.dep_eb_prefilter is not None and math.isnan(self.dep_eb_prefilter):
             raise ValueError("dep_eb_prefilter must be a number, got nan")
+        if self.dep_eb_prefilter is not None and self.selector != "eb":
+            raise ValueError(f"dep_eb_prefilter must be None under selector {self.selector!r}")
         if self.steps < 0 or self.block_size < 0 or self.layer < 0:
             raise ValueError("steps, block_size, and layer must be >= 0")
         if self.stochastic_remask and self.selector != "topk":

@@ -247,11 +247,7 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> Experime
     an independent RNG stream derived from the global seed by its index.
     """
     model = resolve_joint(cfg.joint)
-    return _run(cfg, model, resolve_denoiser(cfg.denoiser, model), keep_traces)
-
-
-def _run(cfg, model: JointModel, denoiser, keep_traces: bool = False) -> ExperimentResult:
-    """``run_experiment`` on an already resolved joint and denoiser."""
+    denoiser = resolve_denoiser(cfg.denoiser, model)
     if cfg.prompt_len >= model.L:
         raise ValueError(f"prompt_len {cfg.prompt_len} must be below L={model.L}")
     result = ExperimentResult(rows=[], failures=[])
@@ -284,32 +280,13 @@ def metrics_csv_text(rows: Sequence[MetricRow]) -> str:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_blocks(cfg: ExperimentConfig, sizes: Sequence[int]) -> ExperimentResult:
-    """Re-run every policy at each block size; one row per (policy, size)."""
-    policies = tuple(
-        replace(p, block_size=size) for size in sizes for p in cfg.policies
-    )
+def sweep(cfg: ExperimentConfig, field: str, values: Sequence) -> ExperimentResult:
+    """Re-run every policy with the ``PolicyConfig`` field ``field`` set to each
+    value; one row per (value, policy), value-major. A value ``PolicyConfig``
+    refuses raises before any run; one a run cannot use (a ``layer`` past the
+    model's depth, say) is recorded as that policy's failure."""
+    policies = tuple(replace(p, **{field: v}) for v in values for p in cfg.policies)
     return run_experiment(replace(cfg, policies=policies))
-
-
-def sweep_layers(cfg: ExperimentConfig, layers: Sequence[int]) -> ExperimentResult:
-    """Run the attention-dependency policy once per layer index.
-
-    Needs a neural denoiser; layer indices are validated against its depth.
-    """
-    model = resolve_joint(cfg.joint)
-    denoiser = resolve_denoiser(cfg.denoiser, model)
-    if not isinstance(denoiser, TransformerDenoiser):
-        raise ValueError("layer sweeps need a checkpoint-backed denoiser")
-    for l in layers:
-        if not 0 <= l < denoiser.n_layers:
-            raise ValueError(f"layer {l} out of range (model has {denoiser.n_layers})")
-    template = next(
-        (p for p in cfg.policies if p.scorer == "dos"),
-        PolicyConfig(scorer="dos", selector="topk", temperature="sample"),
-    )
-    policies = tuple(replace(template, layer=l) for l in layers)
-    return _run(replace(cfg, policies=policies), model, denoiser)
 
 
 # ---------------------------------------------------------------------------

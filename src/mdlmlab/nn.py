@@ -307,10 +307,6 @@ class TransformerDenoiser:
         """The rows' outputs from one batched forward: ``forward(params, states)``."""
         return forward(self.params, states)
 
-    @property
-    def n_layers(self) -> int:
-        return self.params.config.n_layers
-
 
 # ---------------------------------------------------------------------------
 # training loss

@@ -486,6 +486,7 @@ class OracleDenoiser:
                     nz = joint > 0
                     mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
                     scores[pos] = max(mi, 0.0)
+            scores.flags.writeable = False  # no caller can corrupt cached scores
             self._dep_cache[pattern] = scores
         return self._dep_cache[pattern]
 

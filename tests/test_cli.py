@@ -1,5 +1,7 @@
 """The command line end to end, and the config keys it reads."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from mdlmlab import cli
@@ -83,15 +85,15 @@ def test_evaluate_out_writes_the_csv(tmp_path, capsys):
 def test_sweep_out_replaces_the_config_out(tmp_path, capsys):
     config_out, cli_out = tmp_path / "config.csv", tmp_path / "cli.csv"
     config = write(tmp_path / "exp.cfg", EXPERIMENT + f"out = {config_out}\n")
-    assert main(["sweep", "blocks", "--config", config, "--values", "1,2",
+    assert main(["sweep", "block", "--config", config, "--values", "1,2",
                  "--out", str(cli_out)]) == 0
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["cli.csv"]
     assert len(cli_out.read_text().splitlines()) == 2 + 4
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 5 and all(" kl=" in line for line in printed[:4])
     assert printed[4] == f"metrics written to {cli_out}"
-    with pytest.raises(ValueError, match="^--values must be"):
-        main(["sweep", "blocks", "--config", config, "--values", "1,x"])
+    with pytest.raises(ValueError, match="^--values must list at least one value"):
+        main(["sweep", "block", "--config", config, "--values", ","])
 
 
 def test_sweep_layers_on_a_trained_checkpoint(trained, tmp_path, capsys):
@@ -100,9 +102,79 @@ def test_sweep_layers_on_a_trained_checkpoint(trained, tmp_path, capsys):
         f"joint = reference 42\ndenoiser = checkpoint {trained[0]}\nprompt_len = 1\n"
         "policy = scorer=dos selector=topk steps=2\n",
     )
-    assert main(["sweep", "layers", "--config", config, "--values", "0"]) == 0
+    assert main(["sweep", "layer", "--config", config, "--values", "0"]) == 0
     [row] = capsys.readouterr().out.splitlines()
     assert row.split()[0] == PolicyConfig(scorer="dos", selector="topk", steps=2).policy_id()
+    # the checkpoint has one layer; layer 1 fails in the dos scorer and exits 1
+    assert main(["sweep", "layer", "--config", config, "--values", "0,1"]) == 1
+    printed = capsys.readouterr()
+    assert len(printed.out.splitlines()) == 1
+    assert "layer 1 out of range for 1 layers" in printed.err
+
+
+SWEEP_BASE = ("joint = reference 42\nprompt_len = 1\nseed = 3\nsamples = 200\n"
+              "policy = scorer=confidence selector=topk steps=2 temp=sample\n")
+TOPK = SWEEP_BASE + "policy = scorer=margin selector=topk temp=sample\n"
+MIXED = SWEEP_BASE + "policy = scorer=margin selector=threshold eps=0.7 temp=sample\n"
+EB = SWEEP_BASE.replace("selector=topk steps=2", "selector=eb") + (
+    "policy = scorer=oracle_dep selector=eb gamma=0.1 temp=sample\n")
+
+
+def _rows(config, argv, tmp_path):
+    """The metric rows ``argv`` writes for ``config``."""
+    out = str(tmp_path / "out.csv")
+    assert main([*argv, "--config", config, "--out", out]) == 0
+    return open(out).read().splitlines()[2:]
+
+
+@pytest.mark.parametrize("key,values,base", [
+    ("block", "1,2", MIXED),  # int
+    ("gamma", "0.0,0.05,0.5", EB),  # float
+    ("remask", "false,true", TOPK),  # bool
+    ("temp", "greedy,sample", MIXED),  # str
+    ("dep_prefilter", "0.0,0.2", EB),  # optional float, read by EB only
+], ids=["int", "float", "bool", "str", "optional"])
+def test_sweep_runs_each_value_of_one_key(key, values, base, tmp_path):
+    config = write(tmp_path / "exp.cfg", base)
+    policies = load_experiment_config(config).policies
+    name = cli._POLICY_ALIASES.get(key, key)
+    typed = [cli._typed(PolicyConfig, name, v) for v in values.split(",")]
+    want = [replace(p, **{name: v}).policy_id() for v in typed for p in policies]
+    rows = _rows(config, ["sweep", key, "--values", values], tmp_path)
+    assert [row.split(",")[0] for row in rows] == want  # value-major
+    assert len(set(want)) == len(want)
+
+
+def test_sweep_names_a_malformed_value_or_an_unknown_key(tmp_path):
+    config = write(tmp_path / "exp.cfg", MIXED)
+    for key, values, message in (("block", "1,x", "^block must be int, got 'x'"),
+                                 ("gamma", "0.1,abc", "^gamma must be float"),
+                                 ("remask", "yes", "^remask must be true or false"),
+                                 ("steps", "2.5", "^steps must be int")):
+        with pytest.raises(ValueError, match=message):
+            main(["sweep", key, "--config", config, "--values", values])
+    with pytest.raises(ValueError, match="^unknown policy key 'blocks'"):
+        main(["sweep", "blocks", "--config", config, "--values", "1,2"])
+
+
+# One value per field, with a config whose every policy accepts it.
+ONE_VALUE = {
+    "scorer": ("entropy", MIXED), "selector": ("klass", MIXED), "steps": ("3", MIXED),
+    "block_size": ("2", MIXED), "temperature": ("greedy", MIXED), "layer": ("1", MIXED),
+    "eps": ("0.8", MIXED), "tau": ("0.8", MIXED), "eps_kl": ("0.02", MIXED),
+    "n_history": ("3", MIXED), "gamma": ("0.2", EB), "stochastic_remask": ("true", TOPK),
+    "dep_eb_prefilter": ("0.1", EB),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(PolicyConfig)] + list(cli._POLICY_ALIASES))
+def test_a_one_value_sweep_equals_the_key_on_every_policy_line(key, tmp_path):
+    value, base = ONE_VALUE[cli._POLICY_ALIASES.get(key, key)]
+    edited = "".join(line + f" {key}={value}\n" if line.startswith("policy") else line + "\n"
+                     for line in base.splitlines())
+    swept = _rows(write(tmp_path / "base.cfg", base), ["sweep", key, "--values", value], tmp_path)
+    evaluated = _rows(write(tmp_path / "edited.cfg", edited), ["evaluate"], tmp_path)
+    assert swept == evaluated and len(swept) == 2
 
 
 def test_fig2_passes(capsys):

@@ -50,6 +50,10 @@ def test_policy_config_validation():
         PolicyConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         PolicyConfig(selector="eb", stochastic_remask=True)
+    assert PolicyConfig(selector="eb", dep_eb_prefilter=0.1).dep_eb_prefilter == 0.1
+    for selector in ("topk", "threshold", "klass"):  # they ignore it; it would only rename
+        with pytest.raises(ValueError, match="^dep_eb_prefilter must be None"):
+            PolicyConfig(selector=selector, dep_eb_prefilter=0.1)
     for name in ("gamma", "eps_kl", "dep_eb_prefilter", "eps", "tau"):
         with pytest.raises(ValueError, match=f"^{name} must"):
             PolicyConfig(**{name: float("nan")})
@@ -577,6 +581,8 @@ def test_policy_id_is_injective():
     for values in itertools.product(*grid.values()):
         kwargs = dict(zip(grid, values))
         if kwargs["stochastic_remask"] and kwargs["selector"] != "topk":
+            continue
+        if kwargs["dep_eb_prefilter"] is not None and kwargs["selector"] != "eb":
             continue
         policies.add(PolicyConfig(**kwargs))
     ids = {p.policy_id() for p in policies}

@@ -27,8 +27,7 @@ from mdlmlab.harness import (
     resolve_joint,
     run_experiment,
     run_policy,
-    sweep_blocks,
-    sweep_layers,
+    sweep,
     tv_distance,
 )
 from mdlmlab.nn import (
@@ -333,24 +332,32 @@ def test_checkpoint_runs_are_exact_and_must_fit_the_joint(tmp_path):
 
 
 def test_sweep_blocks_row_count():
-    policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
-                          temperature="sample")
-    cfg = ExperimentConfig(joint="layered 0", prompt_len=1, policies=(policy,),
+    policies = (
+        PolicyConfig(scorer="confidence", selector="topk", steps=4, temperature="sample"),
+        PolicyConfig(scorer="margin", selector="threshold", temperature="sample"),
+    )
+    cfg = ExperimentConfig(joint="layered 0", prompt_len=1, policies=policies,
                            samples=10, seed=2)
-    result = sweep_blocks(cfg, [1, 2, 4, 8])
-    assert len(result.rows) == 4
-    assert [r.block_size for r in result.rows] == [1, 2, 4, 8]
+    result = sweep(cfg, "block_size", [1, 2, 4, 8])
+    # value-major: every policy at the first value, then every policy at the next
+    assert [r.policy_id for r in result.rows] == [
+        replace(p, block_size=size).policy_id() for size in (1, 2, 4, 8) for p in policies
+    ]
+    assert [r.block_size for r in result.rows] == [1, 1, 2, 2, 4, 4, 8, 8]
 
 
-def test_sweep_layers_needs_neural_denoiser(tmp_path, monkeypatch):
+def test_sweep_layer_loads_the_checkpoint_once_and_fails_past_its_depth(tmp_path, monkeypatch):
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2,
                           temperature="sample")
     cfg = ExperimentConfig(joint="reference 23", prompt_len=1,
                            policies=(policy,), samples=50, seed=4)
-    with pytest.raises(ValueError, match="checkpoint"):
-        sweep_layers(cfg, [0, 1])
+    # the oracle has no attention: each dos policy fails on its own
+    result = sweep(cfg, "layer", [0, 1])
+    assert not result.rows
+    assert [pid for pid, _ in result.failures] == ["dos-topk-T2-l0-sample", "dos-topk-T2-l1-sample"]
+    assert all("attentions" in err for _, err in result.failures)
 
-    params = init_params(TransformerConfig(vocab_size=2, max_len=8, seed=0))
+    params = init_params(TransformerConfig(vocab_size=2, max_len=8, seed=0))  # 2 layers
     ckpt = str(tmp_path / "m.ckpt")
     save_checkpoint(params, ckpt)
     cfg = replace(cfg, denoiser=f"checkpoint {ckpt}")
@@ -358,15 +365,15 @@ def test_sweep_layers_needs_neural_denoiser(tmp_path, monkeypatch):
     monkeypatch.setattr(
         "mdlmlab.harness.load_checkpoint", lambda path: loads.append(path) or load_checkpoint(path)
     )
-    result = sweep_layers(cfg, [0, 1])
+    result = sweep(cfg, "layer", [0, 5])
     assert loads == [ckpt]  # the sweep's runs reuse the one loaded checkpoint
-    assert len(result.rows) == 2
-    assert [r.layer for r in result.rows] == [0, 1]
-    assert [r.samples for r in result.rows] == [0, 0]  # exact, as in auto mode
-    again = sweep_layers(cfg, [0, 1])
-    assert [r.tv_distance for r in again.rows] == [r.tv_distance for r in result.rows]
-    with pytest.raises(ValueError, match="out of range"):
-        sweep_layers(cfg, [5])
+    [row] = result.rows
+    assert (row.layer, row.samples) == (0, 0)  # exact, as in auto mode
+    assert result.failures == [
+        ("dos-topk-T2-l5-sample", repr(IndexError("layer 5 out of range for 2 layers")))
+    ]
+    again = sweep(cfg, "layer", [0, 1])
+    assert again.rows[0] == row and again.rows[1].layer == 1
 
 
 def test_reference_schedule_report_passes():

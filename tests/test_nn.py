@@ -434,7 +434,6 @@ def test_transformer_denoiser_interface():
     params = init_params(SMALL)
     den = TransformerDenoiser(params)
     assert den.vocab.size == 3
-    assert den.n_layers == 2
     out = den.batch(StateBatch(Vocabulary(3), np.array([[1, 4]])))
     assert out.probs.shape == (1, 2, 3)
     assert out.attentions is not None and len(out.attentions) == 2

@@ -374,8 +374,13 @@ def test_oracle_denoiser_outputs_and_cache():
     assert np.shares_memory(den(state).probs, out.probs)  # both read the cached row
     with pytest.raises(ValueError):  # read-only, so no caller can corrupt the cache
         out.probs[1, 0] = 0.0
-    dep = den.dependency_scores([t == m.vocab.mask_id for t in state.tokens])
+    masked = [t == m.vocab.mask_id for t in state.tokens]
+    dep = den.dependency_scores(masked)
     assert np.isnan(dep[0]) and np.isfinite(dep[1])
+    before = dep.copy()
+    with pytest.raises(ValueError):  # cached too, so read-only as well
+        dep[1] = 99.0
+    assert np.array_equal(den.dependency_scores(masked), before, equal_nan=True)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
