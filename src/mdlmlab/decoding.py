@@ -20,7 +20,8 @@ chunk of rows with whole-array calls. ``SequenceState`` validates only the
 prompts and what the sampler returns. The sampler ``decode_blockwise``
 draws one continuation per sequence; the enumerator ``enumerate_decodes``
 replaces each sequence by all of its continuations, each with its
-probability, which is how the harness computes exact induced distributions.
+probability, and hands the harness its outcomes as arrays, from which the
+harness computes exact induced distributions.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
@@ -524,8 +525,10 @@ def decode_blockwise(
 
 def enumerate_decodes(
     denoiser, policy: PolicyConfig, prompts: Sequence[tuple[Sequence[int], float]], gen_len: int
-) -> list[tuple[tuple[int, ...], float, int]]:
-    """Every outcome of decoding the prompts, as ``(tokens, mass, forwards)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every outcome of decoding the prompts, as the arrays ``(tokens, mass,
+    forwards)``: one (N, L) token row, path probability and forward count
+    per outcome.
 
     ``prompts`` pairs each prompt with its mass, as ``oracle.prompt_marginal``
     returns them. Runs the sampler's step loop over all prompts at once, but
@@ -564,4 +567,4 @@ def enumerate_decodes(
         rows.block, rows.steps, rows.forwards = rows.block[src], rows.steps[src], rows.forwards[src]
         if rows.history is not None:
             rows.history = rows.history.take(src)
-    return list(zip(map(tuple, rows.tokens.tolist()), rows.mass.tolist(), rows.forwards.tolist()))
+    return rows.tokens, rows.mass, rows.forwards

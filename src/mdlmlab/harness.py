@@ -8,6 +8,14 @@ outcomes ``decoding.enumerate_decodes`` lists over ``oracle.prompt_marginal``.
 Otherwise the distribution is estimated by Monte Carlo with
 ``decode_blockwise``, which decodes all samples of a policy in lockstep.
 Both run the one step loop of ``decoding``, where the step rule lives.
+
+Every distribution over sequences is an ``oracle.Distribution``: a dense
+(V^L,) vector indexed like ``joint_table(model).ravel()``. The target is
+the raveled table, an exact or Monte Carlo distribution one ``np.bincount``
+of its sequences' codes, and TV and KL are array reductions summed with
+``math.fsum``. The vector is seen through a read-only mapping from token
+tuples to masses, which the metrics also accept as plain dicts.
+
 The one enumeration limit is ``oracle.ENUM_LIMIT``, checked where
 ``oracle.joint_table`` builds a table; a joint past it fails at
 ``model_distribution`` in every mode. It also bounds enumeration: a policy
@@ -17,7 +25,7 @@ selects from the path so far, so each prompt has at most V^gen_len paths.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -33,6 +41,7 @@ from .decoding import (
 )
 from .nn import CheckpointError, TransformerDenoiser, load_checkpoint
 from .oracle import (
+    Distribution,
     FactorizedDAG,
     GroupSchedule,
     JointModel,
@@ -47,35 +56,42 @@ from .oracle import (
 )
 from . import scoring
 
-Distribution = dict[tuple[int, ...], float]
-
 
 # ---------------------------------------------------------------------------
 # distributions and metrics
 # ---------------------------------------------------------------------------
 
-def empirical_distribution(samples: Sequence[tuple[int, ...]]) -> Distribution:
-    """Normalized frequency table over observed sequences."""
-    if not samples:
+def empirical_distribution(samples, V: int) -> Distribution:
+    """Normalized frequency of each sequence among ``samples``, an (n, L)
+    array-like of tokens 1..V (see ``oracle.sequence_codes``)."""
+    if not len(samples):
         raise ValueError("empirical_distribution needs at least one sample")
-    counts = Counter(tuple(int(v) for v in s) for s in samples)
-    n = len(samples)
-    return {k: c / n for k, c in counts.items()}
+    return Distribution.of(samples, V, len(samples[0]))
 
 
-def tv_distance(p: Distribution, q: Distribution) -> float:
+def _aligned(p: Mapping, q: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """The masses of ``p`` and ``q`` as two arrays over one index: the
+    vectors of two ``Distribution`` views of one joint, else the union of
+    their keys."""
+    if isinstance(p, Distribution) and isinstance(q, Distribution) and (p.V, p.L) == (q.V, q.L):
+        return p.vector, q.vector
+    p, q = dict(p.items()), dict(q.items())
+    keys = {**p, **q}
+    return np.array([p.get(k, 0.0) for k in keys]), np.array([q.get(k, 0.0) for k in keys])
+
+
+def tv_distance(p: Mapping, q: Mapping) -> float:
     """(1/2) sum |p - q| over the union of supports."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    a, b = _aligned(p, q)
+    return 0.5 * math.fsum(np.abs(a - b).tolist())
 
 
-def kl_target_induced(target: Distribution, induced: Distribution) -> float:
-    """KL(target || induced) with the induced mass floored at 1e-12."""
-    total = 0.0
-    for k, pv in target.items():
-        if pv > 0:
-            total += pv * math.log(pv / max(induced.get(k, 0.0), 1e-12))
-    return max(total, 0.0)
+def kl_target_induced(target: Mapping, induced: Mapping) -> float:
+    """KL(target || induced) over the target's support, with the induced
+    mass floored at 1e-12 and the result clamped at 0."""
+    p, q = _aligned(target, induced)
+    p, q = p[p > 0.0], q[p > 0.0]
+    return max(math.fsum((p * np.log(p / np.maximum(q, 1e-12))).tolist()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +107,18 @@ def exact_induced_distribution(
     from all prompts of the joint's marginal at once, level by level (a
     transformer runs one batched forward per level), against ``denoiser``:
     any denoiser whose vocabulary and length fit ``model``, a new
-    ``OracleDenoiser(model)`` by default. Returns the distribution and the
-    probability-weighted mean number of forward calls.
+    ``OracleDenoiser(model)`` by default. Its outcome arrays become the
+    distribution in one ``np.bincount`` of their codes weighted by mass,
+    which adds the masses of a sequence in outcome order. Returns the
+    distribution and the probability-weighted mean number of forward
+    calls, summed in outcome order.
     """
     if denoiser is None:
         denoiser = OracleDenoiser(model)
     prompts, gen_len = prompt_marginal(model, prompt_len), model.L - prompt_len
-    dist: Distribution = {}
-    nfe = 0.0
-    for tokens, mass, forwards in enumerate_decodes(denoiser, policy, prompts, gen_len):
-        dist[tokens] = dist.get(tokens, 0.0) + mass
-        nfe += mass * forwards
-    return dist, nfe
+    tokens, mass, forwards = enumerate_decodes(denoiser, policy, prompts, gen_len)
+    nfe = float(np.cumsum(mass * forwards)[-1])  # cumsum adds in order, like a loop
+    return Distribution.of(tokens, model.vocab.size, model.L, mass), nfe
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +223,9 @@ def run_policy(
     prompt first (one ``sample_joints`` call, as one ``sample_joint`` per
     sample would); then, per step, the stochastic-remasking draws in sample
     order, then one token draw per committed token, sample by sample and in
-    position order within a sample.
+    position order within a sample. Either way the target, the induced
+    distribution and the metrics are dense vectors (see the module
+    docstring): no call builds a dict per sequence.
     """
     target = model_distribution(model)
     gen_len = model.L - cfg.prompt_len
@@ -220,7 +238,7 @@ def run_policy(
     else:
         prompts = sample_joints(model, rng, cfg.samples)[:, : cfg.prompt_len].tolist()
         decoded = decode_blockwise(denoiser, policy, prompts, gen_len, rng)
-        dist = empirical_distribution([final.tokens for final, _ in decoded])
+        dist = empirical_distribution([final.tokens for final, _ in decoded], model.vocab.size)
         mean_nfe = float(np.mean([trace.nfe for _, trace in decoded]))
         if keep_traces:
             traces = [trace for _, trace in decoded]

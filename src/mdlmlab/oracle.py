@@ -12,6 +12,7 @@ positions, and ``_conditionals`` answers token rows with it.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -187,15 +188,98 @@ def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
     return p
 
 
-def model_distribution(model: JointModel) -> dict[tuple[int, ...], float]:
-    """The target joint as a sequence -> probability map (zero entries kept out).
+def sequence_codes(tokens, V: int, L: int) -> np.ndarray:
+    """Each row's index into a (V,)*L table raveled in C order.
 
-    Sequences come in the table's C order.
+    ``tokens`` is an (n, L) array-like of token ids 1..V; a row's code is
+    ``(row - 1) @ V**(L-1-k)``. A row of another length (or ragged rows)
+    and a token that is not an integer in 1..V raise ``ValueError``, since
+    token V+1 at one position would alias another sequence's code.
     """
-    table = joint_table(model)
-    support = table > 0
-    keys = map(tuple, (np.argwhere(support) + 1).tolist())
-    return dict(zip(keys, table[support].tolist()))
+    try:
+        rows = np.asarray(tokens)
+    except ValueError:
+        raise ValueError(f"sequences must be rows of {L} tokens, got ragged rows") from None
+    if rows.ndim != 2 or rows.shape[1] != L:
+        raise ValueError(f"sequences must be rows of {L} tokens, got shape {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"sequence tokens must be integers, got dtype {rows.dtype}")
+    bad = ~((rows >= 1) & (rows <= V)).all(axis=1)
+    if bad.any():
+        row = tuple(rows[np.argmax(bad)].tolist())
+        raise ValueError(f"sequence {row} has a token outside 1..{V}")
+    return (rows - 1) @ (V ** np.arange(L - 1, -1, -1, dtype=np.int64))
+
+
+class Distribution(Mapping):
+    """A distribution over the sequences of a (V,)*L joint, held as its dense
+    (V**L,) ``vector`` of masses indexed by ``sequence_codes``.
+
+    TV and KL reduce the vectors. The mapping is a read-only view: its keys
+    are the int tuples of the support (positive entries) in table C order,
+    its values Python floats, and it compares equal to a dict of the same
+    items.
+    """
+
+    __slots__ = ("vector", "V", "L")
+
+    def __init__(self, vector: np.ndarray, V: int, L: int):
+        vector = np.asarray(vector, dtype=float).view()
+        if vector.shape != (V**L,):
+            raise ValueError(f"a distribution over {V}^{L} sequences needs {V**L} entries")
+        vector.flags.writeable = False
+        self.vector, self.V, self.L = vector, V, L
+
+    @classmethod
+    def of(cls, tokens, V: int, L: int, weights: np.ndarray | None = None) -> "Distribution":
+        """The masses ``weights`` summed per sequence of the (n, L) ``tokens``,
+        in row order; without weights each row's share 1/n."""
+        if V**L > ENUM_LIMIT:
+            raise EnumerationLimitError(f"sequence space {V}^{L} exceeds {ENUM_LIMIT}")
+        codes = sequence_codes(tokens, V, L)
+        vector = np.bincount(codes, weights=weights, minlength=V**L)
+        return cls(vector if weights is not None else vector / len(codes), V, L)
+
+    def __getitem__(self, key) -> float:
+        try:
+            (code,) = sequence_codes([key], self.V, self.L)
+        except ValueError:
+            raise KeyError(key) from None
+        if not self.vector[code] > 0.0:
+            raise KeyError(key)
+        return float(self.vector[code])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        support = np.argwhere(self.vector.reshape((self.V,) * self.L) > 0.0) + 1
+        return map(tuple, support.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.vector))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def _masses(self) -> list[float]:
+        return self.vector[self.vector > 0.0].tolist()
+
+
+# The views read the support's masses at once, not by one lookup per key.
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._masses())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._masses())
+
+
+def model_distribution(model: JointModel) -> Distribution:
+    """The target joint as a ``Distribution`` over its raveled table."""
+    return Distribution(joint_table(model).reshape(-1), model.vocab.size, model.L)
 
 
 def _slabs(sub: np.ndarray) -> list[np.ndarray]:
@@ -399,8 +483,11 @@ class OracleDenoiser:
     (``_conditionals`` and ``_slabs``), as every exact conditional and mutual
     information here does. Output rows are cached by token row and
     dependency scores by mask pattern, so repeated contexts during
-    enumeration or sampling are cheap. A row's cache key is one integer, its tokens 1..V+1 read as base-(V+1)
-    digits; under ``ENUM_LIMIT`` (V+1)^L stays below 2^31.
+    enumeration or sampling are cheap. A row's cache key is one integer,
+    its tokens 1..V+1 read as base-(V+1) digits; under ``ENUM_LIMIT``
+    (V+1)^L stays below 2^31. The row store doubles when full, so a call
+    that misses copies the cache only when it grows, and its new keys are
+    merged into the sorted index in one insert.
     """
 
     def __init__(self, model: JointModel):
@@ -408,12 +495,16 @@ class OracleDenoiser:
         self.vocab = model.vocab
         V, L = self.vocab.size, model.L
         self._radix = (V + 1) ** np.arange(L, dtype=np.int64)
-        # the cached rows' codes, sorted after a sentinel that matches no
-        # row, and each code's row in the read-only _rows
-        self._codes = np.array([np.iinfo(np.int64).max])
-        self._slots = np.array([-1])
-        self._rows = np.zeros((0, L, V))
+        # row 0: the cached rows' codes, sorted after a sentinel that matches
+        # no row; row 1: each code's row in _rows
+        self._index = np.array([[np.iinfo(np.int64).max], [-1]])
+        # _rows is a read-only view of the filled part of _buffer, which
+        # doubles when full; only __call__ writes the spare rows
+        self._buffer = np.zeros((0, L, V))
+        self._rows = self._buffer[:0]
         self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
+        self.hits = 0  # rows a call found in the cache
+        self.misses = 0  # rows a call did not find there
 
     def __call__(self, states: SequenceState | StateBatch) -> DenoiserOutput:
         """Exact output of one state, or of each row of a ``StateBatch``.
@@ -423,10 +514,12 @@ class OracleDenoiser:
         one-hot of its token. A row is computed once and then read from the
         cache; the rows a call misses are computed together (see
         ``_conditionals``), and each is a function of its own tokens alone,
-        bit for bit, whatever else the call holds. One state's output is a
-        read-only view of the cache. Tokens or a shape that do not fit the
-        joint raise ``ValueError``; a row with a masked position whose
-        unmasked tokens have probability zero raises ``ZeroSupportError``.
+        bit for bit, whatever else the call holds. Every row a call finds
+        cached counts in ``hits``, every other row in ``misses``. One
+        state's output is a read-only view of the cache. Tokens or a shape
+        that do not fit the joint raise ``ValueError``; a row with a masked
+        position whose unmasked tokens have probability zero raises
+        ``ZeroSupportError``.
         """
         tokens = np.asarray(states.tokens)
         batch = np.atleast_2d(tokens)
@@ -436,21 +529,27 @@ class OracleDenoiser:
         if not np.all((batch >= 1) & (batch <= V + 1)):
             raise ValueError(f"token ids must lie in 1..{V + 1}")
         codes = (batch - 1) @ self._radix
-        at = np.searchsorted(self._codes, codes)
-        slots = np.where(self._codes[at] == codes, self._slots[at], -1)
+        at = np.searchsorted(self._index[0], codes)
+        slots = np.where(self._index[0, at] == codes, self._index[1, at], -1)
         missed = slots < 0
-        if missed.any():
+        n_missed = int(missed.sum())
+        self.hits, self.misses = self.hits + len(batch) - n_missed, self.misses + n_missed
+        if n_missed:
             new, first, inverse = np.unique(
                 codes[missed], return_index=True, return_inverse=True
             )
             fresh = _conditionals(joint_table(self.model), batch[missed][first], V + 1)
-            rows = np.concatenate([self._rows, fresh])
-            rows.flags.writeable = False  # no caller can corrupt a cached row
-            slots[missed] = len(self._rows) + inverse
-            at = np.searchsorted(self._codes, new)
-            self._codes = np.insert(self._codes, at, new)
-            self._slots = np.insert(self._slots, at, np.arange(len(self._rows), len(rows)))
-            self._rows = rows
+            n, m = len(self._rows), len(new)
+            if n + m > len(self._buffer):
+                grown = np.empty((max(2 * len(self._buffer), n + m), L, V))
+                grown[:n] = self._rows
+                self._buffer = grown
+            self._buffer[n : n + m] = fresh
+            self._rows = self._buffer[: n + m]
+            self._rows.flags.writeable = False  # no caller can corrupt a cached row
+            slots[missed] = n + inverse
+            at = np.searchsorted(self._index[0], new)
+            self._index = np.insert(self._index, at, [new, np.arange(n, n + m)], axis=1)
         if tokens.ndim == 1:
             return DenoiserOutput(self._rows[slots[0]])
         return DenoiserOutput(self._rows[slots])

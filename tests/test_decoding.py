@@ -382,10 +382,7 @@ def test_decode_chain_order_recovers_joint():
     den = OracleDenoiser(model)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           block_size=1, temperature="sample")
-    seqs = []
-    for _ in range(30000):
-        [(final, _)] = decode_blockwise(den, policy, [[]], 4, rng)
-        seqs.append(final.tokens)
+    seqs = [final.tokens for final, _ in decode_blockwise(den, policy, [[]] * 30000, 4, rng)]
     emp = {}
     for s in seqs:
         emp[s] = emp.get(s, 0) + 1

@@ -55,18 +55,20 @@ from mdlmlab.scoring import kl_divergence
 
 
 def test_empirical_distribution_examples():
-    assert empirical_distribution([(1, 2)] * 5) == {(1, 2): 1.0}
-    d = empirical_distribution([(1,), (2,), (1,), (2,)])
+    assert empirical_distribution([(1, 2)] * 5, 2) == {(1, 2): 1.0}
+    d = empirical_distribution([(1,), (2,), (1,), (2,)], 3)
     assert d == {(1,): 0.5, (2,): 0.5}
     with pytest.raises(ValueError):
-        empirical_distribution([])
+        empirical_distribution([], 2)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        empirical_distribution([(1,), (3,)], 2)
 
 
 def test_empirical_matches_sampler():
     model = reference_dag_model(1)
     rng = np.random.default_rng(0)
     samples = list(map(tuple, sample_joints(model, rng, 100000).tolist()))
-    assert tv_distance(model_distribution(model), empirical_distribution(samples)) < 0.02
+    assert tv_distance(model_distribution(model), empirical_distribution(samples, 2)) < 0.02
 
 
 def test_tv_distance_examples():
@@ -160,12 +162,12 @@ def test_exact_transformer_enumeration_follows_the_sampler():
         # decodes; one enumeration runs both prompts
         prompts = prompt_marginal(model, 1)
         outcomes = enumerate_decodes(den, policy, prompts, 8)
-        assert len(outcomes) == len(prompts) == 2
-        for (prompt, p), (tokens, mass, forwards) in zip(prompts, outcomes):
+        assert len(outcomes[0]) == len(prompts) == 2
+        for (prompt, p), tokens, mass, forwards in zip(prompts, *outcomes):
             [(final, trace)] = decode_blockwise(
                 den, policy, [prompt], 8, np.random.default_rng(0)
             )
-            assert (tokens, forwards, mass) == (final.tokens, trace.nfe, p)
+            assert (tuple(tokens.tolist()), forwards, mass) == (final.tokens, trace.nfe, p)
         dist, _ = exact_induced_distribution(
             model, replace(policy, temperature="sample"), 1, den
         )

@@ -15,6 +15,7 @@ from mdlmlab.decoding import PolicyConfig
 from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
 from mdlmlab.oracle import (
     ENUM_LIMIT,
+    Distribution,
     EnumerationLimitError,
     FactorizedDAG,
     GroupSchedule,
@@ -36,6 +37,7 @@ from mdlmlab.oracle import (
     sample_joint,
     sample_joints,
     save_joint_model,
+    sequence_codes,
 )
 
 V2 = Vocabulary(2)
@@ -330,6 +332,78 @@ def test_model_distribution_lists_the_support_in_table_order():
         assert list(got.items()) == list(want.items())
         assert all(type(p) is float for p in got.values())
         assert all(type(v) is int for seq in got for v in seq)
+        # a read-only mapping that equals the dict of its items
+        assert got == want and not got != want
+        assert got != {**want, next(iter(want)): 2.0}
+        assert all(got[k] == p and got.get(k) == p for k, p in want.items())
+        seq = next(iter(want))
+        with pytest.raises(TypeError):
+            got[seq] = 0.5
+        with pytest.raises(ValueError):
+            got.vector[0] = 0.5
+        # a sequence of zero mass, another length or a token past V is no key
+        V, L = model.vocab.size, model.L
+        absent = [k for k in itertools.product(range(1, V + 1), repeat=L) if k not in want]
+        for key in absent[:1] + [seq[:-1], seq + (1,), (V + 1,) + seq[1:], (0,) + seq[1:]]:
+            assert key not in got and got.get(key) is None
+            with pytest.raises(KeyError):
+                got[key]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(V=st.integers(2, 4), L=st.integers(1, 5), data=st.data())
+def test_sequence_codes_round_trip_and_refuse_malformed_rows(V, L, data):
+    row = st.lists(st.integers(1, V), min_size=L, max_size=L)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    codes = sequence_codes(rows, V, L)
+    assert codes.tolist() == [
+        int(np.ravel_multi_index(tuple(v - 1 for v in r), (V,) * L)) for r in rows
+    ]
+    # the view lists the distinct rows, in table order, with their shares
+    dist = Distribution.of(rows, V, L)
+    counts = {tuple(r): rows.count(r) / len(rows) for r in rows}
+    assert list(dist) == sorted(counts) and dist == counts
+    # a token outside 1..V at any position: refused, not aliased
+    i, k = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, L - 1))
+    bad = [list(r) for r in rows]
+    bad[i][k] = data.draw(st.sampled_from([0, -1, V + 1, V + 2, 10**6]))
+    with pytest.raises(ValueError, match=f"token outside 1..{V}"):
+        sequence_codes(bad, V, L)
+    assert tuple(bad[i]) not in dist
+    # a row of another length, alone or among rows of length L
+    other = data.draw(st.lists(st.integers(1, V), max_size=L + 2).filter(lambda r: len(r) != L))
+    for malformed in ([other], rows + [other]):
+        with pytest.raises(ValueError, match=f"rows of {L} tokens"):
+            sequence_codes(malformed, V, L)
+    with pytest.raises(ValueError, match="integers"):
+        sequence_codes(np.array(rows, dtype=float), V, L)
+
+
+def test_oracle_cache_grows_and_counts_rows_like_a_set():
+    model = random_dag(np.random.default_rng(3), V=3, L=5)
+    vocab = model.vocab
+    rng = np.random.default_rng(4)
+    pool = rng.integers(1, vocab.mask_id + 1, size=(400, model.L))
+    den = OracleDenoiser(model)
+    first = den(SequenceState(vocab, tuple(pool[0].tolist())))
+    kept = first.probs.copy()
+    seen, hits, misses, sizes = {tuple(pool[0].tolist())}, 0, 1, set()
+    for _ in range(80):
+        tokens = pool[rng.integers(0, len(pool), size=rng.integers(1, 12))]
+        rows = list(map(tuple, tokens.tolist()))
+        hit = [r in seen for r in rows]  # cached when the call began
+        hits, misses = hits + sum(hit), misses + len(hit) - sum(hit)
+        seen |= set(rows)
+        den.batch(StateBatch(vocab, tokens))
+        sizes.add(len(den._buffer))
+    assert (den.hits, den.misses) == (hits, misses)
+    assert len(sizes) >= 4 and len(den._rows) == len(seen)  # grew several times
+    assert not den._rows.flags.writeable
+    assert np.array_equal(first.probs, kept)  # growth left an old output alone
+    tokens = np.array(sorted(seen))
+    cached = den.batch(StateBatch(vocab, tokens)).probs
+    assert den.hits == hits + len(seen)
+    assert np.array_equal(cached, OracleDenoiser(model).batch(StateBatch(vocab, tokens)).probs)
 
 
 def test_oracle_dependency_independent_is_zero():
