@@ -13,7 +13,6 @@ from mdlmlab import (
     Vocabulary,
     alpha,
     forward_mask,
-    make_masked_state,
     posterior_step,
     reverse_unmask_prob,
 )
@@ -49,7 +48,7 @@ for t, s in ((1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)):
 print()
 
 print("== a full reverse trajectory against the true x0 ==")
-state = make_masked_state(vocab, (2, 1), gen_len=6)
+state = SequenceState(vocab, (2, 1) + (vocab.mask_id,) * 6, prompt_len=2)
 show(state, "t=1.00 (fully masked)")
 grid = np.linspace(1.0, 0.0, 5)
 full_x0 = SequenceState(vocab, x0.tokens, prompt_len=2)

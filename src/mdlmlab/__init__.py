@@ -13,9 +13,9 @@ from .core import (
     Vocabulary,
     alpha,
     forward_mask,
-    make_masked_state,
     posterior_step,
     reverse_unmask_prob,
+    token_rows,
 )
 from .oracle import (
     FactorizedDAG,

@@ -168,7 +168,7 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"--prompt has {len(prompt)} tokens; it must be shorter than L={model.L}")
     rng = np.random.default_rng(args.seed)
     [(final, trace)] = decode_blockwise(denoiser, policy, [prompt], gen_len, rng)
-    print("sequence:", " ".join(str(t) for t in final.tokens))
+    print("sequence:", " ".join(str(t) for t in final))
     print("nfe:", trace.nfe)
     if args.trace:
         trace.write_jsonl(args.trace)

@@ -8,6 +8,10 @@ The masking process is linear: at time t in [0, 1] each non-prompt token
 survives with probability alpha(t) = 1 - t and is masked otherwise, so
 training weights the masked-position cross-entropy by 1/t.
 
+``token_rows`` is the one check of token rows: every entry point that takes
+token ids (states, prompts, denoisers, joint lookups, training batches)
+refuses a malformed row through it, so no id is truncated or aliased.
+
 All types are immutable values; operations are pure given an explicit
 ``numpy.random.Generator``.
 """
@@ -15,7 +19,6 @@ All types are immutable values; operations are pure given an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +41,29 @@ class Vocabulary:
         return 1 <= token <= self.size
 
 
+def token_rows(tokens, V: int, L: int | None = None, mask: bool = False) -> np.ndarray:
+    """``tokens`` as an (n, L) int64 array of ids 1..V (1..V+1 with ``mask``).
+
+    Rows of more than one length (or not ``L`` when given), a dtype that is
+    not integer (except for rows of no tokens) and an id out of range raise
+    ``ValueError``."""
+    want = f"rows of {L} tokens" if L is not None else "rows of one length"
+    try:
+        rows = np.asarray(tokens)
+    except ValueError:
+        raise ValueError(f"tokens must be {want}, got ragged rows") from None
+    if rows.ndim != 2 or (L is not None and rows.shape[1] != L):
+        raise ValueError(f"tokens must be {want}, got shape {rows.shape}")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {rows.dtype}")
+    top = V + 1 if mask else V
+    ok = (rows >= 1) & (rows <= top)
+    if not ok.all():
+        row = tuple(rows[np.argmin(ok.all(axis=1))].tolist())
+        raise ValueError(f"token row {row} has a token outside 1..{top}")
+    return rows.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class SequenceState:
     """Length-L token tuple over content tokens and masks, plus prompt length."""
@@ -52,12 +78,10 @@ class SequenceState:
             raise ValueError("empty sequence state")
         if not 0 <= self.prompt_len < L:
             raise ValueError(f"prompt_len {self.prompt_len} out of range for L={L}")
-        mask = self.vocab.mask_id
-        for i, tok in enumerate(self.tokens):
-            if tok != mask and not self.vocab.is_content(tok):
-                raise ValueError(f"invalid token id {tok} at position {i}")
-            if i < self.prompt_len and tok == mask:
-                raise ValueError(f"prompt position {i} must not be masked")
+        token_rows([self.tokens], self.vocab.size, mask=True)
+        if self.vocab.mask_id in self.tokens[: self.prompt_len]:
+            i = self.tokens.index(self.vocab.mask_id)
+            raise ValueError(f"prompt position {i} must not be masked")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -86,10 +110,9 @@ class StateBatch:
     """Same-length sequences of one vocabulary as an (n, L) token array.
 
     The input of ``denoiser.batch`` and of a batched forward pass
-    (``nn.forward``). It is not validated: its rows come from prompts that
-    entered as ``SequenceState``s and from commits of content tokens into
-    masked positions. The one output for it is a ``DenoiserOutput`` whose
-    arrays carry a leading axis of n rows.
+    (``nn.forward``). It is not validated here: the denoisers check its
+    rows with ``token_rows`` (mask allowed). The one output for it is a
+    ``DenoiserOutput`` whose arrays carry a leading axis of n rows.
     """
 
     vocab: Vocabulary
@@ -126,19 +149,6 @@ def mask_patterns(masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = masked @ (1 << np.arange(masked.shape[1]))
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     return masked[first], inverse
-
-
-def make_masked_state(
-    vocab: Vocabulary, prompt: Sequence[int], gen_len: int
-) -> SequenceState:
-    """Prompt copied in place, followed by ``gen_len`` masked positions.
-
-    An empty prompt means unconditional generation.
-    """
-    if gen_len < 1:
-        raise ValueError(f"gen_len must be >= 1, got {gen_len}")
-    tokens = tuple(int(t) for t in prompt) + (vocab.mask_id,) * gen_len
-    return SequenceState(vocab, tokens, prompt_len=len(prompt))
 
 
 def forward_mask(

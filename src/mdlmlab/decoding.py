@@ -16,12 +16,13 @@ The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``,
 which holds the sequences as arrays (an (N, L) token array and (N,) arrays
 of block, steps in block, forwards and mass) and scores and selects each
-chunk of rows with whole-array calls. ``SequenceState`` validates only the
-prompts and what the sampler returns. The sampler ``decode_blockwise``
-draws one continuation per sequence; the enumerator ``enumerate_decodes``
-replaces each sequence by all of its continuations, each with its
-probability, and hands the harness its outcomes as arrays, from which the
-harness computes exact induced distributions.
+chunk of rows with whole-array calls. ``core.token_rows`` checks the
+prompts once; from there on no ``SequenceState`` is built. The sampler
+``decode_blockwise`` draws one continuation per sequence and records each
+position's step and score; the enumerator ``enumerate_decodes`` replaces
+each sequence by all of its continuations, each with its probability, and
+hands the harness its outcomes as arrays, from which the harness computes
+exact induced distributions.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
@@ -34,15 +35,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    DenoiserOutput, SequenceState, StateBatch, make_masked_state, mask_patterns,
-    reverse_unmask_prob,
-)
+from .core import DenoiserOutput, StateBatch, mask_patterns, reverse_unmask_prob, token_rows
 from . import scoring
 
 SELECTORS = ("topk", "threshold", "klass", "eb")
@@ -140,15 +138,24 @@ class TraceStep:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecodeTrace:
-    """Per-step record of committed positions plus cumulative forward count."""
+    """One decode as read-only rows: its final ``tokens``, the step that
+    committed each position (``step_of``, -1 in the prompt), each commit's
+    ``scores`` and the forward count ``nfe``. ``steps`` is derived: step s
+    lists its positions in ascending order with cumulative NFE s + 1, so a
+    stochastic-remasking step that committed nothing is listed, empty."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    tokens: np.ndarray
+    step_of: np.ndarray
+    scores: np.ndarray
+    nfe: int
 
     @property
-    def nfe(self) -> int:
-        return self.steps[-1].nfe if self.steps else 0
+    def steps(self) -> list[TraceStep]:
+        at = [np.flatnonzero(self.step_of == s) for s in range(self.nfe)]  # ascending
+        return [TraceStep(s, a.tolist(), self.tokens[a].tolist(), self.scores[a].tolist(), s + 1)
+                for s, a in enumerate(at)]
 
     def committed_positions(self) -> list[int]:
         return [p for s in self.steps for p in s.positions]
@@ -398,22 +405,21 @@ def _start(
 ) -> tuple[np.ndarray, np.ndarray, _Rows]:
     """Left-to-right blocks, as each position's block index (-1 in the
     prompt) and each block's step budget (see ``PolicyConfig``), and one
-    fresh row per prompt.
-
-    Each prompt is validated as a ``SequenceState`` here, before any
-    denoiser call: ragged lengths, a token outside 1..V (the mask id
-    included) and a ``gen_len`` below 1 raise ``ValueError``.
+    fresh row per prompt, its prompt followed by ``gen_len`` masks. No
+    prompt, prompts that ``core.token_rows`` refuses (ids 1..V) and a
+    ``gen_len`` below 1 raise ``ValueError`` before any denoiser call.
     """
-    lengths = {len(p) for p in prompts}
-    if len(lengths) != 1:
+    if gen_len < 1:
+        raise ValueError(f"gen_len must be >= 1, got {gen_len}")
+    if not len(prompts):
         raise ValueError("a decode needs one or more prompts of one length")
-    prompt_len = lengths.pop()
-    tokens = np.array([make_masked_state(denoiser.vocab, p, gen_len).tokens for p in prompts])
+    prompt = token_rows(prompts, denoiser.vocab.size)
+    tokens = np.hstack([prompt, np.full((len(prompt), gen_len), denoiser.vocab.mask_id)])
     size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
     total_steps = policy.steps if policy.steps else gen_len
     sizes = np.diff([*range(0, gen_len, size), gen_len]).tolist()
     budgets = np.array([max(1, round(total_steps * n / gen_len)) for n in sizes])
-    block_of = np.repeat(np.arange(-1, len(sizes)), [prompt_len, *sizes])
+    block_of = np.repeat(np.arange(-1, len(sizes)), [prompt.shape[1], *sizes])
     block, steps, forwards = (np.zeros(len(tokens), dtype=int) for _ in range(3))
     history = History(policy.n_history) if policy.selector == "klass" else None
     return block_of, budgets, _Rows(tokens, block, steps, forwards, np.ones(len(tokens)), history)
@@ -431,9 +437,9 @@ def _lockstep(
     whole: one call per vector, one KLASS record of its whole output (see
     the module docstring), and one ``plan_step`` call over the masked
     positions of each row's block under its remaining budget. Yields
-    ``(active, selected, probs, scores)`` per step: the unfinished rows, the
-    (N, L) mask each row commits, and the probability rows and rankings of
-    the selected positions in row-major order. The caller commits before
+    ``(selected, probs, scores)`` per step: the (N, L) mask each row
+    commits, and the probability rows and rankings of the selected
+    positions in row-major order. The caller commits before
     resuming, by writing into or replacing the arrays of ``rows``.
     """
     vocab = denoiser.vocab
@@ -469,24 +475,25 @@ def _lockstep(
             rows.history = rows.history.record(record)
         rows.steps[active] += 1
         rows.forwards[active] += 1  # one forward evaluation per step
-        yield active, selected, np.concatenate(chosen_probs), np.concatenate(chosen_scores)
+        yield selected, np.concatenate(chosen_probs), np.concatenate(chosen_scores)
 
 
 def decode_blockwise(
     denoiser, policy: PolicyConfig, prompts: Sequence[Sequence[int]], gen_len: int,
     rng: np.random.Generator,
-) -> list[tuple[SequenceState, DecodeTrace]]:
-    """Generate from every prompt in lockstep; ``(final state, trace)`` per prompt.
+) -> list[tuple[tuple[int, ...], DecodeTrace]]:
+    """Generate from every prompt in lockstep; ``(final tokens, trace)`` per prompt.
 
     The prompts must be non-empty in number and share one length (an empty
     prompt means unconditional generation); a malformed prompt raises
-    ``ValueError`` before any denoiser call (see ``_start``), and each final
-    state is a validated ``SequenceState``. Each step of the shared step
-    loop denoises the sequences that still have masked positions and
-    commits with one ``commit_token`` call over all selected positions, by
-    fancy indexing into the token array. A sequence leaves the batch once it
-    is unmasked, so adaptive selectors (threshold, KLASS, EB) finish
-    sequences at different steps.
+    ``ValueError`` before any denoiser call (see ``_start``). Each final
+    sequence is a tuple of ints. Each step of the shared step loop denoises
+    the sequences that still have masked positions, commits with one
+    ``commit_token`` call over all selected positions, by fancy indexing
+    into the token array, and writes each commit's step and score into two
+    (N, L) arrays that the traces view by row. A sequence leaves the batch
+    once it is unmasked, so adaptive selectors (threshold, KLASS, EB)
+    finish sequences at different steps.
 
     Positions are partitioned into left-to-right blocks of
     ``policy.block_size`` (the last may be short; 0 or ``>= gen_len`` is one
@@ -498,28 +505,23 @@ def decode_blockwise(
     order within one; a single prompt draws as a one-sequence decoder would.
     """
     block_of, budgets, rows = _start(denoiser, policy, prompts, gen_len)
-    traces = [DecodeTrace() for _ in prompts]
-    for active, selected, probs, scores in _lockstep(denoiser, policy, block_of, budgets, rows):
+    step_of = np.full(rows.tokens.shape, -1)
+    score_of = np.full(rows.tokens.shape, np.nan)
+    for selected, probs, scores in _lockstep(denoiser, policy, block_of, budgets, rows):
         r, c = np.nonzero(selected)
         if policy.stochastic_remask:
             k, b = rows.steps[r] - 1, budgets[rows.block[r]]  # k: the steps before this one
             t, s = np.maximum(1.0 - k / b, 1.0 / b), np.maximum(1.0 - (k + 1) / b, 0.0)
             keep = rng.random(len(r)) < reverse_unmask_prob(t, s)
             r, c, probs, scores = r[keep], c[keep], probs[keep], scores[keep]
-        tokens = commit_token(probs, policy.temperature, rng)
-        rows.tokens[r, c] = tokens
-        ends = np.cumsum(np.bincount(r, minlength=len(traces))).tolist()
-        positions, toks, values = c.tolist(), tokens.tolist(), scores.tolist()
-        for k, nfe in zip(active.tolist(), rows.forwards[active].tolist()):
-            lo, hi = ends[k - 1] if k else 0, ends[k]
-            trace = traces[k]
-            trace.steps.append(TraceStep(
-                len(trace.steps), positions[lo:hi], toks[lo:hi], values[lo:hi], nfe,
-            ))
-    prompt_len = len(prompts[0])
+        rows.tokens[r, c] = commit_token(probs, policy.temperature, rng)
+        step_of[r, c] = rows.forwards[r] - 1
+        score_of[r, c] = scores
+    for array in (rows.tokens, step_of, score_of):
+        array.flags.writeable = False  # each trace holds row views of them
     return [
-        (SequenceState(denoiser.vocab, tuple(tokens), prompt_len), trace)
-        for tokens, trace in zip(rows.tokens.tolist(), traces)
+        (tuple(final), DecodeTrace(rows.tokens[k], step_of[k], score_of[k], nfe))
+        for k, (final, nfe) in enumerate(zip(rows.tokens.tolist(), rows.forwards.tolist()))
     ]
 
 
@@ -547,7 +549,7 @@ def enumerate_decodes(
     block_of, budgets, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
     rows.mass = np.array([mass for _, mass in prompts], dtype=float)
     V = denoiser.vocab.size
-    for active, selected, probs, _ in _lockstep(denoiser, policy, block_of, budgets, rows):
+    for selected, probs, _ in _lockstep(denoiser, policy, block_of, budgets, rows):
         if policy.temperature == "greedy":
             probs = np.eye(V)[probs.argmax(axis=1)]  # one branch of probability 1
         count = selected.sum(axis=1)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SequenceState, StateBatch, Vocabulary, forward_mask, make_masked_state
+from .core import SequenceState, StateBatch, Vocabulary, forward_mask
 from .decoding import (
     DecodeTrace,
     PolicyConfig,
@@ -46,7 +46,6 @@ from .oracle import (
     GroupSchedule,
     JointModel,
     OracleDenoiser,
-    conditional_marginal,
     exact_policy_distribution,
     load_joint_model,
     model_distribution,
@@ -238,7 +237,7 @@ def run_policy(
     else:
         prompts = sample_joints(model, rng, cfg.samples)[:, : cfg.prompt_len].tolist()
         decoded = decode_blockwise(denoiser, policy, prompts, gen_len, rng)
-        dist = empirical_distribution([final.tokens for final, _ in decoded], model.vocab.size)
+        dist = empirical_distribution([final for final, _ in decoded], model.vocab.size)
         mean_nfe = float(np.mean([trace.nfe for _, trace in decoded]))
         if keep_traces:
             traces = [trace for _, trace in decoded]
@@ -495,20 +494,15 @@ def layered_suite_model(seed: int) -> FactorizedDAG:
         model = FactorizedDAG(Vocabulary(2), tuple(parents), tuple(cpts))
 
         # margin 1: mutual information separates the layers up front
-        mi = OracleDenoiser(model).dependency_scores([False] + [True] * gen_len)
+        exact = OracleDenoiser(model)
+        mi = exact.dependency_scores([False] + [True] * gen_len)
         if min(mi[r] for r in roots) < max(mi[c] for c in children) + 0.02:
             continue
         # margin 2: confidence ordering crosses the layers for every prompt value
-        crossed = True
-        for c in (1, 2):
-            state = make_masked_state(model.vocab, (c,), gen_len)
-            cm = conditional_marginal(model, state)
-            root_conf = sorted(float(cm[r].max()) for r in roots)
-            child_conf = max(float(cm[ch].max()) for ch in children)
-            if child_conf <= root_conf[-2] + 0.02:
-                crossed = False
-                break
-        if not crossed:
+        starts = np.array([[c] + [model.vocab.mask_id] * gen_len for c in (1, 2)])
+        conf = exact.batch(StateBatch(model.vocab, starts)).probs.max(axis=2)
+        root_conf = np.sort(conf[:, roots], axis=1)
+        if not (conf[:, children].max(axis=1) > root_conf[:, -2] + 0.02).all():
             continue
         # margin 3: every child strongly coupled to its parents
         spread_ok = all(

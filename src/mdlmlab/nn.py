@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, alpha
+from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, alpha, token_rows
 # ``sample_joint`` stays bound here: the traced benchmark wraps it in every
 # module that imports it, and bench/selftest.py checks this binding
 from .oracle import JointModel, sample_joint, sample_joints  # noqa: F401
@@ -178,19 +178,20 @@ def _merge_heads(x):
 
 
 def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None):
-    """Full forward pass over a (B, L) token array; returns (log_probs, attentions).
+    """Full forward pass over (B, L) token rows; returns (log_probs, attentions).
 
-    The backward pass needs every layer's activations. The training path
-    passes a list as ``cache`` and they are appended to it; inference passes
-    none and keeps none.
+    Every forward and every loss comes through here, so the rows are checked
+    here, by ``core.token_rows`` (mask allowed), and a row longer than
+    ``max_len`` raises ``ValueError``. The backward pass needs every
+    layer's activations. The training path passes a list as ``cache`` and
+    they are appended to it; inference passes none and keeps none.
     """
     cfg = params.config
     t = params.tensors
+    tokens = token_rows(tokens, cfg.vocab_size, mask=True)
     B, L = tokens.shape
     if L > cfg.max_len:
         raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    if np.any(tokens < 1) or np.any(tokens > cfg.vocab_size + 1):
-        raise ValueError("invalid token id in batch")
     rows = tokens - 1  # embedding rows: 0..V-1 for content tokens, V for the mask
     h = t["tok_emb"][rows] + t["pos_emb"][:L]
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
@@ -286,12 +287,13 @@ def forward(params: Params, state: SequenceState | StateBatch) -> DenoiserOutput
     same leading axis: probs (L, V) or (n, L, V), and per layer an attention
     tensor (H, L, L) or (n, H, L, L). The rows of a batch do not interact.
     Deterministic given (params, state); repeated calls are bit-identical.
+    Rows that ``core.token_rows`` refuses raise ``ValueError``.
     """
     if state.vocab.size != params.config.vocab_size:
         raise ValueError("state vocabulary does not match the model")
-    tokens = np.asarray(state.tokens, dtype=np.int64)
-    log_probs, attentions = _forward_batch(params, np.atleast_2d(tokens))
-    if tokens.ndim == 1:  # one state: drop the batch axis
+    one = isinstance(state, SequenceState)
+    log_probs, attentions = _forward_batch(params, [state.tokens] if one else state.tokens)
+    if one:  # one state: drop the batch axis
         log_probs, attentions = log_probs[0], [a[0] for a in attentions]
     return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
 
@@ -377,20 +379,16 @@ def corrupt_batch(
     when its uniform draw is >= alpha(t), the draws ``core.forward_mask``
     makes. A row that comes out with no masked position gets one fresh t; if
     the redraw also masks nothing the row is skipped (weight 0) and counted.
-    Raises ``ValueError`` for a token outside 1..V or a prompt_len outside
-    0..L-1.
+    Raises ``ValueError`` for an empty batch, rows that ``core.token_rows``
+    refuses (ids 1..V) or a prompt_len outside 0..L-1.
     """
-    x0 = np.asarray(x0_batch, dtype=np.int64)
-    if x0.ndim != 2 or x0.shape[0] < 1:
-        raise ValueError("x0 batch must be a nonempty (B, L) array")
-    B, L = x0.shape
     V = config.vocab_size
+    x0 = token_rows(x0_batch, V)
+    B, L = x0.shape
+    if B < 1:
+        raise ValueError("x0 batch must be a nonempty (B, L) array")
     if not 0 <= prompt_len < L:
         raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
-    bad = (x0 < 1) | (x0 > V)
-    if bad.any():
-        b, i = np.argwhere(bad)[0]
-        raise ValueError(f"invalid token id {x0[b, i]} at row {b}, position {i}")
     loss_mask = np.zeros((B, L), dtype=bool)
     weights = np.zeros(B)
     for b in range(B):
@@ -417,9 +415,8 @@ def mdlm_loss_and_grad(
     masked-position cross-entropy is weighted by 1/t; the gradient comes
     from exact backpropagation through the forward pass.
     """
-    x0 = np.asarray(x0_batch, dtype=np.int64)
-    corrupted, loss_mask, weights, _ = corrupt_batch(params.config, x0, prompt_len, rng)
-    return loss_and_grad_on_corrupted(params, corrupted, x0, loss_mask, weights)
+    corrupted, loss_mask, weights, _ = corrupt_batch(params.config, x0_batch, prompt_len, rng)
+    return loss_and_grad_on_corrupted(params, corrupted, np.asarray(x0_batch), loss_mask, weights)
 
 
 def train(

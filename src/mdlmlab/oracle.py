@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, mask_patterns
+from .core import (
+    DenoiserOutput, SequenceState, StateBatch, Vocabulary, mask_patterns, token_rows,
+)
 
 ENUM_LIMIT = 10**6
 
@@ -173,12 +175,9 @@ def joint_table(model: JointModel) -> np.ndarray:
 
 
 def joint_prob(model: JointModel, assignment: Sequence[int]) -> float:
-    """Probability of a fully unmasked assignment (token ids 1..V)."""
-    a = tuple(int(v) for v in assignment)
-    if len(a) != model.L:
-        raise ValueError(f"assignment length {len(a)} != L={model.L}")
-    if any(not model.vocab.is_content(v) for v in a):
-        raise ValueError("assignment must be fully unmasked content tokens")
+    """Probability of a fully unmasked assignment (token ids 1..V); one that
+    ``core.token_rows`` refuses as a row of L tokens raises ``ValueError``."""
+    [a] = token_rows([assignment], model.vocab.size, model.L).tolist()
     if isinstance(model, TabularJoint):
         return float(model.table[tuple(v - 1 for v in a)])
     p = 1.0
@@ -192,23 +191,11 @@ def sequence_codes(tokens, V: int, L: int) -> np.ndarray:
     """Each row's index into a (V,)*L table raveled in C order.
 
     ``tokens`` is an (n, L) array-like of token ids 1..V; a row's code is
-    ``(row - 1) @ V**(L-1-k)``. A row of another length (or ragged rows)
-    and a token that is not an integer in 1..V raise ``ValueError``, since
-    token V+1 at one position would alias another sequence's code.
+    ``(row - 1) @ V**(L-1-k)``. Rows that ``core.token_rows`` refuses raise
+    ``ValueError``, since token V+1 at one position would alias another
+    sequence's code.
     """
-    try:
-        rows = np.asarray(tokens)
-    except ValueError:
-        raise ValueError(f"sequences must be rows of {L} tokens, got ragged rows") from None
-    if rows.ndim != 2 or rows.shape[1] != L:
-        raise ValueError(f"sequences must be rows of {L} tokens, got shape {rows.shape}")
-    if not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"sequence tokens must be integers, got dtype {rows.dtype}")
-    bad = ~((rows >= 1) & (rows <= V)).all(axis=1)
-    if bad.any():
-        row = tuple(rows[np.argmax(bad)].tolist())
-        raise ValueError(f"sequence {row} has a token outside 1..{V}")
-    return (rows - 1) @ (V ** np.arange(L - 1, -1, -1, dtype=np.int64))
+    return (token_rows(tokens, V, L) - 1) @ (V ** np.arange(L - 1, -1, -1, dtype=np.int64))
 
 
 class Distribution(Mapping):
@@ -424,8 +411,8 @@ def prompt_marginal(model: JointModel, prompt_len: int) -> list[tuple[tuple[int,
 
 def exact_policy_distribution(
     model: JointModel, schedule: GroupSchedule, prompt_len: int = 0
-) -> dict[tuple[int, ...], float]:
-    """Distribution over full sequences induced by a fixed group schedule.
+) -> Distribution:
+    """The ``Distribution`` over full sequences a fixed group schedule induces.
 
     Each group is unmasked in one parallel step: every position in the group
     draws independently from its exact conditional given everything revealed
@@ -443,8 +430,8 @@ def exact_policy_distribution(
     # The walk goes one group at a time over every partial row of that level:
     # they all mask the same positions, so one kernel call conditions them
     # all. A row branches on each group position's support in group order
-    # (the first position varies slowest) and its mass is multiplied in that
-    # order, so sequences come out depth-first, as a recursive walk lists them.
+    # and its mass is multiplied in that order, as a recursive walk's is;
+    # every full row is reached once.
     rows = np.full((len(prompts), L), mask_id)
     rows[:, :prompt_len] = np.array([t for t, _ in prompts]).reshape(len(prompts), prompt_len)
     mass = np.array([p for _, p in prompts])
@@ -455,7 +442,7 @@ def exact_policy_distribution(
             r, v = np.nonzero(probs[src, pos])
             src, rows, mass = src[r], rows[r], mass[r] * probs[src[r], pos, v]
             rows[:, pos] = v + 1
-    return dict(zip(map(tuple, rows.tolist()), mass.tolist()))
+    return Distribution.of(rows, model.vocab.size, L, mass)
 
 
 def oracle_dependency(model: JointModel, state: SequenceState, position: int) -> float:
@@ -516,18 +503,16 @@ class OracleDenoiser:
         ``_conditionals``), and each is a function of its own tokens alone,
         bit for bit, whatever else the call holds. Every row a call finds
         cached counts in ``hits``, every other row in ``misses``. One
-        state's output is a read-only view of the cache. Tokens or a shape
-        that do not fit the joint raise ``ValueError``; a row with a masked
-        position whose unmasked tokens have probability zero raises
-        ``ZeroSupportError``.
+        state's output is a read-only view of the cache. Another vocabulary
+        and rows that ``core.token_rows`` refuses as rows of L tokens (mask
+        allowed) raise ``ValueError``; a row with a masked position whose
+        unmasked tokens have probability zero raises ``ZeroSupportError``.
         """
-        tokens = np.asarray(states.tokens)
-        batch = np.atleast_2d(tokens)
         V, L = self.vocab.size, self.model.L
-        if states.vocab.size != V or batch.ndim != 2 or batch.shape[1] != L:
+        one = isinstance(states, SequenceState)
+        if states.vocab.size != V or (one and len(states) != L):
             raise ValueError("state does not match the model's vocabulary or length")
-        if not np.all((batch >= 1) & (batch <= V + 1)):
-            raise ValueError(f"token ids must lie in 1..{V + 1}")
+        batch = token_rows([states.tokens] if one else states.tokens, V, L, mask=True)
         codes = (batch - 1) @ self._radix
         at = np.searchsorted(self._index[0], codes)
         slots = np.where(self._index[0, at] == codes, self._index[1, at], -1)
@@ -550,7 +535,7 @@ class OracleDenoiser:
             slots[missed] = n + inverse
             at = np.searchsorted(self._index[0], new)
             self._index = np.insert(self._index, at, [new, np.arange(n, n + m)], axis=1)
-        if tokens.ndim == 1:
+        if one:
             return DenoiserOutput(self._rows[slots[0]])
         return DenoiserOutput(self._rows[slots])
 

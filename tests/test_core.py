@@ -6,9 +6,9 @@ from mdlmlab.core import (
     Vocabulary,
     alpha,
     forward_mask,
-    make_masked_state,
     posterior_step,
     reverse_unmask_prob,
+    token_rows,
 )
 
 V4 = Vocabulary(4)
@@ -38,13 +38,24 @@ def test_sequence_state_validation():
     assert s2.tokens == (3, 2, 1) and s.tokens == (3, 5, 1)
 
 
-def test_make_masked_state_examples():
-    s = make_masked_state(V4, [3, 1], 2)
-    assert s.tokens == (3, 1, 5, 5) and s.prompt_len == 2
-    s = make_masked_state(V4, [], 1)
-    assert s.tokens == (5,) and s.prompt_len == 0
-    with pytest.raises(ValueError):
-        make_masked_state(V4, [5], 0)
+def test_token_rows_examples():
+    rows = token_rows([(3, 1, 5), (1, 2, 5)], 4, 3, mask=True)
+    assert rows.dtype == np.int64 and rows.tolist() == [[3, 1, 5], [1, 2, 5]]
+    assert token_rows([[], []], 4).shape == (2, 0)  # empty prompts
+    assert token_rows(np.array([[4]], dtype=np.uint8), 4).dtype == np.int64
+    for tokens, message in (
+        ([(3, 1, 5)], "outside 1..4"),  # the mask id, not allowed here
+        ([(1,), (1, 2)], "one length"),
+        ([1, 2], "one length"),  # not rows
+        ([(1.0, 2.0)], "integers"),
+        ([(True, False)], "integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            token_rows(tokens, 4)
+    with pytest.raises(ValueError, match="rows of 2 tokens"):
+        token_rows([(1, 2, 3)], 4, 2)
+    with pytest.raises(ValueError, match=r"outside 1\.\.5"):
+        token_rows([(6,)], 4, mask=True)
 
 
 def test_schedule_endpoints():

@@ -194,7 +194,7 @@ def test_klass_replays_the_per_position_history_rule(n_history, block_size, temp
             for i, tok in zip(step.positions, step.tokens):
                 tokens[i] = tok
             history.clear(step.positions)
-        assert tuple(tokens) == final.tokens
+        assert tuple(tokens) == final
     assert parallel  # some step committed a stable set, not the fallback
 
 
@@ -324,7 +324,7 @@ def test_decode_one_token_per_step_nfe():
     assert trace.nfe == 4
     assert len(trace.steps) == 4
     assert all(len(s.positions) == 1 for s in trace.steps)
-    assert not final.masked_positions()
+    assert den.vocab.mask_id not in final
 
 
 def test_decode_parallel_policies_nfe_bound():
@@ -338,7 +338,7 @@ def test_decode_parallel_policies_nfe_bound():
     ):
         [(final, trace)] = decode_blockwise(den, policy, [[]], 4, rng)
         assert 1 <= trace.nfe <= 4
-        assert not final.masked_positions()
+        assert den.vocab.mask_id not in final
 
 
 def test_decode_trace_partitions_positions():
@@ -371,7 +371,7 @@ def test_unmasked_tokens_never_change():
             assert pos not in seen
             seen[pos] = tok
     for pos, tok in seen.items():
-        assert final.tokens[pos] == tok
+        assert final[pos] == tok
 
 
 def test_decode_chain_order_recovers_joint():
@@ -382,7 +382,7 @@ def test_decode_chain_order_recovers_joint():
     den = OracleDenoiser(model)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           block_size=1, temperature="sample")
-    seqs = [final.tokens for final, _ in decode_blockwise(den, policy, [[]] * 30000, 4, rng)]
+    seqs = [final for final, _ in decode_blockwise(den, policy, [[]] * 30000, 4, rng)]
     emp = {}
     for s in seqs:
         emp[s] = emp.get(s, 0) + 1
@@ -398,7 +398,7 @@ def test_blockwise_single_block_equals_decode():
                            block_size=99, temperature="sample")
     [t1] = decode_blockwise(den, base, [[]], 6, np.random.default_rng(42))
     [t2] = decode_blockwise(den, blocked, [[]], 6, np.random.default_rng(42))
-    assert t1[0].tokens == t2[0].tokens
+    assert t1[0] == t2[0]
     assert [s.to_record() for s in t1[1].steps] == [s.to_record() for s in t2[1].steps]
 
 
@@ -420,7 +420,7 @@ def test_greedy_decode_is_pure():
     policy = PolicyConfig(scorer="dos", selector="topk", steps=2, layer=1,
                           temperature="greedy")
     outs = [
-        decode_blockwise(den, policy, [[2]], 4, np.random.default_rng(i))[0][0].tokens
+        decode_blockwise(den, policy, [[2]], 4, np.random.default_rng(i))[0][0]
         for i in range(3)
     ]
     assert outs[0] == outs[1] == outs[2]
@@ -452,7 +452,7 @@ def test_lockstep_greedy_equals_one_prompt_decodes():
             lockstep = decode_blockwise(den, policy, prompts, 5, rng)
             for prompt, (final, trace) in zip(prompts, lockstep):
                 [(alone, alone_trace)] = decode_blockwise(den, policy, [prompt], 5, rng)
-                assert final.tokens == alone.tokens
+                assert final == alone
                 assert trace.to_jsonl() == alone_trace.to_jsonl()
             spread.add((den is transformer, len({t.nfe for _, t in lockstep}) > 1))
     # both denoisers had a call whose sequences finished at different steps
@@ -477,7 +477,7 @@ def test_forward_chunks_leave_results_unchanged(monkeypatch):
 
     def run():
         decoded = decode_blockwise(den, sampled, prompts, 8, np.random.default_rng(6))
-        return ([(final.tokens, trace.to_jsonl()) for final, trace in decoded],
+        return ([(final, trace.to_jsonl()) for final, trace in decoded],
                 exact_induced_distribution(model, exact, 1, den))
 
     whole = run()
@@ -533,15 +533,31 @@ def test_stochastic_remask_mode():
     rng = np.random.default_rng(6)
     # T=1 collapses to a single forced step: reveal probability is 1
     [(final, trace)] = decode_blockwise(den, policy, [[]], 4, rng)
-    assert trace.nfe == 1 and not final.masked_positions()
+    assert trace.nfe == 1 and den.vocab.mask_id not in final
 
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample", stochastic_remask=True)
     for i in range(20):
         [(final, trace)] = decode_blockwise(den, policy, [[]], 4, np.random.default_rng(i))
-        assert not final.masked_positions()
+        assert den.vocab.mask_id not in final
         committed = trace.committed_positions()
         assert sorted(committed) == [0, 1, 2, 3]
+
+
+def test_decode_trace_steps_are_derived_from_its_row():
+    # step s lists its positions in ascending order with their tokens and
+    # scores and the cumulative NFE s + 1; a step that committed nothing stays
+    trace = DecodeTrace(np.array([2, 1, 2, 1, 2]), np.array([-1, 1, 0, 1, -1]),
+                        np.array([np.nan, 0.5, 0.7, 0.2, np.nan]), 3)
+    assert [s.to_record() for s in trace.steps] == [
+        {"step": 0, "positions": [2], "tokens": [2], "scores": [0.7], "nfe": 1},
+        {"step": 1, "positions": [1, 3], "tokens": [1, 1], "scores": [0.5, 0.2], "nfe": 2},
+        {"step": 2, "positions": [], "tokens": [], "scores": [], "nfe": 3},
+    ]
+    assert trace.committed_positions() == [2, 1, 3]
+    assert trace != DecodeTrace(trace.tokens, trace.step_of, trace.scores, 3)  # eq=False
+    with pytest.raises(AttributeError):
+        trace.nfe = 4
 
 
 def test_trace_jsonl_round_trip(tmp_path):
@@ -638,14 +654,18 @@ def test_malformed_prompts_fail_before_any_denoiser_call(monkeypatch):
 
 
 def test_decode_blockwise_returns_validated_states():
+    # each final sequence is a tuple of ints 1..V that keeps its prompt, and
+    # its trace is a record of the same row
     den = oracle_den(seed=47, L=5)
     policy = PolicyConfig(selector="threshold", temperature="sample")
     decoded = decode_blockwise(den, policy, [[1, 2], [2, 2]], 3, np.random.default_rng(0))
     for (final, trace), prompt in zip(decoded, ([1, 2], [2, 2])):
-        assert isinstance(final, SequenceState)
-        assert final.vocab == den.vocab and final.prompt_len == 2
-        assert final.tokens[:2] == tuple(prompt) and not final.masked_positions()
-        assert trace.nfe >= 1
+        assert type(final) is tuple and all(type(t) is int for t in final)
+        assert len(final) == 5 and all(1 <= t <= den.vocab.size for t in final)
+        assert final[:2] == tuple(prompt)
+        assert tuple(trace.tokens.tolist()) == final
+        assert trace.step_of[:2].tolist() == [-1, -1] and trace.nfe >= 1
+        assert not trace.tokens.flags.writeable and not trace.step_of.flags.writeable
 
 
 def test_decode_blockwise_needs_prompts_of_one_length():

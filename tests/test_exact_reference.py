@@ -118,7 +118,7 @@ def test_dense_metrics_match_a_dict_reference():
         prompts = sample_joints(model, rng, cfg.samples)[:, :prompt_len].tolist()
         decoded = decode_blockwise(OracleDenoiser(model), policy, prompts,
                                    model.L - prompt_len, rng)
-        counts = Counter(final.tokens for final, _ in decoded)
+        counts = Counter(final for final, _ in decoded)
         empirical = {seq: c / cfg.samples for seq, c in counts.items()}
         assert row.samples == cfg.samples
         assert_row_matches(row, target, empirical)

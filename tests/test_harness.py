@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from mdlmlab.cli import load_experiment_config, parse_policy
 from mdlmlab.core import SequenceState, forward_mask
-from mdlmlab.decoding import SELECTORS, PolicyConfig, decode_blockwise, enumerate_decodes
+from mdlmlab.decoding import (
+    SELECTORS, PolicyConfig, TraceStep, decode_blockwise, enumerate_decodes,
+)
 from mdlmlab.harness import (
     CSV_SCHEMA_TAG,
     METRIC_FIELDS,
@@ -167,7 +169,7 @@ def test_exact_transformer_enumeration_follows_the_sampler():
             [(final, trace)] = decode_blockwise(
                 den, policy, [prompt], 8, np.random.default_rng(0)
             )
-            assert (tuple(tokens.tolist()), forwards, mass) == (final.tokens, trace.nfe, p)
+            assert (tuple(tokens.tolist()), forwards, mass) == (final, trace.nfe, p)
         dist, _ = exact_induced_distribution(
             model, replace(policy, temperature="sample"), 1, den
         )
@@ -249,6 +251,47 @@ def test_run_experiment_nfe_recount_from_traces():
     assert row.mean_nfe == pytest.approx(recount)
     for t in traces:
         assert t.nfe == len(t.steps)
+
+
+def test_mc_run_policy_builds_no_state_or_step_objects(monkeypatch):
+    # the sampler keeps its rows as arrays from prompt to metric: an MC run
+    # of 64 samples builds no SequenceState and no TraceStep, and each of
+    # its traces reads as the one-prompt decode of its sequence
+    model = layered_suite_model(3)
+    den = OracleDenoiser(model)
+    built = []
+    for cls in (SequenceState, TraceStep):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: (
+            built.append(type(self).__name__) or _init(self, *a, **k)))
+    greedy = PolicyConfig(scorer="confidence", selector="eb", gamma=0.3, temperature="greedy")
+    remask = PolicyConfig(scorer="confidence", steps=4, temperature="sample",
+                          stochastic_remask=True)
+    runs = {}
+    for policy in (greedy, remask):
+        cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
+                               samples=64, seed=5, mode="mc")
+        row, traces = run_policy(model, den, policy, cfg, np.random.default_rng(5),
+                                 keep_traces=True)
+        assert row.samples == 64 and len(traces) == 64
+        runs[policy] = traces
+    assert built == []
+    prompts = sample_joints(model, np.random.default_rng(5), 64)[:, :1].tolist()
+    nfes = set()
+    for prompt, trace in zip(prompts, runs[greedy]):
+        [(_, alone)] = decode_blockwise(den, greedy, [prompt], model.L - 1,
+                                       np.random.default_rng(0))
+        assert trace.to_jsonl() == alone.to_jsonl()
+        nfes.add(trace.nfe)
+    assert len(nfes) > 1  # the samples finished at different steps
+    empty = 0
+    for trace in runs[remask]:
+        steps = trace.steps
+        assert trace.nfe == len(steps)
+        assert [(s.step, s.nfe) for s in steps] == [(k, k + 1) for k in range(trace.nfe)]
+        assert sorted(trace.committed_positions()) == list(range(1, model.L))
+        empty += sum(not s.positions for s in steps)
+    assert empty  # remasking steps that committed nothing are listed
 
 
 def test_run_experiment_records_failures_and_continues():
