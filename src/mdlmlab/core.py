@@ -37,9 +37,6 @@ class Vocabulary:
     def mask_id(self) -> int:
         return self.size + 1
 
-    def is_content(self, token: int) -> bool:
-        return 1 <= token <= self.size
-
 
 def token_rows(tokens, V: int, L: int | None = None, mask: bool = False) -> np.ndarray:
     """``tokens`` as an (n, L) int64 array of ids 1..V (1..V+1 with ``mask``).
@@ -109,10 +106,10 @@ class SequenceState:
 class StateBatch:
     """Same-length sequences of one vocabulary as an (n, L) token array.
 
-    The input of ``denoiser.batch`` and of a batched forward pass
-    (``nn.forward``). It is not validated here: the denoisers check its
-    rows with ``token_rows`` (mask allowed). The one output for it is a
-    ``DenoiserOutput`` whose arrays carry a leading axis of n rows.
+    The one input of both denoisers (``denoiser.batch``, ``nn.forward``). It
+    is not validated here: the denoisers check its rows with ``token_rows``
+    (mask allowed). The output for it is a ``DenoiserOutput`` whose arrays
+    carry a leading axis of n rows.
     """
 
     vocab: Vocabulary
@@ -129,14 +126,13 @@ def alpha(t: float) -> float:
 
 @dataclass
 class DenoiserOutput:
-    """Per-position predictive distributions plus optional attention tensors.
+    """Per-position predictive distributions plus optional attention tensors,
+    for the n rows of a ``StateBatch``.
 
-    For one state, ``probs[i]`` is position i's distribution over content
+    ``probs[r, i]`` is row r's distribution at position i over content
     tokens 1..V; the mask symbol carries probability 0 by construction (it
     has no output dimension). ``attentions``, when present, holds one
-    row-stochastic (H, L, L) tensor per transformer layer. The output for a
-    ``StateBatch`` of n rows has the same arrays with a leading row axis:
-    (n, L, V) probs and (n, H, L, L) attentions per layer.
+    row-stochastic (n, H, L, L) tensor per transformer layer.
     """
 
     probs: np.ndarray

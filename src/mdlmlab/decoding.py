@@ -5,12 +5,12 @@ takes a ``core.StateBatch`` of n same-length rows and returns one
 ``DenoiserOutput`` whose arrays carry a leading row axis, in row order (the
 transformer runs the rows as one batched forward, the oracle reads each row
 from its cache and computes the missed rows together). A row's output must
-not depend on the other rows of the call. The exact backend additionally
-exposes ``dependency_scores(masked)``, from one row's mask, for the
-oracle_dep scorer. A step makes one forward evaluation per sequence, and
-both the scores and the committed predictions come from that same
-evaluation, so the trace's NFE equals the number of forward evaluations
-exactly.
+not depend on the other rows of the call. For the oracle_dep scorer, the
+exact backend also has ``dependency_scores(masked)``: it takes the rows'
+(n, L) mask and returns their (n, L) scores. A step makes one forward
+evaluation per sequence, and both the scores and the committed
+predictions come from that same evaluation, so the trace's NFE equals the
+number of forward evaluations exactly.
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``,
@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, StateBatch, mask_patterns, reverse_unmask_prob, token_rows
+from .core import DenoiserOutput, StateBatch, reverse_unmask_prob, token_rows
 from . import scoring
 
 SELECTORS = ("topk", "threshold", "klass", "eb")
@@ -319,8 +319,7 @@ def compute_ranking(
     """The policy's (n, L) ScoreVectors of n rows, NaN off the masked positions.
 
     ``out`` is the rows' ``denoiser.batch`` output ((n, L, V) probs) and
-    ``masked`` their (n, L) mask. Every scorer ranks the rows in one call,
-    except oracle_dep, which asks once per distinct mask pattern.
+    ``masked`` their (n, L) mask. Every scorer ranks the rows in one call.
     """
     if policy.scorer in scoring.UNCERTAINTY_SCORERS:
         return scoring.uncertainty_scores(policy.scorer, out.probs, masked)
@@ -332,8 +331,7 @@ def compute_ranking(
         dep = getattr(denoiser, "dependency_scores", None)
         if dep is None:
             raise ValueError("the oracle_dep scorer needs an exact denoiser")
-        patterns, inverse = mask_patterns(masked)
-        return np.array([dep(pattern) for pattern in patterns])[inverse]
+        return dep(masked)
     raise ValueError(f"unknown scorer {policy.scorer!r}")
 
 

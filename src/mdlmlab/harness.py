@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import SequenceState, StateBatch, Vocabulary, forward_mask
+from .core import StateBatch, Vocabulary, alpha
 from .decoding import (
     DecodeTrace,
     PolicyConfig,
@@ -176,7 +176,6 @@ CSV_SCHEMA_TAG = "mdlmlab-metrics-v1"
 class ExperimentResult:
     rows: list[MetricRow]
     failures: list[tuple[str, str]]
-    traces: dict[str, list[DecodeTrace]] = field(default_factory=dict)
 
 
 def resolve_joint(spec: str) -> JointModel:
@@ -257,7 +256,7 @@ def run_policy(
     return row, traces
 
 
-def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every policy, compute metrics, and (optionally) write the CSV.
 
     Per-policy failures are recorded and the run continues; each policy gets
@@ -272,13 +271,11 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = False) -> Experime
     for policy, ss in zip(cfg.policies, streams):
         rng = np.random.default_rng(ss)
         try:
-            row, traces = run_policy(model, denoiser, policy, cfg, rng, keep_traces)
+            row, _ = run_policy(model, denoiser, policy, cfg, rng)
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
             result.failures.append((policy.policy_id(), repr(exc)))
             continue
         result.rows.append(row)
-        if keep_traces:
-            result.traces[policy.policy_id()] = traces
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics_csv_text(result.rows))
@@ -316,22 +313,26 @@ def mean_conditional_kl(
     """Mean KL(exact conditional || prediction) over random masked states.
 
     States are drawn by sampling a clean sequence and corrupting it at a
-    uniform time, redrawing until at least one position is masked; all of
-    them are drawn first and then denoised in one ``denoiser.batch`` call,
+    uniform time with ``core.forward_mask``'s draws, redrawing until at
+    least one position is masked. All of them are drawn into one (n, L)
+    token array first and then denoised in one ``denoiser.batch`` call,
     which draws nothing, and in one exact ``OracleDenoiser`` call. The KL is
     averaged over every masked position of every state, summed left to right
-    state by state and position by position.
+    state by state and position by position. A ``prompt_len`` outside
+    0..L-1 raises ``ValueError``.
     """
-    vocab = model.vocab
-    states = []
-    for _ in range(n_states):
-        x = sample_joint(model, rng)
-        clean = SequenceState(vocab, x, prompt_len)
-        state = clean
-        while not state.masked_positions():
-            state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
-        states.append(state)
-    batch = StateBatch(vocab, np.array([s.tokens for s in states]))
+    L, vocab = model.L, model.vocab
+    if not 0 <= prompt_len < L:
+        raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
+    tokens = np.empty((n_states, L), dtype=np.int64)
+    for row in tokens:
+        row[:] = sample_joint(model, rng)
+        hidden = np.zeros(0, dtype=bool)
+        while not hidden.any():  # t first, then the positions, as in core.forward_mask
+            t = rng.uniform(0.0, 1.0)
+            hidden = rng.random(L - prompt_len) >= alpha(t)
+        row[prompt_len:][hidden] = vocab.mask_id
+    batch = StateBatch(vocab, tokens)
     masked = batch.tokens == vocab.mask_id
     exact = OracleDenoiser(model).batch(batch).probs[masked]
     kl = scoring.kl_divergence(exact, denoiser.batch(batch).probs[masked])
@@ -433,7 +434,7 @@ def dependency_greedy_schedule(model: JointModel, prompt_len: int, steps: int) -
     steps_left = steps
     while masked := [i for i, m in enumerate(mask) if m]:
         k = math.ceil(len(masked) / max(1, steps_left))
-        group = select_topk(denoiser.dependency_scores(mask), masked, k)
+        group = select_topk(denoiser.dependency_scores([mask])[0], masked, k)
         groups.append(group)
         for i in group:
             mask[i] = False
@@ -495,7 +496,7 @@ def layered_suite_model(seed: int) -> FactorizedDAG:
 
         # margin 1: mutual information separates the layers up front
         exact = OracleDenoiser(model)
-        mi = exact.dependency_scores([False] + [True] * gen_len)
+        mi = exact.dependency_scores([[False] + [True] * gen_len])[0]
         if min(mi[r] for r in roots) < max(mi[c] for c in children) + 0.02:
             continue
         # margin 2: confidence ordering crosses the layers for every prompt value

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, SequenceState, StateBatch, Vocabulary, alpha, token_rows
+from .core import DenoiserOutput, StateBatch, Vocabulary, alpha, token_rows
 # ``sample_joint`` stays bound here: the traced benchmark wraps it in every
 # module that imports it, and bench/selftest.py checks this binding
 from .oracle import JointModel, sample_joint, sample_joints  # noqa: F401
@@ -279,22 +279,18 @@ def _backward_batch(params: Params, dlogits: np.ndarray, cache) -> dict[str, np.
     return g
 
 
-def forward(params: Params, state: SequenceState | StateBatch) -> DenoiserOutput:
-    """Denoise one state or a batch: per-position distributions plus all attention maps.
+def forward(params: Params, states: StateBatch) -> DenoiserOutput:
+    """Denoise a batch: per-position distributions plus all attention maps.
 
-    ``state.tokens`` is one length-L sequence (a ``SequenceState``) or an
-    (n, L) array of n sequences (a ``StateBatch``); the output carries the
-    same leading axis: probs (L, V) or (n, L, V), and per layer an attention
-    tensor (H, L, L) or (n, H, L, L). The rows of a batch do not interact.
-    Deterministic given (params, state); repeated calls are bit-identical.
-    Rows that ``core.token_rows`` refuses raise ``ValueError``.
+    ``states.tokens`` is an (n, L) array of n sequences; the output has
+    (n, L, V) probs and per layer an (n, H, L, L) attention tensor. The rows
+    do not interact. Deterministic given (params, states); repeated calls
+    are bit-identical. Rows that ``core.token_rows`` refuses (one row given
+    as a flat sequence among them) raise ``ValueError``.
     """
-    if state.vocab.size != params.config.vocab_size:
+    if states.vocab.size != params.config.vocab_size:
         raise ValueError("state vocabulary does not match the model")
-    one = isinstance(state, SequenceState)
-    log_probs, attentions = _forward_batch(params, [state.tokens] if one else state.tokens)
-    if one:  # one state: drop the batch axis
-        log_probs, attentions = log_probs[0], [a[0] for a in attentions]
+    log_probs, attentions = _forward_batch(params, states.tokens)
     return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
 
 

@@ -458,9 +458,8 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
         raise ValueError("state does not match the model's vocabulary or length")
     if not state.is_masked(position):
         raise ValueError(f"position {position} is not masked")
-    mask_id = state.vocab.mask_id
-    return float(OracleDenoiser(model).dependency_scores(
-        [t == mask_id for t in state.tokens])[position])
+    masked = np.array([state.tokens]) == state.vocab.mask_id
+    return float(OracleDenoiser(model).dependency_scores(masked)[0, position])
 
 
 class OracleDenoiser:
@@ -492,27 +491,27 @@ class OracleDenoiser:
         self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
         self.hits = 0  # rows a call found in the cache
         self.misses = 0  # rows a call did not find there
+        self.dep_hits = 0  # mask rows whose scores were cached when the call began
+        self.dep_misses = 0  # the other mask rows
 
-    def __call__(self, states: SequenceState | StateBatch) -> DenoiserOutput:
-        """Exact output of one state, or of each row of a ``StateBatch``.
+    def __call__(self, states: StateBatch) -> DenoiserOutput:
+        """Exact (n, L, V) output of the rows of a ``StateBatch``, a fresh array.
 
-        Probs are (L, V) for one state and (n, L, V) for a batch: each masked
-        position gets p(x_i | unmasked tokens), each unmasked one the exact
-        one-hot of its token. A row is computed once and then read from the
-        cache; the rows a call misses are computed together (see
-        ``_conditionals``), and each is a function of its own tokens alone,
-        bit for bit, whatever else the call holds. Every row a call finds
-        cached counts in ``hits``, every other row in ``misses``. One
-        state's output is a read-only view of the cache. Another vocabulary
-        and rows that ``core.token_rows`` refuses as rows of L tokens (mask
-        allowed) raise ``ValueError``; a row with a masked position whose
-        unmasked tokens have probability zero raises ``ZeroSupportError``.
+        Each masked position gets p(x_i | unmasked tokens), each unmasked
+        one the exact one-hot of its token. A row is computed once and then
+        read from the cache; the rows a call misses are computed together
+        (see ``_conditionals``), and each is a function of its own tokens
+        alone, bit for bit, whatever else the call holds. Every row a call
+        finds cached counts in ``hits``, every other row in ``misses``.
+        Another vocabulary and what ``core.token_rows`` refuses as rows of L
+        tokens (mask allowed), one flat row too, raise ``ValueError``; a row
+        with a masked position whose unmasked tokens have probability zero
+        raises ``ZeroSupportError``.
         """
         V, L = self.vocab.size, self.model.L
-        one = isinstance(states, SequenceState)
-        if states.vocab.size != V or (one and len(states) != L):
-            raise ValueError("state does not match the model's vocabulary or length")
-        batch = token_rows([states.tokens] if one else states.tokens, V, L, mask=True)
+        if states.vocab.size != V:
+            raise ValueError("states do not match the model's vocabulary")
+        batch = token_rows(states.tokens, V, L, mask=True)
         codes = (batch - 1) @ self._radix
         at = np.searchsorted(self._index[0], codes)
         slots = np.where(self._index[0, at] == codes, self._index[1, at], -1)
@@ -535,31 +534,37 @@ class OracleDenoiser:
             slots[missed] = n + inverse
             at = np.searchsorted(self._index[0], new)
             self._index = np.insert(self._index, at, [new, np.arange(n, n + m)], axis=1)
-        if one:
-            return DenoiserOutput(self._rows[slots[0]])
         return DenoiserOutput(self._rows[slots])
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
         """``self(states)``: one output with a leading row axis."""
         return self(states)
 
-    def dependency_scores(self, masked: Sequence[bool]) -> np.ndarray:
-        """``oracle_dependency`` of every masked position, NaN elsewhere.
+    def dependency_scores(self, masked) -> np.ndarray:
+        """``oracle_dependency`` of every masked position of n rows, NaN elsewhere.
 
-        ``masked`` is one row's mask (position -> masked); the scores depend
-        on it alone, so they are cached by it. The table is transposed once
-        to (unmasked..., masked...) with the unmasked assignments as rows, so
-        ``_slabs`` gives each masked position's joint with the unmasked set.
-        A mask of another length raises ``ValueError``.
+        ``masked`` is the rows' (n, L) mask. A row's scores depend on its
+        mask alone, so they are cached by mask pattern, and the result is a
+        fresh (n, L) array. Every row whose pattern was cached when the call
+        began counts in ``dep_hits``, every other row in ``dep_misses``. A
+        pattern's table is transposed once to (unmasked..., masked...) with
+        the unmasked assignments as rows, so ``_slabs`` gives each masked
+        position's joint with the unmasked set. A mask that is not rows of
+        L positions raises ``ValueError``.
         """
-        pattern = tuple(bool(m) for m in masked)
         L, V = self.model.L, self.vocab.size
-        if len(pattern) != L:
-            raise ValueError(f"mask of length {len(pattern)} does not match "
-                             "the model's vocabulary or length")
-        if pattern not in self._dep_cache:
-            free = [i for i in range(L) if pattern[i]]
-            fixed = [i for i in range(L) if not pattern[i]]
+        masked = np.asarray(masked, dtype=bool)
+        if masked.ndim != 2 or masked.shape[1] != L:
+            raise ValueError(f"masks must be rows of {L} positions, got shape {masked.shape}")
+        patterns, inverse = mask_patterns(masked)
+        keys = list(map(tuple, patterns.tolist()))
+        cached = np.array([key in self._dep_cache for key in keys], dtype=bool)
+        n_hit = int(cached[inverse].sum())
+        self.dep_hits += n_hit
+        self.dep_misses += len(masked) - n_hit
+        for key in (key for key, hit in zip(keys, cached) if not hit):
+            free = [i for i in range(L) if key[i]]
+            fixed = [i for i in range(L) if not key[i]]
             scores = np.full(L, np.nan)
             scores[free] = 0.0
             if free and fixed:
@@ -570,9 +575,8 @@ class OracleDenoiser:
                     nz = joint > 0
                     mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
                     scores[pos] = max(mi, 0.0)
-            scores.flags.writeable = False  # no caller can corrupt cached scores
-            self._dep_cache[pattern] = scores
-        return self._dep_cache[pattern]
+            self._dep_cache[key] = scores
+        return np.array([self._dep_cache[key] for key in keys]).reshape(-1, L)[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,14 @@ import itertools
 
 import numpy as np
 
+from mdlmlab.core import SequenceState, StateBatch
 from mdlmlab.nn import Params, loss_on_corrupted
 from mdlmlab.oracle import JointModel, joint_prob
+
+
+def one_row(state: SequenceState) -> StateBatch:
+    """One state as the one-row ``StateBatch`` a denoiser takes."""
+    return StateBatch(state.vocab, np.array([state.tokens]))
 
 
 def brute_conditionals(model: JointModel, state) -> dict[int, np.ndarray]:

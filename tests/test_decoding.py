@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import one_row
 from mdlmlab import scoring
-from mdlmlab.core import DenoiserOutput, SequenceState, Vocabulary
+from mdlmlab.core import DenoiserOutput, SequenceState, StateBatch, Vocabulary
 from mdlmlab.decoding import (
+    FORWARD_ROWS,
     SELECTORS,
     DecodeTrace,
     History,
@@ -178,7 +180,7 @@ def test_klass_replays_the_per_position_history_rule(n_history, block_size, temp
         tokens = list(prompt) + [mask] * gen_len
         history = PerPositionHistory(n_history)
         for step in trace.steps:
-            probs = den(SequenceState(den.vocab, tuple(tokens), len(prompt))).probs
+            probs = den(StateBatch(den.vocab, np.array([tokens]))).probs[0]
             masked = [i for i, t in enumerate(tokens) if t == mask]
             for i in masked:
                 history.record(i, probs[i])
@@ -514,10 +516,10 @@ def test_dos_eb_composition_satisfies_budget():
     rng = np.random.default_rng(4)
     vocab = den.vocab
     state = SequenceState(vocab, (1,) + (vocab.mask_id,) * 5, 1)
-    out = den(state)
+    out = den(one_row(state))
     from mdlmlab.decoding import plan_step, selector_vectors
 
-    probs = out.probs[None]
+    probs = out.probs
     masked = (np.array(state.tokens) == vocab.mask_id)[None]
     [ranking] = compute_ranking(policy, DenoiserOutput(probs), masked, den)
     [ents] = selector_vectors(policy, probs, masked)
@@ -673,3 +675,19 @@ def test_decode_blockwise_needs_prompts_of_one_length():
     for prompts in ([], [[1], [1, 2]]):
         with pytest.raises(ValueError, match="one length"):
             decode_blockwise(den, PolicyConfig(), prompts, 3, np.random.default_rng(0))
+
+
+def test_oracle_dep_scores_each_chunk_in_one_call(monkeypatch):
+    # one dependency_scores call per denoiser call, on that chunk's (n, L) mask
+    model = layered_suite_model(3)
+    den = OracleDenoiser(model)
+    batches, deps = [], []
+    batch, dep = den.batch, den.dependency_scores
+    monkeypatch.setattr(den, "batch", lambda states: batches.append(len(states)) or batch(states))
+    monkeypatch.setattr(den, "dependency_scores",
+                        lambda masked: deps.append(masked.shape) or dep(masked))
+    policy = PolicyConfig(scorer="oracle_dep", selector="eb", gamma=0.3, temperature="sample")
+    prompts = [[1 + i % 2] for i in range(FORWARD_ROWS + 44)]  # more rows than one chunk
+    decode_blockwise(den, policy, prompts, model.L - 1, np.random.default_rng(2))
+    assert max(batches) == FORWARD_ROWS and deps == [(n, model.L) for n in batches]
+    assert den.dep_hits + den.dep_misses == sum(batches)

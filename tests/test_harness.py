@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import one_row
 from mdlmlab.cli import load_experiment_config, parse_policy
 from mdlmlab.core import SequenceState, forward_mask
 from mdlmlab.decoding import (
@@ -119,14 +120,18 @@ def test_exact_and_monte_carlo_agree():
         samples=10000, seed=7, mode="exact",
     )
     rows_exact = run_experiment(cfg_exact).rows
-    rows_mc = run_experiment(replace(cfg_exact, mode="mc"), keep_traces=True)
-    for policy, exact, mc in zip(policies, rows_exact, rows_mc.rows):
+    # each policy's MC run with the stream run_experiment gives it
+    cfg_mc, den = replace(cfg_exact, mode="mc"), OracleDenoiser(model)
+    streams = np.random.SeedSequence(cfg_mc.seed).spawn(len(policies))
+    for policy, exact, ss in zip(policies, rows_exact, streams):
+        mc, traces = run_policy(model, den, policy, cfg_mc, np.random.default_rng(ss),
+                                keep_traces=True)
         q, _ = exact_induced_distribution(model, policy, prompt_len=1)
         gap = abs(exact.tv_distance - mc.tv_distance)
         assert gap <= _mc_tv_bound(q, 10000), (policy.policy_id(), gap)
         if policy.selector != "topk":
             # samples of one lockstep call finished at different steps
-            nfes = {t.nfe for t in rows_mc.traces[policy.policy_id()]}
+            nfes = {t.nfe for t in traces}
             assert len(nfes) > 1, policy.policy_id()
 
 
@@ -244,9 +249,9 @@ def test_run_experiment_nfe_recount_from_traces():
         joint="reference 13", prompt_len=1, policies=(policy,),
         samples=300, seed=3, mode="mc",
     )
-    result = run_experiment(cfg, keep_traces=True)
-    row = result.rows[0]
-    traces = result.traces[policy.policy_id()]
+    model = resolve_joint(cfg.joint)
+    row, traces = run_policy(model, OracleDenoiser(model), policy, cfg,
+                             np.random.default_rng(3), keep_traces=True)
     recount = float(np.mean([t.nfe for t in traces]))
     assert row.mean_nfe == pytest.approx(recount)
     for t in traces:
@@ -471,7 +476,7 @@ def test_mean_conditional_kl_denoises_every_state_in_one_call():
         state = clean
         while not state.masked_positions():
             state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
-        probs = forward(den.params, state).probs
+        [probs] = forward(den.params, one_row(state)).probs
         for i, p in conditional_marginal(model, state).items():
             total += kl_divergence(p, probs[i])
             count += 1

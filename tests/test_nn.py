@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff_max_rel_err
+from helpers import central_diff_max_rel_err, one_row
 from mdlmlab import nn
 from mdlmlab.core import SequenceState, StateBatch, Vocabulary, forward_mask
 from mdlmlab.nn import (
@@ -68,19 +68,19 @@ def test_config_validation():
 def test_forward_single_position_attention():
     params = init_params(SMALL)
     state = SequenceState(Vocabulary(3), (4,), 0)  # one masked position
-    out = forward(params, state)
+    out = forward(params, one_row(state))
     for a in out.attentions:
-        assert a.shape == (2, 1, 1)
+        assert a.shape == (1, 2, 1, 1)
         assert np.allclose(a, 1.0)
-    assert out.probs.shape == (1, 3)
+    assert out.probs.shape == (1, 1, 3)
     assert out.probs.sum() == pytest.approx(1.0)
 
 
 def test_forward_deterministic_and_rows_stochastic():
     params = init_params(SMALL)
     state = SequenceState(Vocabulary(3), (1, 4, 2, 4, 3), 1)
-    out1 = forward(params, state)
-    out2 = forward(params, state)
+    out1 = forward(params, one_row(state))
+    out2 = forward(params, one_row(state))
     assert np.array_equal(out1.probs, out2.probs)
     for a1, a2 in zip(out1.attentions, out2.attentions):
         assert np.array_equal(a1, a2)
@@ -91,10 +91,10 @@ def test_forward_deterministic_and_rows_stochastic():
 def test_forward_errors():
     params = init_params(SMALL)
     long_state = SequenceState(Vocabulary(3), tuple([1] * 9), 0)
-    with pytest.raises(ValueError):
-        forward(params, long_state)
-    with pytest.raises(ValueError):
-        forward(params, SequenceState(Vocabulary(5), (1, 6), 0))
+    with pytest.raises(ValueError, match="max_len"):
+        forward(params, one_row(long_state))
+    with pytest.raises(ValueError, match="vocabulary"):
+        forward(params, one_row(SequenceState(Vocabulary(5), (1, 6), 0)))
 
 
 def test_gradient_check_small_model():
@@ -234,9 +234,9 @@ def test_train_uniform_joint_reaches_uniform_outputs():
     params = train(cfg, model)
     vocab = Vocabulary(2)
     state = SequenceState(vocab, (vocab.mask_id,) * 3, 0)
-    out = forward(params, state)
+    [probs] = forward(params, one_row(state)).probs
     for i in range(3):
-        tv = 0.5 * np.abs(out.probs[i] - 0.5).sum()
+        tv = 0.5 * np.abs(probs[i] - 0.5).sum()
         assert tv < 0.05
 
 
@@ -258,9 +258,9 @@ def test_train_learns_deterministic_copy():
     vocab = Vocabulary(2)
     for v in (1, 2):
         state = SequenceState(vocab, (v, vocab.mask_id), 0)
-        out = forward(params, state)
-        assert out.probs[1].max() > 0.9
-        assert int(out.probs[1].argmax()) + 1 == v
+        [probs] = forward(params, one_row(state)).probs
+        assert probs[1].max() > 0.9
+        assert int(probs[1].argmax()) + 1 == v
     # smoothed loss curve must come down and end below where it started
     first, last = np.mean(losses[:100]), np.mean(losses[-100:])
     assert last < first
@@ -454,10 +454,10 @@ def test_batched_forward_rows_equal_single_rows():
     out = TransformerDenoiser(params).batch(rows)
     assert out.probs.shape == (7, 6, 3)
     for r, state in enumerate(states):
-        single = forward(params, state)
+        single = forward(params, one_row(state))
         for probs in (batch.probs[r], out.probs[r]):
-            assert np.max(np.abs(probs - single.probs)) <= 1e-12
-        for layer, want in enumerate(single.attentions):
+            assert np.max(np.abs(probs - single.probs[0])) <= 1e-12
+        for layer, [want] in enumerate(single.attentions):
             assert np.max(np.abs(batch.attentions[layer][r] - want)) <= 1e-12
             assert np.max(np.abs(out.attentions[layer][r] - want)) <= 1e-12
 

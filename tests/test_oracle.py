@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_conditionals
+from helpers import brute_conditionals, one_row
 from mdlmlab.core import SequenceState, StateBatch, Vocabulary
 from mdlmlab.decoding import PolicyConfig
 from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
@@ -198,7 +198,7 @@ def test_exact_policy_distribution_validates_cover_and_limit():
         lambda: joint_table(big),
         lambda: conditional_marginal(big, state),
         lambda: exact_policy_distribution(big, GroupSchedule((tuple(range(20)),))),
-        lambda: OracleDenoiser(big)(state),
+        lambda: OracleDenoiser(big)(one_row(state)),
     ):
         with pytest.raises(EnumerationLimitError):
             call()
@@ -385,7 +385,7 @@ def test_oracle_cache_grows_and_counts_rows_like_a_set():
     rng = np.random.default_rng(4)
     pool = rng.integers(1, vocab.mask_id + 1, size=(400, model.L))
     den = OracleDenoiser(model)
-    first = den(SequenceState(vocab, tuple(pool[0].tolist())))
+    first = den(StateBatch(vocab, pool[:1]))
     kept = first.probs.copy()
     seen, hits, misses, sizes = {tuple(pool[0].tolist())}, 0, 1, set()
     for _ in range(80):
@@ -441,19 +441,19 @@ def test_oracle_denoiser_outputs_and_cache():
     m = random_dag(rng, V=3, L=4)
     den = OracleDenoiser(m)
     state = SequenceState(m.vocab, (2, m.vocab.mask_id, 1, m.vocab.mask_id), 0)
-    out = den(state)
+    out = den(one_row(state))
     assert out.attentions is None
-    assert np.allclose(out.probs.sum(axis=1), 1.0)
-    assert out.probs[0, 1] == 1.0  # observed positions are point masses
-    assert np.shares_memory(den(state).probs, out.probs)  # both read the cached row
-    with pytest.raises(ValueError):  # read-only, so no caller can corrupt the cache
-        out.probs[1, 0] = 0.0
-    masked = [t == m.vocab.mask_id for t in state.tokens]
+    assert np.allclose(out.probs.sum(axis=2), 1.0)
+    assert out.probs[0, 0, 1] == 1.0  # observed positions are point masses
+    before = out.probs.copy()
+    out.probs[0, 1, 0] = 99.0  # a fresh gather: writing into it leaves the cache alone
+    assert den.hits == 0 and np.array_equal(den(one_row(state)).probs, before)
+    assert den.hits == 1
+    masked = np.array([state.tokens]) == m.vocab.mask_id
     dep = den.dependency_scores(masked)
-    assert np.isnan(dep[0]) and np.isfinite(dep[1])
+    assert np.isnan(dep[0, 0]) and np.isfinite(dep[0, 1])
     before = dep.copy()
-    with pytest.raises(ValueError):  # cached too, so read-only as well
-        dep[1] = 99.0
+    dep[0, 1] = 99.0  # a fresh gather as well
     assert np.array_equal(den.dependency_scores(masked), before, equal_nan=True)
 
 
@@ -480,7 +480,7 @@ def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
             else:  # an unmasked position: the exact one-hot of its token
                 assert np.array_equal(out.probs[r, i], np.eye(V)[tok - 1])
         # bit for bit the same alone, in a fresh denoiser
-        assert np.array_equal(OracleDenoiser(model)(state).probs, out.probs[r])
+        assert np.array_equal(OracleDenoiser(model)(one_row(state)).probs[0], out.probs[r])
     # ... as cache hits, and in a batch that mixes hits with misses
     assert np.array_equal(den.batch(StateBatch(vocab, tokens[::-1])).probs, out.probs[::-1])
     mixed = OracleDenoiser(model)
@@ -512,11 +512,13 @@ def test_oracle_batch_rejects_rows_that_do_not_fit():
     ):
         with pytest.raises(ValueError):
             den.batch(batch)
+    with pytest.raises(ValueError, match="vocabulary"):
+        den.batch(StateBatch(Vocabulary(2), np.array([[1, 3, 1, 3]])))
     state = SequenceState(Vocabulary(3), (1, mask, 2))
     with pytest.raises(ValueError, match="vocabulary or length"):
         conditional_marginal(model, state)
-    with pytest.raises(ValueError, match="vocabulary or length"):
-        den(state)
+    with pytest.raises(ValueError, match=f"rows of {model.L} tokens"):
+        den(one_row(state))
 
 
 def test_oracle_inputs_that_do_not_fit_the_joint_raise():
@@ -529,8 +531,8 @@ def test_oracle_inputs_that_do_not_fit_the_joint_raise():
         with pytest.raises(ValueError, match="vocabulary or length"):
             oracle_dependency(model, state, 1)
     den = OracleDenoiser(model)
-    for masked in ([True] * 3, [True] * 5):
-        with pytest.raises(ValueError, match="vocabulary or length"):
+    for masked in ([[True] * 3], [[True] * 5], [True] * model.L):
+        with pytest.raises(ValueError, match=f"rows of {model.L} positions"):
             den.dependency_scores(masked)
     for prompt_len in (model.L + 1, model.L + 2, -1):
         with pytest.raises(ValueError, match=f"prompt_len {prompt_len} outside"):
@@ -610,21 +612,52 @@ def brute_mutual_information(probs: dict, masked, i: int) -> float:
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
-       tabular=st.booleans())
-def test_dependency_scores_match_brute_force_mutual_information(seed, V, L, tabular):
+       n=st.integers(1, 8), tabular=st.booleans())
+def test_dependency_scores_match_brute_force_mutual_information(seed, V, L, n, tabular):
     data = np.random.default_rng(seed)
     model = sparse_model(data, V, L, tabular)
     probs = {a: joint_prob(model, a) for a in itertools.product(range(1, V + 1), repeat=L)}
     den = OracleDenoiser(model)
-    for masked in (data.random(L) < data.random(), np.ones(L, dtype=bool)):
-        scores = den.dependency_scores(masked)
+    # random masks, each of them again in a random order, and the all-masked row
+    drawn = data.random((n, L)) < data.random()
+    masks = np.vstack([drawn, drawn[data.permutation(n)], np.ones((1, L), dtype=bool)])
+    scores = den.dependency_scores(masks)
+    assert scores.shape == masks.shape
+    brute: dict = {}
+    for masked, row in zip(masks, scores):
+        # bit for bit the row's own one-row call, in a fresh denoiser
+        alone = OracleDenoiser(model).dependency_scores(masked[None])
+        assert np.array_equal(alone, row[None], equal_nan=True)
         state = SequenceState(model.vocab, tuple(np.where(masked, V + 1, 1).tolist()))
         for i in range(L):
             if masked[i]:
-                assert abs(scores[i] - brute_mutual_information(probs, masked, i)) <= 1e-12
-                assert oracle_dependency(model, state, i) == scores[i]
+                key = (tuple(masked.tolist()), i)
+                if key not in brute:
+                    brute[key] = brute_mutual_information(probs, masked, i)
+                assert abs(row[i] - brute[key]) <= 1e-12
+                assert oracle_dependency(model, state, i) == row[i]
             else:
-                assert np.isnan(scores[i])
+                assert np.isnan(row[i])
+
+
+def test_dependency_cache_counts_rows_like_a_set():
+    model = random_dag(np.random.default_rng(3), V=2, L=5)
+    rng = np.random.default_rng(6)
+    pool = rng.random((12, model.L)) < 0.5
+    den = OracleDenoiser(model)
+    seen, hits, misses = set(), 0, 0
+    for _ in range(40):
+        masks = pool[rng.integers(0, len(pool), size=rng.integers(1, 10))]
+        rows = list(map(tuple, masks.tolist()))
+        hit = [r in seen for r in rows]  # cached when the call began
+        hits, misses = hits + sum(hit), misses + len(hit) - sum(hit)
+        seen |= set(rows)
+        scores = den.dependency_scores(masks)
+        assert np.array_equal(scores, OracleDenoiser(model).dependency_scores(masks),
+                              equal_nan=True)
+    assert (den.dep_hits, den.dep_misses) == (hits, misses)
+    assert len(den._dep_cache) == len(seen)
+    assert (den.hits, den.misses) == (0, 0)  # the row cache is another count
 
 
 def test_group_schedule_validation():

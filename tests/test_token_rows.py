@@ -92,3 +92,17 @@ def test_every_entry_point_refuses_malformed_rows(V, L, seed, data):
             where = (data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, width - 1)))
             with pytest.raises(ValueError, match=words):
                 call(malformed(rows, V, mask, defect, where))
+
+
+def test_denoisers_take_token_rows_only():
+    # one SequenceState is one flat row, not rows of tokens: both denoisers
+    # refuse it by its shape, and take it as a one-row StateBatch
+    model = random_dag(np.random.default_rng(1), V=2, L=4)
+    state = SequenceState(model.vocab, (1, 3, 2, 3))
+    den = OracleDenoiser(model)
+    for call in (den, den.batch, lambda states: forward(PARAMS[2], states)):
+        with pytest.raises(ValueError, match=r"rows of .*, got shape \(4,\)"):
+            call(state)
+        assert call(StateBatch(model.vocab, np.array([state.tokens]))).probs.shape == (1, 4, 2)
+    with pytest.raises(ValueError, match=r"rows of 4 positions, got shape \(4,\)"):
+        den.dependency_scores(np.array(state.tokens) == model.vocab.mask_id)
