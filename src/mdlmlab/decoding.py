@@ -3,14 +3,16 @@
 A denoiser has a ``vocab`` attribute and one call: ``denoiser.batch(states)``
 takes a ``core.StateBatch`` of n same-length rows and returns one
 ``DenoiserOutput`` whose arrays carry a leading row axis, in row order (the
-transformer runs the rows as one batched forward, the oracle reads each row
-from its cache and computes the missed rows together). A row's output must
-not depend on the other rows of the call. For the oracle_dep scorer, the
-exact backend also has ``dependency_scores(masked)``: it takes the rows'
-(n, L) mask and returns their (n, L) scores. A step makes one forward
-evaluation per sequence, and both the scores and the committed
-predictions come from that same evaluation, so the trace's NFE equals the
-number of forward evaluations exactly.
+transformer runs one batched forward over its distinct rows, the oracle
+reads each row from its cache and computes the missed rows together). A
+row's output must not depend on the other rows of the call. For the
+oracle_dep scorer, the exact backend also has ``dependency_scores(masked)``:
+it takes the rows' (n, L) mask and returns their (n, L) scores. A step
+makes one forward evaluation per sequence, and both the scores and the
+committed predictions come from that same evaluation, so the trace's NFE
+equals the number of forward evaluations exactly: one per sequence per
+step, whatever a denoiser shares among equal rows (the transformer's one
+forward per distinct row, the oracle's cache).
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``,
@@ -202,8 +204,9 @@ class History:
 # ---------------------------------------------------------------------------
 # selection primitives over (n, L) chunks: each takes per-row candidate masks
 # and returns an (n, L) selected mask; all ties break toward the lowest
-# position index. A 1-D vector with a position list is the one-row case and
-# gives the selected positions as a sorted tuple.
+# position index. ``select_topk`` and ``select_eb`` also take one row as a
+# 1-D vector with a position list and give its selected positions as a
+# sorted tuple.
 # ---------------------------------------------------------------------------
 
 def _one_row(select, vectors: Sequence[np.ndarray], candidates: Sequence[int], *args):
@@ -248,24 +251,20 @@ def select_topk(scores: np.ndarray, candidates, k) -> np.ndarray | tuple[int, ..
     return _prefix(_ranked(scores, candidates), np.minimum(k, count))
 
 
-def select_threshold(conf: np.ndarray, candidates, eps: float) -> np.ndarray | tuple[int, ...]:
+def select_threshold(conf: np.ndarray, candidates: np.ndarray, eps: float) -> np.ndarray:
     """Candidates with confidence > eps; a row with none takes its single best one."""
-    if np.ndim(conf) == 1:
-        return _one_row(select_threshold, [conf], candidates, eps)
     return _or_best(candidates & (conf > eps), conf, candidates)
 
 
 def select_klass(
-    history, conf: np.ndarray, candidates, tau: float, eps_kl: float
-) -> np.ndarray | tuple[int, ...]:
+    history: History, conf: np.ndarray, candidates: np.ndarray, tau: float, eps_kl: float
+) -> np.ndarray:
     """Stable candidates: n consecutive KLs below eps_kl and confidence above tau.
 
-    ``history`` is the rows' ``History``, of (L, V) outputs in the one-row
-    case. Positions with fewer than n+1 records are ineligible; a row with
-    no stable candidate falls back to its argmax-confidence singleton.
+    ``history`` is the rows' ``History``. Positions with fewer than n+1
+    records are ineligible; a row with no stable candidate falls back to its
+    argmax-confidence singleton.
     """
-    if np.ndim(conf) == 1:
-        return _one_row(lambda c, m: select_klass(history, c, m, tau, eps_kl), [conf], candidates)
     return _or_best(candidates & (conf > tau) & history.stable(eps_kl), conf, candidates)
 
 

@@ -302,8 +302,23 @@ class TransformerDenoiser:
         self.vocab = params.config.vocab
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
-        """The rows' outputs from one batched forward: ``forward(params, states)``."""
-        return forward(self.params, states)
+        """``forward(params, states)``, from one batched forward over its
+        distinct rows: each output is repeated in row order.
+
+        A row's output does not depend on the other rows, so the result is
+        bit-identical. Rows are keyed by their bytes (one ``np.unique`` over
+        an int64 void view), a key that cannot overflow for any V or L. NFE
+        still counts one evaluation per sequence per step, whatever is shared
+        among equal rows, as with the oracle's cache. Errors are those of
+        ``forward``, in its order: the vocabulary first, then the rows.
+        """
+        if states.vocab.size != self.vocab.size:
+            raise ValueError("state vocabulary does not match the model")
+        tokens = np.ascontiguousarray(token_rows(states.tokens, self.vocab.size, mask=True))
+        keys = tokens.view(np.dtype((np.void, tokens.itemsize * tokens.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        out = forward(self.params, StateBatch(states.vocab, tokens[first]))
+        return DenoiserOutput(out.probs[inverse], [a[inverse] for a in out.attentions])
 
 
 # ---------------------------------------------------------------------------

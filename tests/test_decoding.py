@@ -26,7 +26,7 @@ from mdlmlab.decoding import (
     select_threshold,
     select_topk,
 )
-from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
+from mdlmlab.nn import TransformerConfig, TransformerDenoiser, forward, init_params
 from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag, sample_joint
 from mdlmlab.harness import (
     exact_induced_distribution,
@@ -98,29 +98,33 @@ def test_select_topk():
         select_topk(scores, [0], 0)
 
 
+BOTH = np.array([[True, True]])  # one row of two candidate positions
+
+
 def test_select_threshold():
-    conf = np.array([0.99, 0.3])
-    assert select_threshold(conf, [0, 1], 0.95) == (0,)
-    assert select_threshold(np.array([0.5, 0.6]), [0, 1], 0.95) == (1,)  # fallback
+    conf = np.array([[0.99, 0.3]])
+    assert select_threshold(conf, BOTH, 0.95).tolist() == [[True, False]]
+    fallback = select_threshold(np.array([[0.5, 0.6]]), BOTH, 0.95)
+    assert fallback.tolist() == [[False, True]]
 
 
 def test_select_klass_history_rule():
-    # each record is a row's whole (L, V) output; position 0 holds still
-    steady = np.array([[0.99, 0.01], [0.95, 0.05]])
-    conf = np.array([0.99, 0.95])
+    # each record is a (1, L, V) output of one row; position 0 holds still
+    steady = np.array([[[0.99, 0.01], [0.95, 0.05]]])
+    conf = np.array([[0.99, 0.95]])
     h = History(n=2).record(steady)
     # fewer than n+1 records: ineligible, falls back to argmax confidence
     assert not np.any(h.stable(0.01))
-    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
+    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, False]]
     # n+1 agreeing outputs: both positions are stable
     h = h.record(steady).record(steady)
-    assert h.stable(0.01).tolist() == [True, True]
-    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0, 1)
+    assert h.stable(0.01).tolist() == [[True, True]]
+    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, True]]
     # position 1 drifts across the last n+1 outputs and is no longer stable
     for p1 in (0.5, 0.95):
-        h = h.record(np.array([[0.99, 0.01], [p1, 1.0 - p1]]))
-    assert h.stable(0.01).tolist() == [True, False]
-    assert select_klass(h, conf, [0, 1], tau=0.9, eps_kl=0.01) == (0,)
+        h = h.record(np.array([[[0.99, 0.01], [p1, 1.0 - p1]]]))
+    assert h.stable(0.01).tolist() == [[True, False]]
+    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, False]]
 
 
 def test_history_record_leaves_its_receiver_unchanged():
@@ -488,6 +492,45 @@ def test_forward_chunks_leave_results_unchanged(monkeypatch):
     monkeypatch.setattr("mdlmlab.decoding.FORWARD_ROWS", 3)
     assert run() == whole
     assert max(sizes) == 3
+
+
+class _EveryRowForward:
+    """The transformer denoiser without its sharing of equal rows: one
+    forward over every row handed to it."""
+
+    def __init__(self, params):
+        self.params = params
+        self.vocab = params.config.vocab
+
+    def batch(self, states):
+        return forward(self.params, states)
+
+
+def test_one_forward_per_distinct_row_leaves_decodes_unchanged():
+    # 64 one-token prompts over V=2 share 2 values, so most rows of a step
+    # are equal; every decode must come out as from a forward of all rows
+    model = layered_suite_model(3)
+    params = init_params(TransformerConfig(vocab_size=2, seed=7))
+    rng = np.random.default_rng(11)
+    prompts = [sample_joint(model, rng)[:1] for _ in range(64)]
+    policies = [
+        PolicyConfig(scorer=scorer, selector=selector, temperature=temperature,
+                     steps=4 if selector == "topk" else 0)
+        for scorer in ("dos", "confidence") for selector in SELECTORS
+        for temperature in ("greedy", "sample")
+    ] + [PolicyConfig(scorer="dos", steps=4, temperature="sample", stochastic_remask=True)]
+    sizes = []
+    den = TransformerDenoiser(params)
+    batch = den.batch
+    den.batch = lambda states: sizes.append(len(states)) or batch(states)
+    for policy in policies:
+        runs = []
+        for denoiser in (den, _EveryRowForward(params)):
+            rng = np.random.default_rng(12)
+            decoded = decode_blockwise(denoiser, policy, prompts, model.L - 1, rng)
+            runs.append(([(final, trace.to_jsonl()) for final, trace in decoded], rng.random()))
+        assert runs[0] == runs[1], policy.policy_id()
+    assert max(sizes) == 64
 
 
 def test_dos_scorer_requires_attentions():

@@ -89,12 +89,52 @@ def test_forward_deterministic_and_rows_stochastic():
 
 
 def test_forward_errors():
+    # the transformer denoiser refuses what forward refuses, with the same
+    # message; another vocabulary is named before its tokens are checked
     params = init_params(SMALL)
-    long_state = SequenceState(Vocabulary(3), tuple([1] * 9), 0)
-    with pytest.raises(ValueError, match="max_len"):
-        forward(params, one_row(long_state))
-    with pytest.raises(ValueError, match="vocabulary"):
-        forward(params, one_row(SequenceState(Vocabulary(5), (1, 6), 0)))
+    vocab = Vocabulary(3)
+    long_state = SequenceState(vocab, tuple([1] * 9), 0)
+    for run in (lambda states: forward(params, states), TransformerDenoiser(params).batch):
+        with pytest.raises(ValueError, match="max_len 8"):
+            run(one_row(long_state))
+        with pytest.raises(ValueError, match="^state vocabulary does not match the model$"):
+            run(one_row(SequenceState(Vocabulary(5), (1, 6), 0)))
+        with pytest.raises(ValueError, match="rows of one length, got shape"):
+            run(StateBatch(vocab, np.array([1, 2, 4])))
+        with pytest.raises(ValueError, match="outside 1..4"):
+            run(StateBatch(vocab, np.array([[1, 5], [1, 5]])))
+        out = run(StateBatch(vocab, np.zeros((0, 5), dtype=int)))
+        assert out.probs.shape == (0, 5, 3)
+        assert [a.shape for a in out.attentions] == [(0, 2, 5, 5)] * 2
+
+
+_PARAMS = {V: init_params(TransformerConfig(n_layers=2, n_heads=2, d_model=8, max_len=6,
+                                            vocab_size=V, seed=V)) for V in (2, 3, 4)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), V=st.integers(2, 4), L=st.integers(1, 6))
+def test_batch_runs_each_distinct_row_once(data, V, L):
+    # rows drawn from a small pool repeat; the batch equals each row's own
+    # forward bit for bit, from one forward over exactly the distinct rows
+    params = _PARAMS[V]
+    row = st.lists(st.integers(1, V + 1), min_size=L, max_size=L)
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    tokens = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), L)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "forward", lambda p, states: calls.append(states.tokens) or forward(p, states))
+        out = TransformerDenoiser(params).batch(StateBatch(params.config.vocab, tokens))
+    distinct = {tuple(r) for r in tokens.tolist()}
+    [ran] = calls
+    assert len(ran) == len(distinct) and {tuple(r) for r in ran.tolist()} == distinct
+    assert out.probs.shape == (len(tokens), L, V)
+    for r, row_tokens in enumerate(tokens):
+        alone = forward(params, StateBatch(params.config.vocab, row_tokens[None]))
+        assert np.array_equal(out.probs[r], alone.probs[0])
+        for got, want in zip(out.attentions, alone.attentions, strict=True):
+            assert np.array_equal(got[r], want[0])
 
 
 def test_gradient_check_small_model():

@@ -36,12 +36,15 @@ def test_every_traced_span_resolves():
 
 
 def test_lockstep_mc_run_is_attributed_per_step():
-    # 16 samples at T=4 advance together: one forward of 16 rows, one
-    # scoring call and one token draw per step. A path around the traced
-    # names would read 0 here.
+    # 16 samples at T=4 advance together: one forward over a step's 16
+    # rows, of which it runs the distinct ones, one scoring call and one
+    # token draw per step. A path around the traced names would read 0 here.
     tracer = _load_tracer()
     model = layered_suite_model(3)
     den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    handed = []
+    batch = den.batch
+    den.batch = lambda states: handed.append(states.tokens.copy()) or batch(states)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
     cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
@@ -50,7 +53,8 @@ def test_lockstep_mc_run_is_attributed_per_step():
         run_policy(model, den, policy, cfg, np.random.default_rng(0))
     assert not tracer.leftover_wrappers()
     assert t.calls["nn.forward"] == 4
-    assert t.rows == 64
+    assert [len(tokens) for tokens in handed] == [16] * 4
+    assert t.rows == sum(len(np.unique(tokens, axis=0)) for tokens in handed) < 64
     assert t.calls["decoding.commit_token"] == 4
     assert t.calls["scoring"] == 4
     assert t.calls["decoding.decode_blockwise"] == 1
