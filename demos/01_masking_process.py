@@ -3,42 +3,39 @@
 A clean sequence is progressively corrupted by replacing tokens with the
 mask symbol: at time t each token survives with probability alpha(t) = 1 - t.
 The reverse step t -> s reveals each masked position with probability
-(t - s) / t. Running this script prints the whole story.
+(t - s) / t. Sequences are rows of token ids 1..V, and V+1 is the mask.
+Running this script prints the whole story.
 """
 
 import numpy as np
 
-from mdlmlab import (
-    SequenceState,
-    Vocabulary,
-    alpha,
-    forward_mask,
-    posterior_step,
-    reverse_unmask_prob,
-)
+from mdlmlab import alpha, forward_mask, reverse_unmask_prob
 
 rng = np.random.default_rng(0)
-vocab = Vocabulary(4)
+V = 4
+MASK = V + 1
+PROMPT = 2
 
 
-def show(state, label):
-    cells = ["[M]" if state.is_masked(i) else str(state.tokens[i]) for i in range(len(state))]
+def show(row, label):
+    cells = ["[M]" if tok == MASK else str(tok) for tok in row]
     print(f"{label:28s} {' '.join(f'{c:>3s}' for c in cells)}")
 
 
 print("== forward corruption ==")
-x0 = SequenceState(vocab, (2, 1, 4, 3, 1, 2, 4, 4), prompt_len=2)
-show(x0, "clean x0 (prompt = first 2)")
-for t in (0.25, 0.5, 0.75, 1.0):
-    show(forward_mask(x0, t, rng), f"corrupted at t={t}")
+x0 = np.array([2, 1, 4, 3, 1, 2, 4, 4])
+show(x0, f"clean x0 (prompt = first {PROMPT})")
+corrupted, ts = forward_mask(np.tile(x0, (4, 1)), V, PROMPT, rng)
+for row, t in sorted(zip(corrupted, ts), key=lambda pair: pair[1]):
+    show(row, f"corrupted at t={t:.2f}")
 print("the prompt never masks; each other token flips with probability t\n")
 
 print("== masked fraction tracks 1 - alpha(t) = t ==")
-long = SequenceState(vocab, tuple(rng.integers(1, 5, size=5000).tolist()), 0)
-for t in (0.2, 0.6, 0.9):
-    xt = forward_mask(long, t, rng)
-    frac = len(xt.masked_positions()) / len(long)
-    print(f"t={t:.1f}: masked fraction {frac:.3f} (alpha(t)={alpha(t):.1f})")
+long = rng.integers(1, V + 1, size=(3, 5000))
+corrupted, ts = forward_mask(long, V, 0, rng)
+for row, t in zip(corrupted, ts):
+    frac = np.mean(row == MASK)
+    print(f"t={t:.3f}: masked fraction {frac:.3f} (alpha(t)={alpha(t):.3f})")
 print()
 
 print("== reverse step probabilities ==")
@@ -48,11 +45,11 @@ for t, s in ((1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)):
 print()
 
 print("== a full reverse trajectory against the true x0 ==")
-state = SequenceState(vocab, (2, 1) + (vocab.mask_id,) * 6, prompt_len=2)
-show(state, "t=1.00 (fully masked)")
+row = np.concatenate([x0[:PROMPT], np.full(len(x0) - PROMPT, MASK)])
+show(row, "t=1.00 (fully masked)")
 grid = np.linspace(1.0, 0.0, 5)
-full_x0 = SequenceState(vocab, x0.tokens, prompt_len=2)
 for t, s in zip(grid[:-1], grid[1:]):
-    state = posterior_step(state, full_x0, float(t), float(s), rng)
-    show(state, f"after step to s={s:.2f}")
+    reveal = (row == MASK) & (rng.random(len(row)) < reverse_unmask_prob(float(t), float(s)))
+    row = np.where(reveal, x0, row)
+    show(row, f"after step to s={s:.2f}")
 print("\nat s=0 the reveal probability reaches 1, so nothing stays masked")

@@ -13,7 +13,6 @@ from .core import (
     Vocabulary,
     alpha,
     forward_mask,
-    posterior_step,
     reverse_unmask_prob,
     token_rows,
 )

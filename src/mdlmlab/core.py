@@ -6,7 +6,11 @@ a state are conditioning context and are never masked by any operation here.
 
 The masking process is linear: at time t in [0, 1] each non-prompt token
 survives with probability alpha(t) = 1 - t and is masked otherwise, so
-training weights the masked-position cross-entropy by 1/t.
+training weights the masked-position cross-entropy by 1/t. ``forward_mask``
+is the one draw of it, over token rows: ``nn.corrupt_batch`` corrupts each
+training batch with it, and ``harness.mean_conditional_kl`` its evaluation
+states. ``reverse_unmask_prob`` is the matching reverse step: the chance
+that stochastic remasking reveals a masked position.
 
 ``token_rows`` is the one check of token rows: every entry point that takes
 token ids (states, prompts, denoisers, joint lookups, training batches)
@@ -83,16 +87,9 @@ class SequenceState:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def is_masked(self, position: int) -> bool:
-        return self.tokens[position] == self.vocab.mask_id
-
     def masked_positions(self) -> tuple[int, ...]:
         m = self.vocab.mask_id
         return tuple(i for i, t in enumerate(self.tokens) if t == m)
-
-    def unmasked_positions(self) -> tuple[int, ...]:
-        m = self.vocab.mask_id
-        return tuple(i for i, t in enumerate(self.tokens) if t != m)
 
     def with_tokens(self, updates: dict[int, int]) -> "SequenceState":
         """Return a copy with ``updates`` (position -> token id) applied."""
@@ -148,26 +145,40 @@ def mask_patterns(masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward_mask(
-    x0: SequenceState,
-    t: float,
+    x0,
+    V: int,
+    prompt_len: int,
     rng: np.random.Generator,
-) -> SequenceState:
-    """Corrupt x0 at time t: each non-prompt token survives w.p. alpha(t).
+    t_min: float = 0.0,
+    redraws: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt clean (n, L) token rows; returns (corrupted, t).
 
-    Prompt positions are never touched. Requires a fully unmasked input on
-    the non-prompt positions.
+    Row by row: t ~ Uniform[t_min, 1), then each non-prompt position is
+    masked (set to V+1) when its uniform draw is >= alpha(t). A row that
+    comes out with no masked position draws a fresh t and positions again,
+    at most ``redraws`` times (``None``: until one is masked); a row that is
+    still unmasked is returned clean. ``t[r]`` is row r's last t. Prompt
+    positions are never touched. Rows that ``token_rows`` refuses (ids 1..V)
+    and a ``prompt_len`` outside 0..L-1 raise ``ValueError``.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    for i in range(x0.prompt_len, len(x0)):
-        if x0.is_masked(i):
-            raise ValueError("forward_mask expects a fully unmasked input")
-    keep = alpha(t)
-    u = rng.random(len(x0) - x0.prompt_len)
-    updates = {
-        x0.prompt_len + j: x0.vocab.mask_id for j, uj in enumerate(u) if uj >= keep
-    }
-    return x0.with_tokens(updates) if updates else x0
+    rows = token_rows(x0, V)
+    n, L = rows.shape
+    if not 0 <= prompt_len < L:
+        raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
+    hidden = np.zeros((n, L), dtype=bool)
+    t = np.empty(n)
+    for r in range(n):
+        tries = 0
+        while True:
+            t_r = rng.uniform(t_min, 1.0)
+            masked = rng.random(L - prompt_len) >= alpha(t_r)
+            if masked.any() or tries == redraws:
+                break
+            tries += 1
+        hidden[r, prompt_len:] = masked
+        t[r] = t_r
+    return np.where(hidden, V + 1, rows), t
 
 
 def reverse_unmask_prob(t: float, s: float) -> float:
@@ -182,26 +193,3 @@ def reverse_unmask_prob(t: float, s: float) -> float:
     if np.any(denom <= 0.0):
         raise ValueError(f"reverse step undefined at t={t} where alpha(t)=1")
     return (a_s - a_t) / denom
-
-
-def posterior_step(
-    x_t: SequenceState,
-    x0: SequenceState,
-    t: float,
-    s: float,
-    rng: np.random.Generator,
-) -> SequenceState:
-    """One reverse step of the analytic posterior given the true x0.
-
-    Unmasked positions are kept unchanged; each masked position reveals its
-    x0 token with probability (alpha(s) - alpha(t)) / (1 - alpha(t)) and
-    stays masked otherwise.
-    """
-    if x_t.tokens == x0.tokens and not x_t.masked_positions():
-        return x_t
-    p = reverse_unmask_prob(t, s)
-    updates = {}
-    for i in x_t.masked_positions():
-        if rng.random() < p:
-            updates[i] = x0.tokens[i]
-    return x_t.with_tokens(updates) if updates else x_t

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateBatch, Vocabulary, alpha
+from .core import StateBatch, Vocabulary, forward_mask
 from .decoding import (
     DecodeTrace,
     PolicyConfig,
@@ -312,26 +312,22 @@ def mean_conditional_kl(
 ) -> float:
     """Mean KL(exact conditional || prediction) over random masked states.
 
-    States are drawn by sampling a clean sequence and corrupting it at a
-    uniform time with ``core.forward_mask``'s draws, redrawing until at
-    least one position is masked. All of them are drawn into one (n, L)
-    token array first and then denoised in one ``denoiser.batch`` call,
-    which draws nothing, and in one exact ``OracleDenoiser`` call. The KL is
-    averaged over every masked position of every state, summed left to right
-    state by state and position by position. A ``prompt_len`` outside
-    0..L-1 raises ``ValueError``.
+    Each state is a clean ``sample_joint`` draw corrupted right away by
+    ``core.forward_mask`` at t ~ Uniform[0, 1), redrawn until at least one
+    position is masked. All of them are drawn into one (n, L) token array
+    first and then denoised in one ``denoiser.batch`` call, which draws
+    nothing, and in one exact ``OracleDenoiser`` call. The KL is averaged
+    over every masked position of every state, summed left to right state
+    by state and position by position. ``n_states`` below 1 and a
+    ``prompt_len`` outside 0..L-1 raise ``ValueError``.
     """
-    L, vocab = model.L, model.vocab
-    if not 0 <= prompt_len < L:
-        raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
-    tokens = np.empty((n_states, L), dtype=np.int64)
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    vocab = model.vocab
+    tokens = np.empty((n_states, model.L), dtype=np.int64)
     for row in tokens:
-        row[:] = sample_joint(model, rng)
-        hidden = np.zeros(0, dtype=bool)
-        while not hidden.any():  # t first, then the positions, as in core.forward_mask
-            t = rng.uniform(0.0, 1.0)
-            hidden = rng.random(L - prompt_len) >= alpha(t)
-        row[prompt_len:][hidden] = vocab.mask_id
+        corrupted, _ = forward_mask([sample_joint(model, rng)], vocab.size, prompt_len, rng)
+        row[:] = corrupted[0]
     batch = StateBatch(vocab, tokens)
     masked = batch.tokens == vocab.mask_id
     exact = OracleDenoiser(model).batch(batch).probs[masked]

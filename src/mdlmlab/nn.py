@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, StateBatch, Vocabulary, alpha, token_rows
+from .core import DenoiserOutput, StateBatch, Vocabulary, forward_mask, token_rows
 # ``sample_joint`` stays bound here: the traced benchmark wraps it in every
 # module that imports it, and bench/selftest.py checks this binding
 from .oracle import JointModel, sample_joint, sample_joints  # noqa: F401
@@ -181,8 +181,8 @@ def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None
     """Full forward pass over (B, L) token rows; returns (log_probs, attentions).
 
     Every forward and every loss comes through here, so the rows are checked
-    here, by ``core.token_rows`` (mask allowed), and a row longer than
-    ``max_len`` raises ``ValueError``. The backward pass needs every
+    here, by ``core.token_rows`` (mask allowed), and rows of no tokens or
+    longer than ``max_len`` raise ``ValueError``. The backward pass needs every
     layer's activations. The training path passes a list as ``cache`` and
     they are appended to it; inference passes none and keeps none.
     """
@@ -190,8 +190,8 @@ def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None
     t = params.tensors
     tokens = token_rows(tokens, cfg.vocab_size, mask=True)
     B, L = tokens.shape
-    if L > cfg.max_len:
-        raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
+    if not 1 <= L <= cfg.max_len:
+        raise ValueError(f"sequence length {L} outside 1..max_len {cfg.max_len}")
     rows = tokens - 1  # embedding rows: 0..V-1 for content tokens, V for the mask
     h = t["tok_emb"][rows] + t["pos_emb"][:L]
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
@@ -386,32 +386,21 @@ def corrupt_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sample t per example and mask; returns (corrupted, loss_mask, weights, skipped).
 
-    Row by row, t ~ Uniform[t_min, 1] and each non-prompt position is masked
-    when its uniform draw is >= alpha(t), the draws ``core.forward_mask``
-    makes. A row that comes out with no masked position gets one fresh t; if
-    the redraw also masks nothing the row is skipped (weight 0) and counted.
-    Raises ``ValueError`` for an empty batch, rows that ``core.token_rows``
-    refuses (ids 1..V) or a prompt_len outside 0..L-1.
+    One ``core.forward_mask`` draw over the batch, with t ~ Uniform[t_min, 1]
+    and one redraw: a row that still masks nothing is skipped (weight 0)
+    and counted; every other row is weighted by 1/t. Raises ``ValueError``
+    for an empty batch and for what ``forward_mask`` refuses: rows with an
+    id outside 1..V, or a prompt_len outside 0..L-1.
     """
-    V = config.vocab_size
-    x0 = token_rows(x0_batch, V)
-    B, L = x0.shape
-    if B < 1:
+    corrupted, t = forward_mask(x0_batch, config.vocab_size, prompt_len, rng,
+                                config.t_min, redraws=1)
+    if len(corrupted) < 1:
         raise ValueError("x0 batch must be a nonempty (B, L) array")
-    if not 0 <= prompt_len < L:
-        raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
-    loss_mask = np.zeros((B, L), dtype=bool)
-    weights = np.zeros(B)
-    for b in range(B):
-        for _ in range(2):  # one resample allowed
-            t = rng.uniform(config.t_min, 1.0)
-            masked = rng.random(L - prompt_len) >= alpha(t)
-            if masked.any():
-                loss_mask[b, prompt_len:] = masked
-                weights[b] = 1.0 / t
-                break
-    corrupted = np.where(loss_mask, V + 1, x0)
-    return corrupted, loss_mask, weights, int((weights == 0.0).sum())
+    loss_mask = corrupted == config.vocab_size + 1
+    kept = loss_mask.any(axis=1)
+    weights = np.zeros(len(t))
+    weights[kept] = 1.0 / t[kept]
+    return corrupted, loss_mask, weights, int((~kept).sum())
 
 
 def mdlm_loss_and_grad(

@@ -456,7 +456,7 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
     """
     if state.vocab.size != model.vocab.size or len(state) != model.L:
         raise ValueError("state does not match the model's vocabulary or length")
-    if not state.is_masked(position):
+    if state.tokens[position] != state.vocab.mask_id:
         raise ValueError(f"position {position} is not masked")
     masked = np.array([state.tokens]) == state.vocab.mask_id
     return float(OracleDenoiser(model).dependency_scores(masked)[0, position])

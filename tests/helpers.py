@@ -29,7 +29,7 @@ def brute_conditionals(model: JointModel, state) -> dict[int, np.ndarray]:
     context_mass = 0.0
     for assignment in itertools.product(range(1, V + 1), repeat=L):
         if any(
-            assignment[i] != state.tokens[i] for i in state.unmasked_positions()
+            assignment[i] != tok for i, tok in enumerate(state.tokens) if i not in masked
         ):
             continue
         p = joint_prob(model, assignment)

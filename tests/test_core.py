@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlmlab.core import (
     SequenceState,
     Vocabulary,
     alpha,
     forward_mask,
-    posterior_step,
     reverse_unmask_prob,
     token_rows,
 )
@@ -31,7 +32,6 @@ def test_sequence_state_validation():
         SequenceState(V4, (1, 9), 0)  # bad token id
     s = SequenceState(V4, (3, 5, 1), 1)
     assert s.masked_positions() == (1,)
-    assert s.unmasked_positions() == (0, 2)
     s2 = s.with_tokens({1: 2})
     assert s2.tokens == (3, 2, 1) and s.tokens == (3, 5, 1)
 
@@ -64,23 +64,31 @@ def test_schedule_endpoints():
 
 def test_forward_mask_endpoints():
     rng = np.random.default_rng(0)
-    x0 = SequenceState(V4, (1, 2, 3, 4), 1)
-    assert forward_mask(x0, 0.0, rng).tokens == x0.tokens
-    assert forward_mask(x0, 1.0, rng).tokens == (1, 5, 5, 5)
-    with pytest.raises(ValueError):
-        forward_mask(x0, 1.5, rng)
-    with pytest.raises(ValueError):
-        forward_mask(SequenceState(V4, (1, 5), 1), 0.5, rng)
+    corrupted, t = forward_mask([(1, 2, 3, 4)] * 3, 4, 1, rng, t_min=1.0)
+    assert corrupted.tolist() == [[1, 5, 5, 5]] * 3 and t.tolist() == [1.0] * 3
+    corrupted, t = forward_mask(np.zeros((0, 4), dtype=int), 4, 1, rng)
+    assert corrupted.shape == (0, 4) and t.shape == (0,)
+    for x0, prompt_len, message in (
+        ([(1, 5)], 1, r"outside 1\.\.4"),  # the mask id is no clean token
+        ([(1, 0)], 0, r"outside 1\.\.4"),
+        ([(1.0, 2.0)], 0, "integers"),
+        ([(1, 2), (1,)], 0, "one length"),
+        ([1, 2], 0, "one length"),  # not rows
+        ([(1, 2)], 2, "prompt_len 2 out of range for L=2"),
+        ([(1, 2)], -1, "prompt_len -1 out of range"),
+        ([()], 0, "prompt_len 0 out of range for L=0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            forward_mask(x0, 4, prompt_len, rng)
 
 
 def test_forward_mask_masked_fraction():
-    # Monte Carlo check of the per-token Bernoulli(t) masking rule.
+    # given its t, a row's masked count is Binomial(L, t)
     rng = np.random.default_rng(7)
-    n = 10000
-    x0 = SequenceState(V4, tuple(rng.integers(1, 5, size=n).tolist()), 0)
-    xt = forward_mask(x0, 0.3, rng)
-    frac = len(xt.masked_positions()) / n
-    assert abs(frac - 0.3) < 0.02
+    x0 = rng.integers(1, 5, size=(5, 10000))
+    corrupted, t = forward_mask(x0, 4, 0, rng)
+    frac = (corrupted == 5).mean(axis=1)
+    assert np.all(np.abs(frac - t) < 0.02)
 
 
 def test_forward_mask_never_touches_prompt():
@@ -88,13 +96,42 @@ def test_forward_mask_never_touches_prompt():
     for _ in range(50):
         L = int(rng.integers(2, 9))
         pl = int(rng.integers(0, L))
-        toks = tuple(rng.integers(1, 5, size=L).tolist())
-        x0 = SequenceState(V4, toks, pl)
-        t = float(rng.uniform(0, 1))
-        xt = forward_mask(x0, t, rng)
-        assert xt.tokens[:pl] == toks[:pl]
-        for i in range(pl, L):
-            assert xt.tokens[i] in (toks[i], V4.mask_id)
+        x0 = rng.integers(1, 5, size=(4, L))
+        xt, _ = forward_mask(x0, 4, pl, rng, t_min=float(rng.uniform(0, 1)))
+        assert np.array_equal(xt[:, :pl], x0[:, :pl])
+        assert np.all((xt == x0) | (xt == V4.mask_id))
+
+
+def _mask_rows_reference(x0, V, prompt_len, rng, t_min, redraws):
+    """One row at a time, one uniform draw per position."""
+    out, ts = [], []
+    for row in x0:
+        for attempt in range(10**9 if redraws is None else redraws + 1):
+            t = rng.uniform(t_min, 1.0)
+            hidden = [rng.random() >= 1.0 - t for _ in range(len(row) - prompt_len)]
+            if any(hidden):
+                break
+        out.append(list(row[:prompt_len]) + [V + 1 if h else v
+                                             for h, v in zip(hidden, row[prompt_len:])])
+        ts.append(t)
+    return out, ts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), V=st.integers(2, 4), L=st.integers(1, 9), n=st.integers(0, 6),
+       t_min=st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.9]),
+       redraws=st.sampled_from([None, 0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_forward_mask_matches_per_row_reference(data, V, L, n, t_min, redraws, seed):
+    prompt_len = data.draw(st.integers(0, L - 1))
+    x0 = np.random.default_rng(seed).integers(1, V + 1, size=(n, L))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    corrupted, t = forward_mask(x0, V, prompt_len, rng, t_min, redraws)
+    want, want_t = _mask_rows_reference(x0.tolist(), V, prompt_len, ref_rng, t_min, redraws)
+    assert corrupted.dtype == np.int64 and corrupted.shape == (n, L)
+    assert corrupted.tolist() == want and t.tolist() == want_t
+    assert rng.random() == ref_rng.random()  # the same draws, no more
+    if redraws is None:  # no retry limit: every row ends up masked
+        assert np.all((corrupted == V + 1).any(axis=1))
 
 
 def test_reverse_unmask_prob_values():
@@ -119,20 +156,16 @@ def test_reverse_unmask_prob_range_and_monotonicity():
 
 
 def test_posterior_composition_recovers_forward_marginal():
-    # Corrupting to time t and stepping the analytic posterior back to s must
-    # look like corrupting directly to time s.
+    # Corrupting to time t and then revealing each masked position with
+    # reverse_unmask_prob(t, s), as stochastic remasking does, must look like
+    # corrupting directly to time s.
     rng = np.random.default_rng(11)
-    x0 = SequenceState(V4, (2, 1, 4, 3, 2, 1), 0)
+    x0 = np.array([2, 1, 4, 3, 2, 1])
     t, s = 0.8, 0.3
     n = 20000
-    masked_counts = np.zeros(len(x0))
-    for _ in range(n):
-        xt = forward_mask(x0, t, rng)
-        xs = posterior_step(xt, x0, t, s, rng)
-        for i in range(len(x0)):
-            if xs.is_masked(i):
-                masked_counts[i] += 1
-            else:
-                assert xs.tokens[i] == x0.tokens[i]
-    fracs = masked_counts / n
-    assert np.all(np.abs(fracs - s) < 0.02)
+    hidden_t = rng.random((n, len(x0))) >= alpha(t)
+    revealed = rng.random((n, len(x0))) < reverse_unmask_prob(t, s)
+    xs = np.where(hidden_t & ~revealed, V4.mask_id, x0)
+    masked = xs == V4.mask_id
+    assert np.all((xs == x0) | masked)
+    assert np.all(np.abs(masked.mean(axis=0) - s) < 0.02)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import one_row
 from mdlmlab.cli import load_experiment_config, parse_policy
-from mdlmlab.core import SequenceState, forward_mask
+from mdlmlab.core import SequenceState, alpha
 from mdlmlab.decoding import (
     SELECTORS, PolicyConfig, TraceStep, decode_blockwise, enumerate_decodes,
 )
@@ -472,15 +472,29 @@ def test_mean_conditional_kl_denoises_every_state_in_one_call():
     rng = np.random.default_rng(3)
     total, count = 0.0, 0
     for _ in range(40):
-        clean = SequenceState(model.vocab, sample_joint(model, rng), 1)
-        state = clean
-        while not state.masked_positions():
-            state = forward_mask(clean, rng.uniform(0.0, 1.0), rng)
+        clean = sample_joint(model, rng)
+        hidden = np.zeros(0, dtype=bool)
+        while not hidden.any():  # t first, then the positions, until one is masked
+            t = rng.uniform(0.0, 1.0)
+            hidden = rng.random(model.L - 1) >= alpha(t)
+        tokens = clean[:1] + tuple(np.where(hidden, model.vocab.mask_id, clean[1:]).tolist())
+        state = SequenceState(model.vocab, tokens, 1)
         [probs] = forward(den.params, one_row(state)).probs
         for i, p in conditional_marginal(model, state).items():
             total += kl_divergence(p, probs[i])
             count += 1
     assert abs(kl - total / count) <= 1e-12
+
+
+def test_mean_conditional_kl_refuses_bad_arguments():
+    model = reference_dag_model(29)
+    den = OracleDenoiser(model)
+    for n_states in (0, -1):
+        with pytest.raises(ValueError, match=f"n_states must be >= 1, got {n_states}"):
+            mean_conditional_kl(model, den, 1, n_states, np.random.default_rng(0))
+    for prompt_len in (-1, model.L):
+        with pytest.raises(ValueError, match=f"prompt_len {prompt_len} out of range"):
+            mean_conditional_kl(model, den, prompt_len, 5, np.random.default_rng(0))
 
 
 def test_metrics_csv_schema_stability():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import central_diff_max_rel_err, one_row
 from mdlmlab import nn
-from mdlmlab.core import SequenceState, StateBatch, Vocabulary, forward_mask
+from mdlmlab.core import SequenceState, StateBatch, Vocabulary, alpha
 from mdlmlab.nn import (
     CheckpointError,
     Params,
@@ -103,6 +103,8 @@ def test_forward_errors():
             run(StateBatch(vocab, np.array([1, 2, 4])))
         with pytest.raises(ValueError, match="outside 1..4"):
             run(StateBatch(vocab, np.array([[1, 5], [1, 5]])))
+        with pytest.raises(ValueError, match="sequence length 0 outside 1..max_len 8"):
+            run(StateBatch(vocab, np.ones((2, 0), dtype=int)))
         out = run(StateBatch(vocab, np.zeros((0, 5), dtype=int)))
         assert out.probs.shape == (0, 5, 3)
         assert [a.shape for a in out.attentions] == [(0, 2, 5, 5)] * 2
@@ -172,18 +174,17 @@ def test_corrupt_batch_counts_skips():
     assert np.all(corrupted[:, 0] == 1)  # prompt untouched
 
 
-def _corrupt_rows_with_forward_mask(cfg, x0, prompt_len, rng):
-    """Row-by-row reference for corrupt_batch, built on core.forward_mask."""
+def _corrupt_rows_reference(cfg, x0, prompt_len, rng):
+    """Row-by-row reference for corrupt_batch: t, then the positions, one redraw."""
     corrupted, mask, weights = x0.copy(), np.zeros(x0.shape, bool), np.zeros(len(x0))
     redraws = 0
-    for b, row in enumerate(x0):
-        clean = SequenceState(cfg.vocab, tuple(int(v) for v in row), prompt_len)
+    for b in range(len(x0)):
         for attempt in range(2):
             t = rng.uniform(cfg.t_min, 1.0)
-            state = forward_mask(clean, t, rng)
-            if state.masked_positions():
-                corrupted[b] = state.tokens
-                mask[b, list(state.masked_positions())] = True
+            hidden = rng.random(x0.shape[1] - prompt_len) >= alpha(t)
+            if hidden.any():
+                mask[b, prompt_len:] = hidden
+                corrupted[b, mask[b]] = cfg.vocab.mask_id
                 weights[b] = 1.0 / t
                 break
             redraws += attempt == 0
@@ -194,12 +195,14 @@ def _corrupt_rows_with_forward_mask(cfg, x0, prompt_len, rng):
 def test_corrupt_batch_matches_per_row_forward_mask(vocab_size, L, prompt_len):
     cfg = TransformerConfig(vocab_size=vocab_size, max_len=8, t_min=0.01)
     x0 = np.random.default_rng(L).integers(1, vocab_size + 1, size=(300, L))
-    got = corrupt_batch(cfg, x0, prompt_len, np.random.default_rng(21))
+    got_rng = np.random.default_rng(21)
+    got = corrupt_batch(cfg, x0, prompt_len, got_rng)
     ref_rng = np.random.default_rng(21)
-    *want, redraws = _corrupt_rows_with_forward_mask(cfg, x0, prompt_len, ref_rng)
+    *want, redraws = _corrupt_rows_reference(cfg, x0, prompt_len, ref_rng)
     for g, w in zip(got[:3], want[:3]):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert got[3] == want[3]
+    assert got_rng.random() == ref_rng.random()  # the same draws, no more
     if L - prompt_len == 1:  # one generated position: redraws and skips occur
         assert redraws > 0 and got[3] > 0
 
@@ -239,9 +242,9 @@ def test_loss_equals_weighted_conditional_entropy_for_exact_predictor():
     lhs, rhs, n = 0.0, 0.0, 4000
     for _ in range(n):
         x0 = sample_joint(model, rng)
-        clean = SequenceState(vocab, x0, 0)
-        state = forward_mask(clean, t, rng)
-        if not state.masked_positions():
+        hidden = rng.random(len(x0)) >= alpha(t)
+        state = SequenceState(vocab, tuple(np.where(hidden, vocab.mask_id, x0).tolist()), 0)
+        if not hidden.any():
             continue
         cm = conditional_marginal(model, state)
         for i, dist in cm.items():

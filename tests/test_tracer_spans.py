@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 
 import mdlmlab  # noqa: F401 - the tracer looks owners up in sys.modules
+from mdlmlab import nn
 from mdlmlab.decoding import PolicyConfig
-from mdlmlab.harness import ExperimentConfig, layered_suite_model, run_policy
+from mdlmlab.harness import (
+    ExperimentConfig, layered_suite_model, reference_dag_model, run_policy,
+)
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, init_params
 from mdlmlab.oracle import OracleDenoiser
 
@@ -101,3 +104,27 @@ def test_exact_oracle_run_keeps_its_work_under_traced_names():
     assert t.calls["oracle.denoise"] == 4
     assert t.calls["oracle.conditional_marginal"] == 0
     assert t.self_s["oracle.denoise"] > 0.0
+
+
+def test_training_masks_each_batch_in_one_forward_mask_call():
+    # nn.train corrupts each batch with one core.forward_mask call, made from
+    # inside nn.corrupt_batch, so the span counts one call per train step
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    parents = []
+    enter = t.enter
+
+    def spy(layer, name):
+        if layer == "core.forward_mask":
+            parents.append(t._stack[-1][0] if t._stack else None)
+        enter(layer, name)
+
+    t.enter = spy
+    cfg = TransformerConfig(n_layers=1, d_model=8, max_len=5, batch_size=8,
+                            train_steps=3, seed=0)
+    with tracer.installed(t):
+        nn.train(cfg, reference_dag_model(42), prompt_len=1)  # the traced binding
+    assert not tracer.leftover_wrappers()
+    assert t.calls["nn.train"] == 1 and t.calls["nn.corrupt_batch"] == 3
+    assert t.calls["core.forward_mask"] == 3
+    assert parents == ["nn.corrupt_batch"] * 3
