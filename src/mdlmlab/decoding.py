@@ -155,9 +155,11 @@ class DecodeTrace:
 
     @property
     def steps(self) -> list[TraceStep]:
-        at = [np.flatnonzero(self.step_of == s) for s in range(self.nfe)]  # ascending
-        return [TraceStep(s, a.tolist(), self.tokens[a].tolist(), self.scores[a].tolist(), s + 1)
-                for s, a in enumerate(at)]
+        order = np.argsort(self.step_of, kind="stable")  # by step, then ascending position
+        bounds = np.searchsorted(self.step_of[order], np.arange(self.nfe + 1)).tolist()
+        at, tokens, scores = (x.tolist() for x in (order, self.tokens[order], self.scores[order]))
+        return [TraceStep(s, at[a:b], tokens[a:b], scores[a:b], s + 1)
+                for s, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
     def committed_positions(self) -> list[int]:
         return [p for s in self.steps for p in s.positions]
@@ -204,9 +206,8 @@ class History:
 # ---------------------------------------------------------------------------
 # selection primitives over (n, L) chunks: each takes per-row candidate masks
 # and returns an (n, L) selected mask; all ties break toward the lowest
-# position index. ``select_topk`` and ``select_eb`` also take one row as a
-# 1-D vector with a position list and give its selected positions as a
-# sorted tuple.
+# position index. ``select_eb`` also takes one row as a 1-D vector with a
+# position list and gives its selected positions as a sorted tuple.
 # ---------------------------------------------------------------------------
 
 def _one_row(select, vectors: Sequence[np.ndarray], candidates: Sequence[int], *args):
@@ -238,13 +239,8 @@ def _or_best(chosen: np.ndarray, conf: np.ndarray, candidates: np.ndarray) -> np
     return chosen
 
 
-def select_topk(scores: np.ndarray, candidates, k) -> np.ndarray | tuple[int, ...]:
-    """The min(k, #candidates) highest-scoring candidates, with k per row. One row
-    sorts in Python, as numpy calls cost more in the layered models' rejection loop."""
-    if np.ndim(scores) == 1:
-        if k < 1 or not candidates:
-            raise ValueError("k must be >= 1" if k < 1 else "no masked positions to select from")
-        return tuple(sorted(sorted(candidates, key=lambda i: (-scores[i], i))[:k]))
+def select_topk(scores: np.ndarray, candidates: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The min(k, #candidates) highest-scoring candidates, with k per row."""
     count = candidates.sum(axis=1)
     if (k < 1).any() or not count.all():
         raise ValueError("k must be >= 1 and every row needs a masked position")
@@ -537,9 +533,14 @@ def enumerate_decodes(
     the single argmax branch). A step repeats the rows once per value of
     their first selected position, then of the next, so the first position
     varies slowest; finished rows keep their place. Outcomes come prompt by
-    prompt, each prompt's depth-first in token order; a sequence reached
-    along several paths is listed once per path. A malformed prompt raises
-    ``ValueError`` before any denoiser call (see ``_start``).
+    prompt, each prompt's depth-first in token order. A malformed prompt
+    raises ``ValueError`` before any denoiser call (see ``_start``).
+
+    Given distinct prompts, every token row the walk hands its denoiser is
+    distinct across the whole walk, and so is every outcome: each step
+    commits at least one position, and the branches of a row all commit
+    the same selected set, each with other values. So a fresh
+    ``OracleDenoiser`` ends a walk without one cache hit.
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")

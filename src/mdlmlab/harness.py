@@ -425,15 +425,14 @@ def dependency_greedy_schedule(model: JointModel, prompt_len: int, steps: int) -
     selection sequence is one deterministic schedule.
     """
     denoiser = OracleDenoiser(model)
-    mask = [i >= prompt_len for i in range(model.L)]
+    mask = np.arange(model.L)[None] >= prompt_len
     groups = []
     steps_left = steps
-    while masked := [i for i, m in enumerate(mask) if m]:
-        k = math.ceil(len(masked) / max(1, steps_left))
-        group = select_topk(denoiser.dependency_scores([mask])[0], masked, k)
-        groups.append(group)
-        for i in group:
-            mask[i] = False
+    while mask.any():
+        k = -(-mask.sum(axis=1) // max(1, steps_left))
+        group = select_topk(denoiser.dependency_scores(mask), mask, k)
+        groups.append(tuple(np.flatnonzero(group[0]).tolist()))
+        mask = mask & ~group
         steps_left = max(1, steps_left - 1)
     return GroupSchedule(tuple(groups))
 

@@ -109,9 +109,9 @@ def init_params(config: TransformerConfig) -> Params:
     rng = np.random.default_rng(config.seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_specs(config):
-        if name.endswith(".g") or name == "lnf.g":
+        if name.endswith(".g"):
             tensors[name] = np.ones(shape)
-        elif name.endswith((".b", ".b1", ".b2", "bout")) or name == "bout":
+        elif name.endswith((".b", ".b1", ".b2", "bout")):
             tensors[name] = np.zeros(shape)
         else:
             tensors[name] = rng.normal(0.0, 0.02, size=shape)

@@ -298,7 +298,7 @@ def _conditionals(table: np.ndarray, tokens: np.ndarray, mask_id: int) -> np.nda
     probs = np.zeros((m, L, V))
     seen_r, seen_i = np.nonzero(~masked)
     probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
-    patterns, group = mask_patterns(masked)
+    patterns, group, _ = mask_patterns(masked)
     for g, pattern in enumerate(patterns):
         free = np.flatnonzero(pattern).tolist()
         if not free:
@@ -469,11 +469,11 @@ class OracleDenoiser:
     (``_conditionals`` and ``_slabs``), as every exact conditional and mutual
     information here does. Output rows are cached by token row and
     dependency scores by mask pattern, so repeated contexts during
-    enumeration or sampling are cheap. A row's cache key is one integer,
-    its tokens 1..V+1 read as base-(V+1) digits; under ``ENUM_LIMIT``
-    (V+1)^L stays below 2^31. The row store doubles when full, so a call
-    that misses copies the cache only when it grows, and its new keys are
-    merged into the sorted index in one insert.
+    enumeration or sampling are cheap. Both caches are dicts keyed by one
+    integer: a row's tokens 1..V+1 read as base-(V+1) digits, which maps to
+    the row's slot in the row store, and a mask pattern's bit code. The row
+    store doubles when full, so a call that misses copies the cache only
+    when it grows.
     """
 
     def __init__(self, model: JointModel):
@@ -481,14 +481,12 @@ class OracleDenoiser:
         self.vocab = model.vocab
         V, L = self.vocab.size, model.L
         self._radix = (V + 1) ** np.arange(L, dtype=np.int64)
-        # row 0: the cached rows' codes, sorted after a sentinel that matches
-        # no row; row 1: each code's row in _rows
-        self._index = np.array([[np.iinfo(np.int64).max], [-1]])
+        self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _rows
         # _rows is a read-only view of the filled part of _buffer, which
         # doubles when full; only __call__ writes the spare rows
         self._buffer = np.zeros((0, L, V))
         self._rows = self._buffer[:0]
-        self._dep_cache: dict[tuple[bool, ...], np.ndarray] = {}
+        self._dep_cache: dict[int, np.ndarray] = {}
         self.hits = 0  # rows a call found in the cache
         self.misses = 0  # rows a call did not find there
         self.dep_hits = 0  # mask rows whose scores were cached when the call began
@@ -513,8 +511,7 @@ class OracleDenoiser:
             raise ValueError("states do not match the model's vocabulary")
         batch = token_rows(states.tokens, V, L, mask=True)
         codes = (batch - 1) @ self._radix
-        at = np.searchsorted(self._index[0], codes)
-        slots = np.where(self._index[0, at] == codes, self._index[1, at], -1)
+        slots = np.array([self._slot_of.get(c, -1) for c in codes.tolist()], dtype=np.int64)
         missed = slots < 0
         n_missed = int(missed.sum())
         self.hits, self.misses = self.hits + len(batch) - n_missed, self.misses + n_missed
@@ -532,8 +529,7 @@ class OracleDenoiser:
             self._rows = self._buffer[: n + m]
             self._rows.flags.writeable = False  # no caller can corrupt a cached row
             slots[missed] = n + inverse
-            at = np.searchsorted(self._index[0], new)
-            self._index = np.insert(self._index, at, [new, np.arange(n, n + m)], axis=1)
+            self._slot_of.update(zip(new.tolist(), range(n, n + m)))
         return DenoiserOutput(self._rows[slots])
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
@@ -556,15 +552,13 @@ class OracleDenoiser:
         masked = np.asarray(masked, dtype=bool)
         if masked.ndim != 2 or masked.shape[1] != L:
             raise ValueError(f"masks must be rows of {L} positions, got shape {masked.shape}")
-        patterns, inverse = mask_patterns(masked)
-        keys = list(map(tuple, patterns.tolist()))
-        cached = np.array([key in self._dep_cache for key in keys], dtype=bool)
+        patterns, inverse, codes = mask_patterns(masked)
+        cached = np.array([code in self._dep_cache for code in codes.tolist()], dtype=bool)
         n_hit = int(cached[inverse].sum())
         self.dep_hits += n_hit
         self.dep_misses += len(masked) - n_hit
-        for key in (key for key, hit in zip(keys, cached) if not hit):
-            free = [i for i in range(L) if key[i]]
-            fixed = [i for i in range(L) if not key[i]]
+        for code, pattern in zip(codes[~cached].tolist(), patterns[~cached]):
+            free, fixed = np.flatnonzero(pattern).tolist(), np.flatnonzero(~pattern).tolist()
             scores = np.full(L, np.nan)
             scores[free] = 0.0
             if free and fixed:
@@ -575,8 +569,8 @@ class OracleDenoiser:
                     nz = joint > 0
                     mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
                     scores[pos] = max(mi, 0.0)
-            self._dep_cache[key] = scores
-        return np.array([self._dep_cache[key] for key in keys]).reshape(-1, L)[inverse]
+            self._dep_cache[code] = scores
+        return np.array([self._dep_cache[code] for code in codes.tolist()]).reshape(-1, L)[inverse]
 
 
 # ---------------------------------------------------------------------------

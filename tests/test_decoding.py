@@ -16,6 +16,7 @@ from mdlmlab.decoding import (
     DecodeTrace,
     History,
     PolicyConfig,
+    TraceStep,
     commit_token,
     compute_ranking,
     decode_blockwise,
@@ -88,14 +89,14 @@ def test_commit_token_draws_like_sequential_choice(seed, K, V):
 
 
 def test_select_topk():
-    scores = np.array([0.2, 0.9, 0.9])
-    assert select_topk(scores, [0, 1, 2], 2) == (1, 2)  # tie to lowest index
-    assert select_topk(scores, [0, 1, 2], 5) == (0, 1, 2)
-    assert select_topk(scores, [0, 1, 2], 1) == (1,)
+    scores = np.array([[0.2, 0.9, 0.9]])
+    every = np.ones((1, 3), dtype=bool)
+    for k, want in ((2, [1, 2]), (5, [0, 1, 2]), (1, [1])):  # ties to the lowest index
+        assert np.flatnonzero(select_topk(scores, every, np.array([k]))[0]).tolist() == want
     with pytest.raises(ValueError):
-        select_topk(scores, [], 1)
+        select_topk(scores, ~every, np.array([1]))
     with pytest.raises(ValueError):
-        select_topk(scores, [0], 0)
+        select_topk(scores, np.array([[True, False, False]]), np.array([0]))
 
 
 BOTH = np.array([[True, True]])  # one row of two candidate positions
@@ -316,9 +317,6 @@ def test_chunk_plan_step_matches_per_row_selectors(
         want = _ref_plan(policy, ranking[r], vector[r], np.flatnonzero(candidates[r]).tolist(),
                          int(steps_left[r]), [out[r] for out in outputs])
         assert tuple(np.flatnonzero(got[r]).tolist()) == want
-        if selector == "topk":  # the one-row case is a separate Python sort
-            k = math.ceil(candidates[r].sum() / steps_left[r])
-            assert select_topk(ranking[r], np.flatnonzero(candidates[r]).tolist(), k) == want
 
 
 def test_decode_one_token_per_step_nfe():
@@ -362,6 +360,28 @@ def test_decode_trace_partitions_positions():
         assert sorted(committed) == [1, 2, 3, 4]
         assert len(set(committed)) == len(committed)
         assert trace.nfe == len(trace.steps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), selector=st.sampled_from(SELECTORS),
+       steps=st.integers(0, 8), block_size=st.integers(0, 3), remask=st.booleans(),
+       prompt_len=st.integers(0, 2))
+def test_trace_steps_follow_the_per_step_definition(
+        seed, selector, steps, block_size, remask, prompt_len):
+    # step s lists the positions with step_of == s in ascending order, empty
+    # ones included; stochastic remasking leaves steps that commit nothing
+    den = oracle_den(seed=seed % 97, L=5)
+    policy = PolicyConfig(selector=selector, steps=steps, block_size=block_size,
+                          temperature="sample", stochastic_remask=remask and selector == "topk")
+    rng = np.random.default_rng(seed)
+    prompts = [sample_joint(den.model, rng)[:prompt_len] for _ in range(6)]
+    for _, trace in decode_blockwise(den, policy, prompts, 5 - prompt_len, rng):
+        want = []
+        for s in range(trace.nfe):
+            at = np.flatnonzero(trace.step_of == s)
+            want.append(TraceStep(s, at.tolist(), trace.tokens[at].tolist(),
+                                  trace.scores[at].tolist(), s + 1))
+        assert trace.to_jsonl() == "".join(json.dumps(w.to_record()) + "\n" for w in want)
 
 
 def test_unmasked_tokens_never_change():

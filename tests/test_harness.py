@@ -211,6 +211,39 @@ def test_exact_mode_uses_the_given_oracle():
     assert len(run_oracle._rows)
 
 
+class RowSpy(OracleDenoiser):
+    """An oracle that records every token row it is handed."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.rows = []
+
+    def __call__(self, states):
+        self.rows += map(tuple, np.asarray(states.tokens).tolist())
+        return super().__call__(states)
+
+
+@pytest.mark.parametrize("temperature", ["greedy", "sample"])
+def test_an_exact_walk_hands_its_denoiser_each_row_once(temperature):
+    # the enumerate_decodes contract: from distinct prompts every row of a
+    # walk, and every outcome, is distinct, so a fresh oracle never hits
+    policies = [PolicyConfig(scorer=scorer, selector="topk", steps=4, block_size=block,
+                             temperature=temperature)
+                for scorer in ("confidence", "oracle_dep") for block in (0, 3)]
+    policies += [PolicyConfig(scorer=scorer, selector=selector, temperature=temperature)
+                 for scorer in ("confidence", "oracle_dep")
+                 for selector in ("threshold", "klass", "eb")]
+    for seed in range(5):
+        model = layered_suite_model(seed)
+        prompts = prompt_marginal(model, 1)
+        for policy in policies:
+            spy = RowSpy(model)
+            tokens, _, _ = enumerate_decodes(spy, policy, prompts, model.L - 1)
+            assert len(set(spy.rows)) == len(spy.rows) == spy.misses > 0
+            assert spy.hits == 0
+            assert len(np.unique(tokens, axis=0)) == len(tokens)
+
+
 def test_run_experiment_determinism_and_csv(tmp_path):
     policy_exact = PolicyConfig(scorer="oracle_dep", selector="topk", steps=2,
                                 temperature="sample")
