@@ -6,6 +6,14 @@ content tokens only, so the mask symbol always has probability zero. Every
 attention matrix is returned from the forward pass; that tensor is the input
 to attention-based dependency scoring.
 
+A row's forward does not depend on the other rows of its batch, so every
+batched entry point (``TransformerDenoiser.batch`` and the training losses)
+runs each distinct row once and repeats its output: the outputs and the loss
+are bit-identical to a forward over every row. The gradient is the backward
+of the distinct rows, each taking the sum of its copies' output gradients;
+the backward is linear in those for fixed activations, so it is the same
+sum in another order (about 1e-14 relative drift).
+
 All tensors are float64, which keeps finite-difference gradient checks tight.
 """
 
@@ -279,6 +287,20 @@ def _backward_batch(params: Params, dlogits: np.ndarray, cache) -> dict[str, np.
     return g
 
 
+def _distinct_rows(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of an (n, L) int64 array.
+
+    ``tokens[first]`` holds each distinct row once, and
+    ``tokens[first][inverse]`` equals ``tokens``. Rows are keyed by their
+    bytes (one ``np.unique`` over an int64 void view), a key that cannot
+    overflow for any V or L.
+    """
+    tokens = np.ascontiguousarray(tokens)
+    keys = tokens.view(np.dtype((np.void, tokens.itemsize * tokens.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def forward(params: Params, states: StateBatch) -> DenoiserOutput:
     """Denoise a batch: per-position distributions plus all attention maps.
 
@@ -306,17 +328,15 @@ class TransformerDenoiser:
         distinct rows: each output is repeated in row order.
 
         A row's output does not depend on the other rows, so the result is
-        bit-identical. Rows are keyed by their bytes (one ``np.unique`` over
-        an int64 void view), a key that cannot overflow for any V or L. NFE
+        bit-identical. Rows are keyed by ``_distinct_rows``. NFE
         still counts one evaluation per sequence per step, whatever is shared
         among equal rows, as with the oracle's cache. Errors are those of
         ``forward``, in its order: the vocabulary first, then the rows.
         """
         if states.vocab.size != self.vocab.size:
             raise ValueError("state vocabulary does not match the model")
-        tokens = np.ascontiguousarray(token_rows(states.tokens, self.vocab.size, mask=True))
-        keys = tokens.view(np.dtype((np.void, tokens.itemsize * tokens.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        tokens = token_rows(states.tokens, self.vocab.size, mask=True)
+        first, inverse = _distinct_rows(tokens)
         out = forward(self.params, StateBatch(states.vocab, tokens[first]))
         return DenoiserOutput(out.probs[inverse], [a[inverse] for a in out.attentions])
 
@@ -343,6 +363,34 @@ def masked_cross_entropy(
     return float(-(weights * per_example).sum() / B)
 
 
+def _forward_corrupted(
+    params: Params,
+    corrupted: np.ndarray,
+    x0: np.ndarray,
+    loss_mask: np.ndarray,
+    weights: np.ndarray,
+    cache: list | None = None,
+):
+    """Check a loss's arguments and run the forward over the distinct rows.
+
+    Returns ``(log_probs, inverse, x0)``: the distinct rows' log-probs, each
+    corrupted row's index into them, and ``x0`` as int64.
+    """
+    tokens = token_rows(corrupted, params.config.vocab_size, mask=True)
+    try:
+        x0 = token_rows(x0, params.config.vocab_size)
+    except ValueError as exc:
+        raise ValueError(f"x0: {exc}") from None
+    for name, arg, shape in (("x0", x0, tokens.shape),
+                             ("loss_mask", loss_mask, tokens.shape),
+                             ("weights", weights, tokens.shape[:1])):
+        if np.shape(arg) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(arg)}")
+    first, inverse = _distinct_rows(tokens)
+    log_probs, _ = _forward_batch(params, tokens[first], cache)
+    return log_probs, inverse, x0
+
+
 def loss_on_corrupted(
     params: Params,
     corrupted: np.ndarray,
@@ -350,9 +398,13 @@ def loss_on_corrupted(
     loss_mask: np.ndarray,
     weights: np.ndarray,
 ) -> float:
-    """Loss only (no gradient); the target for finite-difference checks."""
-    log_probs, _ = _forward_batch(params, corrupted)
-    return masked_cross_entropy(log_probs, x0, loss_mask, weights)
+    """Loss only (no gradient); the target for finite-difference checks.
+
+    It runs the forward of ``loss_and_grad_on_corrupted``, over the distinct
+    corrupted rows, and refuses what that refuses.
+    """
+    log_probs, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights)
+    return masked_cross_entropy(log_probs[inverse], x0, loss_mask, weights)
 
 
 def loss_and_grad_on_corrupted(
@@ -362,9 +414,21 @@ def loss_and_grad_on_corrupted(
     loss_mask: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Deterministic loss and exact-backprop gradient on a corrupted batch."""
+    """Deterministic loss and exact-backprop gradient on a corrupted batch.
+
+    One forward and one backward run over the batch's distinct corrupted
+    rows. The loss takes each row's log-probs from its distinct row, so it
+    is bit-identical to a forward over every row. Each row's output
+    gradient is built as for its own forward and summed into its distinct
+    row's, so the gradient is the full batch's up to summation order.
+
+    ``x0`` must hold ids 1..V and, like ``loss_mask``, have the corrupted
+    batch's (B, L) shape; ``weights`` must be (B,). Otherwise ``ValueError``
+    names the argument, so no target is aliased or broadcast over the batch.
+    """
     cache: list = []
-    log_probs, _ = _forward_batch(params, corrupted, cache)
+    distinct, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights, cache)
+    log_probs = distinct[inverse]
     loss = masked_cross_entropy(log_probs, x0, loss_mask, weights)
     B, L, V = log_probs.shape
     w = (weights / B)[:, None] * loss_mask  # (B, L) per-position weight
@@ -374,7 +438,9 @@ def loss_and_grad_on_corrupted(
         (np.arange(B)[:, None], np.arange(L)[None, :], x0 - 1),
         w,
     )
-    grads = _backward_batch(params, dlogits, cache)
+    summed = np.zeros_like(distinct)
+    np.add.at(summed, inverse, dlogits)
+    grads = _backward_batch(params, summed, cache)
     return loss, grads
 
 

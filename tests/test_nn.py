@@ -139,18 +139,6 @@ def test_batch_runs_each_distinct_row_once(data, V, L):
             assert np.array_equal(got[r], want[0])
 
 
-def test_gradient_check_small_model():
-    params = init_params(SMALL)
-    rng = np.random.default_rng(0)
-    x0 = rng.integers(1, 4, size=(3, 6))
-    corrupted, mask, weights, _ = corrupt_batch(SMALL, x0, 1, rng)
-    _, grads = loss_and_grad_on_corrupted(params, corrupted, x0, mask, weights)
-    worst = central_diff_max_rel_err(
-        params, grads, corrupted, x0, mask, weights, sample_per_tensor=6
-    )
-    assert max(worst.values()) < 1e-4, worst
-
-
 def test_loss_zero_when_nothing_masked():
     params = init_params(SMALL)
     x0 = np.array([[1, 2, 3, 1]])
@@ -158,6 +146,116 @@ def test_loss_zero_when_nothing_masked():
     loss, grads = loss_and_grad_on_corrupted(params, x0, x0, mask, np.array([2.0]))
     assert loss == 0.0
     assert all(np.all(g == 0) for g in grads.values())
+
+
+def _repeated_rows_batch(kind):
+    """A corrupted SMALL batch whose rows repeat, with its x0, mask and weights.
+
+    ``identical``: one fully masked row (prompt 1) six times, each copy with
+    its own x0 and weight. ``mixed``: rows drawn from a pool of three x0 rows
+    and three mask patterns, one of them masking nothing (weight 0)."""
+    rng = np.random.default_rng(3)
+    mask_id = SMALL.vocab.mask_id
+    if kind == "identical":
+        x0 = rng.integers(1, 4, size=(6, 6))
+        x0[:, 0] = 1
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[:, 1:] = True
+        weights = rng.uniform(1.0, 5.0, size=6)
+    else:
+        pool = rng.integers(1, 4, size=(3, 6))
+        patterns = np.array([[0, 1, 1, 0, 1, 1], [0, 1, 1, 1, 1, 1], [0] * 6], dtype=bool)
+        picks = rng.integers(0, 3, size=(14, 2))
+        x0, mask = pool[picks[:, 0]], patterns[picks[:, 1]]
+        weights = np.where(mask.any(axis=1), rng.uniform(1.0, 5.0, size=14), 0.0)
+    corrupted = np.where(mask, mask_id, x0)
+    return corrupted, x0, mask, weights
+
+
+@pytest.mark.parametrize("kind", ["identical", "mixed"])
+def test_deduplicated_loss_and_gradient_match_every_row(kind):
+    # the loss equals the one from each row's own forward bit for bit, and
+    # each gradient is the un-deduplicated backward's up to summation order
+    params = init_params(SMALL)
+    corrupted, x0, mask, weights = _repeated_rows_batch(kind)
+    assert 1 <= len({tuple(r) for r in corrupted.tolist()}) < len(corrupted)
+    loss, grads = loss_and_grad_on_corrupted(params, corrupted, x0, mask, weights)
+    per_row = np.concatenate([nn._forward_batch(params, row[None])[0] for row in corrupted])
+    assert loss == masked_cross_entropy(per_row, x0, mask, weights)
+    assert loss == nn.loss_on_corrupted(params, corrupted, x0, mask, weights)
+
+    cache: list = []
+    log_probs, _ = nn._forward_batch(params, corrupted, cache)
+    B, L, _ = log_probs.shape
+    w = (weights / B)[:, None] * mask
+    dlogits = np.exp(log_probs) * w[:, :, None]
+    np.subtract.at(dlogits, (np.arange(B)[:, None], np.arange(L)[None, :], x0 - 1), w)
+    want = nn._backward_batch(params, dlogits, cache)
+    assert set(grads) == set(want)
+    for name, g in want.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_gradient_check_small_model():
+    # on a corrupted batch, and on one whose rows repeat
+    params = init_params(SMALL)
+    rng = np.random.default_rng(0)
+    x0 = rng.integers(1, 4, size=(3, 6))
+    corrupted, mask, weights, _ = corrupt_batch(SMALL, x0, 1, rng)
+    for batch in ((corrupted, x0, mask, weights), _repeated_rows_batch("mixed")):
+        _, grads = loss_and_grad_on_corrupted(params, *batch)
+        worst = central_diff_max_rel_err(params, grads, *batch, sample_per_tensor=6)
+        assert max(worst.values()) < 1e-4, worst
+
+
+def test_losses_run_each_distinct_corrupted_row_once():
+    params = init_params(SMALL)
+    corrupted, x0, mask, weights = _repeated_rows_batch("mixed")
+    distinct = {tuple(r) for r in corrupted.tolist()}
+    for loss_fn in (nn.loss_on_corrupted, loss_and_grad_on_corrupted):
+        calls = []
+        real = nn._forward_batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_forward_batch",
+                       lambda p, tokens, cache=None: calls.append(tokens) or real(p, tokens, cache))
+            loss_fn(params, corrupted, x0, mask, weights)
+        [ran] = calls
+        assert len(ran) == len(distinct) and {tuple(r) for r in ran.tolist()} == distinct
+
+
+def _malformed(probe):
+    """(corrupted, x0, loss_mask, weights) of a V=2 batch of 2 corrupted rows,
+    with one argument broken as ``probe`` names."""
+    corrupted = np.array([[1, 3, 3], [3, 2, 3]])
+    x0 = np.array([[1, 2, 1], [2, 2, 1]])
+    mask = corrupted == 3
+    weights = np.array([1.5, 2.0])
+    if probe == "x0 id 0":
+        x0[0, 1] = 0  # x0 - 1 = -1 would take the last token's log-prob
+    elif probe == "one-row x0":
+        x0 = x0[:1]  # would be broadcast over the batch
+    elif probe == "x0 mask id":
+        x0[1, 2] = 3
+    elif probe == "float x0":
+        x0 = x0.astype(float)
+    elif probe == "one weight":
+        weights = weights[:1]  # would be broadcast over the batch
+    elif probe == "one-row loss_mask":
+        mask = mask[:1]
+    return corrupted, x0, mask, weights
+
+
+@pytest.mark.parametrize("probe, name", [
+    ("x0 id 0", "x0"), ("one-row x0", "x0"), ("x0 mask id", "x0"), ("float x0", "x0"),
+    ("one weight", "weights"), ("one-row loss_mask", "loss_mask"),
+])
+def test_loss_entry_points_name_a_malformed_target(probe, name):
+    params = init_params(TransformerConfig(vocab_size=2))
+    args = _malformed(probe)
+    for loss_fn in (nn.loss_on_corrupted, loss_and_grad_on_corrupted):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            loss_fn(params, *args)
+    assert np.isfinite(nn.loss_on_corrupted(params, *_malformed(None)))
 
 
 def test_corrupt_batch_counts_skips():
