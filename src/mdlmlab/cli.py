@@ -5,6 +5,8 @@ The ``policy`` key may repeat, one decoding policy per line, with
 space-separated ``key=value`` pairs (defaults: eps=0.95, gamma=0.01, n=2).
 A policy key is a ``PolicyConfig`` field or one of ``_POLICY_ALIASES``;
 ``sweep KEY --values v1,v2,...`` re-runs every policy at each value of KEY.
+No other key, and no policy field (under its name or its alias), may be
+given twice, and a comma-separated flag may have no empty field.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .nn import TransformerConfig, save_checkpoint, train
 
 
 def read_kv_file(path: str) -> list[tuple[str, str]]:
-    """Parse a line-oriented key = value file, preserving order and repeats."""
+    """Parse a line-oriented key = value file, preserving order; a key other
+    than ``policy`` given twice raises a ValueError naming it."""
     pairs: list[tuple[str, str]] = []
+    first: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -38,9 +42,21 @@ def read_kv_file(path: str) -> list[tuple[str, str]]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first and key != "policy":
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+            first[key] = lineno
+            pairs.append((key, value))
     return pairs
+
+
+def _comma_fields(flag: str, text: str) -> list[str]:
+    """``text`` split at commas, none for ""; an empty field raises a
+    ValueError naming ``flag``."""
+    items = text.split(",") if text else []
+    if "" in items:
+        raise ValueError(f"{flag} has an empty comma-separated field: {text!r}")
+    return items
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -90,6 +106,8 @@ def parse_policy(text: str) -> PolicyConfig:
             raise ValueError(f"bad policy token {token!r}")
         key, value = token.split("=", 1)
         name = _policy_field(key)
+        if name in kwargs:
+            raise ValueError(f"policy key {key!r} sets {name} a second time")
         kwargs[name] = _typed(PolicyConfig, name, value, key)
     return PolicyConfig(**kwargs)
 
@@ -159,8 +177,9 @@ def _cmd_decode(args) -> int:
     model = resolve_joint(args.joint)
     denoiser = resolve_denoiser(args.denoiser, model)
     policy = parse_policy(args.policy)
+    tokens = _comma_fields("--prompt", args.prompt)
     try:
-        prompt = [int(t) for t in args.prompt.split(",") if t]
+        prompt = [int(t) for t in tokens]
     except ValueError:
         raise ValueError(f"--prompt must be comma-separated ints, got {args.prompt!r}") from None
     gen_len = model.L - len(prompt)
@@ -203,7 +222,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
     name = _policy_field(args.key)
-    values = [_typed(PolicyConfig, name, v, args.key) for v in args.values.split(",") if v]
+    values = [_typed(PolicyConfig, name, v, args.key)
+              for v in _comma_fields("--values", args.values)]
     if not values:
         raise ValueError(f"--values must list at least one value, got {args.values!r}")
     return _report(sweep(cfg, name, values), cfg.out)

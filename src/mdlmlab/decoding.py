@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
@@ -91,6 +92,11 @@ class PolicyConfig:
         # written so that NaN, which fails every comparison, fails each check
         if not self.eps_kl > 0.0:
             raise ValueError("eps_kl must be > 0")
+        for name in ("steps", "block_size", "layer", "n_history"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # NumPy integers name policies as ints
         if self.n_history < 1:
             raise ValueError("n_history must be >= 1")
         if not self.gamma >= 0.0:
@@ -136,9 +142,6 @@ class TraceStep:
     scores: list[float]
     nfe: int
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, eq=False)
 class DecodeTrace:
@@ -165,7 +168,7 @@ class DecodeTrace:
         return [p for s in self.steps for p in s.positions]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(s.to_record()) for s in self.steps) + "\n"
+        return "\n".join(json.dumps(asdict(s)) for s in self.steps) + "\n"
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -209,14 +212,6 @@ class History:
 # position index. ``select_eb`` also takes one row as a 1-D vector with a
 # position list and gives its selected positions as a sorted tuple.
 # ---------------------------------------------------------------------------
-
-def _one_row(select, vectors: Sequence[np.ndarray], candidates: Sequence[int], *args):
-    """``select`` on one row given as 1-D ``vectors`` and a position list."""
-    mask = np.zeros((1, len(vectors[0])), dtype=bool)
-    mask[0, list(candidates)] = True
-    selected = select(*(np.asarray(v)[None] for v in vectors), mask, *args)
-    return tuple(np.flatnonzero(selected[0]).tolist())
-
 
 def _ranked(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Each row's positions: its candidates by descending score, then the rest."""
@@ -274,7 +269,10 @@ def select_eb(
     (a value that never decreases as the prefix grows).
     """
     if np.ndim(ranking) == 1:
-        return _one_row(select_eb, [ranking, entropies], candidates, gamma)
+        mask = np.zeros((1, len(ranking)), dtype=bool)
+        mask[0, list(candidates)] = True
+        selected = select_eb(np.asarray(ranking)[None], np.asarray(entropies)[None], mask, gamma)
+        return tuple(np.flatnonzero(selected[0]).tolist())
     order = _ranked(ranking, candidates)
     ent = np.take_along_axis(entropies, order, axis=1)
     top = np.maximum.accumulate(np.maximum(ent, 0.0), axis=1)  # the running max starts at 0

@@ -71,11 +71,16 @@ def empirical_distribution(samples, V: int) -> Distribution:
 def _aligned(p: Mapping, q: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """The masses of ``p`` and ``q`` as two arrays over one index: the
     vectors of two ``Distribution`` views of one joint, else the union of
-    their keys."""
-    if isinstance(p, Distribution) and isinstance(q, Distribution) and (p.V, p.L) == (q.V, q.L):
+    their keys. Two ``Distribution``s over different (V, L), or keys of
+    different lengths, raise ``ValueError``: they are not one sequence space."""
+    if isinstance(p, Distribution) and isinstance(q, Distribution):
+        if (p.V, p.L) != (q.V, q.L):
+            raise ValueError(f"cannot compare {p.V}^{p.L} with {q.V}^{q.L} sequences")
         return p.vector, q.vector
     p, q = dict(p.items()), dict(q.items())
     keys = {**p, **q}
+    if len({len(k) for k in keys}) > 1:
+        raise ValueError("cannot compare sequences of different lengths")
     return np.array([p.get(k, 0.0) for k in keys]), np.array([q.get(k, 0.0) for k in keys])
 
 

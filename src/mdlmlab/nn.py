@@ -377,6 +377,8 @@ def _forward_corrupted(
     corrupted row's index into them, and ``x0`` as int64.
     """
     tokens = token_rows(corrupted, params.config.vocab_size, mask=True)
+    if not len(tokens):
+        raise ValueError(f"corrupted must hold at least one row, got shape {tokens.shape}")
     try:
         x0 = token_rows(x0, params.config.vocab_size)
     except ValueError as exc:
@@ -422,9 +424,10 @@ def loss_and_grad_on_corrupted(
     gradient is built as for its own forward and summed into its distinct
     row's, so the gradient is the full batch's up to summation order.
 
-    ``x0`` must hold ids 1..V and, like ``loss_mask``, have the corrupted
-    batch's (B, L) shape; ``weights`` must be (B,). Otherwise ``ValueError``
-    names the argument, so no target is aliased or broadcast over the batch.
+    ``corrupted`` must hold at least one row. ``x0`` must hold ids 1..V and,
+    like ``loss_mask``, have the corrupted batch's (B, L) shape; ``weights``
+    must be (B,). Otherwise ``ValueError`` names the argument, so no target
+    is aliased or broadcast over the batch.
     """
     cache: list = []
     distinct, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights, cache)

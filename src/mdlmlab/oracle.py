@@ -481,11 +481,8 @@ class OracleDenoiser:
         self.vocab = model.vocab
         V, L = self.vocab.size, model.L
         self._radix = (V + 1) ** np.arange(L, dtype=np.int64)
-        self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _rows
-        # _rows is a read-only view of the filled part of _buffer, which
-        # doubles when full; only __call__ writes the spare rows
-        self._buffer = np.zeros((0, L, V))
-        self._rows = self._buffer[:0]
+        self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _buffer
+        self._buffer = np.zeros((0, L, V))  # filled up to len(_slot_of); doubles when full
         self._dep_cache: dict[int, np.ndarray] = {}
         self.hits = 0  # rows a call found in the cache
         self.misses = 0  # rows a call did not find there
@@ -520,17 +517,15 @@ class OracleDenoiser:
                 codes[missed], return_index=True, return_inverse=True
             )
             fresh = _conditionals(joint_table(self.model), batch[missed][first], V + 1)
-            n, m = len(self._rows), len(new)
+            n, m = len(self._slot_of), len(new)
             if n + m > len(self._buffer):
                 grown = np.empty((max(2 * len(self._buffer), n + m), L, V))
-                grown[:n] = self._rows
+                grown[:n] = self._buffer[:n]
                 self._buffer = grown
             self._buffer[n : n + m] = fresh
-            self._rows = self._buffer[: n + m]
-            self._rows.flags.writeable = False  # no caller can corrupt a cached row
             slots[missed] = n + inverse
             self._slot_of.update(zip(new.tolist(), range(n, n + m)))
-        return DenoiserOutput(self._rows[slots])
+        return DenoiserOutput(self._buffer[slots])  # a gather: the caller gets a copy
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
         """``self(states)``: one output with a leading row axis."""

@@ -64,6 +64,19 @@ def test_decode_rejects_a_bad_prompt_before_decoding(monkeypatch):
             main(["decode", "--joint", "reference 42", "--prompt", prompt])
 
 
+def test_decode_refuses_an_empty_prompt_field(monkeypatch, capsys):
+    def no_decode(*args):
+        raise AssertionError("decoded")
+
+    for prompt in ("1,,", ",1", "1,,2", ","):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "decode_blockwise", no_decode)
+            with pytest.raises(ValueError, match="^--prompt has an empty comma-separated field"):
+                main(["decode", "--joint", "reference 42", "--prompt", prompt])
+    assert main(["decode", "--joint", "reference 42", "--prompt", ""]) == 0  # unconditional
+    assert len(capsys.readouterr().out.splitlines()[0].split()) == 1 + 5
+
+
 EXPERIMENT = (
     "joint = reference 42\nprompt_len = 1\nseed = 3\n"
     "policy = scorer=confidence selector=topk steps=2\n"
@@ -93,6 +106,8 @@ def test_sweep_out_replaces_the_config_out(tmp_path, capsys):
     assert len(printed) == 5 and all(" kl=" in line for line in printed[:4])
     assert printed[4] == f"metrics written to {cli_out}"
     with pytest.raises(ValueError, match="^--values must list at least one value"):
+        main(["sweep", "block", "--config", config, "--values", ""])
+    with pytest.raises(ValueError, match="^--values has an empty comma-separated field"):
         main(["sweep", "block", "--config", config, "--values", ","])
 
 
@@ -145,6 +160,17 @@ def test_sweep_runs_each_value_of_one_key(key, values, base, tmp_path):
     assert len(set(want)) == len(want)
 
 
+def test_sweep_refuses_an_empty_value_field(tmp_path, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    config = write(tmp_path / "exp.cfg", MIXED)
+    for values in ("1,,2", "1,", ",1"):
+        with pytest.raises(ValueError, match="^--values has an empty comma-separated field"):
+            main(["sweep", "block", "--config", config, "--values", values])
+
+
 def test_sweep_names_a_malformed_value_or_an_unknown_key(tmp_path):
     config = write(tmp_path / "exp.cfg", MIXED)
     for key, values, message in (("block", "1,x", "^block must be int, got 'x'"),
@@ -169,8 +195,15 @@ ONE_VALUE = {
 
 @pytest.mark.parametrize("key", [f.name for f in fields(PolicyConfig)] + list(cli._POLICY_ALIASES))
 def test_a_one_value_sweep_equals_the_key_on_every_policy_line(key, tmp_path):
-    value, base = ONE_VALUE[cli._POLICY_ALIASES.get(key, key)]
-    edited = "".join(line + f" {key}={value}\n" if line.startswith("policy") else line + "\n"
+    name = cli._POLICY_ALIASES.get(key, key)
+    value, base = ONE_VALUE[name]
+
+    def set_key(line: str) -> str:  # the policy line with ``key`` replacing the field
+        head, pairs = line.split("=", 1)
+        kept = [t for t in pairs.split() if cli._policy_field(t.split("=")[0]) != name]
+        return f"{head}= {' '.join(kept)} {key}={value}\n"
+
+    edited = "".join(set_key(line) if line.startswith("policy") else line + "\n"
                      for line in base.splitlines())
     swept = _rows(write(tmp_path / "base.cfg", base), ["sweep", key, "--values", value], tmp_path)
     evaluated = _rows(write(tmp_path / "edited.cfg", edited), ["evaluate"], tmp_path)
@@ -237,3 +270,29 @@ def test_a_malformed_value_names_its_key(tmp_path):
                   "joint = reference 42\ncheckpoint_out = m.ckpt\nprompt_len = one\n")
     with pytest.raises(ValueError, match="^prompt_len must be int"):
         load_train_config(train)
+
+
+def test_an_experiment_key_given_twice_is_refused(tmp_path):
+    exp = write(tmp_path / "exp.cfg", "joint = reference 42\nprompt_len = 1\nseed = 1\n"
+                "policy = scorer=margin\npolicy = scorer=entropy\nseed = 2\n")
+    with pytest.raises(ValueError, match=r"exp.cfg:6: key 'seed' repeats line 3$"):
+        load_experiment_config(exp)
+    two_policies = write(tmp_path / "ok.cfg", "joint = reference 42\nprompt_len = 1\n"
+                         "policy = scorer=margin\npolicy = scorer=entropy\n")
+    assert len(load_experiment_config(two_policies).policies) == 2  # policy lines may repeat
+
+
+def test_a_train_key_given_twice_is_refused(tmp_path):
+    train = write(tmp_path / "train.cfg", "joint = reference 42\ncheckpoint_out = a.ckpt\n"
+                  "checkpoint_out = b.ckpt\n")
+    with pytest.raises(ValueError, match=r"train.cfg:3: key 'checkpoint_out' repeats line 2$"):
+        load_train_config(train)
+
+
+def test_a_policy_field_given_twice_is_refused():
+    for text, key, name in (("steps=2 steps=4", "steps", "steps"),
+                            ("block=2 block_size=4", "block_size", "block_size"),
+                            ("block_size=2 block=4", "block", "block_size"),
+                            ("n=2 n=3", "n", "n_history")):
+        with pytest.raises(ValueError, match=f"^policy key '{key}' sets {name} a second time$"):
+            parse_policy(text)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_policy_config_validation():
     # the standard defaults come prefilled
     p = PolicyConfig()
     assert p.eps == 0.95 and p.gamma == 0.01 and p.n_history == 2
+
+
+def test_policy_config_refuses_counts_that_are_not_integers():
+    for name in ("steps", "block_size", "layer", "n_history"):
+        for value in (2.5, 1.0, True, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+                PolicyConfig(**{name: value}, temperature="sample")
+    # NumPy integers are integers: the same policy, and it decodes
+    p = PolicyConfig(steps=np.int64(2), block_size=np.int32(2), layer=np.int64(0),
+                     n_history=np.int64(3), temperature="sample")
+    want = PolicyConfig(steps=2, block_size=2, n_history=3, temperature="sample")
+    assert p == want and p.policy_id() == want.policy_id()
+    den = oracle_den(seed=3)
+    [(final, trace)] = decode_blockwise(den, p, [[1]], 3, np.random.default_rng(0))
+    assert den.vocab.mask_id not in final and trace.nfe == 2
 
 
 def test_commit_token():
@@ -381,7 +397,7 @@ def test_trace_steps_follow_the_per_step_definition(
             at = np.flatnonzero(trace.step_of == s)
             want.append(TraceStep(s, at.tolist(), trace.tokens[at].tolist(),
                                   trace.scores[at].tolist(), s + 1))
-        assert trace.to_jsonl() == "".join(json.dumps(w.to_record()) + "\n" for w in want)
+        assert trace.to_jsonl() == "".join(json.dumps(asdict(w)) + "\n" for w in want)
 
 
 def test_unmasked_tokens_never_change():
@@ -425,7 +441,7 @@ def test_blockwise_single_block_equals_decode():
     [t1] = decode_blockwise(den, base, [[]], 6, np.random.default_rng(42))
     [t2] = decode_blockwise(den, blocked, [[]], 6, np.random.default_rng(42))
     assert t1[0] == t2[0]
-    assert [s.to_record() for s in t1[1].steps] == [s.to_record() for s in t2[1].steps]
+    assert t1[1].steps == t2[1].steps
 
 
 def test_blockwise_size_one_is_left_to_right():
@@ -614,7 +630,7 @@ def test_decode_trace_steps_are_derived_from_its_row():
     # scores and the cumulative NFE s + 1; a step that committed nothing stays
     trace = DecodeTrace(np.array([2, 1, 2, 1, 2]), np.array([-1, 1, 0, 1, -1]),
                         np.array([np.nan, 0.5, 0.7, 0.2, np.nan]), 3)
-    assert [s.to_record() for s in trace.steps] == [
+    assert [asdict(s) for s in trace.steps] == [
         {"step": 0, "positions": [2], "tokens": [2], "scores": [0.7], "nfe": 1},
         {"step": 1, "positions": [1, 3], "tokens": [1, 1], "scores": [0.5, 0.2], "nfe": 2},
         {"step": 2, "positions": [], "tokens": [], "scores": [], "nfe": 3},

@@ -43,6 +43,7 @@ from mdlmlab.nn import (
     save_checkpoint,
 )
 from mdlmlab.oracle import (
+    Distribution,
     GroupSchedule,
     OracleDenoiser,
     conditional_marginal,
@@ -80,6 +81,21 @@ def test_tv_distance_examples():
     assert tv_distance({(1,): 1.0}, {(2,): 1.0}) == 1.0
     q = {(1,): 0.5, (2,): 0.5}
     assert tv_distance(p, q) == pytest.approx(0.4)
+
+
+def test_tv_and_kl_refuse_two_sequence_spaces():
+    wide = model_distribution(layered_suite_model(0))  # 2^9 sequences
+    short = model_distribution(reference_dag_model(42))  # 2^5 sequences
+    ternary = Distribution(np.full(9, 1 / 9), 3, 2)
+    for p, q in ((wide, short), (short, wide), (Distribution(np.full(4, 0.25), 2, 2), ternary),
+                 (dict(wide.items()), short), (wide, dict(short.items())),
+                 ({(1,): 0.5, (1, 2): 0.5}, {(1,): 1.0})):
+        for metric in (tv_distance, kl_target_induced):
+            with pytest.raises(ValueError, match="^cannot compare"):
+                metric(p, q)
+    # one space: the vector fast path and the dict path agree
+    for q in (wide, dict(wide.items())):
+        assert tv_distance(wide, q) == 0.0 and kl_target_induced(wide, q) == 0.0
 
 
 def test_kl_target_induced_floor():
@@ -203,12 +219,12 @@ def test_exact_mode_uses_the_given_oracle():
     assert exact_induced_distribution(model, policy, 1, oracle) == (
         exact_induced_distribution(model, policy, 1)
     )
-    assert len(oracle._rows)  # the walk filled the caller's cache
+    assert len(oracle._slot_of)  # the walk filled the caller's cache
     run_oracle = OracleDenoiser(model)
     cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
                            mode="exact")
     run_policy(model, run_oracle, policy, cfg, np.random.default_rng(0))
-    assert len(run_oracle._rows)
+    assert len(run_oracle._slot_of)
 
 
 class RowSpy(OracleDenoiser):

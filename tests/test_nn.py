@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ def test_loss_entry_points_name_a_malformed_target(probe, name):
         with pytest.raises(ValueError, match=f"^{name}"):
             loss_fn(params, *args)
     assert np.isfinite(nn.loss_on_corrupted(params, *_malformed(None)))
+
+
+def test_loss_entry_points_refuse_an_empty_batch():
+    params = init_params(TransformerConfig(vocab_size=2))
+    empty = np.zeros((0, 3), dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN loss with a RuntimeWarning either
+        for loss_fn in (nn.loss_on_corrupted, loss_and_grad_on_corrupted):
+            with pytest.raises(ValueError, match=r"^corrupted must hold at least one row"):
+                loss_fn(params, empty, empty, empty.astype(bool), np.zeros(0))
 
 
 def test_corrupt_batch_counts_skips():

@@ -397,13 +397,34 @@ def test_oracle_cache_grows_and_counts_rows_like_a_set():
         den.batch(StateBatch(vocab, tokens))
         sizes.add(len(den._buffer))
     assert (den.hits, den.misses) == (hits, misses)
-    assert len(sizes) >= 4 and len(den._rows) == len(seen)  # grew several times
-    assert not den._rows.flags.writeable
+    assert len(sizes) >= 4 and len(den._slot_of) == len(seen)  # grew several times
     assert np.array_equal(first.probs, kept)  # growth left an old output alone
     tokens = np.array(sorted(seen))
     cached = den.batch(StateBatch(vocab, tokens)).probs
     assert den.hits == hits + len(seen)
     assert np.array_equal(cached, OracleDenoiser(model).batch(StateBatch(vocab, tokens)).probs)
+
+
+def test_oracle_outputs_are_copies():
+    # writing into an output, after a cache hit or a call that grew the row
+    # store, leaves the next output for the same rows unchanged
+    model = random_dag(np.random.default_rng(5), V=3, L=4)
+    vocab = model.vocab
+    rows = np.array([[4, 1, 4, 2], [1, 4, 4, 3]])
+    den = OracleDenoiser(model)
+    want = den(StateBatch(vocab, rows)).probs.copy()
+    hit = den(StateBatch(vocab, rows))
+    assert den.hits == 2
+    hit.probs[...] = -1.0
+    assert np.array_equal(den(StateBatch(vocab, rows)).probs, want)
+    size = len(den._buffer)
+    pool = np.array(list(itertools.product(range(1, 5), repeat=4)))[:40]
+    grown = den(StateBatch(vocab, np.vstack([rows, pool])))
+    assert len(den._buffer) > size and den.misses > 2
+    grown.probs[...] = -1.0
+    assert np.array_equal(den(StateBatch(vocab, rows)).probs, want)
+    assert np.array_equal(den(StateBatch(vocab, pool)).probs,
+                          OracleDenoiser(model)(StateBatch(vocab, pool)).probs)
 
 
 def test_oracle_dependency_independent_is_zero():
