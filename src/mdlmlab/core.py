@@ -15,6 +15,7 @@ that stochastic remasking reveals a masked position.
 ``token_rows`` is the one check of token rows: every entry point that takes
 token ids (states, prompts, denoisers, joint lookups, training batches)
 refuses a malformed row through it, so no id is truncated or aliased.
+``number_fields`` is the one type check of the config classes' numbers.
 
 All types are immutable values; operations are pure given an explicit
 ``numpy.random.Generator``.
@@ -22,6 +23,7 @@ All types are immutable values; operations are pure given an explicit
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,20 @@ def token_rows(tokens, V: int, L: int | None = None, mask: bool = False) -> np.n
         row = tuple(rows[np.argmin(ok.all(axis=1))].tolist())
         raise ValueError(f"token row {row} has a token outside 1..{top}")
     return rows.astype(np.int64, copy=False)
+
+
+def number_fields(config, kind: type, names) -> None:
+    """Store the fields ``names`` of the dataclass ``config`` as Python
+    ``kind`` values, ``int`` or ``float``, so a NumPy scalar names and prints
+    as the Python number does. A ``bool``, and a value that is not an integer
+    (for ``float``: not a real number), raises a ValueError naming the field."""
+    abstract, noun = {int: (numbers.Integral, "an integer"),
+                      float: (numbers.Real, "a real number")}[kind]
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, abstract):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+        object.__setattr__(config, name, kind(value))  # frozen dataclasses too
 
 
 @dataclass(frozen=True)

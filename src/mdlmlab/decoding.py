@@ -17,7 +17,7 @@ forward per distinct row, the oracle's cache).
 The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``,
 which holds the sequences as arrays (an (N, L) token array and (N,) arrays
-of block, steps in block, forwards and mass) and scores and selects each
+of block, steps in block and forwards) and scores and selects each
 chunk of rows with whole-array calls. ``core.token_rows`` checks the
 prompts once; from there on no ``SequenceState`` is built. The sampler
 ``decode_blockwise`` draws one continuation per sequence and records each
@@ -28,22 +28,20 @@ exact induced distributions.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
-relies on this: its ``History`` is the sequences' last n+1 whole outputs, a
-masked position's own record is its slice of them, and enumeration branches
-inherit their parent's records.
+relies on this: a masked position's history is its slice of its sequence's
+(see ``_Rows``), and enumeration branches inherit their parent's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import DenoiserOutput, StateBatch, reverse_unmask_prob, token_rows
+from .core import DenoiserOutput, StateBatch, number_fields, reverse_unmask_prob, token_rows
 from . import scoring
 
 SELECTORS = ("topk", "threshold", "klass", "eb")
@@ -79,6 +77,10 @@ class PolicyConfig:
     dep_eb_prefilter: float | None = None
 
     def __post_init__(self) -> None:
+        number_fields(self, int, ("steps", "block_size", "layer", "n_history"))
+        number_fields(self, float, ("eps", "tau", "eps_kl", "gamma"))
+        if self.dep_eb_prefilter is not None:
+            number_fields(self, float, ("dep_eb_prefilter",))
         if self.scorer not in scoring.SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         if self.selector not in SELECTORS:
@@ -92,11 +94,6 @@ class PolicyConfig:
         # written so that NaN, which fails every comparison, fails each check
         if not self.eps_kl > 0.0:
             raise ValueError("eps_kl must be > 0")
-        for name in ("steps", "block_size", "layer", "n_history"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # NumPy integers name policies as ints
         if self.n_history < 1:
             raise ValueError("n_history must be >= 1")
         if not self.gamma >= 0.0:
@@ -176,33 +173,10 @@ class DecodeTrace:
 
 
 class History:
-    """The last n+1 outputs of one row, (L, V) each, or of a chunk of rows,
-    (rows, L, V) each, oldest first; an immutable value. A KLASS position is
-    masked from the row's first step until committed, so its own record is
-    exactly its slice of these outputs."""
-
-    def __init__(self, n: int, outputs: tuple[np.ndarray, ...] = ()):
-        self.n = n
-        self.outputs = outputs
-
-    def record(self, probs: np.ndarray) -> "History":
-        """A new history ending with ``probs``; the receiver is unchanged."""
-        return History(self.n, (self.outputs + (probs,))[-(self.n + 1):])
-
-    def take(self, rows: np.ndarray) -> "History":
-        """The history of ``rows`` of a chunk, in that order."""
-        return History(self.n, tuple(out[rows] for out in self.outputs))
-
-    def stable(self, eps_kl: float) -> np.ndarray:
-        """Per position: n+1 records exist and all n consecutive KLs are < eps_kl
-        (False for every position while fewer records exist)."""
-        if len(self.outputs) < self.n + 1:
-            return np.False_
-        older, newer = np.array(self.outputs[:-1]), np.array(self.outputs[1:])
-        return (scoring.kl_divergence(older, newer) < eps_kl).all(axis=0)
+    """Empty: the KLASS state lives in the step loop's arrays (see ``_Rows``)."""
 
     def copy(self) -> "History":
-        # an immutable value needs no copy; kept while bench/tracer.py traces it
+        # kept while bench/tracer.py traces it
         return self
 
 
@@ -248,15 +222,15 @@ def select_threshold(conf: np.ndarray, candidates: np.ndarray, eps: float) -> np
 
 
 def select_klass(
-    history: History, conf: np.ndarray, candidates: np.ndarray, tau: float, eps_kl: float
+    stable: np.ndarray, conf: np.ndarray, candidates: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Stable candidates: n consecutive KLs below eps_kl and confidence above tau.
+    """Stable candidates with confidence above tau.
 
-    ``history`` is the rows' ``History``. Positions with fewer than n+1
-    records are ineligible; a row with no stable candidate falls back to its
+    ``stable`` marks the positions whose last n consecutive KLs are below
+    eps_kl; a row with no stable candidate above tau falls back to its
     argmax-confidence singleton.
     """
-    return _or_best(candidates & (conf > tau) & history.stable(eps_kl), conf, candidates)
+    return _or_best(candidates & (conf > tau) & stable, conf, candidates)
 
 
 def select_eb(
@@ -342,21 +316,21 @@ def selector_vectors(
 
 def plan_step(
     policy: PolicyConfig, ranking: np.ndarray, vector: np.ndarray | None,
-    candidates: np.ndarray, steps_left: np.ndarray, history: History | None,
+    candidates: np.ndarray, steps_left: np.ndarray, stable: np.ndarray | None,
 ) -> np.ndarray:
     """The (n, L) mask of the positions n rows commit at a step (no commitment).
 
     ``ranking`` holds the rows' ScoreVectors, ``vector`` their rows of
     ``selector_vectors``, ``candidates`` the masked positions of each row's
     active block, ``steps_left`` each row's remaining budget (>= 1), and
-    ``history`` the rows' KLASS ``History`` (None under other selectors).
+    ``stable`` the (n, L) KLASS stability mask (None under other selectors).
     """
     if policy.selector == "topk":
         return select_topk(ranking, candidates, -(-candidates.sum(axis=1) // steps_left))
     if policy.selector == "threshold":
         return select_threshold(vector, candidates, policy.eps)
     if policy.selector == "klass":
-        return select_klass(history, vector, candidates, policy.tau, policy.eps_kl)
+        return select_klass(stable, vector, candidates, policy.tau)
     if policy.selector == "eb":
         pool = candidates
         if policy.dep_eb_prefilter is not None:
@@ -380,15 +354,17 @@ FORWARD_ROWS = 256
 @dataclass
 class _Rows:
     """The step loop's sequences, one entry per row: ``block`` is the active
-    block (the block count once unmasked), ``steps`` the steps taken in it,
-    ``mass`` the path probability, ``history`` the KLASS ``History``."""
+    block (the block count once unmasked), ``steps`` the steps taken in it.
+    KLASS (else None) keeps ``last``, each row's last (L, V) output, and
+    ``calm``, per position the count of consecutive outputs, ending with the
+    last, whose KL from the one before is below eps_kl: stable at >= n."""
 
     tokens: np.ndarray
     block: np.ndarray
     steps: np.ndarray
     forwards: np.ndarray
-    mass: np.ndarray
-    history: History | None
+    last: np.ndarray | None
+    calm: np.ndarray | None
 
 
 def _start(
@@ -412,8 +388,10 @@ def _start(
     budgets = np.array([max(1, round(total_steps * n / gen_len)) for n in sizes])
     block_of = np.repeat(np.arange(-1, len(sizes)), [prompt.shape[1], *sizes])
     block, steps, forwards = (np.zeros(len(tokens), dtype=int) for _ in range(3))
-    history = History(policy.n_history) if policy.selector == "klass" else None
-    return block_of, budgets, _Rows(tokens, block, steps, forwards, np.ones(len(tokens)), history)
+    last = calm = None
+    if policy.selector == "klass":
+        last, calm = np.zeros(tokens.shape + (denoiser.vocab.size,)), np.zeros(tokens.shape, int)
+    return block_of, budgets, _Rows(tokens, block, steps, forwards, last, calm)
 
 
 def _lockstep(
@@ -425,9 +403,9 @@ def _lockstep(
     (entering a block restarts its step count) and denoises the unfinished
     rows in ``denoiser.batch`` calls of at most ``FORWARD_ROWS`` rows, each
     a slice of their token array. Each chunk is scored and selected as a
-    whole: one call per vector, one KLASS record of its whole output (see
-    the module docstring), and one ``plan_step`` call over the masked
-    positions of each row's block under its remaining budget. Yields
+    whole: one call per vector, one KL of its whole output from the rows'
+    last (KLASS only, see ``_Rows``), and one ``plan_step`` call over the
+    masked positions of each row's block under its remaining budget. Yields
     ``(selected, probs, scores)`` per step: the (N, L) mask each row
     commits, and the probability rows and rankings of the selected
     positions in row-major order. The caller commits before
@@ -446,24 +424,23 @@ def _lockstep(
         candidates = masked[active] & (block_of == block[:, None])
         steps_left = np.maximum(1, budgets[block] - rows.steps[active])
         selected = np.zeros(masked.shape, dtype=bool)
-        record = None if rows.history is None else np.zeros(masked.shape + (vocab.size,))
         chosen_probs, chosen_scores = [], []
         for lo in range(0, len(active), FORWARD_ROWS):
             part, ids = slice(lo, lo + FORWARD_ROWS), active[lo : lo + FORWARD_ROWS]
             out = denoiser.batch(StateBatch(vocab, tokens[part]))
             ranking = compute_ranking(policy, out, masked[ids], denoiser)
             vector = selector_vectors(policy, out.probs, masked[ids])
-            history = None
-            if record is not None:
-                history = rows.history.take(ids).record(out.probs)
-                record[ids] = out.probs
-            chosen = plan_step(policy, ranking, vector, candidates[part], steps_left[part], history)
+            stable = None
+            if rows.last is not None:  # a row's first output follows none
+                still = scoring.kl_divergence(rows.last[ids], out.probs) < policy.eps_kl
+                rows.calm[ids] = (rows.calm[ids] + 1) * (still & (rows.forwards[ids, None] > 0))
+                rows.last[ids] = out.probs
+                stable = rows.calm[ids] >= policy.n_history
+            chosen = plan_step(policy, ranking, vector, candidates[part], steps_left[part], stable)
             selected[ids] = chosen
             chosen_probs.append(out.probs[chosen])
             chosen_scores.append(ranking[chosen])
             del out  # the next forward runs without this one
-        if record is not None:
-            rows.history = rows.history.record(record)
         rows.steps[active] += 1
         rows.forwards[active] += 1  # one forward evaluation per step
         yield selected, np.concatenate(chosen_probs), np.concatenate(chosen_scores)
@@ -543,7 +520,7 @@ def enumerate_decodes(
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")
     block_of, budgets, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
-    rows.mass = np.array([mass for _, mass in prompts], dtype=float)
+    mass = np.array([m for _, m in prompts], dtype=float)
     V = denoiser.vocab.size
     for selected, probs, _ in _lockstep(denoiser, policy, block_of, budgets, rows):
         if policy.temperature == "greedy":
@@ -561,8 +538,8 @@ def enumerate_decodes(
             path = path[parent] * support[parent, value]
             src, tokens, level = src[parent], tokens[parent], level[parent]
             tokens[np.flatnonzero(level), order[src[level], j]] = value[level] + 1
-        rows.tokens, rows.mass = tokens, rows.mass[src] * path
+        rows.tokens, mass = tokens, mass[src] * path
         rows.block, rows.steps, rows.forwards = rows.block[src], rows.steps[src], rows.forwards[src]
-        if rows.history is not None:
-            rows.history = rows.history.take(src)
-    return rows.tokens, rows.mass, rows.forwards
+        if rows.last is not None:
+            rows.last, rows.calm = rows.last[src], rows.calm[src]
+    return rows.tokens, mass, rows.forwards

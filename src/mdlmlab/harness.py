@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateBatch, Vocabulary, forward_mask
+from .core import StateBatch, Vocabulary, forward_mask, number_fields
 from .decoding import (
     DecodeTrace,
     PolicyConfig,
@@ -142,6 +142,7 @@ class ExperimentConfig:
     unconditional: bool = False
 
     def __post_init__(self) -> None:
+        number_fields(self, int, ("samples", "prompt_len", "seed"))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.policies:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, StateBatch, Vocabulary, forward_mask, token_rows
+from .core import DenoiserOutput, StateBatch, Vocabulary, forward_mask, number_fields, token_rows
 # ``sample_joint`` stays bound here: the traced benchmark wraps it in every
 # module that imports it, and bench/selftest.py checks this binding
 from .oracle import JointModel, sample_joint, sample_joints  # noqa: F401
@@ -51,6 +51,8 @@ class TransformerConfig:
     t_min: float = 0.01
 
     def __post_init__(self) -> None:
+        number_fields(self, int, ("n_layers", "n_heads", "d_model", "max_len", "vocab_size",
+                                  "seed", "batch_size", "train_steps"))
         for name in ("n_layers", "n_heads", "d_model", "max_len", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -15,7 +15,6 @@ from mdlmlab.decoding import (
     FORWARD_ROWS,
     SELECTORS,
     DecodeTrace,
-    History,
     PolicyConfig,
     TraceStep,
     commit_token,
@@ -29,7 +28,14 @@ from mdlmlab.decoding import (
     select_topk,
 )
 from mdlmlab.nn import TransformerConfig, TransformerDenoiser, forward, init_params
-from mdlmlab.oracle import OracleDenoiser, random_dag, random_tree_dag, sample_joint
+from mdlmlab.oracle import (
+    Distribution,
+    OracleDenoiser,
+    prompt_marginal,
+    random_dag,
+    random_tree_dag,
+    sample_joint,
+)
 from mdlmlab.harness import (
     exact_induced_distribution,
     layered_suite_model,
@@ -81,6 +87,26 @@ def test_policy_config_refuses_counts_that_are_not_integers():
     assert den.vocab.mask_id not in final and trace.nfe == 2
 
 
+def test_policy_config_stores_real_parameters_as_floats():
+    names = ("eps", "tau", "eps_kl", "gamma", "dep_eb_prefilter")
+    for name in names:
+        for value in (True, "0.5", None, 1j):
+            if name == "dep_eb_prefilter" and value is None:
+                continue  # no prefilter
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+                PolicyConfig(**{name: value}, selector="eb")
+    # NumPy reals are the Python floats of their value: one policy, one id
+    p = PolicyConfig(selector="eb", eps=np.float32(0.5), tau=np.float64(0.5),
+                     eps_kl=np.float64(0.1), gamma=np.float64(0.02),
+                     dep_eb_prefilter=np.float64(0.25))
+    assert all(type(getattr(p, name)) is float for name in names)
+    want = PolicyConfig(selector="eb", eps=0.5, tau=0.5, eps_kl=0.1, gamma=0.02,
+                        dep_eb_prefilter=0.25)
+    assert p == want and p.policy_id() == want.policy_id()
+    assert want.policy_id() == ("confidence-eb-greedy-eps0.5-tau0.5-eps_kl0.1-gamma0.02"
+                                "-dep_eb_prefilter0.25")
+
+
 def test_commit_token():
     rng = np.random.default_rng(0)
     assert commit_token(np.array([[0.1, 0.8, 0.1]]), "greedy", rng)[0] == 2
@@ -126,37 +152,15 @@ def test_select_threshold():
 
 
 def test_select_klass_history_rule():
-    # each record is a (1, L, V) output of one row; position 0 holds still
-    steady = np.array([[[0.99, 0.01], [0.95, 0.05]]])
     conf = np.array([[0.99, 0.95]])
-    h = History(n=2).record(steady)
-    # fewer than n+1 records: ineligible, falls back to argmax confidence
-    assert not np.any(h.stable(0.01))
-    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, False]]
-    # n+1 agreeing outputs: both positions are stable
-    h = h.record(steady).record(steady)
-    assert h.stable(0.01).tolist() == [[True, True]]
-    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, True]]
-    # position 1 drifts across the last n+1 outputs and is no longer stable
-    for p1 in (0.5, 0.95):
-        h = h.record(np.array([[[0.99, 0.01], [p1, 1.0 - p1]]]))
-    assert h.stable(0.01).tolist() == [[True, False]]
-    assert select_klass(h, conf, BOTH, tau=0.9, eps_kl=0.01).tolist() == [[True, False]]
-
-
-def test_history_record_leaves_its_receiver_unchanged():
-    outputs = [np.full((2, 2), 0.5), np.eye(2), np.full((2, 2), 0.5)]
-    h = History(n=1)
-    kept = []
-    for out in outputs:
-        kept.append((h, h.outputs))
-        h = h.record(out)
-    for old, before in kept:
-        assert old.outputs is before  # the same tuple, holding the same arrays
-    assert [len(old.outputs) for old, _ in kept] == [0, 1, 2]
-    # the last n+1 outputs only
-    assert len(h.outputs) == 2 and all(a is b for a, b in zip(h.outputs, outputs[1:]))
-    assert h.copy() is h
+    # no stable position: falls back to argmax confidence
+    assert select_klass(np.array([[False, False]]), conf, BOTH, tau=0.9).tolist() == [[True, False]]
+    # both positions stable and above tau
+    assert select_klass(np.array([[True, True]]), conf, BOTH, tau=0.9).tolist() == [[True, True]]
+    # position 1 is not stable
+    assert select_klass(np.array([[True, False]]), conf, BOTH, tau=0.9).tolist() == [[True, False]]
+    # position 1 is stable but not above tau, so the row falls back to position 0
+    assert select_klass(np.array([[False, True]]), conf, BOTH, tau=0.96).tolist() == [[True, False]]
 
 
 class PerPositionHistory:
@@ -219,6 +223,61 @@ def test_klass_replays_the_per_position_history_rule(n_history, block_size, temp
             history.clear(step.positions)
         assert tuple(tokens) == final
     assert parallel  # some step committed a stable set, not the fallback
+
+
+def _klass_paths(den, policy, prompt, mass, gen_len, dist):
+    """Walk every path of a KLASS decode from one prompt, one sequence at a
+    time under the per-position rule, adding each outcome's mass to ``dist``;
+    returns the mass-weighted NFE. A branch inherits a copy of its parent's
+    history, less the positions it commits."""
+    mask, V = den.vocab.mask_id, den.vocab.size
+    size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
+
+    def walk(tokens, history, mass, nfe):
+        masked = [i for i, t in enumerate(tokens) if t == mask]
+        if not masked:
+            dist[tuple(tokens)] = dist.get(tuple(tokens), 0.0) + mass
+            return mass * nfe
+        probs = den(StateBatch(den.vocab, np.array([tokens]))).probs[0]
+        for i in masked:
+            history.record(i, probs[i])
+        lo = len(prompt) + (masked[0] - len(prompt)) // size * size
+        candidates = [i for i in masked if i < lo + size]
+        conf = scoring.confidence_vector(probs, np.array(tokens) == mask)
+        chosen = [i for i in candidates
+                  if conf[i] > policy.tau and history.stable(i, policy.eps_kl)]
+        chosen = chosen or [max(candidates, key=lambda i: (conf[i], -i))]
+        total = 0.0
+        for values in itertools.product(range(V), repeat=len(chosen)):
+            p = math.prod(probs[i][v] for i, v in zip(chosen, values))
+            if p > 0:
+                child = PerPositionHistory(history.n)
+                child.dists = {i: list(d) for i, d in history.dists.items() if i not in chosen}
+                branch = list(tokens)
+                for i, v in zip(chosen, values):
+                    branch[i] = v + 1
+                total += walk(branch, child, mass * p, nfe + 1)
+        return total
+
+    return walk(list(prompt) + [mask] * gen_len, PerPositionHistory(policy.n_history), mass, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_exact_klass_matches_a_per_path_walk(seed):
+    # stability fires at n >= 2 here (tau 0.6, eps_kl 0.1), so a branch that
+    # lost its parent's history would commit other sets than this walk
+    model = layered_suite_model(seed)
+    den = OracleDenoiser(model)
+    for n_history, block_size in itertools.product([1, 2, 3], [0, 3]):
+        policy = PolicyConfig(selector="klass", n_history=n_history, block_size=block_size,
+                              temperature="sample", tau=0.6, eps_kl=0.1)
+        dist, nfe = {}, 0.0
+        for prompt, mass in prompt_marginal(model, 1):
+            nfe += _klass_paths(den, policy, prompt, mass, model.L - 1, dist)
+        q, q_nfe = exact_induced_distribution(model, policy, prompt_len=1)
+        want = Distribution.of(list(dist), model.vocab.size, model.L, np.array(list(dist.values())))
+        np.testing.assert_allclose(q.vector, want.vector, rtol=0, atol=1e-12)
+        assert abs(q_nfe - nfe) <= 1e-12, (seed, n_history, block_size, q_nfe, nfe)
 
 
 def test_select_eb_examples():
@@ -325,9 +384,12 @@ def test_chunk_plan_step_matches_per_row_selectors(
     policy = PolicyConfig(selector=selector, eps=0.7, tau=0.7, eps_kl=0.01, gamma=0.01,
                           n_history=n_history,
                           dep_eb_prefilter=prefilter if selector == "eb" else None)
-    history = History(n_history, tuple(outputs)) if selector == "klass" else None
+    stable = None
+    if selector == "klass":
+        stable = np.array([[_ref_stable([out[r] for out in outputs], n_history, i, 0.01)
+                            for i in range(L)] for r in range(n)])
     got = plan_step(policy, ranking, vector if selector != "topk" else None, candidates,
-                    steps_left, history)
+                    steps_left, stable)
     assert got.shape == (n, L) and not (got & ~candidates).any()
     for r in range(n):
         want = _ref_plan(policy, ranking[r], vector[r], np.flatnonzero(candidates[r]).tolist(),
@@ -602,7 +664,7 @@ def test_dos_eb_composition_satisfies_budget():
     masked = (np.array(state.tokens) == vocab.mask_id)[None]
     [ranking] = compute_ranking(policy, DenoiserOutput(probs), masked, den)
     [ents] = selector_vectors(policy, probs, masked)
-    selected = plan_step(policy, ranking, ents, state.masked_positions(), 1, History(2))
+    selected = plan_step(policy, ranking, ents, state.masked_positions(), 1, None)
     sel = list(selected)
     assert ents[sel].sum() - ents[sel].max() <= policy.gamma + 1e-12
 

@@ -382,6 +382,22 @@ def test_experiment_config_validation():
         ExperimentConfig(joint="reference 1", policies=(policy,), prompt_len=1, seed=-1)
 
 
+def test_experiment_config_counts_are_integers():
+    policy = PolicyConfig()
+    for name in ("samples", "prompt_len", "seed"):
+        for value in (2.5, 1.0, True, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+                ExperimentConfig(**{"joint": "layered 3", "policies": (policy,),
+                                    "prompt_len": 1, name: value})
+    # NumPy integers are stored as ints, so the CSV seed column reads 5
+    cfg = ExperimentConfig(joint="layered 3", policies=(policy,), prompt_len=np.int64(1),
+                           samples=np.int32(4), seed=np.int64(5), mode="mc")
+    assert [type(v) for v in (cfg.samples, cfg.prompt_len, cfg.seed)] == [int, int, int]
+    assert cfg == replace(cfg, samples=4, prompt_len=1, seed=5)
+    [row] = run_experiment(cfg).rows
+    assert type(row.seed) is int and row.samples == 4
+
+
 def test_prompt_len_must_leave_a_position_to_generate():
     # layered 3 has L = 9; the run refuses prompt_len 9 before any policy runs
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=2,

@@ -66,6 +66,20 @@ def test_config_validation():
     TransformerConfig(learning_rate=0.0, batch_size=1, train_steps=0)
 
 
+def test_config_sizes_are_integers():
+    names = ("n_layers", "n_heads", "d_model", "max_len", "vocab_size", "seed",
+             "batch_size", "train_steps")
+    for name in names:
+        for value in (2.5, np.float64(16), True, "2"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+                TransformerConfig(**{name: value})
+    # NumPy integers are stored as ints, and the parameters build as for ints
+    cfg = TransformerConfig(**{name: np.int64(getattr(SMALL, name)) for name in names})
+    assert cfg == SMALL and all(type(getattr(cfg, name)) is int for name in names)
+    got, want = init_params(cfg).tensors, init_params(SMALL).tensors
+    assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
+
+
 def test_forward_single_position_attention():
     params = init_params(SMALL)
     state = SequenceState(Vocabulary(3), (4,), 0)  # one masked position
