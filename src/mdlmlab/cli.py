@@ -2,7 +2,7 @@
 
 Config files are line-oriented ``key = value`` text; ``#`` starts a comment.
 The ``policy`` key may repeat, one decoding policy per line, with
-space-separated ``key=value`` pairs (defaults: eps=0.95, gamma=0.01, n=2).
+space-separated ``key=value`` pairs (defaults: see ``PolicyConfig``).
 A policy key is a ``PolicyConfig`` field or one of ``_POLICY_ALIASES``;
 ``sweep KEY --values v1,v2,...`` re-runs every policy at each value of KEY.
 No other key, and no policy field (under its name or its alias), may be

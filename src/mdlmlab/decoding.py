@@ -24,7 +24,8 @@ prompts once; from there on no ``SequenceState`` is built. The sampler
 position's step and score; the enumerator ``enumerate_decodes`` replaces
 each sequence by all of its continuations, each with its probability, and
 hands the harness its outcomes as arrays, from which the harness computes
-exact induced distributions.
+exact induced distributions. The table ``SELECTION`` is where each selector
+declares the vector it reads, the fields it reads and its rule.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
@@ -37,23 +38,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import DenoiserOutput, StateBatch, number_fields, reverse_unmask_prob, token_rows
 from . import scoring
 
-SELECTORS = ("topk", "threshold", "klass", "eb")
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
     """One decoding policy: how to rank masked positions and which to commit.
 
-    ``steps`` is the top-k budget T (0 means one token per step). The
-    threshold, klass, and eb parameters default to the standard settings
-    (eps=0.95, n=2, gamma=0.01).
+    ``steps`` is the top-k budget T (0 means one token per step). The other
+    selectors' fields default to the standard settings: threshold eps=0.95,
+    KLASS tau=0.9, eps_kl=0.01 and n_history=2, EB gamma=0.01.
 
     Under blocks, T is split across blocks in proportion to their length:
     a block of n positions gets max(1, round(T * n / gen_len)) steps. The
@@ -100,17 +99,18 @@ class PolicyConfig:
             raise ValueError("gamma must be >= 0")
         if self.dep_eb_prefilter is not None and math.isnan(self.dep_eb_prefilter):
             raise ValueError("dep_eb_prefilter must be a number, got nan")
-        if self.dep_eb_prefilter is not None and self.selector != "eb":
+        reads = SELECTION[self.selector].fields
+        if self.dep_eb_prefilter is not None and "dep_eb_prefilter" not in reads:
             raise ValueError(f"dep_eb_prefilter must be None under selector {self.selector!r}")
         if self.steps < 0 or self.block_size < 0 or self.layer < 0:
             raise ValueError("steps, block_size, and layer must be >= 0")
-        if self.stochastic_remask and self.selector != "topk":
+        if self.stochastic_remask and "stochastic_remask" not in reads:
             raise ValueError("stochastic_remask requires the step-scheduled topk selector")
 
     def policy_id(self) -> str:
         """A distinct name per policy; all-default tuning parameters add nothing."""
         parts = [self.scorer, self.selector]
-        if self.selector == "topk" or self.steps:
+        if "steps" in SELECTION[self.selector].fields or self.steps:
             parts.append(f"T{self.steps}")
         if self.block_size:
             parts.append(f"b{self.block_size}")
@@ -122,13 +122,6 @@ class PolicyConfig:
             if f.name in _TUNING and value != f.default:
                 parts.append(f.name if value is True else f"{f.name}{value!r}")
         return "-".join(parts)
-
-
-# Parameters that ``policy_id`` names only when they differ from the default.
-_TUNING = (
-    "eps", "tau", "eps_kl", "n_history", "gamma", "stochastic_remask",
-    "dep_eb_prefilter",
-)
 
 
 @dataclass
@@ -302,16 +295,35 @@ def compute_ranking(
     raise ValueError(f"unknown scorer {policy.scorer!r}")
 
 
-def selector_vectors(
-    policy: PolicyConfig, probs: np.ndarray, masked: np.ndarray
-) -> np.ndarray | None:
-    """What the selector reads besides the ranking, for n rows at once:
-    confidences for threshold and KLASS, entropies for EB, None for top-k."""
-    if policy.selector in ("threshold", "klass"):
-        return scoring.confidence_vector(probs, masked)
-    if policy.selector == "eb":
-        return scoring.entropy_vector(probs, masked)
-    return None
+def _eb(policy: PolicyConfig, ranking, vector, candidates, steps_left, stable) -> np.ndarray:
+    """EB's rule, over the candidates ranked above ``dep_eb_prefilter`` where a row has any."""
+    floor = policy.dep_eb_prefilter
+    kept = candidates if floor is None else candidates & (ranking > floor)
+    pool = np.where(kept.any(axis=1, keepdims=True), kept, candidates)
+    return select_eb(ranking, vector, pool, policy.gamma)
+
+
+class Selector(NamedTuple):
+    vector: str | None  # the ``scoring`` vector read besides the ranking, by name
+    fields: tuple[str, ...]  # the ``PolicyConfig`` fields the rule reads
+    rule: Callable[..., np.ndarray]  # takes ``plan_step``'s arguments
+
+
+# One entry per selector. The rules reach the ``select_*`` functions, and ``_lockstep``
+# the vectors, by module attribute at call time, so a wrapper put on one sees every call.
+SELECTION = {
+    "topk": Selector(None, ("steps", "stochastic_remask"), lambda p, rank, vec, cand, left, _:
+                     select_topk(rank, cand, -(-cand.sum(axis=1) // left))),
+    "threshold": Selector("confidence_vector", ("eps",), lambda p, rank, vec, cand, left, _:
+                          select_threshold(vec, cand, p.eps)),
+    "klass": Selector("confidence_vector", ("tau", "eps_kl", "n_history"),
+                      lambda p, rank, vec, cand, left, stable:
+                      select_klass(stable, vec, cand, p.tau)),
+    "eb": Selector("entropy_vector", ("gamma", "dep_eb_prefilter"), _eb),
+}
+SELECTORS = tuple(SELECTION)
+# The fields ``policy_id`` names only off their default: all selectors' but ``steps`` (T).
+_TUNING = {name for entry in SELECTION.values() for name in entry.fields} - {"steps"}
 
 
 def plan_step(
@@ -320,24 +332,12 @@ def plan_step(
 ) -> np.ndarray:
     """The (n, L) mask of the positions n rows commit at a step (no commitment).
 
-    ``ranking`` holds the rows' ScoreVectors, ``vector`` their rows of
-    ``selector_vectors``, ``candidates`` the masked positions of each row's
-    active block, ``steps_left`` each row's remaining budget (>= 1), and
-    ``stable`` the (n, L) KLASS stability mask (None under other selectors).
+    ``ranking`` holds the rows' ScoreVectors, ``vector`` their rows of the
+    vector the selector's ``SELECTION`` entry names, ``candidates`` the
+    masked positions of each row's active block, ``steps_left`` each row's
+    remaining budget (>= 1), and ``stable`` the (n, L) KLASS stability mask.
     """
-    if policy.selector == "topk":
-        return select_topk(ranking, candidates, -(-candidates.sum(axis=1) // steps_left))
-    if policy.selector == "threshold":
-        return select_threshold(vector, candidates, policy.eps)
-    if policy.selector == "klass":
-        return select_klass(stable, vector, candidates, policy.tau)
-    if policy.selector == "eb":
-        pool = candidates
-        if policy.dep_eb_prefilter is not None:
-            kept = candidates & (ranking > policy.dep_eb_prefilter)
-            pool = np.where(kept.any(axis=1, keepdims=True), kept, candidates)
-        return select_eb(ranking, vector, pool, policy.gamma)
-    raise ValueError(f"unknown selector {policy.selector!r}")
+    return SELECTION[policy.selector].rule(policy, ranking, vector, candidates, steps_left, stable)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ def _start(
     block_of = np.repeat(np.arange(-1, len(sizes)), [prompt.shape[1], *sizes])
     block, steps, forwards = (np.zeros(len(tokens), dtype=int) for _ in range(3))
     last = calm = None
-    if policy.selector == "klass":
+    if "n_history" in SELECTION[policy.selector].fields:
         last, calm = np.zeros(tokens.shape + (denoiser.vocab.size,)), np.zeros(tokens.shape, int)
     return block_of, budgets, _Rows(tokens, block, steps, forwards, last, calm)
 
@@ -402,16 +402,16 @@ def _lockstep(
     A step moves each row to its first block with a masked position
     (entering a block restarts its step count) and denoises the unfinished
     rows in ``denoiser.batch`` calls of at most ``FORWARD_ROWS`` rows, each
-    a slice of their token array. Each chunk is scored and selected as a
-    whole: one call per vector, one KL of its whole output from the rows'
-    last (KLASS only, see ``_Rows``), and one ``plan_step`` call over the
-    masked positions of each row's block under its remaining budget. Yields
-    ``(selected, probs, scores)`` per step: the (N, L) mask each row
-    commits, and the probability rows and rankings of the selected
-    positions in row-major order. The caller commits before
-    resuming, by writing into or replacing the arrays of ``rows``.
+    a slice of their token array. Each chunk is scored and selected as the
+    selector declares its vector, fields and rule in its ``SELECTION`` entry:
+    one call of its vector, one KL of the output from the rows' last (KLASS
+    only, see ``_Rows``), and one ``plan_step`` call over the masked positions
+    of each row's block under its remaining budget. Yields ``(selected, probs,
+    scores)`` per step: the (N, L) mask each row commits, and the probability
+    rows and rankings of the selected positions in row-major order. The caller
+    commits into (or replaces) the arrays of ``rows`` before resuming.
     """
-    vocab = denoiser.vocab
+    vocab, vector_name = denoiser.vocab, SELECTION[policy.selector].vector
     while True:
         masked = rows.tokens == vocab.mask_id
         block = np.where(masked, block_of, len(budgets)).min(axis=1)
@@ -429,7 +429,7 @@ def _lockstep(
             part, ids = slice(lo, lo + FORWARD_ROWS), active[lo : lo + FORWARD_ROWS]
             out = denoiser.batch(StateBatch(vocab, tokens[part]))
             ranking = compute_ranking(policy, out, masked[ids], denoiser)
-            vector = selector_vectors(policy, out.probs, masked[ids])
+            vector = vector_name and getattr(scoring, vector_name)(out.probs, masked[ids])
             stable = None
             if rows.last is not None:  # a row's first output follows none
                 still = scoring.kl_divergence(rows.last[ids], out.probs) < policy.eps_kl

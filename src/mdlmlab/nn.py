@@ -53,6 +53,7 @@ class TransformerConfig:
     def __post_init__(self) -> None:
         number_fields(self, int, ("n_layers", "n_heads", "d_model", "max_len", "vocab_size",
                                   "seed", "batch_size", "train_steps"))
+        number_fields(self, float, ("learning_rate", "t_min"))
         for name in ("n_layers", "n_heads", "d_model", "max_len", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -1,22 +1,25 @@
+import ast
 import itertools
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_row
 from mdlmlab import scoring
-from mdlmlab.core import DenoiserOutput, SequenceState, StateBatch, Vocabulary
+from mdlmlab.core import DenoiserOutput, StateBatch, Vocabulary
 from mdlmlab.decoding import (
     FORWARD_ROWS,
+    SELECTION,
     SELECTORS,
     DecodeTrace,
     PolicyConfig,
     TraceStep,
+    _start,
     commit_token,
     compute_ranking,
     decode_blockwise,
@@ -397,6 +400,62 @@ def test_chunk_plan_step_matches_per_row_selectors(
         assert tuple(np.flatnonzero(got[r]).tolist()) == want
 
 
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_each_selector_computes_only_what_its_entry_declares(selector, monkeypatch):
+    # top-k reads no vector, threshold and KLASS the confidences, EB the
+    # entropies; only KLASS keeps outputs across steps
+    calls = {"confidence_vector": 0, "entropy_vector": 0}
+    for name, vector in [(name, getattr(scoring, name)) for name in calls]:
+        def counted(*args, name=name, vector=vector):
+            calls[name] += 1
+            return vector(*args)
+        monkeypatch.setattr(scoring, name, counted)
+    den = oracle_den(seed=3, L=5)
+    policy = PolicyConfig(selector=selector, temperature="sample", eps=0.6, tau=0.6)
+    want = {"topk": None, "threshold": "confidence_vector", "klass": "confidence_vector",
+            "eb": "entropy_vector"}[selector]
+    assert SELECTION[selector].vector == want
+    for run in (lambda: decode_blockwise(den, policy, [[1]], 4, np.random.default_rng(0)),
+                lambda: enumerate_decodes(den, policy, [([1], 1.0)], 4)):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert [name for name, n in calls.items() if n] == ([want] if want else [])
+    _, _, rows = _start(den, policy, [[1], [2]], 4)
+    keeps = selector == "klass"
+    assert (rows.last is not None, rows.calm is not None) == (keeps, keeps)
+    if keeps:
+        assert rows.last.shape == (2, 5, 2) and rows.calm.shape == (2, 5)
+
+
+def _selector_string_compares(tree):
+    """The comparisons of a ``.selector`` attribute with a string literal or
+    a tuple of them (``policy.selector == "klass"``, ``... in ("a", "b")``)."""
+    def literal(node):
+        if isinstance(node, ast.Tuple | ast.List | ast.Set):
+            return bool(node.elts) and all(literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Attribute) and x.attr == "selector" for x in sides)
+                    and any(literal(x) for x in sides)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_module_dispatches_on_a_selector_name():
+    # each selector's vector, fields and rule live in its SELECTION entry, so
+    # no code outside the table may branch on which selector a policy names
+    assert _selector_string_compares(ast.parse(
+        'p.selector == "klass"\nif self.selector in ("a", "b"): pass\n'
+        "self.selector not in SELECTORS\nx.scorer == 'dos'\n")) == [1, 2]
+    src = Path(__file__).resolve().parents[1] / "src" / "mdlmlab"
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _selector_string_compares(ast.parse(path.read_text())))}
+    assert found == {}
+
+
 def test_decode_one_token_per_step_nfe():
     den = oracle_den(seed=2)
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
@@ -654,19 +713,15 @@ def test_dos_eb_composition_satisfies_budget():
     den = oracle_den(seed=23, L=6)
     policy = PolicyConfig(scorer="oracle_dep", selector="eb", gamma=0.05,
                           temperature="sample")
-    rng = np.random.default_rng(4)
     vocab = den.vocab
-    state = SequenceState(vocab, (1,) + (vocab.mask_id,) * 5, 1)
-    out = den(one_row(state))
-    from mdlmlab.decoding import plan_step, selector_vectors
-
-    probs = out.probs
-    masked = (np.array(state.tokens) == vocab.mask_id)[None]
-    [ranking] = compute_ranking(policy, DenoiserOutput(probs), masked, den)
-    [ents] = selector_vectors(policy, probs, masked)
-    selected = plan_step(policy, ranking, ents, state.masked_positions(), 1, None)
-    sel = list(selected)
-    assert ents[sel].sum() - ents[sel].max() <= policy.gamma + 1e-12
+    tokens = np.array([[1] + [vocab.mask_id] * 5])
+    masked = tokens == vocab.mask_id
+    probs = den.batch(StateBatch(vocab, tokens)).probs
+    ranking = compute_ranking(policy, DenoiserOutput(probs), masked, den)
+    ents = scoring.entropy_vector(probs, masked)
+    [selected] = plan_step(policy, ranking, ents, masked, np.array([1]), None)
+    sel = np.flatnonzero(selected)
+    assert ents[0, sel].sum() - ents[0, sel].max() <= policy.gamma + 1e-12
 
 
 def test_stochastic_remask_mode():

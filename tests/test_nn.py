@@ -78,6 +78,14 @@ def test_config_sizes_are_integers():
     assert cfg == SMALL and all(type(getattr(cfg, name)) is int for name in names)
     got, want = init_params(cfg).tensors, init_params(SMALL).tensors
     assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)
+    # the float fields take any real number but a bool, stored as a Python float
+    for name in ("learning_rate", "t_min"):
+        for value in (True, "0.1"):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+                TransformerConfig(**{name: value})
+    cfg = TransformerConfig(learning_rate=np.float32(0.25), t_min=np.float32(0.01))
+    assert (cfg.learning_rate, cfg.t_min) == (0.25, float(np.float32(0.01)))
+    assert type(cfg.learning_rate) is float and type(cfg.t_min) is float
 
 
 def test_forward_single_position_attention():
