@@ -14,13 +14,25 @@ of the distinct rows, each taking the sum of its copies' output gradients;
 the backward is linear in those for fixed activations, so it is the same
 sum in another order (about 1e-14 relative drift).
 
+The forward writes its activations into a ``Tape`` when given one: every
+activation the backward reads. The backward writes its own temporaries of
+that size into it too. Its buffers are sized for the largest batch seen,
+so steps that share a tape write the same memory instead of having it freed
+and faulted back in each step. Only ``train`` shares one tape, across all
+its steps; every other loss call gets a fresh tape, inference passes none
+and keeps nothing, and the gradients are new arrays on every call. The ops
+and their order are those of the fresh-array code, so the results are
+bit-identical.
+
 All tensors are float64, which keeps finite-difference gradient checks tight.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -77,6 +89,21 @@ class TransformerConfig:
         return Vocabulary(self.vocab_size)
 
 
+# one encoder block's tensors, in checkpoint order; field ln1_g names ln1.g
+_Layer = namedtuple("_Layer", "ln1_g ln1_b wq wk wv wo ln2_g ln2_b w1 b1 w2 b2")
+
+
+@functools.cache
+def _layer_names(l: int) -> _Layer:
+    """The tensor names of block ``l``: ``layer{l}.ln1.g`` and so on."""
+    return _Layer(*(f"layer{l}.{field.replace('_', '.')}" for field in _Layer._fields))
+
+
+def _layer(tensors: dict[str, np.ndarray], l: int) -> _Layer:
+    """The tensors of block ``l``."""
+    return _Layer._make(map(tensors.__getitem__, _layer_names(l)))
+
+
 def param_specs(config: TransformerConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; checkpoints store tensors in this order."""
     d, dff, V = config.d_model, config.d_ff, config.vocab_size
@@ -84,21 +111,10 @@ def param_specs(config: TransformerConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("tok_emb", (V + 1, d)),  # rows 0..V-1 = content tokens, row V = mask
         ("pos_emb", (config.max_len, d)),
     ]
+    shapes = _Layer(ln1_g=(d,), ln1_b=(d,), wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d),
+                    ln2_g=(d,), ln2_b=(d,), w1=(d, dff), b1=(dff,), w2=(dff, d), b2=(d,))
     for l in range(config.n_layers):
-        specs += [
-            (f"layer{l}.ln1.g", (d,)),
-            (f"layer{l}.ln1.b", (d,)),
-            (f"layer{l}.wq", (d, d)),
-            (f"layer{l}.wk", (d, d)),
-            (f"layer{l}.wv", (d, d)),
-            (f"layer{l}.wo", (d, d)),
-            (f"layer{l}.ln2.g", (d,)),
-            (f"layer{l}.ln2.b", (d,)),
-            (f"layer{l}.w1", (d, dff)),
-            (f"layer{l}.b1", (dff,)),
-            (f"layer{l}.w2", (dff, d)),
-            (f"layer{l}.b2", (d,)),
-        ]
+        specs += zip(_layer_names(l), shapes)
     specs += [
         ("lnf.g", (d,)),
         ("lnf.b", (d,)),
@@ -136,41 +152,95 @@ def init_params(config: TransformerConfig) -> Params:
 _LN_EPS = 1e-5
 
 
-def _ln_forward(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+class Tape:
+    """Activation buffers that training steps reuse instead of reallocating.
+
+    ``take(key, shape)`` returns the leading ``shape[0]`` rows of buffer
+    ``key``. A buffer is allocated on first use and again when a step needs
+    more rows or another row shape; it never shrinks. It is allocated with
+    at least the rows ``reserve`` asked for: a loss reserves its batch's row
+    count, which bounds the distinct rows it runs, so a training run
+    allocates each buffer once instead of once per new largest distinct-row
+    count (each regrowth left the old buffer behind as a heap hole, about
+    1 MB of peak RSS on the benchmark's training run). Pages of rows no step
+    writes are never touched. The forward writes every activation the
+    backward reads into the tape and records their views in ``saved``; the
+    next forward on the same tape overwrites them.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+        self._rows = 0
+        self.saved: tuple | None = None
+
+    def reserve(self, rows: int) -> None:
+        self._rows = max(self._rows, rows)
+
+    def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
+            buf = self._buffers[key] = np.empty((max(shape[0], self._rows), *shape[1:]))
+        return buf[:shape[0]]
 
 
-def _ln_backward(dy, cache, g):
+def _take(tape: Tape | None, key, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` to write into: the tape's buffer ``key``,
+    or a fresh array when there is no tape."""
+    return np.empty(shape) if tape is None else tape.take(key, shape)
+
+
+def _ln_forward(x, g, b, tape, key):
+    d = x.shape[-1]
+    xhat = _take(tape, (key, "xhat"), x.shape)
+    y = _take(tape, (key, "y"), x.shape)
+    xc = np.subtract(x, x.sum(-1, keepdims=True) / d, out=xhat)
+    var = np.multiply(xc, xc, out=y).sum(-1, keepdims=True) / d
+    inv = np.divide(1.0, np.sqrt(var + _LN_EPS), out=_take(tape, (key, "inv"), var.shape))
+    np.multiply(xc, inv, out=xhat)
+    np.multiply(g, xhat, out=y)
+    return np.add(y, b, out=y), (xhat, inv)
+
+
+def _ln_backward(dy, cache, g, tape, out):
+    """Write LayerNorm's input gradient into ``out``; return (dg, db)."""
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=(0, 1))
+    d = dy.shape[-1]
+    t = np.multiply(dy, xhat, out=tape.take("ln t", dy.shape))
+    dg = t.sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
-    dxh = dy * g
-    dx = inv * (
-        dxh
-        - dxh.mean(-1, keepdims=True)
-        - xhat * (dxh * xhat).mean(-1, keepdims=True)
-    )
-    return dx, dg, db
+    dxh = np.multiply(dy, g, out=tape.take("ln dxh", dy.shape))
+    mean_dxh = dxh.sum(-1, keepdims=True) / d
+    mean_dxh_xhat = np.multiply(dxh, xhat, out=t).sum(-1, keepdims=True) / d
+    # dx = inv * (dxh - mean_dxh - xhat * mean_dxh_xhat)
+    np.subtract(dxh, mean_dxh, out=out)
+    np.subtract(out, np.multiply(xhat, mean_dxh_xhat, out=t), out=out)
+    np.multiply(inv, out, out=out)
+    return dg, db
 
 
-def _gelu(u):
-    phi = 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
-    return u * phi, phi
+def _gelu(u, tape, l):
+    phi = np.divide(u, np.sqrt(2.0), out=_take(tape, (l, "phi"), u.shape))
+    erf(phi, out=phi)
+    np.add(1.0, phi, out=phi)
+    np.multiply(0.5, phi, out=phi)
+    return np.multiply(u, phi, out=_take(tape, (l, "gu"), u.shape)), phi
 
 
-def _gelu_grad(u, phi):
-    return phi + u * np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+def _gelu_grad(u, phi, out):
+    """phi + u * exp(-u * u / 2) / sqrt(2 pi), op by op into ``out``."""
+    np.multiply(-0.5, u, out=out)
+    np.multiply(out, u, out=out)
+    np.exp(out, out=out)
+    np.multiply(u, out, out=out)
+    np.divide(out, np.sqrt(2.0 * np.pi), out=out)
+    return np.add(phi, out, out=out)
 
 
 def _softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
+    np.exp(x, out=x)
+    return np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
 
 
 def _log_softmax(x):
@@ -183,107 +253,123 @@ def _split_heads(x, H):
     return x.reshape(B, L, H, d // H).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, out):
+    """The (B, H, L, dh) heads ``x`` side by side in ``out``, (B, L, H * dh)."""
     B, H, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
+    np.copyto(out.reshape(B, L, H, dh), x.swapaxes(1, 2))
+    return out
 
 
-def _forward_batch(params: Params, tokens: np.ndarray, cache: list | None = None):
-    """Full forward pass over (B, L) token rows; returns (log_probs, attentions).
+def _forward_batch(params: Params, tokens: np.ndarray, tape: Tape | None = None):
+    """Full forward pass over (n, L) token rows; returns (log_probs, attentions).
 
-    Every forward and every loss comes through here, so the rows are checked
-    here, by ``core.token_rows`` (mask allowed), and rows of no tokens or
-    longer than ``max_len`` raise ``ValueError``. The backward pass needs every
-    layer's activations. The training path passes a list as ``cache`` and
-    they are appended to it; inference passes none and keeps none.
+    ``tokens`` are rows that ``core.token_rows`` (mask allowed) has passed;
+    rows of no tokens or longer than ``max_len`` raise ``ValueError``. Every
+    activation is written through ``_take``. Training passes a tape, which
+    keeps what the backward reads; inference passes none and keeps none.
     """
     cfg = params.config
     t = params.tensors
-    tokens = token_rows(tokens, cfg.vocab_size, mask=True)
-    B, L = tokens.shape
+    n, L = tokens.shape
     if not 1 <= L <= cfg.max_len:
         raise ValueError(f"sequence length {L} outside 1..max_len {cfg.max_len}")
+    d, H = cfg.d_model, cfg.n_heads
     rows = tokens - 1  # embedding rows: 0..V-1 for content tokens, V for the mask
-    h = t["tok_emb"][rows] + t["pos_emb"][:L]
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-    layer_caches = []
+    # the caller checked the ids, so "clip" clips nothing; it spares a buffered copy
+    h = np.take(t["tok_emb"], rows, axis=0, out=_take(tape, "h", (n, L, d)), mode="clip")
+    h += t["pos_emb"][:L]
+    scale = 1.0 / np.sqrt(d // H)
+    saved = []
     attentions = []
     for l in range(cfg.n_layers):
-        p = lambda s: t[f"layer{l}.{s}"]  # noqa: E731
-        x1, c1 = _ln_forward(h, p("ln1.g"), p("ln1.b"))
-        qh = _split_heads(x1 @ p("wq"), cfg.n_heads)
-        kh = _split_heads(x1 @ p("wk"), cfg.n_heads)
-        vh = _split_heads(x1 @ p("wv"), cfg.n_heads)
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale
-        a = _softmax(scores)
-        ctx = _merge_heads(a @ vh)
-        h_mid = h + ctx @ p("wo")
-        x2, c2 = _ln_forward(h_mid, p("ln2.g"), p("ln2.b"))
-        u = x2 @ p("w1") + p("b1")
-        gu, phi = _gelu(u)
-        h_out = h_mid + gu @ p("w2") + p("b2")
-        if cache is not None:
-            layer_caches.append(
-                (h, c1, x1, qh, kh, vh, a, ctx, h_mid, c2, x2, u, phi, gu)
-            )
+        p = _layer(t, l)
+        x1, c1 = _ln_forward(h, p.ln1_g, p.ln1_b, tape, (l, 1))
+        qh, kh, vh = (_split_heads(np.matmul(x1, w, out=_take(tape, (l, key), h.shape)), H)
+                      for key, w in (("q", p.wq), ("k", p.wk), ("v", p.wv)))
+        a = np.matmul(qh, kh.swapaxes(-1, -2), out=_take(tape, (l, "a"), (n, H, L, L)))
+        a = _softmax(np.multiply(a, scale, out=a))
+        av = np.matmul(a, vh, out=_take(tape, "av", vh.shape))
+        ctx = _merge_heads(av, _take(tape, (l, "ctx"), h.shape))
+        h_mid = np.matmul(ctx, p.wo, out=_take(tape, "h_mid", h.shape))
+        np.add(h, h_mid, out=h_mid)
+        x2, c2 = _ln_forward(h_mid, p.ln2_g, p.ln2_b, tape, (l, 2))
+        u = np.matmul(x2, p.w1, out=_take(tape, (l, "u"), (n, L, cfg.d_ff)))
+        u += p.b1
+        gu, phi = _gelu(u, tape, l)
+        # h_out = h_mid + gu @ w2 + b2, written over the block's input h,
+        # which nothing reads any more
+        np.add(h_mid, np.matmul(gu, p.w2, out=h), out=h)
+        h += p.b2
+        if tape is not None:
+            saved.append((c1, x1, qh, kh, vh, a, ctx, c2, x2, u, phi, gu))
         del u, phi, gu  # the widest activations: not alive in the next layer
         attentions.append(a)
-        h = h_out
-    hf, cf = _ln_forward(h, t["lnf.g"], t["lnf.b"])
-    logits = hf @ t["wout"] + t["bout"]
-    log_probs = _log_softmax(logits)
-    if cache is not None:
-        cache.extend((rows, layer_caches, cf, hf))
+    hf, cf = _ln_forward(h, t["lnf.g"], t["lnf.b"], tape, "final")
+    log_probs = _log_softmax(hf @ t["wout"] + t["bout"])
+    if tape is not None:
+        tape.saved = (rows, saved, cf, hf)
     return log_probs, attentions
 
 
-def _backward_batch(params: Params, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str, np.ndarray]:
+    """The gradient of every tensor, from the output gradient of the last
+    forward on ``tape``; its temporaries of an activation's size or wider
+    are tape buffers too."""
     cfg = params.config
     t = params.tensors
-    rows, layer_caches, cf, hf = cache
-    B, L, _ = dlogits.shape
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    rows, saved, cf, hf = tape.saved
+    L = dlogits.shape[1]
+    H = cfg.n_heads
+    scale = 1.0 / np.sqrt(cfg.d_model // H)
     g = {name: np.zeros_like(arr) for name, arr in t.items()}
+    shape = hf.shape
+    # dh: the gradient of the residual stream; dx: of a LayerNorm's output,
+    # or of the attention context; dx_term: one term of dx1
+    dh, dh_mid, dx, dx_term = (tape.take(key, shape) for key in ("dh", "dh_mid", "dx", "dx_term"))
 
     flat = lambda x: x.reshape(-1, x.shape[-1])  # noqa: E731
     g["wout"] += flat(hf).T @ flat(dlogits)
     g["bout"] += dlogits.sum(axis=(0, 1))
-    dhf = dlogits @ t["wout"].T
-    dh, g["lnf.g"], g["lnf.b"] = _ln_backward(dhf, cf, t["lnf.g"])
+    dhf = np.matmul(dlogits, t["wout"].T, out=dx)
+    g["lnf.g"], g["lnf.b"] = _ln_backward(dhf, cf, t["lnf.g"], tape, dh)
 
     for l in reversed(range(cfg.n_layers)):
-        p = lambda s: t[f"layer{l}.{s}"]  # noqa: E731
-        h_in, c1, x1, qh, kh, vh, a, ctx, h_mid, c2, x2, u, phi, gu = layer_caches[l]
+        name, p = _layer_names(l), _layer(t, l)
+        c1, x1, qh, kh, vh, a, ctx, c2, x2, u, phi, gu = saved[l]
         # h_out = h_mid + gelu(x2 @ w1 + b1) @ w2 + b2
         df = dh
-        g[f"layer{l}.w2"] += flat(gu).T @ flat(df)
-        g[f"layer{l}.b2"] += df.sum(axis=(0, 1))
-        dgu = df @ p("w2").T
-        du = dgu * _gelu_grad(u, phi)
-        g[f"layer{l}.w1"] += flat(x2).T @ flat(du)
-        g[f"layer{l}.b1"] += du.sum(axis=(0, 1))
-        dx2 = du @ p("w1").T
-        dmid_ln, g[f"layer{l}.ln2.g"], g[f"layer{l}.ln2.b"] = _ln_backward(
-            dx2, c2, p("ln2.g")
-        )
-        dh_mid = dh + dmid_ln
+        g[name.w2] += flat(gu).T @ flat(df)
+        g[name.b2] += df.sum(axis=(0, 1))
+        dgu = np.matmul(df, p.w2.T, out=tape.take("dgu", u.shape))
+        du = np.multiply(dgu, _gelu_grad(u, phi, tape.take("gelu'", u.shape)), out=dgu)
+        g[name.w1] += flat(x2).T @ flat(du)
+        g[name.b1] += du.sum(axis=(0, 1))
+        dx2 = np.matmul(du, p.w1.T, out=dx)
+        g[name.ln2_g], g[name.ln2_b] = _ln_backward(dx2, c2, p.ln2_g, tape, dh_mid)
+        np.add(dh, dh_mid, out=dh_mid)  # dh_mid = dh + the LayerNorm's gradient
         # h_mid = h_in + merge(a @ vh) @ wo
-        g[f"layer{l}.wo"] += flat(ctx).T @ flat(dh_mid)
-        dctxh = _split_heads(dh_mid @ p("wo").T, cfg.n_heads)
-        dA = dctxh @ vh.swapaxes(-1, -2)
-        dvh = a.swapaxes(-1, -2) @ dctxh
-        ds = a * (dA - (dA * a).sum(axis=-1, keepdims=True))
-        dqh = (ds @ kh) * scale
-        dkh = (ds.swapaxes(-1, -2) @ qh) * scale
-        dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-        g[f"layer{l}.wq"] += flat(x1).T @ flat(dq)
-        g[f"layer{l}.wk"] += flat(x1).T @ flat(dk)
-        g[f"layer{l}.wv"] += flat(x1).T @ flat(dv)
-        dx1 = dq @ p("wq").T + dk @ p("wk").T + dv @ p("wv").T
-        din_ln, g[f"layer{l}.ln1.g"], g[f"layer{l}.ln1.b"] = _ln_backward(
-            dx1, c1, p("ln1.g")
-        )
-        dh = dh_mid + din_ln
+        g[name.wo] += flat(ctx).T @ flat(dh_mid)
+        dctxh = _split_heads(np.matmul(dh_mid, p.wo.T, out=dx), H)
+        dA = np.matmul(dctxh, vh.swapaxes(-1, -2), out=tape.take("dA", a.shape))
+        dvh = np.matmul(a.swapaxes(-1, -2), dctxh, out=tape.take("dvh", vh.shape))
+        ds = tape.take("ds", a.shape)
+        # ds = a * (dA - (dA * a).sum(-1))
+        np.subtract(dA, np.multiply(dA, a, out=ds).sum(axis=-1, keepdims=True), out=dA)
+        np.multiply(a, dA, out=ds)
+        dqh = np.matmul(ds, kh, out=tape.take("dqh", qh.shape))
+        dkh = np.matmul(ds.swapaxes(-1, -2), qh, out=tape.take("dkh", kh.shape))
+        np.multiply(dqh, scale, out=dqh)
+        np.multiply(dkh, scale, out=dkh)
+        dq, dk, dv = (_merge_heads(x, tape.take(key, shape))
+                      for key, x in (("dq", dqh), ("dk", dkh), ("dv", dvh)))
+        g[name.wq] += flat(x1).T @ flat(dq)
+        g[name.wk] += flat(x1).T @ flat(dk)
+        g[name.wv] += flat(x1).T @ flat(dv)
+        dx1 = np.matmul(dq, p.wq.T, out=dx)
+        dx1 += np.matmul(dk, p.wk.T, out=dx_term)
+        dx1 += np.matmul(dv, p.wv.T, out=dx_term)
+        g[name.ln1_g], g[name.ln1_b] = _ln_backward(dx1, c1, p.ln1_g, tape, dh)
+        np.add(dh_mid, dh, out=dh)  # dh = dh_mid + the LayerNorm's gradient
 
     g["pos_emb"][:L] += dh.sum(axis=0)
     np.add.at(g["tok_emb"], rows, dh)
@@ -315,7 +401,8 @@ def forward(params: Params, states: StateBatch) -> DenoiserOutput:
     """
     if states.vocab.size != params.config.vocab_size:
         raise ValueError("state vocabulary does not match the model")
-    log_probs, attentions = _forward_batch(params, states.tokens)
+    tokens = token_rows(states.tokens, params.config.vocab_size, mask=True)
+    log_probs, attentions = _forward_batch(params, tokens)
     return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
 
 
@@ -348,6 +435,30 @@ class TransformerDenoiser:
 # training loss
 # ---------------------------------------------------------------------------
 
+def _check_targets(x0, loss_mask, weights, shape: tuple[int, int], V: int) -> np.ndarray:
+    """``x0`` as int64, once it holds ids 1..V and it and ``loss_mask`` have
+    the batch's (B, L) ``shape`` and ``weights`` is (B,). Otherwise
+    ``ValueError`` names the argument, so no target is aliased or broadcast
+    over the batch."""
+    try:
+        x0 = token_rows(x0, V)
+    except ValueError as exc:
+        raise ValueError(f"x0: {exc}") from None
+    for name, arg, want in (("x0", x0, shape),
+                            ("loss_mask", loss_mask, shape),
+                            ("weights", weights, shape[:1])):
+        if np.shape(arg) != want:
+            raise ValueError(f"{name} must have shape {want}, got {np.shape(arg)}")
+    return x0
+
+
+def _cross_entropy(log_probs, x0, loss_mask, weights) -> float:
+    B = log_probs.shape[0]
+    target_lp = np.take_along_axis(log_probs, (x0 - 1)[:, :, None], axis=2)[:, :, 0]
+    per_example = (target_lp * loss_mask).sum(axis=1)
+    return float(-(weights * per_example).sum() / B)
+
+
 def masked_cross_entropy(
     log_probs: np.ndarray,
     x0: np.ndarray,
@@ -356,14 +467,16 @@ def masked_cross_entropy(
 ) -> float:
     """Weighted cross-entropy over masked positions, averaged over the batch.
 
-    ``log_probs`` is (B, L, V); targets are token ids in x0; each example b
-    contributes -weights[b] * sum_i log p(x0[b,i]) over its masked positions,
-    and the total is divided by B.
+    ``log_probs`` is (B, L, V) with B >= 1; targets are token ids in x0; each
+    example b contributes -weights[b] * sum_i log p(x0[b,i]) over its masked
+    positions, and the total is divided by B. The targets are checked as the
+    losses check them: a malformed one raises ``ValueError`` naming it.
     """
-    B = log_probs.shape[0]
-    target_lp = np.take_along_axis(log_probs, (x0 - 1)[:, :, None], axis=2)[:, :, 0]
-    per_example = (target_lp * loss_mask).sum(axis=1)
-    return float(-(weights * per_example).sum() / B)
+    if np.ndim(log_probs) != 3 or not len(log_probs):
+        raise ValueError(
+            f"log_probs must be (B, L, V) with B >= 1, got shape {np.shape(log_probs)}")
+    x0 = _check_targets(x0, loss_mask, weights, log_probs.shape[:2], log_probs.shape[2])
+    return _cross_entropy(log_probs, x0, loss_mask, weights)
 
 
 def _forward_corrupted(
@@ -372,9 +485,10 @@ def _forward_corrupted(
     x0: np.ndarray,
     loss_mask: np.ndarray,
     weights: np.ndarray,
-    cache: list | None = None,
+    tape: Tape | None = None,
 ):
-    """Check a loss's arguments and run the forward over the distinct rows.
+    """Check a loss's arguments, each once, and run the forward over the
+    distinct rows.
 
     Returns ``(log_probs, inverse, x0)``: the distinct rows' log-probs, each
     corrupted row's index into them, and ``x0`` as int64.
@@ -382,17 +496,11 @@ def _forward_corrupted(
     tokens = token_rows(corrupted, params.config.vocab_size, mask=True)
     if not len(tokens):
         raise ValueError(f"corrupted must hold at least one row, got shape {tokens.shape}")
-    try:
-        x0 = token_rows(x0, params.config.vocab_size)
-    except ValueError as exc:
-        raise ValueError(f"x0: {exc}") from None
-    for name, arg, shape in (("x0", x0, tokens.shape),
-                             ("loss_mask", loss_mask, tokens.shape),
-                             ("weights", weights, tokens.shape[:1])):
-        if np.shape(arg) != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {np.shape(arg)}")
+    x0 = _check_targets(x0, loss_mask, weights, tokens.shape, params.config.vocab_size)
     first, inverse = _distinct_rows(tokens)
-    log_probs, _ = _forward_batch(params, tokens[first], cache)
+    if tape is not None:
+        tape.reserve(len(tokens))
+    log_probs, _ = _forward_batch(params, tokens[first], tape)
     return log_probs, inverse, x0
 
 
@@ -409,7 +517,7 @@ def loss_on_corrupted(
     corrupted rows, and refuses what that refuses.
     """
     log_probs, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights)
-    return masked_cross_entropy(log_probs[inverse], x0, loss_mask, weights)
+    return _cross_entropy(log_probs[inverse], x0, loss_mask, weights)
 
 
 def loss_and_grad_on_corrupted(
@@ -418,6 +526,8 @@ def loss_and_grad_on_corrupted(
     x0: np.ndarray,
     loss_mask: np.ndarray,
     weights: np.ndarray,
+    *,
+    tape: Tape | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Deterministic loss and exact-backprop gradient on a corrupted batch.
 
@@ -431,11 +541,15 @@ def loss_and_grad_on_corrupted(
     like ``loss_mask``, have the corrupted batch's (B, L) shape; ``weights``
     must be (B,). Otherwise ``ValueError`` names the argument, so no target
     is aliased or broadcast over the batch.
+
+    The activations go on ``tape``, a fresh one unless given; ``train``
+    passes one tape to every step. The gradients are new arrays either way.
     """
-    cache: list = []
-    distinct, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights, cache)
+    if tape is None:
+        tape = Tape()
+    distinct, inverse, x0 = _forward_corrupted(params, corrupted, x0, loss_mask, weights, tape)
     log_probs = distinct[inverse]
-    loss = masked_cross_entropy(log_probs, x0, loss_mask, weights)
+    loss = _cross_entropy(log_probs, x0, loss_mask, weights)
     B, L, V = log_probs.shape
     w = (weights / B)[:, None] * loss_mask  # (B, L) per-position weight
     dlogits = np.exp(log_probs) * w[:, :, None]
@@ -446,7 +560,7 @@ def loss_and_grad_on_corrupted(
     )
     summed = np.zeros_like(distinct)
     np.add.at(summed, inverse, dlogits)
-    grads = _backward_batch(params, summed, cache)
+    grads = _backward_batch(params, summed, tape)
     return loss, grads
 
 
@@ -480,15 +594,19 @@ def mdlm_loss_and_grad(
     x0_batch: np.ndarray,
     prompt_len: int,
     rng: np.random.Generator,
+    *,
+    tape: Tape | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One masked-diffusion training objective evaluation on a clean batch.
 
     Each example is corrupted at its own t ~ Uniform[t_min, 1] and the
     masked-position cross-entropy is weighted by 1/t; the gradient comes
-    from exact backpropagation through the forward pass.
+    from exact backpropagation through the forward pass, with the
+    activations on ``tape`` as in ``loss_and_grad_on_corrupted``.
     """
     corrupted, loss_mask, weights, _ = corrupt_batch(params.config, x0_batch, prompt_len, rng)
-    return loss_and_grad_on_corrupted(params, corrupted, np.asarray(x0_batch), loss_mask, weights)
+    return loss_and_grad_on_corrupted(params, corrupted, np.asarray(x0_batch), loss_mask,
+                                      weights, tape=tape)
 
 
 def train(
@@ -501,15 +619,17 @@ def train(
     """Plain fixed-step SGD on batches sampled from the joint.
 
     Emits the loss curve through ``on_step(step, loss)``. Aborts with a
-    diagnostic if the loss stops being finite.
+    diagnostic if the loss stops being finite. Every step writes its
+    activations on one ``Tape``.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     params = init_params(config)
     lr = config.learning_rate
+    tape = Tape()
     for step in range(config.train_steps):
         batch = sample_joints(model, rng, config.batch_size)
-        loss, grads = mdlm_loss_and_grad(params, batch, prompt_len, rng)
+        loss, grads = mdlm_loss_and_grad(params, batch, prompt_len, rng, tape=tape)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at step {step}: loss={loss}")
         for name, grad in grads.items():

@@ -2,6 +2,7 @@ import os
 import struct
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,13 +208,13 @@ def test_deduplicated_loss_and_gradient_match_every_row(kind):
     assert loss == masked_cross_entropy(per_row, x0, mask, weights)
     assert loss == nn.loss_on_corrupted(params, corrupted, x0, mask, weights)
 
-    cache: list = []
-    log_probs, _ = nn._forward_batch(params, corrupted, cache)
+    tape = nn.Tape()
+    log_probs, _ = nn._forward_batch(params, corrupted, tape)
     B, L, _ = log_probs.shape
     w = (weights / B)[:, None] * mask
     dlogits = np.exp(log_probs) * w[:, :, None]
     np.subtract.at(dlogits, (np.arange(B)[:, None], np.arange(L)[None, :], x0 - 1), w)
-    want = nn._backward_batch(params, dlogits, cache)
+    want = nn._backward_batch(params, dlogits, tape)
     assert set(grads) == set(want)
     for name, g in want.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
@@ -240,10 +241,23 @@ def test_losses_run_each_distinct_corrupted_row_once():
         real = nn._forward_batch
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "_forward_batch",
-                       lambda p, tokens, cache=None: calls.append(tokens) or real(p, tokens, cache))
+                       lambda p, tokens, tape=None: calls.append(tokens) or real(p, tokens, tape))
             loss_fn(params, corrupted, x0, mask, weights)
         [ran] = calls
         assert len(ran) == len(distinct) and {tuple(r) for r in ran.tolist()} == distinct
+
+
+def test_a_loss_call_checks_each_token_argument_once():
+    params = init_params(SMALL)
+    corrupted, x0, mask, weights = _repeated_rows_batch("mixed")
+    for loss_fn in (nn.loss_on_corrupted, loss_and_grad_on_corrupted):
+        checked = []
+        real = nn.token_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "token_rows",
+                       lambda rows, *a, **k: checked.append(rows) or real(rows, *a, **k))
+            loss_fn(params, corrupted, x0, mask, weights)
+        assert len(checked) == 2 and checked[0] is corrupted and checked[1] is x0
 
 
 def _malformed(probe):
@@ -289,6 +303,85 @@ def test_loss_entry_points_refuse_an_empty_batch():
         for loss_fn in (nn.loss_on_corrupted, loss_and_grad_on_corrupted):
             with pytest.raises(ValueError, match=r"^corrupted must hold at least one row"):
                 loss_fn(params, empty, empty, empty.astype(bool), np.zeros(0))
+
+
+def _batch_of_distinct_rows(rng, k, B=64):
+    """A corrupted SMALL batch of B rows, exactly k of them distinct, with
+    its x0, mask and weights."""
+    V, L = SMALL.vocab_size, 6
+    x0 = rng.integers(1, V + 1, size=(4 * k, L))
+    mask = rng.random((4 * k, L)) < 0.5
+    mask[:, 0] = True
+    corrupted = np.where(mask, V + 1, x0)
+    _, first = np.unique(corrupted, axis=0, return_index=True)
+    pool = np.sort(first)[:k]
+    picks = np.concatenate([pool, rng.choice(pool, B - k)])
+    weights = rng.uniform(1.0, 5.0, size=B)
+    return corrupted[picks], x0[picks], mask[picks], weights
+
+
+def test_train_on_one_tape_equals_fresh_loss_calls():
+    # the distinct-row count shrinks (40 -> 3), so rows from a larger step
+    # stay behind in the buffers, then outgrows them (-> 47 of 64 rows)
+    rng = np.random.default_rng(4)
+    batches = [_batch_of_distinct_rows(rng, k, B) for k, B in ((40, 40), (3, 20), (47, 64))]
+    for (corrupted, *_), k in zip(batches, (40, 3, 47)):
+        assert len(np.unique(corrupted, axis=0)) == k
+    config = replace(SMALL, train_steps=len(batches))
+    losses = []
+    with pytest.MonkeyPatch.context() as mp:
+        clean = iter(x0 for _, x0, _, _ in batches)
+        masked = iter((c, m, w, 0) for c, _, m, w in batches)
+        mp.setattr(nn, "sample_joints", lambda model, rng, n: next(clean))
+        mp.setattr(nn, "corrupt_batch", lambda config, x0, prompt_len, rng: next(masked))
+        trained = train(config, copy_joint(), 1, on_step=lambda step, loss: losses.append(loss))
+
+    params = init_params(config)
+    want = []
+    for batch in batches:
+        loss, grads = loss_and_grad_on_corrupted(params, *batch)
+        want.append(loss)
+        for name, grad in grads.items():
+            params.tensors[name] -= config.learning_rate * grad
+    assert losses == want
+    for name, tensor in params.tensors.items():
+        assert np.array_equal(trained.tensors[name], tensor), name
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_returned_gradients_outlive_later_calls(shared):
+    params = init_params(SMALL)
+    rng = np.random.default_rng(5)
+    tape = nn.Tape() if shared else None
+    _, grads = loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 20), tape=tape)
+    kept = {name: g.copy() for name, g in grads.items()}
+    loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 20), tape=tape)
+    for name, g in grads.items():
+        assert np.array_equal(g, kept[name]), name
+
+
+def test_steps_on_one_tape_reuse_its_buffers():
+    params = init_params(SMALL)
+    rng = np.random.default_rng(6)
+    tape = nn.Tape()
+
+    def activations():
+        rows, layers, final, hf = tape.saved
+        arrays = [hf, *final]
+        for layer in layers:
+            for item in layer:
+                arrays += item if isinstance(item, tuple) else [item]
+        return arrays
+
+    loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 30), tape=tape)
+    before, buffers = activations(), dict(tape._buffers)
+    loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 12), tape=tape)
+    after = activations()
+    assert len(before) == len(after) == 3 + 2 * 14
+    for old, new in zip(before, after, strict=True):
+        assert len(new) == 12 and np.shares_memory(old, new)
+    assert tape._buffers.keys() == buffers.keys()  # the backward's temporaries too
+    assert all(tape._buffers[key] is buf for key, buf in buffers.items())
 
 
 def test_corrupt_batch_counts_skips():
@@ -642,3 +735,13 @@ def test_masked_cross_entropy_matches_manual():
     mask = np.array([[False, True]])
     got = masked_cross_entropy(log_probs, x0, mask, np.array([2.0]))
     assert got == pytest.approx(-2.0 * np.log(0.9))
+
+
+@pytest.mark.parametrize("x0, weights, name", [
+    ([[1, 0]], [1.0], "x0"),  # x0 - 1 = -1 would score the last token's log-prob
+    ([[1, 2]], [1.0, 2.0], "weights"),  # would be broadcast over the one row
+], ids=["x0 id 0", "two weights"])
+def test_masked_cross_entropy_names_a_malformed_target(x0, weights, name):
+    log_probs = np.log(np.full((1, 2, 2), 0.5))
+    with pytest.raises(ValueError, match=f"^{name}"):
+        masked_cross_entropy(log_probs, np.array(x0), np.ones((1, 2), bool), np.array(weights))
