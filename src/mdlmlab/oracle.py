@@ -5,9 +5,18 @@ to tabulate, so conditionals, schedule-induced distributions, and dependency
 scores are computed exactly rather than approximated. The dense table is
 built once per model and cached; ``joint_table`` checks the state space
 against ``ENUM_LIMIT`` before it builds one, and every exact computation
-goes through it. One kernel serves every exact conditional and mutual
-information: ``_slabs`` sums a slice of the table onto each of its free
-positions, and ``_conditionals`` answers token rows with it.
+goes through it.
+
+Every exact conditional comes from ``_conditionals``. While the
+``(V+1)**L`` marginal table M fits ``ENUM_LIMIT``, which every suite
+joint's does, it answers a row with two gathers from M: slot V at a
+position sums it out, so masked position i of a row with code c gets
+M[c with digit i := v] / M[c]. M is built once per model and held while
+the model lives: at most ``ENUM_LIMIT`` floats (8 MB), beside the joint
+table. A joint whose M is past the limit but whose table fits it is
+answered one mask pattern at a time by ``_slabs``, which sums a slice of
+the table onto each of its free positions; the joint's size picks the
+kernel. Mutual information always goes through ``_slabs``.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ class TabularJoint:
     vocab: Vocabulary
     table: np.ndarray
     _flat_cumsum: np.ndarray | None = _cache()
+    _marginals: np.ndarray | None = _cache()
 
     def __post_init__(self) -> None:
         self.table = np.asarray(self.table, dtype=float)
@@ -85,6 +95,7 @@ class FactorizedDAG:
     _cached_table: np.ndarray | None = _cache()
     _topo: tuple[int, ...] | None = _cache()
     _cpt_cumsum: tuple[np.ndarray, ...] | None = _cache()
+    _marginals: np.ndarray | None = _cache()
 
     def __post_init__(self) -> None:
         V, L = self.vocab.size, len(self.parents)
@@ -281,24 +292,82 @@ def _slabs(sub: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _conditionals(table: np.ndarray, tokens: np.ndarray, mask_id: int) -> np.ndarray:
-    """The (m, L, V) exact output rows of m distinct (m, L) token rows.
+def _radix(V: int, L: int) -> np.ndarray:
+    """Digit weights of a row's base-(V+1) code: position k has (V+1)**k."""
+    return (V + 1) ** np.arange(L, dtype=np.int64)
 
-    A masked position gets p(x_i | unmasked tokens), an unmasked one the
-    one-hot of its token. Rows that mask the same positions are answered
-    together: one gather takes each row's slice of the joint table at its
-    unmasked tokens, an (m_g, V, ..., V) array over the masked positions,
-    and each masked position's conditional is its ``_slabs`` sum divided by
-    the row's total. Raises ZeroSupportError for a row with a masked
-    position whose unmasked tokens have probability zero.
+
+def marginal_table(model: JointModel) -> np.ndarray:
+    """The flat ``(V+1)**L`` marginal table of the joint, built once and cached.
+
+    Entry ``(row - 1) @ _radix(V, L)`` of a row of tokens 1..V+1 is the
+    joint's mass of the row's unmasked tokens: digit V (the mask token)
+    at a position sums it out. The table is filled in place, one axis at a
+    time: slot V of axis k is the sum of slots 0..V-1, over every slot of
+    the axes before k. Raises EnumerationLimitError past ``ENUM_LIMIT``
+    entries.
     """
-    m, L = tokens.shape
-    V = table.shape[0]
-    masked = tokens == mask_id
-    probs = np.zeros((m, L, V))
+    if model._marginals is not None:
+        return model._marginals
+    V, L = model.vocab.size, model.L
+    if (V + 1) ** L > ENUM_LIMIT:
+        raise EnumerationLimitError(
+            f"marginal table {V + 1}^{L} exceeds enumeration limit {ENUM_LIMIT}"
+        )
+    flat = np.empty((V + 1) ** L)
+    table = flat.reshape((V + 1,) * L, order="F")  # a view: axis k has digit weight (V+1)**k
+    table[(slice(V),) * L] = joint_table(model)
+    for k in range(L):
+        head, tail = (slice(None),) * k, (slice(V),) * (L - k - 1)
+        np.add.reduce(table[head + (slice(V),) + tail], axis=k, keepdims=True,
+                      out=table[head + (slice(V, None),) + tail])
+    model._marginals = flat
+    return flat
+
+
+def _zero_support(row: np.ndarray, mask_id: int) -> ZeroSupportError:
+    fixed_tokens = {i: int(t) for i, t in enumerate(row.tolist()) if t != mask_id}
+    return ZeroSupportError(f"conditioning event {fixed_tokens} has probability zero")
+
+
+def _one_hots(tokens: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' (m, L) mask and an (m, L, V) output holding the one-hot of
+    every unmasked token and zeros at the masked positions."""
+    masked = tokens == V + 1
+    probs = np.zeros(tokens.shape + (V,))
     seen_r, seen_i = np.nonzero(~masked)
     probs[seen_r, seen_i, tokens[seen_r, seen_i] - 1] = 1.0
+    return masked, probs
+
+
+def _gathered_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
+    """``_conditionals`` by two gathers from ``marginal_table``: masked
+    position i of a row with code c gets M[c with digit i := v] / M[c]."""
+    V, L = model.vocab.size, model.L
+    flat = marginal_table(model)
+    masked, probs = _one_hots(tokens, V)
+    radix = _radix(V, L)
+    codes = (tokens - 1) @ radix
+    total = flat[codes]
+    dead = masked.any(axis=1) & ~(total > 0.0)
+    if dead.any():
+        raise _zero_support(tokens[int(np.argmax(dead))], V + 1)
+    r, i = np.nonzero(masked)
+    probs[r, i] = flat[codes[r, None] + radix[i, None] * (np.arange(V) - V)] / total[r, None]
+    return probs
+
+
+def _pattern_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
+    """``_conditionals`` one mask pattern at a time, for joints whose
+    ``marginal_table`` is past ``ENUM_LIMIT``. One gather takes each row's
+    slice of the joint table at its unmasked tokens, an (m_g, V, ..., V)
+    array over the masked positions, and each masked position's
+    conditional is its ``_slabs`` sum divided by the row's total."""
+    V = model.vocab.size
+    table = joint_table(model)
+    masked, probs = _one_hots(tokens, V)
     patterns, group, _ = mask_patterns(masked)
+    dead = np.zeros(len(tokens), dtype=bool)
     for g, pattern in enumerate(patterns):
         free = np.flatnonzero(pattern).tolist()
         if not free:
@@ -309,14 +378,30 @@ def _conditionals(table: np.ndarray, tokens: np.ndarray, mask_id: int) -> np.nda
         sub = table.transpose(fixed + free)[index].reshape((len(rs),) + (V,) * len(free))
         total = sub.reshape(len(rs), -1).sum(axis=1)
         if not np.all(total > 0.0):
-            bad = tokens[rs[int(np.argmin(total > 0.0))]]
-            fixed_tokens = {i: int(bad[i]) for i in fixed}
-            raise ZeroSupportError(
-                f"conditioning event {fixed_tokens} has probability zero"
-            )
+            dead[rs] = ~(total > 0.0)
+            continue
         for pos, slab in zip(free, _slabs(sub)):
             probs[rs, pos] = slab / total[:, None]
+    if dead.any():
+        raise _zero_support(tokens[int(np.argmax(dead))], V + 1)
     return probs
+
+
+def _conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
+    """The (m, L, V) exact output rows of m distinct (m, L) token rows, mask V+1.
+
+    A masked position gets p(x_i | unmasked tokens), an unmasked one the
+    one-hot of its token. A joint whose ``marginal_table`` fits
+    ``ENUM_LIMIT`` is answered by gathers from it; a larger one by the
+    per-pattern ``_slabs`` kernel, the only one that fits it. Either way
+    a row's output depends on its own tokens alone, bit for bit. Raises
+    ZeroSupportError, naming the first such row's unmasked tokens, for a
+    row with a masked position whose unmasked tokens have probability zero.
+    """
+    V, L = model.vocab.size, model.L
+    if (V + 1) ** L <= ENUM_LIMIT:
+        return _gathered_conditionals(model, tokens)
+    return _pattern_conditionals(model, tokens)
 
 
 def conditional_marginal(
@@ -335,7 +420,7 @@ def conditional_marginal(
     if not masked:
         raise ValueError("state has no masked position")
     tokens = np.array([state.tokens])
-    probs = _conditionals(joint_table(model), tokens, model.vocab.mask_id)[0]
+    probs = _conditionals(model, tokens)[0]
     return {i: probs[i] for i in masked}
 
 
@@ -425,7 +510,7 @@ def exact_policy_distribution(
     if schedule.positions() != set(range(prompt_len, L)):
         raise ValueError(f"schedule covers {sorted(schedule.positions())}, expected "
                          f"exactly the non-prompt positions {list(range(prompt_len, L))}")
-    table, mask_id = joint_table(model), model.vocab.mask_id
+    mask_id = model.vocab.mask_id
     prompts = prompt_marginal(model, prompt_len)
     # The walk goes one group at a time over every partial row of that level:
     # they all mask the same positions, so one kernel call conditions them
@@ -436,7 +521,7 @@ def exact_policy_distribution(
     rows[:, :prompt_len] = np.array([t for t, _ in prompts]).reshape(len(prompts), prompt_len)
     mass = np.array([p for _, p in prompts])
     for group in schedule.groups:
-        probs = _conditionals(table, rows, mask_id)
+        probs = _conditionals(model, rows)
         src = np.arange(len(rows))
         for pos in group:
             r, v = np.nonzero(probs[src, pos])
@@ -465,22 +550,24 @@ def oracle_dependency(model: JointModel, state: SequenceState, position: int) ->
 class OracleDenoiser:
     """Exact denoiser backed by a joint model; no attentions are produced.
 
-    Its outputs and dependency scores come from the module's one kernel
-    (``_conditionals`` and ``_slabs``), as every exact conditional and mutual
-    information here does. Output rows are cached by token row and
-    dependency scores by mask pattern, so repeated contexts during
-    enumeration or sampling are cheap. Both caches are dicts keyed by one
-    integer: a row's tokens 1..V+1 read as base-(V+1) digits, which maps to
-    the row's slot in the row store, and a mask pattern's bit code. The row
-    store doubles when full, so a call that misses copies the cache only
-    when it grows.
+    Its outputs come from ``_conditionals``, as every exact conditional
+    here does: gathers from the model's cached ``marginal_table`` (at most
+    ``ENUM_LIMIT`` floats, held while the model lives), or the per-pattern
+    ``_slabs`` kernel for a joint whose marginal table is past that limit.
+    Its dependency scores come from ``_slabs``. Output rows are cached by
+    token row and dependency scores by mask pattern, so repeated contexts
+    during enumeration or sampling are cheap. Both caches are dicts keyed
+    by one integer: a row's tokens 1..V+1 read as base-(V+1) digits (the
+    code that indexes the marginal table), which maps to the row's slot in
+    the row store, and a mask pattern's bit code. The row store doubles
+    when full, so a call that misses copies the cache only when it grows.
     """
 
     def __init__(self, model: JointModel):
         self.model = model
         self.vocab = model.vocab
         V, L = self.vocab.size, model.L
-        self._radix = (V + 1) ** np.arange(L, dtype=np.int64)
+        self._radix = _radix(V, L)
         self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _buffer
         self._buffer = np.zeros((0, L, V))  # filled up to len(_slot_of); doubles when full
         self._dep_cache: dict[int, np.ndarray] = {}
@@ -516,7 +603,7 @@ class OracleDenoiser:
             new, first, inverse = np.unique(
                 codes[missed], return_index=True, return_inverse=True
             )
-            fresh = _conditionals(joint_table(self.model), batch[missed][first], V + 1)
+            fresh = _conditionals(self.model, batch[missed][first])
             n, m = len(self._slot_of), len(new)
             if n + m > len(self._buffer):
                 grown = np.empty((max(2 * len(self._buffer), n + m), L, V))

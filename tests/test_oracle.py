@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_conditionals, one_row
+from mdlmlab import oracle
 from mdlmlab.core import SequenceState, StateBatch, Vocabulary
 from mdlmlab.decoding import PolicyConfig
 from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
@@ -28,6 +29,7 @@ from mdlmlab.oracle import (
     joint_prob,
     joint_table,
     load_joint_model,
+    marginal_table,
     model_distribution,
     oracle_dependency,
     prompt_marginal,
@@ -492,6 +494,7 @@ def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
     den = OracleDenoiser(model)
     out = den.batch(StateBatch(vocab, tokens))
     assert out.probs.shape == (n + 1, L, V) and out.attentions is None
+    assert model._marginals is not None  # answered from the marginal table
     for r, row in enumerate(tokens.tolist()):
         state = SequenceState(vocab, tuple(row))
         want = brute_conditionals(model, state) if state.masked_positions() else {}
@@ -519,6 +522,110 @@ def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
             conditional_marginal(model, state)
         with pytest.raises(ZeroSupportError):
             OracleDenoiser(model).batch(StateBatch(vocab, np.vstack([tokens, row])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       n=st.integers(1, 10), kind=st.sampled_from(["dense", "sparse", "dag"]))
+def test_both_conditional_kernels_match_brute_force(seed, V, L, n, kind):
+    data = np.random.default_rng(seed)
+    if kind == "dense":
+        model = random_tabular(data, V, L)
+    else:
+        model = sparse_model(data, V, L, kind == "sparse")
+    mask = model.vocab.mask_id
+    # masked draws from the joint, uniform rows, sequences of zero mass with
+    # one position masked (some contexts of zero mass) and the all-masked row,
+    # each row once as the oracle hands them over
+    drawn = np.where(data.random((n, L)) < data.random(), mask, sample_joints(model, data, n))
+    zeros = np.argwhere(joint_table(model) == 0.0)[:n] + 1
+    zeros[np.arange(len(zeros)), data.integers(0, L, size=len(zeros))] = mask
+    tokens = np.unique(np.vstack([drawn, data.integers(1, V + 2, size=(n, L)), zeros,
+                                  np.full((1, L), mask)]), axis=0)
+    live, dead = [], []
+    for row in tokens:
+        state = SequenceState(model.vocab, tuple(row.tolist()))
+        try:
+            want = brute_conditionals(model, state) if state.masked_positions() else {}
+        except ZeroDivisionError:
+            dead.append(row)
+            continue
+        live.append((row, want))
+    rows = np.array([row for row, _ in live])
+    gathered = oracle._gathered_conditionals(model, rows)
+    by_pattern = oracle._pattern_conditionals(model, rows)
+    assert np.max(np.abs(gathered - by_pattern)) <= 1e-15
+    for probs in (gathered, by_pattern):
+        for r, (row, want) in enumerate(live):
+            for i, tok in enumerate(row.tolist()):
+                if i in want:
+                    assert np.max(np.abs(probs[r, i] - want[i])) <= 1e-12
+                else:  # an unmasked position: the exact one-hot of its token
+                    assert np.array_equal(probs[r, i], np.eye(V)[tok - 1])
+    # a context of zero mass: both kernels name it, alone and as the first
+    # one after the live rows
+    for row in dead:
+        fixed = {i: int(t) for i, t in enumerate(row.tolist()) if t != mask}
+        for batch in (row[None], np.vstack([rows, row] + [d for d in dead if d is not row])):
+            for kernel in (oracle._gathered_conditionals, oracle._pattern_conditionals):
+                with pytest.raises(ZeroSupportError) as err:
+                    kernel(model, batch)
+                assert str(err.value) == f"conditioning event {fixed} has probability zero"
+
+
+def test_joints_past_the_marginal_table_take_the_pattern_kernel(monkeypatch):
+    # 2^13 sequences fit ENUM_LIMIT, a 3^13 marginal table does not
+    model = random_dag(np.random.default_rng(71), V=2, L=13)
+    assert model.vocab.size**model.L <= ENUM_LIMIT < (model.vocab.size + 1) ** model.L
+    slabs = oracle._slabs
+    calls = []
+    monkeypatch.setattr(oracle, "_slabs", lambda sub: calls.append(sub.shape) or slabs(sub))
+    rng = np.random.default_rng(72)
+    mask = model.vocab.mask_id
+    tokens = np.where(rng.random((3, model.L)) < 0.5, mask, sample_joints(model, rng, 3))
+    tokens = np.vstack([tokens, np.full((1, model.L), mask)])
+    out = OracleDenoiser(model)(StateBatch(model.vocab, tokens)).probs
+    assert calls
+    for r, row in enumerate(tokens.tolist()):
+        state = SequenceState(model.vocab, tuple(row))
+        want = brute_conditionals(model, state)
+        calls.clear()
+        got = conditional_marginal(model, state)
+        assert calls and sorted(got) == sorted(want)
+        for i in want:
+            assert np.max(np.abs(out[r, i] - want[i])) <= 1e-12
+            assert np.max(np.abs(got[i] - want[i])) <= 1e-12
+        # bit for bit the same alone, in a fresh denoiser
+        assert np.array_equal(OracleDenoiser(model)(one_row(state)).probs[0], out[r])
+    assert model._marginals is None
+    with pytest.raises(EnumerationLimitError):
+        marginal_table(model)
+
+
+def test_marginal_table_is_built_once_per_model():
+    rng = np.random.default_rng(73)
+    for model in (random_tabular(rng, V=3, L=4), random_dag(rng, V=2, L=5)):
+        spec = {f.name: f for f in dataclasses.fields(model)}["_marginals"]
+        assert not (spec.init or spec.repr or spec.compare)
+        V, L = model.vocab.size, model.L
+        before = repr(model)
+        sched = GroupSchedule(tuple((i,) for i in range(L)))
+        first = exact_policy_distribution(model, sched)
+        table = model._marginals
+        assert table is not None and table.shape == ((V + 1) ** L,) and repr(model) == before
+        assert exact_policy_distribution(model, sched) == first
+        OracleDenoiser(model)(StateBatch(model.vocab, np.full((1, L), V + 1)))
+        assert model._marginals is table and marginal_table(model) is table
+        # entry (row - 1) @ (V+1)**k is the joint summed over the masked positions
+        joint = joint_table(model)
+        for row in itertools.product(range(1, V + 2), repeat=L):
+            code = sum((t - 1) * (V + 1) ** k for k, t in enumerate(row))
+            masked = tuple(k for k, t in enumerate(row) if t == V + 1)
+            index = tuple(slice(None) if t == V + 1 else t - 1 for t in row)
+            want = joint[index].sum() if masked else joint[index]
+            assert abs(table[code] - want) <= 1e-15
+            if not masked:
+                assert table[code] == want
 
 
 def test_oracle_batch_rejects_rows_that_do_not_fit():
