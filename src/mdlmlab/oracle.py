@@ -16,7 +16,13 @@ the model lives: at most ``ENUM_LIMIT`` floats (8 MB), beside the joint
 table. A joint whose M is past the limit but whose table fits it is
 answered one mask pattern at a time by ``_slabs``, which sums a slice of
 the table onto each of its free positions; the joint's size picks the
-kernel. Mutual information always goes through ``_slabs``.
+kernel.
+
+Every mutual information comes from ``pattern_entropies``, the 2**L
+entropies of the joint's marginals over the positions each mask pattern
+leaves unmasked: I(x_i; x_U) is three gathers from it. While M fits it is
+built in one pass from M; past that, each entry a call needs is filled from
+the joint table.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .core import (
 )
 
 ENUM_LIMIT = 10**6
+DEP_FLOOR = 1e-12  # a mutual information at or below this scores exactly 0.0
 
 
 class ZeroSupportError(ValueError):
@@ -67,6 +74,7 @@ class TabularJoint:
     table: np.ndarray
     _flat_cumsum: np.ndarray | None = _cache()
     _marginals: np.ndarray | None = _cache()
+    _entropies: np.ndarray | None = _cache()
 
     def __post_init__(self) -> None:
         self.table = np.asarray(self.table, dtype=float)
@@ -96,6 +104,7 @@ class FactorizedDAG:
     _topo: tuple[int, ...] | None = _cache()
     _cpt_cumsum: tuple[np.ndarray, ...] | None = _cache()
     _marginals: np.ndarray | None = _cache()
+    _entropies: np.ndarray | None = _cache()
 
     def __post_init__(self) -> None:
         V, L = self.vocab.size, len(self.parents)
@@ -323,6 +332,60 @@ def marginal_table(model: JointModel) -> np.ndarray:
                       out=table[head + (slice(V, None),) + tail])
     model._marginals = flat
     return flat
+
+
+def _entropy_terms(p: np.ndarray) -> np.ndarray:
+    """-p log p entry by entry, 0 where p = 0."""
+    log = np.zeros_like(p)
+    np.log(p, out=log, where=p > 0.0)
+    return -p * log
+
+
+def _table_entropies(model: JointModel) -> np.ndarray:
+    """Every entry of ``pattern_entropies`` in one pass over ``marginal_table``:
+    -M log M, then at each axis in turn slots 0..V-1 summed into one slot and
+    slot V kept beside it, so a position's bit is 1 where it is masked."""
+    V, L = model.vocab.size, model.L
+    h = _entropy_terms(marginal_table(model)).reshape((V + 1,) * L, order="F")
+    for k in range(L):
+        head = (slice(None),) * k
+        h = np.concatenate([h[head + (slice(V),)].sum(axis=k, keepdims=True),
+                            h[head + (slice(V, None),)]], axis=k)
+    return h.reshape(-1, order="F")
+
+
+def _filled_entropies(model: JointModel, h: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``h`` with its NaN entries among the pattern ``codes`` filled in place,
+    each from the joint table summed over the pattern's masked positions."""
+    table = joint_table(model)
+    codes = np.unique(codes)
+    for code in codes[np.isnan(h[codes])].tolist():
+        masked = tuple(k for k in range(model.L) if code >> k & 1)
+        h[code] = _entropy_terms(np.asarray(table.sum(axis=masked))).sum()
+    return h
+
+
+def pattern_entropies(model: JointModel, codes=None) -> np.ndarray:
+    """The (2**L,) pattern entropies H of the joint, cached on the model.
+
+    H[S] is the entropy of the joint's marginal over the positions the mask
+    pattern S leaves unmasked; bit i of S is set when position i is masked.
+    While ``marginal_table`` fits ``ENUM_LIMIT`` the whole vector is built
+    from it at once. Past that, NaN marks the entries not filled yet, and
+    those among the pattern ``codes`` are filled from the joint table.
+    Raises EnumerationLimitError for a joint whose table is past the limit.
+    """
+    V, L = model.vocab.size, model.L
+    fits = (V + 1) ** L <= ENUM_LIMIT
+    if model._entropies is None:
+        if fits:
+            model._entropies = _table_entropies(model)
+        else:
+            joint_table(model)  # refuses a joint past the limit before 2**L floats are taken
+            model._entropies = np.full(2**L, np.nan)
+    if codes is not None and not fits:
+        _filled_entropies(model, model._entropies, codes)
+    return model._entropies
 
 
 def _zero_support(row: np.ndarray, mask_id: int) -> ZeroSupportError:
@@ -554,13 +617,13 @@ class OracleDenoiser:
     here does: gathers from the model's cached ``marginal_table`` (at most
     ``ENUM_LIMIT`` floats, held while the model lives), or the per-pattern
     ``_slabs`` kernel for a joint whose marginal table is past that limit.
-    Its dependency scores come from ``_slabs``. Output rows are cached by
-    token row and dependency scores by mask pattern, so repeated contexts
-    during enumeration or sampling are cheap. Both caches are dicts keyed
-    by one integer: a row's tokens 1..V+1 read as base-(V+1) digits (the
-    code that indexes the marginal table), which maps to the row's slot in
-    the row store, and a mask pattern's bit code. The row store doubles
-    when full, so a call that misses copies the cache only when it grows.
+    Its dependency scores are gathers from the model's cached
+    ``pattern_entropies``. Output rows are cached by token row, so repeated
+    contexts during enumeration or sampling are cheap. The cache is a dict
+    keyed by a row's tokens 1..V+1 read as base-(V+1) digits (the code that
+    indexes the marginal table), which maps to the row's slot in the row
+    store. The row store doubles when full, so a call that misses copies
+    the cache only when it grows.
     """
 
     def __init__(self, model: JointModel):
@@ -570,11 +633,8 @@ class OracleDenoiser:
         self._radix = _radix(V, L)
         self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _buffer
         self._buffer = np.zeros((0, L, V))  # filled up to len(_slot_of); doubles when full
-        self._dep_cache: dict[int, np.ndarray] = {}
         self.hits = 0  # rows a call found in the cache
         self.misses = 0  # rows a call did not find there
-        self.dep_hits = 0  # mask rows whose scores were cached when the call began
-        self.dep_misses = 0  # the other mask rows
 
     def __call__(self, states: StateBatch) -> DenoiserOutput:
         """Exact (n, L, V) output of the rows of a ``StateBatch``, a fresh array.
@@ -622,37 +682,24 @@ class OracleDenoiser:
         """``oracle_dependency`` of every masked position of n rows, NaN elsewhere.
 
         ``masked`` is the rows' (n, L) mask. A row's scores depend on its
-        mask alone, so they are cached by mask pattern, and the result is a
-        fresh (n, L) array. Every row whose pattern was cached when the call
-        began counts in ``dep_hits``, every other row in ``dep_misses``. A
-        pattern's table is transposed once to (unmasked..., masked...) with
-        the unmasked assignments as rows, so ``_slabs`` gives each masked
-        position's joint with the unmasked set. A mask that is not rows of
-        L positions raises ``ValueError``.
+        mask alone: position i of a row with pattern S scores
+        H[S] + H[full ^ bit i] - H[S ^ bit i] from ``pattern_entropies``,
+        three gathers for all rows at once, and a score at or below
+        ``DEP_FLOOR`` is exactly 0.0, so positions of no mutual information
+        tie instead of ranking by roundoff. The result is a fresh (n, L)
+        array. A mask that is not rows of L positions raises ``ValueError``.
         """
-        L, V = self.model.L, self.vocab.size
+        L = self.model.L
         masked = np.asarray(masked, dtype=bool)
         if masked.ndim != 2 or masked.shape[1] != L:
             raise ValueError(f"masks must be rows of {L} positions, got shape {masked.shape}")
-        patterns, inverse, codes = mask_patterns(masked)
-        cached = np.array([code in self._dep_cache for code in codes.tolist()], dtype=bool)
-        n_hit = int(cached[inverse].sum())
-        self.dep_hits += n_hit
-        self.dep_misses += len(masked) - n_hit
-        for code, pattern in zip(codes[~cached].tolist(), patterns[~cached]):
-            free, fixed = np.flatnonzero(pattern).tolist(), np.flatnonzero(~pattern).tolist()
-            scores = np.full(L, np.nan)
-            scores[free] = 0.0
-            if free and fixed:
-                sub = joint_table(self.model).transpose(fixed + free)
-                for pos, slab in zip(free, _slabs(sub.reshape((-1,) + (V,) * len(free)))):
-                    joint = slab.T  # (value of pos, unmasked assignment)
-                    prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-                    nz = joint > 0
-                    mi = float((joint[nz] * np.log(joint[nz] / prod[nz])).sum())
-                    scores[pos] = max(mi, 0.0)
-            self._dep_cache[code] = scores
-        return np.array([self._dep_cache[code] for code in codes.tolist()]).reshape(-1, L)[inverse]
+        bits = 1 << np.arange(L, dtype=np.int64)
+        codes = masked @ bits
+        alone = ((1 << L) - 1) ^ bits  # position i unmasked, every other masked
+        joined = codes[:, None] & ~bits  # the row's unmasked positions and i
+        h = pattern_entropies(self.model, np.concatenate([codes, alone, joined.ravel()]))
+        mi = h[codes][:, None] + h[alone] - h[joined]
+        return np.where(masked, np.where(mi > DEP_FLOOR, mi, 0.0), np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -886,4 +886,3 @@ def test_oracle_dep_scores_each_chunk_in_one_call(monkeypatch):
     prompts = [[1 + i % 2] for i in range(FORWARD_ROWS + 44)]  # more rows than one chunk
     decode_blockwise(den, policy, prompts, model.L - 1, np.random.default_rng(2))
     assert max(batches) == FORWARD_ROWS and deps == [(n, model.L) for n in batches]
-    assert den.dep_hits + den.dep_misses == sum(batches)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from helpers import brute_conditionals, one_row
 from mdlmlab import oracle
 from mdlmlab.core import SequenceState, StateBatch, Vocabulary
-from mdlmlab.decoding import PolicyConfig
-from mdlmlab.harness import ExperimentConfig, run_policy, tv_distance
+from mdlmlab.decoding import PolicyConfig, select_topk
+from mdlmlab.harness import ExperimentConfig, dependency_greedy_schedule, run_policy, tv_distance
 from mdlmlab.oracle import (
     ENUM_LIMIT,
     Distribution,
@@ -32,6 +32,7 @@ from mdlmlab.oracle import (
     marginal_table,
     model_distribution,
     oracle_dependency,
+    pattern_entropies,
     prompt_marginal,
     random_dag,
     random_tabular,
@@ -768,24 +769,118 @@ def test_dependency_scores_match_brute_force_mutual_information(seed, V, L, n, t
                 assert np.isnan(row[i])
 
 
-def test_dependency_cache_counts_rows_like_a_set():
-    model = random_dag(np.random.default_rng(3), V=2, L=5)
-    rng = np.random.default_rng(6)
-    pool = rng.random((12, model.L)) < 0.5
-    den = OracleDenoiser(model)
-    seen, hits, misses = set(), 0, 0
-    for _ in range(40):
-        masks = pool[rng.integers(0, len(pool), size=rng.integers(1, 10))]
-        rows = list(map(tuple, masks.tolist()))
-        hit = [r in seen for r in rows]  # cached when the call began
-        hits, misses = hits + sum(hit), misses + len(hit) - sum(hit)
-        seen |= set(rows)
-        scores = den.dependency_scores(masks)
-        assert np.array_equal(scores, OracleDenoiser(model).dependency_scores(masks),
-                              equal_nan=True)
-    assert (den.dep_hits, den.dep_misses) == (hits, misses)
-    assert len(den._dep_cache) == len(seen)
-    assert (den.hits, den.misses) == (0, 0)  # the row cache is another count
+def table_entropy(joint: np.ndarray, masked) -> float:
+    """Entropy of the joint's marginal over its unmasked positions, by one sum."""
+    p = joint.sum(axis=tuple(k for k, m in enumerate(masked) if m)).ravel()
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def table_mutual_information(joint: np.ndarray, masked, i: int) -> float:
+    """I(x_i; unmasked positions) from the joint table, as sum p log p / (p_i p_U)."""
+    seen = [k for k, m in enumerate(masked) if not m]
+    both = np.moveaxis(joint.sum(axis=tuple(k for k, m in enumerate(masked) if m and k != i)),
+                       sum(k < i for k in seen), 0).reshape(joint.shape[0], -1)
+    prod = np.outer(both.sum(axis=1), both.sum(axis=0))
+    nz = both > 0
+    return float((both[nz] * np.log(both[nz] / prod[nz])).sum())
+
+
+def all_masks(L: int) -> np.ndarray:
+    """Every mask pattern of L positions with a masked one, bit i for position i."""
+    codes = np.arange(1, 2**L)
+    return (codes[:, None] >> np.arange(L)) & 1 == 1
+
+
+def test_pattern_entropies_are_built_once_per_model():
+    rng = np.random.default_rng(74)
+    for model in (random_tabular(rng, V=3, L=4), random_dag(rng, V=2, L=5)):
+        spec = {f.name: f for f in dataclasses.fields(model)}["_entropies"]
+        assert not (spec.init or spec.repr or spec.compare)
+        L = model.L
+        before = repr(model)
+        first = dependency_greedy_schedule(model, prompt_len=1, steps=2)
+        h = model._entropies
+        assert h is not None and h.shape == (2**L,) and repr(model) == before
+        assert dependency_greedy_schedule(model, prompt_len=1, steps=2) == first
+        OracleDenoiser(model).dependency_scores(all_masks(L))
+        state = SequenceState(model.vocab, (1,) + (model.vocab.mask_id,) * (L - 1))
+        oracle_dependency(model, state, 1)
+        assert model._entropies is h and pattern_entropies(model) is h
+        # H[S] is the entropy of the marginal over the positions S leaves unmasked
+        joint = joint_table(model)
+        for code in range(2**L):
+            masked = [bool(code >> k & 1) for k in range(L)]
+            assert abs(h[code] - table_entropy(joint, masked)) <= 1e-12
+
+
+def test_both_entropy_fills_agree():
+    # binary L=13: a 3^13 marginal table does not fit, so entries are filled per pattern
+    big = random_dag(np.random.default_rng(71), V=2, L=13)
+    rng = np.random.default_rng(75)
+    masks = np.vstack([rng.random((6, big.L)) < 0.6, np.ones((1, big.L), dtype=bool)])
+    scores = OracleDenoiser(big).dependency_scores(masks)
+    joint = joint_table(big)
+    for masked, row in zip(masks.tolist(), scores):
+        for i in range(big.L):
+            if masked[i]:
+                assert abs(row[i] - table_mutual_information(joint, masked, i)) <= 1e-12
+    assert big._marginals is None and np.isnan(big._entropies).any()
+
+    def both_fills(model, masks):
+        """The scores of ``masks`` from each fill of the model's entropies."""
+        L = model.L
+        filled = oracle._filled_entropies(model, np.full(2**L, np.nan), np.arange(2**L))
+        built = oracle._table_entropies(model)
+        assert np.max(np.abs(filled - built)) <= 1e-12
+        scores = []
+        for h in (filled, built):
+            model._entropies = h
+            scores.append(OracleDenoiser(model).dependency_scores(masks))
+        return scores
+
+    # on small joints, both fills give the same scores and top-k picks on every pattern
+    rng = np.random.default_rng(76)
+    for model in (random_tabular(rng, V=3, L=4), random_dag(rng, V=2, L=6, max_parents=2),
+                  sparse_model(rng, 3, 4, tabular=False)):
+        masks = all_masks(model.L)
+        by_fill, by_table = both_fills(model, masks)
+        assert np.array_equal(np.isnan(by_fill), ~masks)
+        assert np.nanmax(np.abs(by_fill - by_table)) <= 1e-12
+        for k in range(1, model.L + 1):
+            budget = np.full(len(masks), k)
+            assert np.array_equal(select_topk(by_fill, masks, budget),
+                                  select_topk(by_table, masks, budget))
+    # a collider 0 -> 2 <- 1, an isolated 3 and 0 -> 4: with 0 unmasked, 1 and 3 are
+    # d-separated from it, score exactly 0.0 by either fill, and tie by position
+    collider = FactorizedDAG(V2, ((), (), (0, 1), (), (0,)), (
+        np.array([0.3, 0.7]), np.array([0.6, 0.4]),
+        np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.95, 0.05]]]),
+        np.array([0.5, 0.5]), np.array([[0.8, 0.2], [0.1, 0.9]])))
+    context = np.array([[False, True, True, True, True]])
+    for scores in both_fills(collider, context):
+        assert scores[0, 1] == 0.0 and scores[0, 3] == 0.0
+        assert scores[0, 2] > 0.0 and scores[0, 4] > 0.0
+        assert select_topk(scores, context, np.array([3])).tolist() == [
+            [False, True, True, False, True]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(2, 4), L=st.integers(1, 5),
+       tabular=st.booleans())
+def test_unmasking_a_position_never_lowers_a_score(seed, V, L, tabular):
+    model = sparse_model(np.random.default_rng(seed), V, L, tabular)
+    masks = all_masks(L)
+    scores = OracleDenoiser(model).dependency_scores(masks)
+    joint = joint_table(model)
+    own = [table_entropy(joint, [k != i for k in range(L)]) for i in range(L)]
+    assert np.all(np.nan_to_num(scores, nan=0.0) <= np.array(own) + 1e-12)
+    for r, masked in enumerate(masks):  # row r has pattern code r + 1
+        for j in np.flatnonzero(masked).tolist():
+            fewer = (r + 1) ^ (1 << j)  # j unmasked too: every other masked i keeps or gains
+            if fewer:
+                others = masks[fewer - 1]
+                assert np.all(scores[fewer - 1, others] >= scores[r, others] - 1e-12)
 
 
 def test_group_schedule_validation():
