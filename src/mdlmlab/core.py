@@ -152,13 +152,13 @@ class DenoiserOutput:
     attentions: list[np.ndarray] | None = None
 
 
-def mask_patterns(masked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, L) mask, each row's index among them, and each
-    distinct row's key, the sum of 2**i over its masked positions i (L <= 62): a 1-D
+def mask_patterns(masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, L) mask and each row's index among them. Rows
+    are keyed by the sum of 2**i over their masked positions i (L <= 62): a 1-D
     ``np.unique`` of the keys is far faster than one with ``axis=0``."""
     codes = masked @ (1 << np.arange(masked.shape[1]))
-    codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return masked[first], inverse, codes
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return masked[first], inverse
 
 
 def forward_mask(

@@ -4,15 +4,14 @@ A denoiser has a ``vocab`` attribute and one call: ``denoiser.batch(states)``
 takes a ``core.StateBatch`` of n same-length rows and returns one
 ``DenoiserOutput`` whose arrays carry a leading row axis, in row order (the
 transformer runs one batched forward over its distinct rows, the oracle
-reads each row from its cache and computes the missed rows together). A
-row's output must not depend on the other rows of the call. For the
-oracle_dep scorer, the exact backend also has ``dependency_scores(masked)``:
-it takes the rows' (n, L) mask and returns their (n, L) scores. A step
-makes one forward evaluation per sequence, and both the scores and the
-committed predictions come from that same evaluation, so the trace's NFE
-equals the number of forward evaluations exactly: one per sequence per
-step, whatever a denoiser shares among equal rows (the transformer's one
-forward per distinct row, the oracle's cache).
+computes every row of the call together). A row's output must not depend
+on the other rows of the call. For the oracle_dep scorer, the exact
+backend also has ``dependency_scores(masked)``: it takes the rows' (n, L)
+mask and returns their (n, L) scores. A step makes one forward evaluation
+per sequence, and both the scores and the committed predictions come from
+that same evaluation, so the trace's NFE equals the number of forward
+evaluations exactly: one per sequence per step, whatever a denoiser shares
+among equal rows (the transformer's one forward per distinct row).
 
 The step rule (block order and budgets, candidates, KLASS history, scoring
 and selection) lives in one step loop, the private generator ``_lockstep``,
@@ -514,8 +513,9 @@ def enumerate_decodes(
     Given distinct prompts, every token row the walk hands its denoiser is
     distinct across the whole walk, and so is every outcome: each step
     commits at least one position, and the branches of a row all commit
-    the same selected set, each with other values. So a fresh
-    ``OracleDenoiser`` ends a walk without one cache hit.
+    the same selected set, each with other values. So a denoiser that
+    computes every row it is handed, as ``OracleDenoiser`` does, computes
+    no row twice in a walk.
     """
     if policy.stochastic_remask:
         raise ValueError("stochastic remasking has no exact mode")

@@ -420,8 +420,8 @@ class TransformerDenoiser:
         A row's output does not depend on the other rows, so the result is
         bit-identical. Rows are keyed by ``_distinct_rows``. NFE
         still counts one evaluation per sequence per step, whatever is shared
-        among equal rows, as with the oracle's cache. Errors are those of
-        ``forward``, in its order: the vocabulary first, then the rows.
+        among equal rows. Errors are those of ``forward``, in its order: the
+        vocabulary first, then the rows.
         """
         if states.vocab.size != self.vocab.size:
             raise ValueError("state vocabulary does not match the model")

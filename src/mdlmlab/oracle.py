@@ -404,20 +404,27 @@ def _one_hots(tokens: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gathered_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
-    """``_conditionals`` by two gathers from ``marginal_table``: masked
-    position i of a row with code c gets M[c with digit i := v] / M[c]."""
+    """``_conditionals`` by two gathers from ``marginal_table``: value v of
+    masked position i of a row with code c gets M[c with digit i := v] / M[c],
+    and an unmasked position the one-hot of its token. The entries are
+    built value-major, as a (V, m*L) array, so that every step runs over
+    m*L contiguous entries rather than V."""
     V, L = model.vocab.size, model.L
     flat = marginal_table(model)
-    masked, probs = _one_hots(tokens, V)
+    digits = tokens - 1
+    masked = digits == V
     radix = _radix(V, L)
-    codes = (tokens - 1) @ radix
+    codes = digits @ radix
     total = flat[codes]
-    dead = masked.any(axis=1) & ~(total > 0.0)
-    if dead.any():
-        raise _zero_support(tokens[int(np.argmax(dead))], V + 1)
-    r, i = np.nonzero(masked)
-    probs[r, i] = flat[codes[r, None] + radix[i, None] * (np.arange(V) - V)] / total[r, None]
-    return probs
+    if not total.all():  # some row has zero mass: refused if it has a masked position
+        dead = masked.any(axis=1) & ~(total > 0.0)
+        if dead.any():
+            raise _zero_support(tokens[int(np.argmax(dead))], V + 1)
+    values = np.arange(V)[:, None]
+    probs = (digits.reshape(-1) == values).astype(float)
+    index = (masked * radix).reshape(-1) * (values - V) + np.repeat(codes, L)
+    np.divide(flat[index], np.repeat(total, L), out=probs, where=masked.reshape(-1))
+    return np.ascontiguousarray(probs.T).reshape(tokens.shape + (V,))
 
 
 def _pattern_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
@@ -429,7 +436,7 @@ def _pattern_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
     V = model.vocab.size
     table = joint_table(model)
     masked, probs = _one_hots(tokens, V)
-    patterns, group, _ = mask_patterns(masked)
+    patterns, group = mask_patterns(masked)
     dead = np.zeros(len(tokens), dtype=bool)
     for g, pattern in enumerate(patterns):
         free = np.flatnonzero(pattern).tolist()
@@ -451,7 +458,7 @@ def _pattern_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
 
 
 def _conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
-    """The (m, L, V) exact output rows of m distinct (m, L) token rows, mask V+1.
+    """The (m, L, V) exact output rows of m (m, L) token rows, mask V+1.
 
     A masked position gets p(x_i | unmasked tokens), an unmasked one the
     one-hot of its token. A joint whose ``marginal_table`` fits
@@ -618,61 +625,32 @@ class OracleDenoiser:
     ``ENUM_LIMIT`` floats, held while the model lives), or the per-pattern
     ``_slabs`` kernel for a joint whose marginal table is past that limit.
     Its dependency scores are gathers from the model's cached
-    ``pattern_entropies``. Output rows are cached by token row, so repeated
-    contexts during enumeration or sampling are cheap. The cache is a dict
-    keyed by a row's tokens 1..V+1 read as base-(V+1) digits (the code that
-    indexes the marginal table), which maps to the row's slot in the row
-    store. The row store doubles when full, so a call that misses copies
-    the cache only when it grows.
+    ``pattern_entropies``. It keeps no per-row state: every call computes
+    all of its rows, so an exact walk, which hands its denoiser each row
+    once, does no work twice, and a row repeated across calls is simply
+    computed again.
     """
 
     def __init__(self, model: JointModel):
         self.model = model
         self.vocab = model.vocab
-        V, L = self.vocab.size, model.L
-        self._radix = _radix(V, L)
-        self._slot_of: dict[int, int] = {}  # a cached row's code -> its row in _buffer
-        self._buffer = np.zeros((0, L, V))  # filled up to len(_slot_of); doubles when full
-        self.hits = 0  # rows a call found in the cache
-        self.misses = 0  # rows a call did not find there
 
     def __call__(self, states: StateBatch) -> DenoiserOutput:
         """Exact (n, L, V) output of the rows of a ``StateBatch``, a fresh array.
 
         Each masked position gets p(x_i | unmasked tokens), each unmasked
-        one the exact one-hot of its token. A row is computed once and then
-        read from the cache; the rows a call misses are computed together
-        (see ``_conditionals``), and each is a function of its own tokens
-        alone, bit for bit, whatever else the call holds. Every row a call
-        finds cached counts in ``hits``, every other row in ``misses``.
-        Another vocabulary and what ``core.token_rows`` refuses as rows of L
-        tokens (mask allowed), one flat row too, raise ``ValueError``; a row
-        with a masked position whose unmasked tokens have probability zero
-        raises ``ZeroSupportError``.
+        one the exact one-hot of its token: ``_conditionals`` of the rows,
+        so each row is a function of its own tokens alone, bit for bit,
+        whatever else the call holds. Another vocabulary and what
+        ``core.token_rows`` refuses as rows of L tokens (mask allowed), one
+        flat row too, raise ``ValueError``; a row with a masked position
+        whose unmasked tokens have probability zero raises
+        ``ZeroSupportError``, naming the first such row in row order.
         """
-        V, L = self.vocab.size, self.model.L
-        if states.vocab.size != V:
+        if states.vocab.size != self.vocab.size:
             raise ValueError("states do not match the model's vocabulary")
-        batch = token_rows(states.tokens, V, L, mask=True)
-        codes = (batch - 1) @ self._radix
-        slots = np.array([self._slot_of.get(c, -1) for c in codes.tolist()], dtype=np.int64)
-        missed = slots < 0
-        n_missed = int(missed.sum())
-        self.hits, self.misses = self.hits + len(batch) - n_missed, self.misses + n_missed
-        if n_missed:
-            new, first, inverse = np.unique(
-                codes[missed], return_index=True, return_inverse=True
-            )
-            fresh = _conditionals(self.model, batch[missed][first])
-            n, m = len(self._slot_of), len(new)
-            if n + m > len(self._buffer):
-                grown = np.empty((max(2 * len(self._buffer), n + m), L, V))
-                grown[:n] = self._buffer[:n]
-                self._buffer = grown
-            self._buffer[n : n + m] = fresh
-            slots[missed] = n + inverse
-            self._slot_of.update(zip(new.tolist(), range(n, n + m)))
-        return DenoiserOutput(self._buffer[slots])  # a gather: the caller gets a copy
+        rows = token_rows(states.tokens, self.vocab.size, self.model.L, mask=True)
+        return DenoiserOutput(_conditionals(self.model, rows))
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
         """``self(states)``: one output with a leading row axis."""

@@ -382,52 +382,52 @@ def test_sequence_codes_round_trip_and_refuse_malformed_rows(V, L, data):
         sequence_codes(np.array(rows, dtype=float), V, L)
 
 
-def test_oracle_cache_grows_and_counts_rows_like_a_set():
+def test_oracle_call_with_repeated_rows_is_each_rows_own_call():
+    # a call's rows repeat within it and across calls; each row's output is
+    # its one-row call's, bit for bit
     model = random_dag(np.random.default_rng(3), V=3, L=5)
     vocab = model.vocab
     rng = np.random.default_rng(4)
-    pool = rng.integers(1, vocab.mask_id + 1, size=(400, model.L))
+    pool = rng.integers(1, vocab.mask_id + 1, size=(40, model.L))
     den = OracleDenoiser(model)
-    first = den(StateBatch(vocab, pool[:1]))
-    kept = first.probs.copy()
-    seen, hits, misses, sizes = {tuple(pool[0].tolist())}, 0, 1, set()
-    for _ in range(80):
-        tokens = pool[rng.integers(0, len(pool), size=rng.integers(1, 12))]
-        rows = list(map(tuple, tokens.tolist()))
-        hit = [r in seen for r in rows]  # cached when the call began
-        hits, misses = hits + sum(hit), misses + len(hit) - sum(hit)
-        seen |= set(rows)
-        den.batch(StateBatch(vocab, tokens))
-        sizes.add(len(den._buffer))
-    assert (den.hits, den.misses) == (hits, misses)
-    assert len(sizes) >= 4 and len(den._slot_of) == len(seen)  # grew several times
-    assert np.array_equal(first.probs, kept)  # growth left an old output alone
-    tokens = np.array(sorted(seen))
-    cached = den.batch(StateBatch(vocab, tokens)).probs
-    assert den.hits == hits + len(seen)
-    assert np.array_equal(cached, OracleDenoiser(model).batch(StateBatch(vocab, tokens)).probs)
+    alone = {tuple(row.tolist()): den(StateBatch(vocab, row[None])).probs[0] for row in pool}
+    for _ in range(30):
+        picks = rng.integers(0, len(pool), size=rng.integers(1, 30))
+        tokens = pool[np.concatenate([picks, rng.permutation(picks)])]  # each row twice or more
+        out = den.batch(StateBatch(vocab, tokens)).probs
+        for r, row in enumerate(tokens.tolist()):
+            assert np.array_equal(out[r], alone[tuple(row)])
 
 
 def test_oracle_outputs_are_copies():
-    # writing into an output, after a cache hit or a call that grew the row
-    # store, leaves the next output for the same rows unchanged
+    # writing into an output leaves the next output for the same rows
+    # unchanged, and no two outputs share memory
     model = random_dag(np.random.default_rng(5), V=3, L=4)
     vocab = model.vocab
-    rows = np.array([[4, 1, 4, 2], [1, 4, 4, 3]])
+    rows = np.array([[4, 1, 4, 2], [1, 4, 4, 3], [4, 1, 4, 2]])
     den = OracleDenoiser(model)
     want = den(StateBatch(vocab, rows)).probs.copy()
-    hit = den(StateBatch(vocab, rows))
-    assert den.hits == 2
-    hit.probs[...] = -1.0
-    assert np.array_equal(den(StateBatch(vocab, rows)).probs, want)
-    size = len(den._buffer)
-    pool = np.array(list(itertools.product(range(1, 5), repeat=4)))[:40]
-    grown = den(StateBatch(vocab, np.vstack([rows, pool])))
-    assert len(den._buffer) > size and den.misses > 2
-    grown.probs[...] = -1.0
-    assert np.array_equal(den(StateBatch(vocab, rows)).probs, want)
-    assert np.array_equal(den(StateBatch(vocab, pool)).probs,
-                          OracleDenoiser(model)(StateBatch(vocab, pool)).probs)
+    first = den(StateBatch(vocab, rows))
+    first.probs[...] = -1.0
+    second = den(StateBatch(vocab, rows))
+    assert np.array_equal(second.probs, want)
+    assert not np.shares_memory(first.probs, second.probs)
+    second.probs[0] = -1.0  # a repeated row is its own entry
+    assert np.array_equal(second.probs[2], want[2])
+    assert np.array_equal(den(StateBatch(vocab, rows[:1])).probs[0], want[0])
+
+
+def test_oracle_names_the_first_dead_row_in_row_order():
+    # both rows condition on an event of zero mass; the error names the
+    # first row handed over, not the first in code order
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0] = t[1, 1, 1] = 0.5
+    model = TabularJoint(V2, t)
+    rows = np.array([[1, 2, 3], [2, 1, 3]])
+    for tokens, fixed in ((rows, "{0: 1, 1: 2}"), (rows[::-1], "{0: 2, 1: 1}")):
+        with pytest.raises(ZeroSupportError) as err:
+            OracleDenoiser(model)(StateBatch(V2, tokens))
+        assert str(err.value) == f"conditioning event {fixed} has probability zero"
 
 
 def test_oracle_dependency_independent_is_zero():
@@ -460,7 +460,7 @@ def test_oracle_dependency_no_context_is_zero():
     assert oracle_dependency(m, state, 0) == 0.0
 
 
-def test_oracle_denoiser_outputs_and_cache():
+def test_oracle_denoiser_outputs_and_scores():
     rng = np.random.default_rng(53)
     m = random_dag(rng, V=3, L=4)
     den = OracleDenoiser(m)
@@ -470,9 +470,8 @@ def test_oracle_denoiser_outputs_and_cache():
     assert np.allclose(out.probs.sum(axis=2), 1.0)
     assert out.probs[0, 0, 1] == 1.0  # observed positions are point masses
     before = out.probs.copy()
-    out.probs[0, 1, 0] = 99.0  # a fresh gather: writing into it leaves the cache alone
-    assert den.hits == 0 and np.array_equal(den(one_row(state)).probs, before)
-    assert den.hits == 1
+    out.probs[0, 1, 0] = 99.0  # a fresh array: writing into it changes no later output
+    assert np.array_equal(den(one_row(state)).probs, before)
     masked = np.array([state.tokens]) == m.vocab.mask_id
     dep = den.dependency_scores(masked)
     assert np.isnan(dep[0, 0]) and np.isfinite(dep[0, 1])
@@ -506,7 +505,7 @@ def test_oracle_batch_is_each_rows_conditional(seed, V, L, n, tabular):
                 assert np.array_equal(out.probs[r, i], np.eye(V)[tok - 1])
         # bit for bit the same alone, in a fresh denoiser
         assert np.array_equal(OracleDenoiser(model)(one_row(state)).probs[0], out.probs[r])
-    # ... as cache hits, and in a batch that mixes hits with misses
+    # ... in reverse order, and after the denoiser answered other rows
     assert np.array_equal(den.batch(StateBatch(vocab, tokens[::-1])).probs, out.probs[::-1])
     mixed = OracleDenoiser(model)
     mixed.batch(StateBatch(vocab, tokens[::2]))
