@@ -16,6 +16,9 @@ that stochastic remasking reveals a masked position.
 token ids (states, prompts, denoisers, joint lookups, training batches)
 refuses a malformed row through it, so no id is truncated or aliased.
 ``number_fields`` is the one type check of the config classes' numbers.
+``distinct_rows`` is the one way rows are grouped by equal content: the
+training losses and ``TransformerDenoiser.batch`` run each distinct token
+row once, and the oracle's per-pattern kernel groups rows by mask pattern.
 
 All types are immutable values; operations are pure given an explicit
 ``numpy.random.Generator``.
@@ -152,13 +155,18 @@ class DenoiserOutput:
     attentions: list[np.ndarray] | None = None
 
 
-def mask_patterns(masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, L) mask and each row's index among them. Rows
-    are keyed by the sum of 2**i over their masked positions i (L <= 62): a 1-D
-    ``np.unique`` of the keys is far faster than one with ``axis=0``."""
-    codes = masked @ (1 << np.arange(masked.shape[1]))
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return masked[first], inverse
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of an (n, L) array.
+
+    ``rows[first]`` holds each distinct row once, and
+    ``rows[first][inverse]`` equals ``rows``. Rows are keyed by their bytes
+    (one ``np.unique`` over a void view), a key that cannot overflow for any
+    V or L.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def forward_mask(

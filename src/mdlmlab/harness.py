@@ -364,8 +364,9 @@ REFERENCE_MAX_ATTEMPTS = 1000
 LAYERED_MAX_ATTEMPTS = 500
 
 
-def _bern_row(p1: float) -> np.ndarray:
-    return np.array([p1, 1.0 - p1])
+def _bern_row(p1) -> np.ndarray:
+    """The binary CPT rows of an array of P(x = 1): ``p1``'s shape plus (2,)."""
+    return np.stack([p1, 1.0 - p1], -1)
 
 
 def reference_dag_model(seed: int) -> FactorizedDAG:
@@ -378,18 +379,9 @@ def reference_dag_model(seed: int) -> FactorizedDAG:
     rng = np.random.default_rng(seed)
     parents = ((), (0,), (0,), (1,), (1, 2))
     for _ in range(REFERENCE_MAX_ATTEMPTS):
-        cpts = (
-            _bern_row(rng.uniform(0.35, 0.65)),
-            np.stack([_bern_row(rng.uniform(0.08, 0.92)) for _ in range(2)]),
-            np.stack([_bern_row(rng.uniform(0.08, 0.92)) for _ in range(2)]),
-            np.stack([_bern_row(rng.uniform(0.08, 0.92)) for _ in range(2)]),
-            np.stack(
-                [
-                    np.stack([_bern_row(rng.uniform(0.08, 0.92)) for _ in range(2)])
-                    for _ in range(2)
-                ]
-            ),
-        )
+        root = _bern_row(rng.uniform(0.35, 0.65))
+        rows = _bern_row(rng.uniform(0.08, 0.92, 10))  # X1, X2, X3, then X4's four
+        cpts = (root, rows[0:2], rows[2:4], rows[4:6], rows[6:].reshape(2, 2, 2))
         model = FactorizedDAG(Vocabulary(2), parents, cpts)
         tvs = _reference_tvs(model)
         broken = [v for k, v in tvs.items() if k != REFERENCE_EXACT_SCHEDULE]
@@ -465,34 +457,25 @@ def layered_suite_model(seed: int) -> FactorizedDAG:
     children = [5, 6, 7, 8]
     gen_len = 8
     steps = gen_len // 2
+    agree = np.eye(2, dtype=bool)  # [va, vb]: the two parents agree
     for _ in range(LAYERED_MAX_ATTEMPTS):
         parents: list[tuple[int, ...]] = [()]
         cpts: list[np.ndarray] = [_bern_row(rng.uniform(0.4, 0.6))]
         for _ in roots:
             hi = rng.uniform(0.70, 0.78)
             parents.append((0,))
-            cpts.append(np.stack([_bern_row(hi), _bern_row(1.0 - hi)]))
+            cpts.append(_bern_row(np.array([hi, 1.0 - hi])))
         for j, _ in enumerate(children):
             pa, pb = sorted(rng.choice(roots, size=2, replace=False).tolist())
             parents.append((pa, pb))
-            rows = np.zeros((2, 2, 2))
             # Both child types key on parent agreement, which carries almost no
             # prompt information (flipping the prompt flips both roots).
             if j % 2 == 0:  # confidence-inflating child: near-certain on agreement
-                for va in range(2):
-                    for vb in range(2):
-                        p1 = (
-                            rng.uniform(0.96, 0.995)
-                            if va == vb
-                            else rng.uniform(0.45, 0.55)
-                        )
-                        rows[va, vb] = _bern_row(p1)
+                p1 = rng.uniform(np.where(agree, 0.96, 0.45), np.where(agree, 0.995, 0.55))
             else:  # parity-style child: strong coupling, near-uniform marginal
-                for va in range(2):
-                    for vb in range(2):
-                        hi = rng.uniform(0.86, 0.95)
-                        rows[va, vb] = _bern_row(hi if va == vb else 1.0 - hi)
-            cpts.append(rows)
+                hi = rng.uniform(0.86, 0.95, (2, 2))
+                p1 = np.where(agree, hi, 1.0 - hi)
+            cpts.append(_bern_row(p1))
         model = FactorizedDAG(Vocabulary(2), tuple(parents), tuple(cpts))
 
         # margin 1: mutual information separates the layers up front

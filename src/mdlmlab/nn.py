@@ -39,7 +39,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .core import DenoiserOutput, StateBatch, Vocabulary, forward_mask, number_fields, token_rows
+from .core import (
+    DenoiserOutput, StateBatch, Vocabulary, distinct_rows, forward_mask, number_fields, token_rows,
+)
 # ``sample_joint`` stays bound here: the traced benchmark wraps it in every
 # module that imports it, and bench/selftest.py checks this binding
 from .oracle import JointModel, sample_joint, sample_joints  # noqa: F401
@@ -376,20 +378,6 @@ def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str
     return g
 
 
-def _distinct_rows(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` of the distinct rows of an (n, L) int64 array.
-
-    ``tokens[first]`` holds each distinct row once, and
-    ``tokens[first][inverse]`` equals ``tokens``. Rows are keyed by their
-    bytes (one ``np.unique`` over an int64 void view), a key that cannot
-    overflow for any V or L.
-    """
-    tokens = np.ascontiguousarray(tokens)
-    keys = tokens.view(np.dtype((np.void, tokens.itemsize * tokens.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
-
-
 def forward(params: Params, states: StateBatch) -> DenoiserOutput:
     """Denoise a batch: per-position distributions plus all attention maps.
 
@@ -418,15 +406,15 @@ class TransformerDenoiser:
         distinct rows: each output is repeated in row order.
 
         A row's output does not depend on the other rows, so the result is
-        bit-identical. Rows are keyed by ``_distinct_rows``. NFE
-        still counts one evaluation per sequence per step, whatever is shared
-        among equal rows. Errors are those of ``forward``, in its order: the
+        bit-identical. Rows are keyed by ``core.distinct_rows``. NFE still
+        counts one evaluation per sequence per step, whatever is shared among
+        equal rows. Errors are those of ``forward``, in its order: the
         vocabulary first, then the rows.
         """
         if states.vocab.size != self.vocab.size:
             raise ValueError("state vocabulary does not match the model")
         tokens = token_rows(states.tokens, self.vocab.size, mask=True)
-        first, inverse = _distinct_rows(tokens)
+        first, inverse = distinct_rows(tokens)
         out = forward(self.params, StateBatch(states.vocab, tokens[first]))
         return DenoiserOutput(out.probs[inverse], [a[inverse] for a in out.attentions])
 
@@ -459,26 +447,6 @@ def _cross_entropy(log_probs, x0, loss_mask, weights) -> float:
     return float(-(weights * per_example).sum() / B)
 
 
-def masked_cross_entropy(
-    log_probs: np.ndarray,
-    x0: np.ndarray,
-    loss_mask: np.ndarray,
-    weights: np.ndarray,
-) -> float:
-    """Weighted cross-entropy over masked positions, averaged over the batch.
-
-    ``log_probs`` is (B, L, V) with B >= 1; targets are token ids in x0; each
-    example b contributes -weights[b] * sum_i log p(x0[b,i]) over its masked
-    positions, and the total is divided by B. The targets are checked as the
-    losses check them: a malformed one raises ``ValueError`` naming it.
-    """
-    if np.ndim(log_probs) != 3 or not len(log_probs):
-        raise ValueError(
-            f"log_probs must be (B, L, V) with B >= 1, got shape {np.shape(log_probs)}")
-    x0 = _check_targets(x0, loss_mask, weights, log_probs.shape[:2], log_probs.shape[2])
-    return _cross_entropy(log_probs, x0, loss_mask, weights)
-
-
 def _forward_corrupted(
     params: Params,
     corrupted: np.ndarray,
@@ -497,7 +465,7 @@ def _forward_corrupted(
     if not len(tokens):
         raise ValueError(f"corrupted must hold at least one row, got shape {tokens.shape}")
     x0 = _check_targets(x0, loss_mask, weights, tokens.shape, params.config.vocab_size)
-    first, inverse = _distinct_rows(tokens)
+    first, inverse = distinct_rows(tokens)
     if tape is not None:
         tape.reserve(len(tokens))
     log_probs, _ = _forward_batch(params, tokens[first], tape)

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DenoiserOutput, SequenceState, StateBatch, Vocabulary, mask_patterns, token_rows,
+    DenoiserOutput, SequenceState, StateBatch, Vocabulary, distinct_rows, token_rows,
 )
 
 ENUM_LIMIT = 10**6
@@ -429,16 +429,18 @@ def _gathered_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
 
 def _pattern_conditionals(model: JointModel, tokens: np.ndarray) -> np.ndarray:
     """``_conditionals`` one mask pattern at a time, for joints whose
-    ``marginal_table`` is past ``ENUM_LIMIT``. One gather takes each row's
-    slice of the joint table at its unmasked tokens, an (m_g, V, ..., V)
-    array over the masked positions, and each masked position's
-    conditional is its ``_slabs`` sum divided by the row's total."""
+    ``marginal_table`` is past ``ENUM_LIMIT``. Rows are grouped by mask
+    pattern, the ``core.distinct_rows`` of their masks. For each pattern
+    one gather takes each row's slice of the joint table at its unmasked
+    tokens, an (m_g, V, ..., V) array over the masked positions, and each
+    masked position's conditional is its ``_slabs`` sum divided by the
+    row's total."""
     V = model.vocab.size
     table = joint_table(model)
     masked, probs = _one_hots(tokens, V)
-    patterns, group = mask_patterns(masked)
+    first, group = distinct_rows(masked)
     dead = np.zeros(len(tokens), dtype=bool)
-    for g, pattern in enumerate(patterns):
+    for g, pattern in enumerate(masked[first]):
         free = np.flatnonzero(pattern).tolist()
         if not free:
             continue

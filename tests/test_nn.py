@@ -22,7 +22,6 @@ from mdlmlab.nn import (
     init_params,
     load_checkpoint,
     loss_and_grad_on_corrupted,
-    masked_cross_entropy,
     mdlm_loss_and_grad,
     param_specs,
     save_checkpoint,
@@ -205,7 +204,7 @@ def test_deduplicated_loss_and_gradient_match_every_row(kind):
     assert 1 <= len({tuple(r) for r in corrupted.tolist()}) < len(corrupted)
     loss, grads = loss_and_grad_on_corrupted(params, corrupted, x0, mask, weights)
     per_row = np.concatenate([nn._forward_batch(params, row[None])[0] for row in corrupted])
-    assert loss == masked_cross_entropy(per_row, x0, mask, weights)
+    assert loss == nn._cross_entropy(per_row, x0, mask, weights)
     assert loss == nn.loss_on_corrupted(params, corrupted, x0, mask, weights)
 
     tape = nn.Tape()
@@ -733,15 +732,5 @@ def test_masked_cross_entropy_matches_manual():
     log_probs = np.log(np.array([[[0.5, 0.5], [0.9, 0.1]]]))
     x0 = np.array([[1, 1]])
     mask = np.array([[False, True]])
-    got = masked_cross_entropy(log_probs, x0, mask, np.array([2.0]))
+    got = nn._cross_entropy(log_probs, x0, mask, np.array([2.0]))
     assert got == pytest.approx(-2.0 * np.log(0.9))
-
-
-@pytest.mark.parametrize("x0, weights, name", [
-    ([[1, 0]], [1.0], "x0"),  # x0 - 1 = -1 would score the last token's log-prob
-    ([[1, 2]], [1.0, 2.0], "weights"),  # would be broadcast over the one row
-], ids=["x0 id 0", "two weights"])
-def test_masked_cross_entropy_names_a_malformed_target(x0, weights, name):
-    log_probs = np.log(np.full((1, 2, 2), 0.5))
-    with pytest.raises(ValueError, match=f"^{name}"):
-        masked_cross_entropy(log_probs, np.array(x0), np.ones((1, 2), bool), np.array(weights))
