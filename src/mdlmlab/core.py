@@ -186,6 +186,11 @@ def forward_mask(
     still unmasked is returned clean. ``t[r]`` is row r's last t. Prompt
     positions are never touched. Rows that ``token_rows`` refuses (ids 1..V)
     and a ``prompt_len`` outside 0..L-1 raise ``ValueError``.
+
+    An attempt at a row takes 1 + (L - prompt_len) doubles of ``rng``, t
+    first (``uniform(t_min, 1)`` is ``t_min + (1 - t_min) * random()``), so
+    the attempts come in blocks, one per row left, handed to the rows in
+    order under the retry rule: the draws, and no more, of row by row.
     """
     rows = token_rows(x0, V)
     n, L = rows.shape
@@ -193,16 +198,24 @@ def forward_mask(
         raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
     hidden = np.zeros((n, L), dtype=bool)
     t = np.empty(n)
-    for r in range(n):
-        tries = 0
-        while True:
-            t_r = rng.uniform(t_min, 1.0)
-            masked = rng.random(L - prompt_len) >= alpha(t_r)
-            if masked.any() or tries == redraws:
-                break
-            tries += 1
-        hidden[r, prompt_len:] = masked
-        t[r] = t_r
+    attempt = np.arange(n)
+    done = tries = 0  # rows finished; failed attempts of row ``done`` so far
+    while done < n:
+        m = n - done
+        draws = rng.random((m, 1 + L - prompt_len))
+        t_try = t_min + (1.0 - t_min) * draws[:, 0]
+        masked = draws[:, 1:] >= alpha(t_try)[:, None]
+        ends = masked.any(axis=1)
+        if redraws is not None:
+            # a failure ends its row at every (redraws + 1)-th failure since
+            # the last success, the carried-over tries counted
+            last_ok = np.maximum.accumulate(np.where(ends, attempt[:m], -1 - tries))
+            ends |= (attempt[:m] - last_ok) % (redraws + 1) == 0
+        ends = np.flatnonzero(ends)
+        hidden[done:done + len(ends), prompt_len:] = masked[ends]
+        t[done:done + len(ends)] = t_try[ends]
+        tries = m - 1 - ends[-1] if len(ends) else tries + m
+        done += len(ends)
     return np.where(hidden, V + 1, rows), t
 
 

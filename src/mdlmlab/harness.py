@@ -114,14 +114,17 @@ def exact_induced_distribution(
     ``OracleDenoiser(model)`` by default. Its outcome arrays become the
     distribution in one ``np.bincount`` of their codes weighted by mass,
     which adds the masses of a sequence in outcome order. Returns the
-    distribution and the probability-weighted mean number of forward
-    calls, summed in outcome order.
+    distribution and the mean number of forward calls: each forward count
+    weighted by its outcomes' mass (added in outcome order) over the total
+    of those masses, so a policy whose every outcome takes f forwards reads
+    exactly f.
     """
     if denoiser is None:
         denoiser = OracleDenoiser(model)
     prompts, gen_len = prompt_marginal(model, prompt_len), model.L - prompt_len
     tokens, mass, forwards = enumerate_decodes(denoiser, policy, prompts, gen_len)
-    nfe = float(np.cumsum(mass * forwards)[-1])  # cumsum adds in order, like a loop
+    by_count = np.bincount(forwards, weights=mass)
+    nfe = float(np.arange(len(by_count)) @ (by_count / by_count.sum()))
     return Distribution.of(tokens, model.vocab.size, model.L, mass), nfe
 
 

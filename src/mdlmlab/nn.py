@@ -314,24 +314,25 @@ def _forward_batch(params: Params, tokens: np.ndarray, tape: Tape | None = None)
 
 
 def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str, np.ndarray]:
-    """The gradient of every tensor, from the output gradient of the last
-    forward on ``tape``; its temporaries of an activation's size or wider
-    are tape buffers too."""
+    """The gradient of every tensor, in ``params.tensors`` order, from the
+    output gradient of the last forward on ``tape``; its temporaries of an
+    activation's size or wider are tape buffers too. Each gradient is the
+    array its matmul or sum returns; only the embeddings' begin as zeros."""
     cfg = params.config
     t = params.tensors
     rows, saved, cf, hf = tape.saved
     L = dlogits.shape[1]
     H = cfg.n_heads
     scale = 1.0 / np.sqrt(cfg.d_model // H)
-    g = {name: np.zeros_like(arr) for name, arr in t.items()}
+    g = {}
     shape = hf.shape
     # dh: the gradient of the residual stream; dx: of a LayerNorm's output,
     # or of the attention context; dx_term: one term of dx1
     dh, dh_mid, dx, dx_term = (tape.take(key, shape) for key in ("dh", "dh_mid", "dx", "dx_term"))
 
     flat = lambda x: x.reshape(-1, x.shape[-1])  # noqa: E731
-    g["wout"] += flat(hf).T @ flat(dlogits)
-    g["bout"] += dlogits.sum(axis=(0, 1))
+    g["wout"] = flat(hf).T @ flat(dlogits)
+    g["bout"] = dlogits.sum(axis=(0, 1))
     dhf = np.matmul(dlogits, t["wout"].T, out=dx)
     g["lnf.g"], g["lnf.b"] = _ln_backward(dhf, cf, t["lnf.g"], tape, dh)
 
@@ -340,17 +341,17 @@ def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str
         c1, x1, qh, kh, vh, a, ctx, c2, x2, u, phi, gu = saved[l]
         # h_out = h_mid + gelu(x2 @ w1 + b1) @ w2 + b2
         df = dh
-        g[name.w2] += flat(gu).T @ flat(df)
-        g[name.b2] += df.sum(axis=(0, 1))
+        g[name.w2] = flat(gu).T @ flat(df)
+        g[name.b2] = df.sum(axis=(0, 1))
         dgu = np.matmul(df, p.w2.T, out=tape.take("dgu", u.shape))
         du = np.multiply(dgu, _gelu_grad(u, phi, tape.take("gelu'", u.shape)), out=dgu)
-        g[name.w1] += flat(x2).T @ flat(du)
-        g[name.b1] += du.sum(axis=(0, 1))
+        g[name.w1] = flat(x2).T @ flat(du)
+        g[name.b1] = du.sum(axis=(0, 1))
         dx2 = np.matmul(du, p.w1.T, out=dx)
         g[name.ln2_g], g[name.ln2_b] = _ln_backward(dx2, c2, p.ln2_g, tape, dh_mid)
         np.add(dh, dh_mid, out=dh_mid)  # dh_mid = dh + the LayerNorm's gradient
         # h_mid = h_in + merge(a @ vh) @ wo
-        g[name.wo] += flat(ctx).T @ flat(dh_mid)
+        g[name.wo] = flat(ctx).T @ flat(dh_mid)
         dctxh = _split_heads(np.matmul(dh_mid, p.wo.T, out=dx), H)
         dA = np.matmul(dctxh, vh.swapaxes(-1, -2), out=tape.take("dA", a.shape))
         dvh = np.matmul(a.swapaxes(-1, -2), dctxh, out=tape.take("dvh", vh.shape))
@@ -364,18 +365,20 @@ def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str
         np.multiply(dkh, scale, out=dkh)
         dq, dk, dv = (_merge_heads(x, tape.take(key, shape))
                       for key, x in (("dq", dqh), ("dk", dkh), ("dv", dvh)))
-        g[name.wq] += flat(x1).T @ flat(dq)
-        g[name.wk] += flat(x1).T @ flat(dk)
-        g[name.wv] += flat(x1).T @ flat(dv)
+        g[name.wq] = flat(x1).T @ flat(dq)
+        g[name.wk] = flat(x1).T @ flat(dk)
+        g[name.wv] = flat(x1).T @ flat(dv)
         dx1 = np.matmul(dq, p.wq.T, out=dx)
         dx1 += np.matmul(dk, p.wk.T, out=dx_term)
         dx1 += np.matmul(dv, p.wv.T, out=dx_term)
         g[name.ln1_g], g[name.ln1_b] = _ln_backward(dx1, c1, p.ln1_g, tape, dh)
         np.add(dh_mid, dh, out=dh)  # dh = dh_mid + the LayerNorm's gradient
 
-    g["pos_emb"][:L] += dh.sum(axis=0)
+    g["pos_emb"] = np.zeros_like(t["pos_emb"])  # the only gradients written in part
+    g["pos_emb"][:L] = dh.sum(axis=0)
+    g["tok_emb"] = np.zeros_like(t["tok_emb"])
     np.add.at(g["tok_emb"], rows, dh)
-    return g
+    return {name: g[name] for name in t}
 
 
 def forward(params: Params, states: StateBatch) -> DenoiserOutput:
@@ -521,11 +524,8 @@ def loss_and_grad_on_corrupted(
     B, L, V = log_probs.shape
     w = (weights / B)[:, None] * loss_mask  # (B, L) per-position weight
     dlogits = np.exp(log_probs) * w[:, :, None]
-    np.subtract.at(
-        dlogits,
-        (np.arange(B)[:, None], np.arange(L)[None, :], x0 - 1),
-        w,
-    )
+    # one target per (b, l): the indices are unique, so no np.subtract.at
+    dlogits[np.arange(B)[:, None], np.arange(L), x0 - 1] -= w
     summed = np.zeros_like(distinct)
     np.add.at(summed, inverse, dlogits)
     grads = _backward_batch(params, summed, tape)

@@ -134,6 +134,34 @@ def test_forward_mask_matches_per_row_reference(data, V, L, n, t_min, redraws, s
         assert np.all((corrupted == V + 1).any(axis=1))
 
 
+class _CountingGenerator:
+    """Forwards ``random`` and ``uniform`` to a generator, counting calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("redraws, most", [(0, 1), (1, 6), (None, 6)])
+def test_forward_mask_draws_per_round_not_per_row(redraws, most):
+    # one generator call per round of attempts: a row-by-row draw makes at
+    # least two calls per row. ``most`` is the largest count measured over
+    # these seeds (about 1 in 5 attempts at a training batch's rows, four
+    # positions at t >= 0.01, masks nothing and is redrawn)
+    for seed in range(20):
+        x0 = np.random.default_rng(seed).integers(1, 3, size=(512, 5))
+        rng = _CountingGenerator(np.random.default_rng(seed))
+        forward_mask(x0, 2, 1, rng, t_min=0.01, redraws=redraws)
+        assert 1 <= rng.calls <= most
+
+
 def test_reverse_unmask_prob_values():
     assert reverse_unmask_prob(1.0, 0.0) == 1.0
     assert reverse_unmask_prob(1.0, 0.5) == 0.5

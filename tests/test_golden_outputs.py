@@ -5,7 +5,10 @@ parents and of each CPT's shape, dtype and bytes, for ``layered_suite_model``
 seeds 0-39 and ``reference_dag_model`` seeds 0-39 and 42. The
 ``tests/data/golden_*.csv`` files hold ``metrics_csv_text`` of fixed
 experiments on ``layered 3``: the oracle and an untrained transformer, each
-in mode auto and in mode mc.
+in mode auto and in mode mc. ``tests/data/training_digests.json`` holds two
+SHA-256s of training: of the losses and final parameter bytes of a 200-step
+``nn.train`` on ``reference 42``, and of the gradient bytes of one
+``loss_and_grad_on_corrupted`` call on a fixed batch at those parameters.
 
 A change that is meant to keep every bit leaves these passing unchanged. A
 change that moves bits on purpose rewrites the data with
@@ -30,7 +33,11 @@ from mdlmlab.decoding import PolicyConfig as Policy
 from mdlmlab.harness import (
     ExperimentConfig, layered_suite_model, metrics_csv_text, reference_dag_model, run_experiment,
 )
-from mdlmlab.nn import TransformerConfig, init_params, save_checkpoint
+from mdlmlab.nn import (
+    TransformerConfig, corrupt_batch, init_params, loss_and_grad_on_corrupted, param_specs,
+    save_checkpoint, train,
+)
+from mdlmlab.oracle import sample_joints
 
 DATA = Path(__file__).resolve().parent / "data"
 SUITE_DIGESTS = DATA / "suite_digests.json"
@@ -39,6 +46,10 @@ SUITES = {
     "reference": (reference_dag_model, (*range(40), 42)),
 }
 JOINT = "layered 3"
+TRAINING_DIGESTS = DATA / "training_digests.json"
+# nn.train as the benchmark's train workload runs it, for 200 steps
+TRAINING = TransformerConfig(vocab_size=2, seed=7, train_steps=200)
+TRAINING_PROMPT_LEN = 1
 
 
 def _topk(scorer: str, steps: int, block_size: int = 0, layer: int = 0) -> Policy:
@@ -100,6 +111,32 @@ def experiment_csv(stem: str, workdir: Path) -> str:
     return metrics_csv_text(result.rows)
 
 
+def _params_digest(h, tensors) -> None:
+    for name, _ in param_specs(TRAINING):
+        h.update(name.encode())
+        h.update(tensors[name].tobytes())
+
+
+def training_digests() -> dict[str, str]:
+    """``train``: the losses and final parameters of ``nn.train(TRAINING)``
+    on ``reference 42`` with ``default_rng(7)``. ``gradient``: the loss and
+    gradients of one ``loss_and_grad_on_corrupted`` call at those
+    parameters, on a batch drawn and corrupted with ``default_rng(11)``."""
+    model = reference_dag_model(42)
+    losses: list[float] = []
+    params = train(TRAINING, model, TRAINING_PROMPT_LEN, np.random.default_rng(7),
+                   lambda step, loss: losses.append(loss))
+    trained = hashlib.sha256(np.array(losses).tobytes())
+    _params_digest(trained, params.tensors)
+    rng = np.random.default_rng(11)
+    x0 = sample_joints(model, rng, TRAINING.batch_size)
+    corrupted, loss_mask, weights, _ = corrupt_batch(TRAINING, x0, TRAINING_PROMPT_LEN, rng)
+    loss, grads = loss_and_grad_on_corrupted(params, corrupted, x0, loss_mask, weights)
+    gradient = hashlib.sha256(np.float64(loss).tobytes())
+    _params_digest(gradient, grads)
+    return {"train": trained.hexdigest(), "gradient": gradient.hexdigest()}
+
+
 def test_suite_models_keep_their_bits():
     assert suite_digests() == json.loads(SUITE_DIGESTS.read_text())
 
@@ -110,9 +147,14 @@ def test_metrics_csv_keeps_its_bytes(stem, tmp_path):
     assert experiment_csv(stem, tmp_path).encode() == want
 
 
+def test_training_keeps_its_bits():
+    assert training_digests() == json.loads(TRAINING_DIGESTS.read_text())
+
+
 def _write_data() -> None:
     DATA.mkdir(exist_ok=True)
     SUITE_DIGESTS.write_text(json.dumps(suite_digests(), indent=1) + "\n")
+    TRAINING_DIGESTS.write_text(json.dumps(training_digests(), indent=1) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
         for stem in EXPERIMENTS:
             text = experiment_csv(stem, Path(workdir))

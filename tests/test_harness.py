@@ -197,6 +197,20 @@ def test_exact_transformer_enumeration_follows_the_sampler():
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
 
+def test_exact_mean_nfe_of_a_fixed_step_count_is_that_count():
+    # every outcome of top-k takes T forwards (T * blocks with blocks of
+    # one): the mean reads exactly that, with roundoff in the masses
+    model = layered_suite_model(3)
+    den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
+    for denoiser in (None, den):
+        for steps in range(1, 9):
+            policy = PolicyConfig(scorer="confidence", steps=steps, temperature="sample")
+            assert exact_induced_distribution(model, policy, 1, denoiser)[1] == steps
+        blocks = PolicyConfig(scorer="confidence", steps=4, block_size=1,
+                              temperature="sample")
+        assert exact_induced_distribution(model, blocks, 1, denoiser)[1] == 8
+
+
 def test_exact_induced_distribution_properties():
     model = reference_dag_model(5)
     for selector in ("topk", "threshold", "eb", "klass"):

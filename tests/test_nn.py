@@ -353,6 +353,9 @@ def test_returned_gradients_outlive_later_calls(shared):
     rng = np.random.default_rng(5)
     tape = nn.Tape() if shared else None
     _, grads = loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 20), tape=tape)
+    # one gradient per tensor, in the parameters' order, shape and dtype
+    assert [(name, g.shape, g.dtype) for name, g in grads.items()] == [
+        (name, t.shape, t.dtype) for name, t in params.tensors.items()]
     kept = {name: g.copy() for name, g in grads.items()}
     loss_and_grad_on_corrupted(params, *_batch_of_distinct_rows(rng, 20), tape=tape)
     for name, g in grads.items():
