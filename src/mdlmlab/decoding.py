@@ -23,8 +23,10 @@ prompts once; from there on no ``SequenceState`` is built. The sampler
 position's step and score; the enumerator ``enumerate_decodes`` replaces
 each sequence by all of its continuations, each with its probability, and
 hands the harness its outcomes as arrays, from which the harness computes
-exact induced distributions. The table ``SELECTION`` is where each selector
-declares the vector it reads, the fields it reads and its rule.
+exact induced distributions. Both take each row's selected positions from
+``np.nonzero`` of the step's selected mask, the row-major order in which
+the step yields their probabilities. The table ``SELECTION`` is where each
+selector declares the vector it reads, the fields it reads and its rule.
 
 Stochastic remasking runs only under top-k, so under every other selector a
 position is masked from a sequence's first step until it is committed. KLASS
@@ -184,10 +186,15 @@ def _ranked(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return np.argsort(np.where(candidates, -scores, np.nan), axis=1, kind="stable")
 
 
+def _flat(order: np.ndarray) -> np.ndarray:
+    """Each row's ``order`` as indices into the flattened (n, L) chunk."""
+    return order + np.arange(0, order.size, order.shape[1])[:, None]
+
+
 def _prefix(order: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The mask of the first ``counts[r]`` positions of each row's ``order``."""
     selected = np.zeros(order.shape, dtype=bool)
-    selected[np.arange(len(order))[:, None], order] = np.arange(order.shape[1]) < counts[:, None]
+    selected.ravel()[_flat(order)] = np.arange(order.shape[1]) < counts[:, None]
     return selected
 
 
@@ -240,8 +247,9 @@ def select_eb(
         selected = select_eb(np.asarray(ranking)[None], np.asarray(entropies)[None], mask, gamma)
         return tuple(np.flatnonzero(selected[0]).tolist())
     order = _ranked(ranking, candidates)
-    ent = np.take_along_axis(entropies, order, axis=1)
-    top = np.maximum.accumulate(np.maximum(ent, 0.0), axis=1)  # the running max starts at 0
+    ent = np.take(entropies, _flat(order))
+    # the running max starts at 0; fmax skips the NaN of non-candidates, all past ``count``
+    top = np.fmax.accumulate(np.maximum(ent, 0.0), axis=1)
     count = candidates.sum(axis=1)
     over = (np.cumsum(ent, axis=1) - top > gamma) & (np.arange(ent.shape[1]) < count[:, None])
     over[:, 0] = False  # a prefix of one qualifies, whatever gamma
@@ -405,10 +413,13 @@ def _lockstep(
     selector declares its vector, fields and rule in its ``SELECTION`` entry:
     one call of its vector, one KL of the output from the rows' last (KLASS
     only, see ``_Rows``), and one ``plan_step`` call over the masked positions
-    of each row's block under its remaining budget. Yields ``(selected, probs,
-    scores)`` per step: the (N, L) mask each row commits, and the probability
-    rows and rankings of the selected positions in row-major order. The caller
-    commits into (or replaces) the arrays of ``rows`` before resuming.
+    of each row's block under its remaining budget. A chunk whose
+    probabilities are not all finite raises ``ValueError``, naming its first
+    such row, before it is scored. Yields ``(selected, probs, scores)`` per
+    step: the (N, L) mask each row commits, and the probability rows and
+    rankings of the selected positions in row-major order, the order of
+    ``np.nonzero(selected)``. The caller commits into (or replaces) the
+    arrays of ``rows`` before resuming.
     """
     vocab, vector_name = denoiser.vocab, SELECTION[policy.selector].vector
     while True:
@@ -416,19 +427,24 @@ def _lockstep(
         block = np.where(masked, block_of, len(budgets)).min(axis=1)
         rows.steps = np.where(block == rows.block, rows.steps, 0)
         rows.block = block
-        active = np.flatnonzero(block < len(budgets))
+        running = block < len(budgets)
+        active = np.flatnonzero(running)
         if not len(active):
             return
-        tokens, block = rows.tokens[active], block[active]
-        candidates = masked[active] & (block_of == block[:, None])
+        tokens, block, masked = rows.tokens[active], block[active], masked[active]
+        candidates = masked & (block_of == block[:, None])
         steps_left = np.maximum(1, budgets[block] - rows.steps[active])
-        selected = np.zeros(masked.shape, dtype=bool)
+        selected = np.zeros(rows.tokens.shape, dtype=bool)
         chosen_probs, chosen_scores = [], []
         for lo in range(0, len(active), FORWARD_ROWS):
             part, ids = slice(lo, lo + FORWARD_ROWS), active[lo : lo + FORWARD_ROWS]
             out = denoiser.batch(StateBatch(vocab, tokens[part]))
-            ranking = compute_ranking(policy, out, masked[ids], denoiser)
-            vector = vector_name and getattr(scoring, vector_name)(out.probs, masked[ids])
+            if not np.isfinite(out.probs).all():
+                bad = ids[np.flatnonzero(~np.isfinite(out.probs).all(axis=(1, 2)))[0]]
+                raise ValueError(f"the denoiser gave non-finite probabilities for row {bad}, "
+                                 f"tokens {rows.tokens[bad].tolist()}")
+            ranking = compute_ranking(policy, out, masked[part], denoiser)
+            vector = vector_name and getattr(scoring, vector_name)(out.probs, masked[part])
             stable = None
             if rows.last is not None:  # a row's first output follows none
                 still = scoring.kl_divergence(rows.last[ids], out.probs) < policy.eps_kl
@@ -440,8 +456,8 @@ def _lockstep(
             chosen_probs.append(out.probs[chosen])
             chosen_scores.append(ranking[chosen])
             del out  # the next forward runs without this one
-        rows.steps[active] += 1
-        rows.forwards[active] += 1  # one forward evaluation per step
+        rows.steps += running
+        rows.forwards += running  # one forward evaluation per step
         yield selected, np.concatenate(chosen_probs), np.concatenate(chosen_scores)
 
 
@@ -521,23 +537,23 @@ def enumerate_decodes(
         raise ValueError("stochastic remasking has no exact mode")
     block_of, budgets, rows = _start(denoiser, policy, [prompt for prompt, _ in prompts], gen_len)
     mass = np.array([m for _, m in prompts], dtype=float)
-    V = denoiser.vocab.size
+    values = np.arange(denoiser.vocab.size)
+    lone = (values == 0)[None]  # the one branch of a row with no j-th position
     for selected, probs, _ in _lockstep(denoiser, policy, block_of, budgets, rows):
-        if policy.temperature == "greedy":
-            probs = np.eye(V)[probs.argmax(axis=1)]  # one branch of probability 1
+        if policy.temperature == "greedy":  # one branch of probability 1
+            probs = probs.argmax(axis=1)[:, None] == values
+        support, at = np.concatenate([probs, lone], dtype=float), np.nonzero(selected)[1]
         count = selected.sum(axis=1)
-        first = np.cumsum(count) - count  # each row's first entry in probs
-        order = np.argsort(~selected, axis=1, kind="stable")  # its selected positions first
+        first = np.cumsum(count) - count  # each row's first entry in probs and at
         src, path, tokens = np.arange(len(count)), np.ones(len(count)), rows.tokens
         for j in range(count.max()):
-            level = count[src] > j
-            support = np.eye(V)[np.zeros(len(src), dtype=int)]  # no j-th position: one branch
-            support[level] = probs[first[src[level]] + j]
-            parent, value = np.nonzero(support > 0)
+            entry = np.where(count[src] > j, first[src] + j, len(at))
+            parent, value = np.nonzero(support[entry] > 0)
             # in selection order, then times mass below: masses stay bit-stable
-            path = path[parent] * support[parent, value]
-            src, tokens, level = src[parent], tokens[parent], level[parent]
-            tokens[np.flatnonzero(level), order[src[level], j]] = value[level] + 1
+            path = path[parent] * support[entry[parent], value]
+            src, tokens, entry = src[parent], tokens[parent], entry[parent]
+            level = np.flatnonzero(entry < len(at))
+            tokens[level, at[entry[level]]] = value[level] + 1
         rows.tokens, mass = tokens, mass[src] * path
         rows.block, rows.steps, rows.forwards = rows.block[src], rows.steps[src], rows.forwards[src]
         if rows.last is not None:

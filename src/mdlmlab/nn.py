@@ -650,7 +650,9 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
 
     With ``expected_config`` given, every architecture field is compared and
     a mismatch error names the offending field. The checksum is checked
-    last, so a corrupt header still gets its own error.
+    after the header and shapes, so a corrupt header still gets its own
+    error; a file that passes it but holds a NaN or infinite value raises
+    ``CheckpointError`` naming the tensor.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, len(_MAGIC)) != _MAGIC:
@@ -704,4 +706,7 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
         fh.seek(0)
         if hashlib.sha256(fh.read(end)).digest() != digest:
             raise CheckpointError(f"{path}: checksum mismatch")
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
     return Params(config, tensors)

@@ -3,10 +3,19 @@
 Every ranking follows one convention: higher means decode earlier, so the
 entropy scorer negates the raw entropy at this boundary. Unmasked positions
 carry NaN ("not scored"). Natural log throughout.
+
+No score reduces the value axis V with a NumPy reduction, which over a
+short last axis costs far more than its arithmetic: each works on the value
+slices ``array[..., v]``, one elementwise operation across all rows per
+value. Maxima take the values in order; sums (entropy, KL, the DOS context
+mass) go through ``_subset_sum``, which makes NumPy's own pairwise
+additions in NumPy's order, so every score keeps the bits of a last-axis
+reduction.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +27,7 @@ SCORERS = UNCERTAINTY_SCORERS + ("dos", "oracle_dep")
 
 
 def row_scores(kind: str, rows: np.ndarray) -> np.ndarray:
-    """Ranking score of each row of an (n, V) probability matrix.
+    """Ranking score of each last-axis row of a (..., V) probability array.
 
     The one implementation of the uncertainty scorers: ``confidence`` is the
     largest probability, ``entropy`` the negated Shannon entropy (sum of
@@ -26,31 +35,40 @@ def row_scores(kind: str, rows: np.ndarray) -> np.ndarray:
     probabilities.
     """
     rows = np.asarray(rows, dtype=float)
+    values = _slices(rows)
     if kind == "confidence":
-        return rows.max(axis=1)
+        return functools.reduce(np.maximum, values)
     if kind == "entropy":
-        return (rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1)
+        return _subset_sum(rows * np.log(np.where(rows > 0, rows, 1.0)), True)
     if kind == "margin":
-        if rows.shape[1] < 2:
+        if len(values) < 2:
             raise ValueError("margin needs at least two outcomes")
-        top2 = np.partition(rows, -2, axis=1)
-        return top2[:, -1] - top2[:, -2]
+        top, second = np.maximum(values[0], values[1]), np.minimum(values[0], values[1])
+        for value in values[2:]:
+            second = np.maximum(second, np.minimum(top, value))
+            top = np.maximum(top, value)
+        return top - second
     raise ValueError(f"unknown uncertainty scorer {kind!r}")
+
+
+def _slices(array: np.ndarray) -> list[np.ndarray]:
+    """The value slices ``array[..., v]``, one per entry of the last axis."""
+    return [array[..., v] for v in range(array.shape[-1])]
 
 
 def confidence(p: np.ndarray) -> float:
     """Largest probability in the distribution."""
-    return float(row_scores("confidence", np.atleast_2d(p))[0])
+    return float(row_scores("confidence", p))
 
 
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
-    return float(-row_scores("entropy", np.atleast_2d(p))[0])
+    return float(-row_scores("entropy", p))
 
 
 def margin(p: np.ndarray) -> float:
     """Gap between the highest and second-highest probabilities."""
-    return float(row_scores("margin", np.atleast_2d(p))[0])
+    return float(row_scores("margin", p))
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -68,21 +86,63 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     return float(kl) if p.ndim == 1 else kl
 
 
-def _subset_sum(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Each last-axis row of ``terms`` summed over its ``keep`` entries, bit for
-    bit the sum of those entries as a 1-D array: numpy sums pairwise, so a
-    zero-padded row of 8 or more can round differently. Rows are summed in
-    groups of equal kept count instead."""
+def _subset_sum(terms: np.ndarray, keep) -> np.ndarray:
+    """Each last-axis row of ``terms`` summed over its ``keep`` entries (any
+    mask that broadcasts to ``terms``), bit for bit the sum of those entries
+    as a 1-D array.
+
+    NumPy sums n entries from 0: one by one below 8; up to 128 in eight
+    partial sums (entry i into sum i % 8) over the first n & -8 entries,
+    combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the last n % 8 one by one;
+    above 128 it adds the sums of the first (n // 2) & -8 entries and of the
+    rest, each summed so. Here every addition is one elementwise operation
+    across all rows: the value slices in order while no row keeps 8 entries,
+    else each row's kept entries moved to its front (a stable sort of the
+    mask as given, unbroadcast), eight columns at a time into the partial
+    sums. A row with fewer entries adds a 0 there, which leaves a sum as it
+    is, but for the sign of a zero; a sum started from 0, as NumPy's is,
+    never ends at -0.
+    """
     V = terms.shape[-1]
-    flat = terms.reshape(-1, V)
-    keep = np.broadcast_to(keep, terms.shape).reshape(-1, V)
-    counts = keep.sum(axis=1)
-    out = np.zeros(len(counts))
-    for c in np.unique(counts).tolist():
-        if c:
-            rows = counts == c
-            out[rows] = flat[rows][keep[rows]].reshape(-1, c).sum(axis=1)
-    return out.reshape(terms.shape[:-1])
+    # V entries a row, and the other axes as given: 1 where the mask broadcasts
+    keep = np.asarray(keep, dtype=bool) | np.zeros((1,) * (terms.ndim - 1) + (V,), dtype=bool)
+    values = np.where(keep, terms, 0.0)
+    count = np.zeros(keep.shape[:-1], dtype=int)
+    for kept in _slices(keep):
+        count += kept
+    total = np.zeros(terms.shape[:-1])
+    if count.max(initial=0) < 8:
+        for value in _slices(values):
+            total += value
+        return total
+    order = np.argsort(~keep, axis=-1, kind="stable")  # each row's kept entries first
+    rows = np.arange(0, total.size * V, V)[:, None]
+    packed = values.reshape(-1).take(np.broadcast_to(order, terms.shape).reshape(-1, V) + rows)
+    total += _packed_sum(packed, np.broadcast_to(count, total.shape).reshape(-1)).reshape(total.shape)
+    return total
+
+
+def _packed_sum(packed: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """NumPy's sum of the first ``count[r]`` entries of each row of ``packed``."""
+    head = count & -8  # the entries that go to the eight partial sums
+    width, columns = packed.shape[1] & -8, np.arange(packed.shape[1])
+    lanes = np.where(columns[:width] < head[:, None], packed[:, :width], 0.0)
+    lanes = lanes.reshape(len(packed), -1, 8)
+    part = lanes[:, 0]
+    for block in range(1, lanes.shape[1]):
+        part = part + lanes[:, block]
+    total = ((part[:, 0] + part[:, 1]) + (part[:, 2] + part[:, 3])) + (
+        (part[:, 4] + part[:, 5]) + (part[:, 6] + part[:, 7]))
+    tail = np.where((columns >= head[:, None]) & (columns < count[:, None]), packed, 0.0)
+    for column in range(head.min(), min(packed.shape[1], head.max() + 7)):
+        total = total + tail[:, column]  # the last n % 8, one by one
+    split = np.flatnonzero(count > 128)
+    if len(split):
+        first, rest = (count[split] // 2) & -8, packed[split]
+        after = np.minimum(first[:, None] + columns, packed.shape[1] - 1)
+        total[split] = (_packed_sum(rest, first)
+                        + _packed_sum(np.take_along_axis(rest, after, axis=1), count[split] - first))
+    return total
 
 
 def dos_dependency(
@@ -123,14 +183,16 @@ def uncertainty_scores(kind: str, probs: np.ndarray, masked: np.ndarray) -> np.n
     ``probs`` holds the (n, L, V) predictive distributions of n states and
     ``masked`` their (n, L) boolean mask; the (n, L) result scores each
     masked position (higher = earlier) and is NaN elsewhere. One state's
-    (L, V) probabilities with an (L,) mask give its (L,) vector. Each
+    (L, V) probabilities with an (L,) mask give its (L,) vector. A mask of
+    any other shape than ``probs.shape[:-1]`` raises ``ValueError``. Each
     position's score comes from its own row alone, so a state scores the
     same alone as in a batch.
     """
-    masked = np.asarray(masked, dtype=bool)
-    scores = np.full(masked.shape, NOT_SCORED)
-    scores[masked] = row_scores(kind, np.asarray(probs)[masked])
-    return scores
+    probs, masked = np.asarray(probs, dtype=float), np.asarray(masked, dtype=bool)
+    if masked.shape != probs.shape[:-1]:
+        raise ValueError(f"a mask of shape {masked.shape} for probabilities of shape "
+                         f"{probs.shape}: it must have shape {probs.shape[:-1]}")
+    return np.where(masked, row_scores(kind, probs), NOT_SCORED)
 
 
 def confidence_vector(probs: np.ndarray, masked: np.ndarray) -> np.ndarray:

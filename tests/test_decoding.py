@@ -886,3 +886,113 @@ def test_oracle_dep_scores_each_chunk_in_one_call(monkeypatch):
     prompts = [[1 + i % 2] for i in range(FORWARD_ROWS + 44)]  # more rows than one chunk
     decode_blockwise(den, policy, prompts, model.L - 1, np.random.default_rng(2))
     assert max(batches) == FORWARD_ROWS and deps == [(n, model.L) for n in batches]
+
+
+def _walk_in_order(den, policy, prompts, gen_len):
+    """Every outcome of an exact walk, one sequence at a time and depth-first:
+    a row's branches in token order, its first selected position varying
+    slowest, with the step rule written per row (``_ref_plan``). Returns the
+    outcome rows, masses and forward counts, in the order visited."""
+    V, mask = den.vocab.size, den.vocab.mask_id
+    prompt_len = len(prompts[0][0])
+    size = policy.block_size if 0 < policy.block_size < gen_len else gen_len
+    starts = list(range(0, gen_len, size))
+    total = policy.steps or gen_len
+    budgets = [max(1, round(total * (min(s + size, gen_len) - s) / gen_len)) for s in starts]
+    vector = {"threshold": scoring.confidence_vector, "eb": scoring.entropy_vector}
+    outcomes = []
+
+    def walk(tokens, mass, forwards, block, steps):
+        masked = np.array(tokens) == mask
+        if not masked.any():
+            outcomes.append((tokens, mass, forwards))
+            return
+        first = (np.flatnonzero(masked[prompt_len:])[0]) // size
+        steps = steps if first == block else 0
+        out = den.batch(StateBatch(den.vocab, np.array([tokens])))
+        probs = out.probs[0]
+        ranking = compute_ranking(policy, out, masked[None], den)[0]
+        vec = vector[policy.selector](probs, masked) if policy.selector in vector else None
+        lo = prompt_len + starts[first]
+        candidates = [i for i in range(lo, lo + size) if i < len(tokens) and masked[i]]
+        chosen = _ref_plan(policy, ranking, vec, candidates,
+                           max(1, budgets[first] - steps), None)
+        if policy.temperature == "greedy":  # one branch, of probability 1
+            probs = np.eye(V)[probs.argmax(axis=1)]
+        for values in itertools.product(range(V), repeat=len(chosen)):
+            if all(probs[i][v] > 0 for i, v in zip(chosen, values)):
+                path, branch = 1.0, list(tokens)
+                for i, v in zip(chosen, values):
+                    path, branch[i] = path * probs[i][v], v + 1
+                walk(branch, mass * path, forwards + 1, first, steps + 1)
+
+    for prompt, mass in prompts:
+        walk(list(prompt) + [mask] * gen_len, mass, 0, 0, 0)
+    tokens, masses, forwards = zip(*outcomes)
+    return np.array(tokens), np.array(masses), np.array(forwards)
+
+
+@pytest.mark.parametrize("policy", [
+    PolicyConfig(selector="threshold", eps=0.45, temperature="sample"),
+    PolicyConfig(selector="eb", gamma=0.6, temperature="sample"),
+    PolicyConfig(scorer="margin", selector="eb", gamma=1.5, temperature="sample"),
+    PolicyConfig(selector="topk", steps=3, block_size=2, temperature="sample"),
+    PolicyConfig(scorer="entropy", selector="topk", steps=2, block_size=3, temperature="sample"),
+    PolicyConfig(scorer="oracle_dep", selector="topk", steps=2, temperature="sample"),
+    PolicyConfig(selector="threshold", eps=0.45, temperature="greedy"),
+], ids=lambda p: p.policy_id())
+def test_enumerate_decodes_lists_outcomes_in_the_documented_order(policy):
+    # V = 3: uneven group sizes, rows that finish at different steps, and
+    # blocks; outcomes prompt by prompt, each depth-first in token order
+    model = random_dag(np.random.default_rng(33), V=3, L=6)
+    den = OracleDenoiser(model)
+    prompts = prompt_marginal(model, 1)
+    tokens, mass, forwards = enumerate_decodes(den, policy, prompts, model.L - 1)
+    want_tokens, want_mass, want_forwards = _walk_in_order(den, policy, prompts, model.L - 1)
+    assert np.array_equal(tokens, want_tokens)
+    assert mass.tobytes() == want_mass.tobytes()
+    assert np.array_equal(forwards, want_forwards)
+    if policy.selector != "topk":  # rows finish at different steps
+        assert len(set(forwards.tolist())) > 1
+    if policy.temperature == "sample":
+        assert len(tokens) == 3 ** model.L  # every CPT entry is positive
+
+
+def _broken_transformer(L):
+    params = init_params(TransformerConfig(vocab_size=2, max_len=L, seed=0))
+    params.tensors["wout"][0, 0] = np.nan
+    return TransformerDenoiser(params)
+
+
+def test_non_finite_probabilities_are_refused_before_scoring(monkeypatch):
+    # an untrained transformer with one NaN weight: every probability is NaN
+    model = layered_suite_model(3)
+    den = _broken_transformer(model.L)
+    scored = []
+    monkeypatch.setattr(scoring, "uncertainty_scores",
+                        lambda *a: scored.append(a) or pytest.fail("scored a NaN chunk"))
+    policy = PolicyConfig(selector="topk", steps=4, temperature="sample")
+    with pytest.raises(ValueError, match="non-finite probabilities for row 0"):
+        decode_blockwise(den, policy, [[1], [2]], model.L - 1, np.random.default_rng(0))
+    for selector in SELECTORS:
+        policy = PolicyConfig(selector=selector, temperature="sample")
+        with pytest.raises(ValueError, match="non-finite probabilities for row 0"):
+            enumerate_decodes(den, policy, prompt_marginal(model, 1), model.L - 1)
+    assert not scored
+
+
+def test_a_non_finite_row_is_named_by_its_index():
+    den = oracle_den(seed=3, L=4)
+    batch = den.batch
+
+    def second_row_bad(states):
+        out = batch(states)
+        probs = out.probs.copy()
+        if len(probs) > 1:
+            probs[1, -1, 0] = np.inf
+        return DenoiserOutput(probs)
+
+    den.batch = second_row_bad
+    with pytest.raises(ValueError, match=r"row 1, tokens \[2, 3, 3, 3\]"):
+        decode_blockwise(den, PolicyConfig(temperature="sample"), [[1], [2]], 3,
+                         np.random.default_rng(0))

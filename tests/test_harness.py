@@ -459,6 +459,27 @@ def test_checkpoint_runs_are_exact_and_must_fit_the_joint(tmp_path):
                 run_experiment(replace(run, mode=mode))
 
 
+def test_non_finite_denoiser_output_fails_every_mode(tmp_path):
+    # one NaN weight makes every probability NaN; MC decoding used to loop
+    # forever and exact mode to drop every branch (TV 0.5, NFE 0.0)
+    model = layered_suite_model(3)
+    params = init_params(TransformerConfig(vocab_size=2, max_len=9, seed=1))
+    params.tensors["wout"][0, 0] = np.nan
+    den = TransformerDenoiser(params)
+    cfg = ExperimentConfig(joint="layered 3", prompt_len=1, samples=20, seed=3,
+                           policies=(PolicyConfig(temperature="sample"),))
+    for selector in SELECTORS:
+        policy = PolicyConfig(selector=selector, temperature="sample")
+        for mode in ("mc", "exact"):
+            with pytest.raises(ValueError, match="non-finite probabilities for row 0"):
+                run_policy(model, den, policy, replace(cfg, mode=mode), np.random.default_rng(0))
+    # saved that way, the checkpoint is refused when it is loaded
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(params, ckpt)
+    with pytest.raises(CheckpointError, match="tensor wout has non-finite values"):
+        run_experiment(replace(cfg, denoiser=f"checkpoint {ckpt}"))
+
+
 def test_sweep_blocks_row_count():
     policies = (
         PolicyConfig(scorer="confidence", selector="topk", steps=4, temperature="sample"),

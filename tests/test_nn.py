@@ -644,9 +644,11 @@ def test_checkpoint_round_trip_is_bit_exact(n_layers, n_heads, head_dim, max_len
     params = init_params(cfg)
     rng = np.random.default_rng(seed)
     for name, tensor in params.tensors.items():
-        # any 64-bit pattern: NaN payloads, infinities, -0.0 and subnormals too
-        params.tensors[name] = rng.integers(0, 2**64, tensor.shape, dtype=np.uint64,
-                                            endpoint=False).view(np.float64)
+        # any finite 64-bit pattern: -0.0, subnormals and the largest
+        # exponents too (an all-ones exponent, NaN or infinite, loses its top bit)
+        bits = rng.integers(0, 2**64, tensor.shape, dtype=np.uint64, endpoint=False)
+        top = (bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF
+        params.tensors[name] = (bits ^ (top.astype(np.uint64) << np.uint64(62))).view(np.float64)
     loaded = load_bytes(checkpoint_bytes(params))
     assert [getattr(loaded.config, f) for f in ARCH_FIELDS] == [
         getattr(cfg, f) for f in ARCH_FIELDS]
@@ -682,6 +684,18 @@ def test_corrupt_checkpoints_raise_checkpoint_error(data):
         corrupt = SMALL_BYTES[:at] + new + SMALL_BYTES[at + 4 :]
     with pytest.raises(CheckpointError):
         load_bytes(corrupt)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_non_finite_values_is_refused(value):
+    # it passes its checksum as saved, but its denoiser's outputs would be NaN
+    params = init_params(SMALL)
+    assert load_bytes(checkpoint_bytes(params)).tensors.keys() == params.tensors.keys()
+    for name in ("tok_emb", "wout"):
+        broken = init_params(SMALL)
+        broken.tensors[name][0, -1] = value
+        with pytest.raises(CheckpointError, match=f"tensor {name} has non-finite values"):
+            load_bytes(checkpoint_bytes(broken))
 
 
 def test_checkpoint_with_rewritten_head_count_raises(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mdlmlab.scoring import (
+    _subset_sum,
     confidence,
     confidence_vector,
     dos_dependency,
@@ -133,19 +135,58 @@ def test_dos_dependency_equals_per_position_loop():
             assert np.array_equal(chunk[r], want, equal_nan=True)
 
 
+# Vocabulary sizes on both sides of numpy's 8-entry pairwise blocks and of
+# its 128-entry split, where a zero-padded row would round differently.
+SIZES = (2, 3, 7, 8, 9, 16, 17, 129, 130, 257)
+
+
+def test_subset_sum_is_numpys_sum_of_the_kept_entries():
+    # signs, magnitudes 1e-5..1e5, signed zeros, and masks of every shape that
+    # broadcasts: each row's sum is its kept entries' 1-D sum, bit for bit
+    rng = np.random.default_rng(0)
+    for V in (*range(1, 20), 64, 127, 128, 129, 130, 200, 255, 256, 257, 300, 1031):
+        x = rng.standard_normal((30, V)) * 10.0 ** rng.integers(-5, 5, (30, V))
+        x[rng.random((30, V)) < 0.2] = 0.0
+        x[rng.random((30, V)) < 0.1] = -0.0
+        x[0] = -0.0
+        for keep in (np.ones((30, V), bool), rng.random((30, V)) < rng.random((30, 1)), True,
+                     rng.random((1, V)) < 0.7, rng.random((30, 1)) < 0.5):
+            full = np.broadcast_to(keep, x.shape)
+            want = np.array([x[i][full[i]].sum() for i in range(30)])
+            assert _subset_sum(x, keep).tobytes() == want.tobytes(), V
+            assert _subset_sum(x[3], full[3]).tobytes() == want[3].tobytes(), V
+
+
 def test_kl_divergence_rows_equal_one_dimensional_calls():
-    # V reaches 12, so zero-padded pairwise sums would round differently
+    # each row's KL is the 1-D sum of its compacted p > 0 terms, bit for bit
     rng = np.random.default_rng(9)
-    for V in range(2, 13):
-        p = rng.random((3, 5, V)) * (rng.random((3, 5, V)) < 0.6)
+    for V in (*SIZES, *range(4, 13)):
+        p = rng.random((3, 5, V)) * (rng.random((3, 5, V)) < rng.random((3, 5, 1)))
         q = rng.random((3, 5, V)) * (rng.random((3, 5, V)) < 0.9)
         rows = kl_divergence(p, q)
         assert rows.shape == (3, 5)
+        want = np.empty((3, 5))
         for i, j in np.ndindex(3, 5):
             q_ij = np.maximum(q[i, j], 1e-12)
             nz = p[i, j] > 0
-            want = float((p[i, j][nz] * np.log(p[i, j][nz] / q_ij[nz])).sum())
-            assert rows[i, j] == want == kl_divergence(p[i, j], q[i, j])
+            want[i, j] = (p[i, j][nz] * np.log(p[i, j][nz] / q_ij[nz])).sum()
+            assert np.float64(kl_divergence(p[i, j], q[i, j])).tobytes() == want[i, j].tobytes()
+        assert rows.tobytes() == want.tobytes(), V
+
+
+def test_dos_dependency_keeps_the_bits_of_long_contexts():
+    # 8 or more unmasked columns reach numpy's pairwise blocks, 129 or more its split
+    rng = np.random.default_rng(12)
+    for L in (9, 12, 16, 17, 140, 270):
+        attn = rng.gamma(1.0, 1.0, size=(4, 2, L, L))
+        is_masked = rng.random((4, L)) < [[0.05], [0.2], [0.4], [0.95]]
+        is_masked[:, 0] = True
+        got = dos_dependency([attn], 0, is_masked)
+        want = np.full((4, L), np.nan)
+        for r, m in zip(*np.nonzero(is_masked)):
+            want[r, m] = attn[r].mean(axis=0)[m, ~is_masked[r]].sum()
+        assert (~is_masked).sum(axis=1).max() >= (8 if L < 129 else 129)
+        assert got.tobytes() == want.tobytes(), L
 
 
 def test_dos_dependency_layer_bounds():
@@ -174,6 +215,17 @@ def test_uncertainty_scores_convention():
     assert ent[0] > ent[1]  # entropy is negated at this boundary
     assert marg[0] > marg[1]
     assert np.isnan(uncertainty_scores("confidence", probs, [False, True])[0])
+    # a mask of any other shape than probs.shape[:-1] is refused, never broadcast
+    batch = np.stack([probs, probs, probs])
+    for probs_, mask in [(probs, [True]), (probs, [True, True, True]), (probs, [[True, True]]),
+                         (batch, [[True, False]]), (batch, [True, False]),
+                         (batch, np.ones((3, 2, 2), dtype=bool))]:
+        for score in (lambda: uncertainty_scores("margin", probs_, mask),
+                      lambda: confidence_vector(probs_, mask),
+                      lambda: entropy_vector(probs_, mask)):
+            shape = str(np.shape(mask))
+            with pytest.raises(ValueError, match=rf"{re.escape(shape)}.*{re.escape(str(probs_.shape))}"):
+                score()
 
 
 def test_vector_helpers():
@@ -207,17 +259,29 @@ def test_vectors_and_scalars_share_one_row_rule():
 def test_a_batch_scores_like_its_states_one_by_one():
     rng = np.random.default_rng(6)
     scalar = {"confidence": confidence, "entropy": lambda p: -entropy(p), "margin": margin}
-    for V in (2, 3, 9):
+
+    def top2(rows):
+        return np.partition(rows, -2, axis=1)
+
+    reference = {  # the last-axis formulas, row by row
+        "confidence": lambda rows: rows.max(axis=1),
+        "entropy": lambda rows: (rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1),
+        "margin": lambda rows: top2(rows)[:, -1] - top2(rows)[:, -2],
+    }
+    for V in SIZES:
         probs = rng.dirichlet(np.ones(V), size=(5, 7))
-        probs[probs < 0.1] = 0.0  # zero entries, as one-hot rows have
+        probs[rng.random(probs.shape) < 0.3] = 0.0  # zero entries, as one-hot rows have
+        probs[2, 3] = np.eye(V)[V - 1]
         masked = rng.random((5, 7)) < 0.6
         masked[0] = False  # a state with nothing left to score
         masked[1] = True
+        masked[2, 3] = True
         for kind in UNCERTAINTY_SCORERS:
             batch = uncertainty_scores(kind, probs, masked)
             one_by_one = [uncertainty_scores(kind, probs[k], masked[k]) for k in range(5)]
-            assert np.array_equal(batch, np.stack(one_by_one), equal_nan=True)
+            assert batch.tobytes() == np.stack(one_by_one).tobytes()
             assert np.isnan(batch[~masked]).all()
+            assert batch[masked].tobytes() == reference[kind](probs[masked]).tobytes(), (kind, V)
             for k, i in zip(*np.nonzero(masked)):
                 assert batch[k, i] == scalar[kind](probs[k, i])
         assert np.array_equal(confidence_vector(probs, masked),
