@@ -4,13 +4,14 @@ Every ranking follows one convention: higher means decode earlier, so the
 entropy scorer negates the raw entropy at this boundary. Unmasked positions
 carry NaN ("not scored"). Natural log throughout.
 
-No score reduces the value axis V with a NumPy reduction, which over a
-short last axis costs far more than its arithmetic: each works on the value
-slices ``array[..., v]``, one elementwise operation across all rows per
-value. Maxima take the values in order; sums (entropy, KL, the DOS context
-mass) go through ``_subset_sum``, which makes NumPy's own pairwise
-additions in NumPy's order, so every score keeps the bits of a last-axis
-reduction.
+Scores work on the value slices ``array[..., v]``, one elementwise
+operation across all rows per value, rather than reduce the short value
+axis V with a NumPy reduction, which costs far more than its arithmetic.
+Maxima take the values in order. Sums (entropy, KL, the DOS context mass)
+go through ``_subset_sum``: where every row keeps fewer than 8 entries it
+adds the value slices in order, the one-by-one order of NumPy's own sum of
+so few, and longer rows it hands to NumPy itself, so every score keeps the
+bits of a last-axis reduction.
 """
 
 from __future__ import annotations
@@ -91,58 +92,33 @@ def _subset_sum(terms: np.ndarray, keep) -> np.ndarray:
     mask that broadcasts to ``terms``), bit for bit the sum of those entries
     as a 1-D array.
 
-    NumPy sums n entries from 0: one by one below 8; up to 128 in eight
-    partial sums (entry i into sum i % 8) over the first n & -8 entries,
-    combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the last n % 8 one by one;
-    above 128 it adds the sums of the first (n // 2) & -8 entries and of the
-    rest, each summed so. Here every addition is one elementwise operation
-    across all rows: the value slices in order while no row keeps 8 entries,
-    else each row's kept entries moved to its front (a stable sort of the
-    mask as given, unbroadcast), eight columns at a time into the partial
-    sums. A row with fewer entries adds a 0 there, which leaves a sum as it
-    is, but for the sign of a zero; a sum started from 0, as NumPy's is,
-    never ends at -0.
+    Two paths, chosen by the largest kept count of the chunk. NumPy sums
+    fewer than 8 entries one by one from 0 (from 8 on it sums pairwise, so
+    a zero-padded row can round differently). While no row keeps 8 entries,
+    the value slices are added in order, one elementwise operation across
+    all rows per value: an unkept entry adds a 0, which leaves a sum as it
+    is, and a sum started from 0 never ends at -0. Otherwise the rows are
+    grouped by kept count and NumPy sums each group's compacted entries,
+    one ``np.unique`` loop with a gather per distinct count.
     """
     V = terms.shape[-1]
     # V entries a row, and the other axes as given: 1 where the mask broadcasts
     keep = np.asarray(keep, dtype=bool) | np.zeros((1,) * (terms.ndim - 1) + (V,), dtype=bool)
-    values = np.where(keep, terms, 0.0)
-    count = np.zeros(keep.shape[:-1], dtype=int)
-    for kept in _slices(keep):
-        count += kept
-    total = np.zeros(terms.shape[:-1])
-    if count.max(initial=0) < 8:
-        for value in _slices(values):
+    # a row of fewer than 8 values keeps fewer than 8: no count to take
+    if V < 8 or keep.sum(axis=-1).max(initial=0) < 8:
+        total = np.zeros(terms.shape[:-1])
+        for value in _slices(np.where(keep, terms, 0.0)):
             total += value
         return total
-    order = np.argsort(~keep, axis=-1, kind="stable")  # each row's kept entries first
-    rows = np.arange(0, total.size * V, V)[:, None]
-    packed = values.reshape(-1).take(np.broadcast_to(order, terms.shape).reshape(-1, V) + rows)
-    total += _packed_sum(packed, np.broadcast_to(count, total.shape).reshape(-1)).reshape(total.shape)
-    return total
-
-
-def _packed_sum(packed: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """NumPy's sum of the first ``count[r]`` entries of each row of ``packed``."""
-    head = count & -8  # the entries that go to the eight partial sums
-    width, columns = packed.shape[1] & -8, np.arange(packed.shape[1])
-    lanes = np.where(columns[:width] < head[:, None], packed[:, :width], 0.0)
-    lanes = lanes.reshape(len(packed), -1, 8)
-    part = lanes[:, 0]
-    for block in range(1, lanes.shape[1]):
-        part = part + lanes[:, block]
-    total = ((part[:, 0] + part[:, 1]) + (part[:, 2] + part[:, 3])) + (
-        (part[:, 4] + part[:, 5]) + (part[:, 6] + part[:, 7]))
-    tail = np.where((columns >= head[:, None]) & (columns < count[:, None]), packed, 0.0)
-    for column in range(head.min(), min(packed.shape[1], head.max() + 7)):
-        total = total + tail[:, column]  # the last n % 8, one by one
-    split = np.flatnonzero(count > 128)
-    if len(split):
-        first, rest = (count[split] // 2) & -8, packed[split]
-        after = np.minimum(first[:, None] + columns, packed.shape[1] - 1)
-        total[split] = (_packed_sum(rest, first)
-                        + _packed_sum(np.take_along_axis(rest, after, axis=1), count[split] - first))
-    return total
+    flat = terms.reshape(-1, V)
+    keep = np.broadcast_to(keep, terms.shape).reshape(-1, V)
+    counts = keep.sum(axis=1)
+    out = np.zeros(len(counts))
+    for c in np.unique(counts).tolist():
+        if c:
+            rows = counts == c
+            out[rows] = flat[rows][keep[rows]].reshape(-1, c).sum(axis=1)
+    return out.reshape(terms.shape[:-1])
 
 
 def dos_dependency(
