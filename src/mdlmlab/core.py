@@ -17,8 +17,9 @@ token ids (states, prompts, denoisers, joint lookups, training batches)
 refuses a malformed row through it, so no id is truncated or aliased.
 ``number_fields`` is the one type check of the config classes' numbers.
 ``distinct_rows`` is the one way rows are grouped by equal content: the
-training losses and ``TransformerDenoiser.batch`` run each distinct token
-row once, and the oracle's per-pattern kernel groups rows by mask pattern.
+transformer's forward runs each distinct token row once, for inference and
+training alike, and the oracle's per-pattern kernel groups rows by mask
+pattern.
 
 All types are immutable values; operations are pure given an explicit
 ``numpy.random.Generator``.
@@ -184,8 +185,9 @@ def forward_mask(
     comes out with no masked position draws a fresh t and positions again,
     at most ``redraws`` times (``None``: until one is masked); a row that is
     still unmasked is returned clean. ``t[r]`` is row r's last t. Prompt
-    positions are never touched. Rows that ``token_rows`` refuses (ids 1..V)
-    and a ``prompt_len`` outside 0..L-1 raise ``ValueError``.
+    positions are never touched. Rows that ``token_rows`` refuses (ids 1..V),
+    a ``prompt_len`` outside 0..L-1 and a ``t_min`` outside [0, 1] (NaN too)
+    raise ``ValueError`` before any draw.
 
     An attempt at a row takes 1 + (L - prompt_len) doubles of ``rng``, t
     first (``uniform(t_min, 1)`` is ``t_min + (1 - t_min) * random()``), so
@@ -196,6 +198,8 @@ def forward_mask(
     n, L = rows.shape
     if not 0 <= prompt_len < L:
         raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
+    if not 0.0 <= t_min <= 1.0:
+        raise ValueError(f"t_min must lie in [0, 1], got {t_min}")
     hidden = np.zeros((n, L), dtype=bool)
     t = np.empty(n)
     attempt = np.arange(n)

@@ -6,13 +6,14 @@ content tokens only, so the mask symbol always has probability zero. Every
 attention matrix is returned from the forward pass; that tensor is the input
 to attention-based dependency scoring.
 
-A row's forward does not depend on the other rows of its batch, so every
-batched entry point (``TransformerDenoiser.batch`` and the training losses)
-runs each distinct row once and repeats its output: the outputs and the loss
-are bit-identical to a forward over every row. The gradient is the backward
-of the distinct rows, each taking the sum of its copies' output gradients;
-the backward is linear in those for fixed activations, so it is the same
-sum in another order (about 1e-14 relative drift).
+A row's forward does not depend on the other rows of its batch, so
+``_forward_batch``, the one forward under both ``forward`` and the training
+losses, runs each distinct row once and its callers repeat its output: the
+outputs and the loss are bit-identical to a forward over every row. The
+gradient is the backward of the distinct rows, each taking the sum of its
+copies' output gradients; the backward is linear in those for fixed
+activations, so it is the same sum in another order (about 1e-14 relative
+drift).
 
 The forward writes its activations into a ``Tape`` when given one: every
 activation the backward reads. The backward writes its own temporaries of
@@ -160,8 +161,8 @@ class Tape:
     ``take(key, shape)`` returns the leading ``shape[0]`` rows of buffer
     ``key``. A buffer is allocated on first use and again when a step needs
     more rows or another row shape; it never shrinks. It is allocated with
-    at least the rows ``reserve`` asked for: a loss reserves its batch's row
-    count, which bounds the distinct rows it runs, so a training run
+    at least the rows ``reserve`` asked for: the forward reserves its batch's
+    row count, which bounds the distinct rows it runs, so a training run
     allocates each buffer once instead of once per new largest distinct-row
     count (each regrowth left the old buffer behind as a heap hole, about
     1 MB of peak RSS on the benchmark's training run). Pages of rows no step
@@ -263,18 +264,27 @@ def _merge_heads(x, out):
 
 
 def _forward_batch(params: Params, tokens: np.ndarray, tape: Tape | None = None):
-    """Full forward pass over (n, L) token rows; returns (log_probs, attentions).
+    """Full forward pass over the distinct rows of (n, L) token rows.
 
-    ``tokens`` are rows that ``core.token_rows`` (mask allowed) has passed;
-    rows of no tokens or longer than ``max_len`` raise ``ValueError``. Every
-    activation is written through ``_take``. Training passes a tape, which
-    keeps what the backward reads; inference passes none and keeps none.
+    Returns ``(log_probs, attentions, inverse)`` over the rows
+    ``tokens[first]`` of ``core.distinct_rows``; indexing each array with
+    ``inverse`` gives every row's. ``tokens`` are rows that
+    ``core.token_rows`` (mask allowed) has passed; rows of no tokens or
+    longer than ``max_len`` raise ``ValueError``. Every activation is written
+    through ``_take``. Training passes a tape, reserved for n rows (the bound
+    on every step's distinct rows), which keeps what the backward reads;
+    inference passes none and keeps none.
     """
     cfg = params.config
     t = params.tensors
-    n, L = tokens.shape
+    L = tokens.shape[1]
     if not 1 <= L <= cfg.max_len:
         raise ValueError(f"sequence length {L} outside 1..max_len {cfg.max_len}")
+    if tape is not None:
+        tape.reserve(len(tokens))
+    first, inverse = distinct_rows(tokens)
+    tokens = tokens[first]
+    n = len(tokens)
     d, H = cfg.d_model, cfg.n_heads
     rows = tokens - 1  # embedding rows: 0..V-1 for content tokens, V for the mask
     # the caller checked the ids, so "clip" clips nothing; it spares a buffered copy
@@ -310,7 +320,7 @@ def _forward_batch(params: Params, tokens: np.ndarray, tape: Tape | None = None)
     log_probs = _log_softmax(hf @ t["wout"] + t["bout"])
     if tape is not None:
         tape.saved = (rows, saved, cf, hf)
-    return log_probs, attentions
+    return log_probs, attentions, inverse
 
 
 def _backward_batch(params: Params, dlogits: np.ndarray, tape: Tape) -> dict[str, np.ndarray]:
@@ -386,15 +396,17 @@ def forward(params: Params, states: StateBatch) -> DenoiserOutput:
 
     ``states.tokens`` is an (n, L) array of n sequences; the output has
     (n, L, V) probs and per layer an (n, H, L, L) attention tensor. The rows
-    do not interact. Deterministic given (params, states); repeated calls
-    are bit-identical. Rows that ``core.token_rows`` refuses (one row given
-    as a flat sequence among them) raise ``ValueError``.
+    do not interact, so each distinct row runs once and its output is
+    repeated in row order, bit-identical to a forward over every row.
+    Deterministic given (params, states); repeated calls are bit-identical.
+    Another vocabulary, then rows that ``core.token_rows`` refuses (one row
+    given as a flat sequence among them), raise ``ValueError``.
     """
     if states.vocab.size != params.config.vocab_size:
         raise ValueError("state vocabulary does not match the model")
     tokens = token_rows(states.tokens, params.config.vocab_size, mask=True)
-    log_probs, attentions = _forward_batch(params, tokens)
-    return DenoiserOutput(probs=np.exp(log_probs), attentions=attentions)
+    log_probs, attentions, inverse = _forward_batch(params, tokens)
+    return DenoiserOutput(np.exp(log_probs)[inverse], [a[inverse] for a in attentions])
 
 
 class TransformerDenoiser:
@@ -405,21 +417,9 @@ class TransformerDenoiser:
         self.vocab = params.config.vocab
 
     def batch(self, states: StateBatch) -> DenoiserOutput:
-        """``forward(params, states)``, from one batched forward over its
-        distinct rows: each output is repeated in row order.
-
-        A row's output does not depend on the other rows, so the result is
-        bit-identical. Rows are keyed by ``core.distinct_rows``. NFE still
-        counts one evaluation per sequence per step, whatever is shared among
-        equal rows. Errors are those of ``forward``, in its order: the
-        vocabulary first, then the rows.
-        """
-        if states.vocab.size != self.vocab.size:
-            raise ValueError("state vocabulary does not match the model")
-        tokens = token_rows(states.tokens, self.vocab.size, mask=True)
-        first, inverse = distinct_rows(tokens)
-        out = forward(self.params, StateBatch(states.vocab, tokens[first]))
-        return DenoiserOutput(out.probs[inverse], [a[inverse] for a in out.attentions])
+        """``forward(params, states)``. NFE still counts one evaluation per
+        sequence per step, whatever the forward shares among equal rows."""
+        return forward(self.params, states)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +458,7 @@ def _forward_corrupted(
     weights: np.ndarray,
     tape: Tape | None = None,
 ):
-    """Check a loss's arguments, each once, and run the forward over the
-    distinct rows.
+    """Check a loss's arguments, each once, and run the forward.
 
     Returns ``(log_probs, inverse, x0)``: the distinct rows' log-probs, each
     corrupted row's index into them, and ``x0`` as int64.
@@ -468,10 +467,7 @@ def _forward_corrupted(
     if not len(tokens):
         raise ValueError(f"corrupted must hold at least one row, got shape {tokens.shape}")
     x0 = _check_targets(x0, loss_mask, weights, tokens.shape, params.config.vocab_size)
-    first, inverse = distinct_rows(tokens)
-    if tape is not None:
-        tape.reserve(len(tokens))
-    log_probs, _ = _forward_batch(params, tokens[first], tape)
+    log_probs, _, inverse = _forward_batch(params, tokens, tape)
     return log_probs, inverse, x0
 
 
@@ -619,7 +615,16 @@ _VERSION = 2
 _ARCH_FIELDS = ("n_layers", "n_heads", "d_model", "max_len", "vocab_size")
 
 
+def _refuse_non_finite(tensors: dict[str, np.ndarray], path: str) -> None:
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
+
+
 def save_checkpoint(params: Params, path: str) -> None:
+    """Write ``params`` to ``path``. A tensor holding NaN or infinity raises
+    ``CheckpointError`` naming it before the file is opened."""
+    _refuse_non_finite(params.tensors, path)
     cfg = params.config
     with open(path, "w+b") as fh:
         fh.write(_MAGIC)
@@ -645,14 +650,12 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def load_checkpoint(path: str, expected_config: TransformerConfig | None = None) -> Params:
+def load_checkpoint(path: str) -> Params:
     """Load a checkpoint; the round trip with save_checkpoint is bit-exact.
 
-    With ``expected_config`` given, every architecture field is compared and
-    a mismatch error names the offending field. The checksum is checked
-    after the header and shapes, so a corrupt header still gets its own
-    error; a file that passes it but holds a NaN or infinite value raises
-    ``CheckpointError`` naming the tensor.
+    The checksum is checked after the header and shapes, so a corrupt
+    header still gets its own error; a file that passes it but holds a NaN
+    or infinite value raises ``CheckpointError`` naming the tensor.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, len(_MAGIC)) != _MAGIC:
@@ -671,14 +674,6 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
             )
         except ValueError as exc:
             raise CheckpointError(f"{path}: invalid architecture header: {exc}") from None
-        if expected_config is not None:
-            for f in _ARCH_FIELDS:
-                if getattr(expected_config, f) != getattr(config, f):
-                    raise CheckpointError(
-                        f"{path}: config mismatch in field {f!r}: "
-                        f"checkpoint has {getattr(config, f)}, "
-                        f"expected {getattr(expected_config, f)}"
-                    )
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         # checked before param_specs, which a corrupt n_layers would make huge:
         # 2 embeddings, 12 tensors per layer and 4 in the head
@@ -706,7 +701,5 @@ def load_checkpoint(path: str, expected_config: TransformerConfig | None = None)
         fh.seek(0)
         if hashlib.sha256(fh.read(end)).digest() != digest:
             raise CheckpointError(f"{path}: checksum mismatch")
-    for name, tensor in tensors.items():
-        if not np.isfinite(tensor).all():
-            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
+    _refuse_non_finite(tensors, path)
     return Params(config, tensors)

@@ -80,7 +80,8 @@ class TabularJoint:
         self.table = np.asarray(self.table, dtype=float)
         if self.table.ndim < 1 or any(s != self.vocab.size for s in self.table.shape):
             raise ValueError("table needs one axis of size V per position")
-        if np.any(self.table < 0) or abs(float(self.table.sum()) - 1.0) > 1e-12:
+        # each test is false for NaN, so a NaN entry fails
+        if not (np.all(self.table >= 0) and abs(float(self.table.sum()) - 1.0) <= 1e-12):
             raise ValueError("table entries must be >= 0 and sum to 1 within 1e-12")
 
     @property
@@ -120,7 +121,7 @@ class FactorizedDAG:
             if cpt.shape != want:
                 raise ValueError(f"node {i} CPT shape {cpt.shape} != {want}")
             rows = cpt.reshape(-1, V)
-            if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+            if not (np.all(rows >= 0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
                 raise ValueError(f"node {i} CPT rows must sum to 1 within 1e-12")
             cpts.append(cpt)
         self.cpts = tuple(cpts)

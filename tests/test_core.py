@@ -80,6 +80,11 @@ def test_forward_mask_endpoints():
     ):
         with pytest.raises(ValueError, match=message):
             forward_mask(x0, 4, prompt_len, rng)
+    state = rng.bit_generator.state
+    for t_min in (np.nan, np.inf, -0.1, 1.5):  # NaN used never to return
+        with pytest.raises(ValueError, match=r"t_min must lie in \[0, 1\]"):
+            forward_mask([(1, 2, 1)], 2, 0, rng, t_min=t_min)
+    assert rng.bit_generator.state == state
 
 
 def test_forward_mask_masked_fraction():

@@ -473,11 +473,11 @@ def test_non_finite_denoiser_output_fails_every_mode(tmp_path):
         for mode in ("mc", "exact"):
             with pytest.raises(ValueError, match="non-finite probabilities for row 0"):
                 run_policy(model, den, policy, replace(cfg, mode=mode), np.random.default_rng(0))
-    # saved that way, the checkpoint is refused when it is loaded
-    ckpt = str(tmp_path / "nan.ckpt")
-    save_checkpoint(params, ckpt)
+    # such parameters are refused as a checkpoint, and no file is left
+    ckpt = tmp_path / "nan.ckpt"
     with pytest.raises(CheckpointError, match="tensor wout has non-finite values"):
-        run_experiment(replace(cfg, denoiser=f"checkpoint {ckpt}"))
+        save_checkpoint(params, str(ckpt))
+    assert not ckpt.exists()
 
 
 def test_sweep_blocks_row_count():

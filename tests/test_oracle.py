@@ -892,9 +892,13 @@ def test_group_schedule_validation():
 def test_joint_model_validation():
     with pytest.raises(ValueError):
         TabularJoint(V2, np.array([[0.5, 0.6], [0.0, 0.0]]))  # sums to 1.1
-    bad_cpt = np.array([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        FactorizedDAG(V2, ((), (0,)), (np.array([0.5, 0.5]), bad_cpt))
+    nan_table = np.full((2, 2), 0.25)
+    nan_table[0, 0] = np.nan
+    with pytest.raises(ValueError, match="table entries must be >= 0 and sum to 1"):
+        TabularJoint(V2, nan_table)
+    for bad_cpt in (np.array([[0.5, 0.6], [0.5, 0.5]]), np.array([[np.nan, 0.5], [0.5, 0.5]])):
+        with pytest.raises(ValueError, match="node 1 CPT rows must sum to 1"):
+            FactorizedDAG(V2, ((), (0,)), (np.array([0.5, 0.5]), bad_cpt))
     with pytest.raises(ValueError):
         FactorizedDAG(  # 0 -> 1 -> 0 cycle
             V2,

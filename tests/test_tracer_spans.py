@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mdlmlab  # noqa: F401 - the tracer looks owners up in sys.modules
 from mdlmlab import nn
@@ -45,19 +46,28 @@ def test_lockstep_mc_run_is_attributed_per_step():
     tracer = _load_tracer()
     model = layered_suite_model(3)
     den = TransformerDenoiser(init_params(TransformerConfig(vocab_size=2, seed=7)))
-    handed = []
-    batch = den.batch
+    handed, ran = [], []
+    batch, forward_batch = den.batch, nn._forward_batch
     den.batch = lambda states: handed.append(states.tokens.copy()) or batch(states)
+
+    def recording(p, tokens, tape=None):  # counts the distinct rows each forward runs
+        out = forward_batch(p, tokens, tape)
+        ran.append(len(out[0]))
+        return out
+
     policy = PolicyConfig(scorer="confidence", selector="topk", steps=4,
                           temperature="sample")
     cfg = ExperimentConfig(joint="layered 3", prompt_len=1, policies=(policy,),
                            samples=16, mode="mc")
-    with tracer.installed(tracer.Tracer()) as t:
-        run_policy(model, den, policy, cfg, np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_forward_batch", recording)
+        with tracer.installed(tracer.Tracer()) as t:
+            run_policy(model, den, policy, cfg, np.random.default_rng(0))
     assert not tracer.leftover_wrappers()
     assert t.calls["nn.forward"] == 4
     assert [len(tokens) for tokens in handed] == [16] * 4
-    assert t.rows == sum(len(np.unique(tokens, axis=0)) for tokens in handed) < 64
+    assert t.rows == 64  # the rows handed to the forward
+    assert sum(ran) == sum(len(np.unique(tokens, axis=0)) for tokens in handed) < 64
     assert t.calls["decoding.commit_token"] == 4
     assert t.calls["scoring"] == 4
     assert t.calls["decoding.decode_blockwise"] == 1
