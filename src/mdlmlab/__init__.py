@@ -52,7 +52,6 @@ from .nn import (
     TransformerDenoiser,
     forward,
     load_checkpoint,
-    mdlm_loss_and_grad,
     save_checkpoint,
     train,
 )

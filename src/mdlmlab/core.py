@@ -186,8 +186,9 @@ def forward_mask(
     at most ``redraws`` times (``None``: until one is masked); a row that is
     still unmasked is returned clean. ``t[r]`` is row r's last t. Prompt
     positions are never touched. Rows that ``token_rows`` refuses (ids 1..V),
-    a ``prompt_len`` outside 0..L-1 and a ``t_min`` outside [0, 1] (NaN too)
-    raise ``ValueError`` before any draw.
+    a ``prompt_len`` outside 0..L-1, a ``t_min`` outside [0, 1] (NaN too)
+    and ``redraws`` other than ``None`` or an integer >= 0 raise
+    ``ValueError`` before any draw.
 
     An attempt at a row takes 1 + (L - prompt_len) doubles of ``rng``, t
     first (``uniform(t_min, 1)`` is ``t_min + (1 - t_min) * random()``), so
@@ -200,6 +201,9 @@ def forward_mask(
         raise ValueError(f"prompt_len {prompt_len} out of range for L={L}")
     if not 0.0 <= t_min <= 1.0:
         raise ValueError(f"t_min must lie in [0, 1], got {t_min}")
+    if redraws is not None and (isinstance(redraws, bool)
+                                or not isinstance(redraws, numbers.Integral) or redraws < 0):
+        raise ValueError(f"redraws must be None or an integer >= 0, got {redraws!r}")
     hidden = np.zeros((n, L), dtype=bool)
     t = np.empty(n)
     attempt = np.arange(n)

@@ -553,26 +553,6 @@ def corrupt_batch(
     return corrupted, loss_mask, weights, int((~kept).sum())
 
 
-def mdlm_loss_and_grad(
-    params: Params,
-    x0_batch: np.ndarray,
-    prompt_len: int,
-    rng: np.random.Generator,
-    *,
-    tape: Tape | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """One masked-diffusion training objective evaluation on a clean batch.
-
-    Each example is corrupted at its own t ~ Uniform[t_min, 1] and the
-    masked-position cross-entropy is weighted by 1/t; the gradient comes
-    from exact backpropagation through the forward pass, with the
-    activations on ``tape`` as in ``loss_and_grad_on_corrupted``.
-    """
-    corrupted, loss_mask, weights, _ = corrupt_batch(params.config, x0_batch, prompt_len, rng)
-    return loss_and_grad_on_corrupted(params, corrupted, np.asarray(x0_batch), loss_mask,
-                                      weights, tape=tape)
-
-
 def train(
     config: TransformerConfig,
     model: JointModel,
@@ -582,9 +562,12 @@ def train(
 ) -> Params:
     """Plain fixed-step SGD on batches sampled from the joint.
 
-    Emits the loss curve through ``on_step(step, loss)``. Aborts with a
-    diagnostic if the loss stops being finite. Every step writes its
-    activations on one ``Tape``.
+    Each step corrupts its batch with ``corrupt_batch``, so every example
+    is masked at its own t ~ Uniform[t_min, 1] and its masked-position
+    cross-entropy is weighted by 1/t, and takes the exact-backprop gradient
+    from ``loss_and_grad_on_corrupted``. Emits the loss curve through
+    ``on_step(step, loss)``. Aborts with a diagnostic if the loss stops
+    being finite. Every step writes its activations on one ``Tape``.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -593,7 +576,9 @@ def train(
     tape = Tape()
     for step in range(config.train_steps):
         batch = sample_joints(model, rng, config.batch_size)
-        loss, grads = mdlm_loss_and_grad(params, batch, prompt_len, rng, tape=tape)
+        corrupted, loss_mask, weights, _ = corrupt_batch(config, batch, prompt_len, rng)
+        loss, grads = loss_and_grad_on_corrupted(params, corrupted, batch, loss_mask, weights,
+                                                 tape=tape)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at step {step}: loss={loss}")
         for name, grad in grads.items():
@@ -622,25 +607,23 @@ def _refuse_non_finite(tensors: dict[str, np.ndarray], path: str) -> None:
 
 
 def save_checkpoint(params: Params, path: str) -> None:
-    """Write ``params`` to ``path``. A tensor holding NaN or infinity raises
-    ``CheckpointError`` naming it before the file is opened."""
+    """Write ``params`` to ``path`` in one pass. A tensor holding NaN or
+    infinity, or of the wrong shape, raises ``CheckpointError`` naming it
+    before the file is opened."""
     _refuse_non_finite(params.tensors, path)
     cfg = params.config
-    with open(path, "w+b") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<5I", *(getattr(cfg, f) for f in _ARCH_FIELDS)))
-        specs = param_specs(cfg)
-        fh.write(struct.pack("<I", len(specs)))
-        for name, shape in specs:
-            arr = np.ascontiguousarray(params.tensors[name], dtype="<f8")
-            if arr.shape != shape:
-                raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-        fh.seek(0)
-        fh.write(hashlib.sha256(fh.read()).digest())
+    specs = param_specs(cfg)
+    parts = [_MAGIC, struct.pack("<I", _VERSION),
+             struct.pack("<5I", *(getattr(cfg, f) for f in _ARCH_FIELDS)),
+             struct.pack("<I", len(specs))]
+    for name, shape in specs:
+        arr = np.ascontiguousarray(params.tensors[name], dtype="<f8")
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+        parts += [struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    body = b"".join(parts)
+    with open(path, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
 
 
 def _read_exact(fh, n: int) -> bytes:

@@ -132,6 +132,8 @@ class FactorizedDAG:
         return len(self.parents)
 
     def topo_order(self) -> tuple[int, ...]:
+        """The nodes in topological order, smallest node whose parents are
+        placed first: the lexicographically smallest such order."""
         assert self._topo is not None
         return self._topo
 
@@ -140,33 +142,24 @@ JointModel = TabularJoint | FactorizedDAG
 
 
 def _topological_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    L = len(parents)
-    children: list[list[int]] = [[] for _ in range(L)]
-    indeg = [0] * L
-    for i, ps in enumerate(parents):
-        indeg[i] = len(ps)
-        for p in ps:
-            children[p].append(i)
-    ready = sorted(i for i in range(L) if indeg[i] == 0)
+    """Place, one at a time, the smallest unplaced node whose parents are
+    all placed: the lexicographically smallest topological order."""
     order: list[int] = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-        ready.sort()
-    if len(order) != L:
-        # Every node left out has a parent left out, so walking up such
-        # parents revisits a node, and the first one revisited is on a cycle.
-        done = set(order)
-        node = min(set(range(L)) - done)
-        seen: set[int] = set()
-        while node not in seen:
-            seen.add(node)
-            node = next(p for p in parents[node] if p not in done)
-        raise CycleError(node)
+    placed: set[int] = set()
+    left = list(range(len(parents)))
+    while left:
+        node = next((i for i in left if placed.issuperset(parents[i])), None)
+        if node is None:
+            # Every node left has a parent left, so walking up such parents
+            # revisits a node, and the first one revisited is on a cycle.
+            node, seen = left[0], set()
+            while node not in seen:
+                seen.add(node)
+                node = next(p for p in parents[node] if p in left)
+            raise CycleError(node)
+        left.remove(node)
+        placed.add(node)
+        order.append(node)
     return tuple(order)
 
 
@@ -503,9 +496,10 @@ def sample_joints(model: JointModel, rng: np.random.Generator, n: int) -> np.nda
     A table draws one uniform per sequence and takes the first entry of its
     cumulative sum above u times the total. A DAG samples ancestrally: it
     draws an (n, L) block of uniforms, column j serving the j-th node of
-    the topological order, and counts the entries of the node's cumulative
-    CPT row that are <= u times the row total. So the tokens, and the
-    generator state left behind, are those of n ``sample_joint`` calls.
+    ``topo_order()`` (smallest node whose parents are placed, first), and
+    counts the entries of the node's cumulative CPT row that are <= u times
+    the row total. So the tokens, and the generator state left behind, are
+    those of n ``sample_joint`` calls.
     """
     if isinstance(model, TabularJoint):
         if model._flat_cumsum is None:

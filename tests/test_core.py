@@ -84,6 +84,9 @@ def test_forward_mask_endpoints():
     for t_min in (np.nan, np.inf, -0.1, 1.5):  # NaN used never to return
         with pytest.raises(ValueError, match=r"t_min must lie in \[0, 1\]"):
             forward_mask([(1, 2, 1)], 2, 0, rng, t_min=t_min)
+    for redraws in (-1, -2, 1.5, True):  # each used to warn or return rows
+        with pytest.raises(ValueError, match=r"redraws must be None or an integer >= 0"):
+            forward_mask([(1, 2, 1)], 2, 0, rng, redraws=redraws)
     assert rng.bit_generator.state == state
 
 

@@ -9,6 +9,8 @@ in mode auto and in mode mc. ``tests/data/training_digests.json`` holds two
 SHA-256s of training: of the losses and final parameter bytes of a 200-step
 ``nn.train`` on ``reference 42``, and of the gradient bytes of one
 ``loss_and_grad_on_corrupted`` call on a fixed batch at those parameters.
+It also holds the SHA-256 of the ``save_checkpoint`` file of two untrained
+configs, ``CHECKPOINTS``.
 
 A change that is meant to keep every bit leaves these passing unchanged. A
 change that moves bits on purpose rewrites the data with
@@ -50,6 +52,12 @@ TRAINING_DIGESTS = DATA / "training_digests.json"
 # nn.train as the benchmark's train workload runs it, for 200 steps
 TRAINING = TransformerConfig(vocab_size=2, seed=7, train_steps=200)
 TRAINING_PROMPT_LEN = 1
+# training_digests.json key -> the config whose init_params is saved
+CHECKPOINTS = {
+    "checkpoint_vocab2_seed7": TransformerConfig(vocab_size=2, seed=7),
+    "checkpoint_3layer_vocab3_seed1": TransformerConfig(n_layers=3, n_heads=4, d_model=16, max_len=6,
+                                           vocab_size=3, seed=1),
+}
 
 
 def _topk(scorer: str, steps: int, block_size: int = 0, layer: int = 0) -> Policy:
@@ -137,6 +145,16 @@ def training_digests() -> dict[str, str]:
     return {"train": trained.hexdigest(), "gradient": gradient.hexdigest()}
 
 
+def checkpoint_digests(workdir: Path) -> dict[str, str]:
+    """The SHA-256 of each ``CHECKPOINTS`` file, saved under ``workdir``."""
+    digests = {}
+    for key, config in CHECKPOINTS.items():
+        path = workdir / f"{key}.ckpt"
+        save_checkpoint(init_params(config), str(path))
+        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def test_suite_models_keep_their_bits():
     assert suite_digests() == json.loads(SUITE_DIGESTS.read_text())
 
@@ -148,14 +166,21 @@ def test_metrics_csv_keeps_its_bytes(stem, tmp_path):
 
 
 def test_training_keeps_its_bits():
-    assert training_digests() == json.loads(TRAINING_DIGESTS.read_text())
+    want = json.loads(TRAINING_DIGESTS.read_text())
+    assert training_digests() == {key: want[key] for key in ("train", "gradient")}
+
+
+def test_checkpoints_keep_their_bytes(tmp_path):
+    want = json.loads(TRAINING_DIGESTS.read_text())
+    assert checkpoint_digests(tmp_path) == {key: want[key] for key in CHECKPOINTS}
 
 
 def _write_data() -> None:
     DATA.mkdir(exist_ok=True)
     SUITE_DIGESTS.write_text(json.dumps(suite_digests(), indent=1) + "\n")
-    TRAINING_DIGESTS.write_text(json.dumps(training_digests(), indent=1) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
+        digests = {**training_digests(), **checkpoint_digests(Path(workdir))}
+        TRAINING_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
         for stem in EXPERIMENTS:
             text = experiment_csv(stem, Path(workdir))
             (DATA / f"{stem}.csv").write_bytes(text.encode())

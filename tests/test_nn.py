@@ -23,7 +23,6 @@ from mdlmlab.nn import (
     init_params,
     load_checkpoint,
     loss_and_grad_on_corrupted,
-    mdlm_loss_and_grad,
     param_specs,
     save_checkpoint,
     train,
@@ -480,7 +479,8 @@ def test_mdlm_loss_runs_and_reports_stats():
     params = init_params(SMALL)
     rng = np.random.default_rng(5)
     x0 = rng.integers(1, 4, size=(8, 5))
-    loss, grads = mdlm_loss_and_grad(params, x0, 1, rng)
+    corrupted, loss_mask, weights, _ = corrupt_batch(SMALL, x0, 1, rng)
+    loss, grads = loss_and_grad_on_corrupted(params, corrupted, x0, loss_mask, weights)
     assert np.isfinite(loss) and loss > 0
     assert set(grads) == {name for name, _ in param_specs(SMALL)}
 
@@ -734,6 +734,21 @@ def test_checkpoint_with_non_finite_values_is_refused(value, tmp_path):
         with pytest.raises(CheckpointError, match=f"tensor {name} has non-finite values"):
             save_checkpoint(broken, str(path))
         assert not path.exists()
+
+
+def test_checkpoint_with_a_misshapen_tensor_leaves_the_path_as_it_was(tmp_path):
+    # the save is refused before its file is opened: no partial file is left,
+    # and a file that was there keeps its bytes
+    broken = init_params(TransformerConfig(vocab_size=2))
+    broken.tensors["wout"] = np.zeros((3, 3))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match=r"tensor wout has shape \(3, 3\)"):
+        save_checkpoint(broken, str(path))
+    assert not path.exists()
+    path.write_bytes(SMALL_BYTES)
+    with pytest.raises(CheckpointError, match=r"tensor wout has shape \(3, 3\)"):
+        save_checkpoint(broken, str(path))
+    assert path.read_bytes() == SMALL_BYTES
 
 
 def test_checkpoint_with_rewritten_head_count_raises(tmp_path):

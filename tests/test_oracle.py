@@ -286,6 +286,22 @@ def scalar_draw(model, rng):
     return tuple(toks)
 
 
+def test_topo_order_is_the_smallest_topological_order():
+    # sample_joints hands column j of its uniforms to the j-th node of this
+    # order, so any other valid order would move every MC draw
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        L = int(rng.integers(1, 7))
+        rank = rng.permutation(L)  # every edge runs from a lower rank to a higher
+        parents = tuple(tuple(q for q in range(L) if rank[q] < rank[i] and rng.random() < 0.4)
+                        for i in range(L))
+        dag = FactorizedDAG(V2, parents,
+                            tuple(np.full((2,) * (len(ps) + 1), 0.5) for ps in parents))
+        valid = [order for order in itertools.permutations(range(L))
+                 if all(order.index(q) < order.index(i) for i in range(L) for q in parents[i])]
+        assert dag.topo_order() == min(valid)
+
+
 def sparse_model(data: np.random.Generator, V: int, L: int, tabular: bool):
     """A random table, or a DAG with relabelled nodes, with zero entries."""
     if tabular:
